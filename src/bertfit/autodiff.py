@@ -6,7 +6,9 @@ active :class:`Tape` record a backward rule; :func:`backward` replays the
 tape in reverse and accumulates gradients into ``Tensor.grad``.
 
 Only the operations the encoder needs are provided; broadcasting is
-limited to trailing-dimension bias adds and batched matmul.
+limited to trailing-dimension bias adds and batched matmul. A matmul of an
+n-d activation by a 2-d weight folds the leading axes into rows, so its
+forward pass and each of its two gradients is a single 2-d GEMM.
 """
 
 from __future__ import annotations
@@ -230,6 +232,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatchError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        return _matmul_rows(a, b)
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
@@ -238,6 +242,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         _accum(a, _unbroadcast(ga, a.shape))
         _accum(b, _unbroadcast(gb, b.shape))
+
+    return _make(out_data, (a, b), bwd)
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """(..., K) activation times (K, N) weight as one (rows, K) GEMM."""
+    K = a.data.shape[-1]
+    out_data = np.matmul(a.data.reshape(-1, K), b.data).reshape(
+        a.data.shape[:-1] + (b.data.shape[1],))
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        _accum(a, np.matmul(g2, b.data.T).reshape(a.shape))
+        _accum(b, np.matmul(a.data.reshape(-1, K).T, g2))
 
     return _make(out_data, (a, b), bwd)
 
@@ -429,32 +447,28 @@ def embedding(weight: Tensor, ids) -> Tensor:
     return _make(out_data, (weight,), bwd)
 
 
-def cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
-    """Mean softmax cross-entropy over the rows selected by `weights`.
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy over the rows of `logits`.
 
-    logits: (N, C); labels: (N,) ints; weights: optional (N,) 0/1 floats.
-    Rows with weight 0 contribute nothing; the mean divides by the weight
-    sum. Fused log-softmax keeps the backward rule exact.
+    logits: (N, C); labels: (N,) ints. Fused log-softmax keeps the backward
+    rule exact.
     """
     labels = np.asarray(labels)
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
     n = logits.data.shape[0]
-    if weights is None:
-        w = np.ones(n, dtype=logits.dtype)
-    else:
-        w = np.asarray(weights, dtype=logits.dtype)
-    denom = w.sum()
-    if denom <= 0:
-        raise ValueError("cross_entropy: no active rows")
-    nll = -(logp[np.arange(n), labels] * w).sum() / denom
+    if n == 0:
+        raise ValueError("cross_entropy: no rows")
+    rows = np.arange(n)
+    nll = -logp[rows, labels].sum() / n
     out_data = np.asarray(nll, dtype=logits.dtype)
+    inv_n = logits.dtype.type(1) / n
 
     def bwd(g):
         p = np.exp(logp)
-        p[np.arange(n), labels] -= 1.0
-        _accum(logits, g * p * (w / denom)[:, None])
+        p[rows, labels] -= 1.0
+        _accum(logits, g * p * inv_n)
 
     return _make(out_data, (logits,), bwd)
 

@@ -304,11 +304,21 @@ def classify(features: Tensor, head: ClassifierHead) -> Tensor:
     return ad.softmax(class_logits(features, head), axis=-1)
 
 
-def mlm_logits(model: EncoderModel, outputs) -> Tensor:
-    """Per-position vocab logits; projection tied to the token embeddings."""
+def mlm_logits(model: EncoderModel, outputs, rows=None) -> Tensor:
+    """Vocab logits from the final hidden state; the output projection is
+    tied to the token embeddings.
+
+    Returns (B, S, V) logits at every position. With `rows`, an int array
+    of flat indices into the B*S positions (index b*S + s), returns
+    (len(rows), V) logits for those positions only: the transform and the
+    V-wide projection then run on those rows alone.
+    """
     p = model.params
-    x = ad.gelu(ad.add(ad.matmul(outputs[-1], p["head.mlm_w"]),
-                       p["head.mlm_b"]))
+    x = outputs[-1]
+    if rows is not None:
+        B, S, H = x.shape
+        x = ad.embedding(ad.reshape(x, (B * S, H)), rows)
+    x = ad.gelu(ad.add(ad.matmul(x, p["head.mlm_w"]), p["head.mlm_b"]))
     x = ad.layer_norm(x, p["head.mlm_ln_g"], p["head.mlm_ln_b"])
     emb_t = ad.transpose(p["emb.tok"], (1, 0))
     return ad.add(ad.matmul(x, emb_t), p["head.mlm_out_b"])

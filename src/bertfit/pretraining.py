@@ -213,27 +213,27 @@ def make_pretrain_example(doc_index: int, docs, vocab: Vocabulary,
 
 
 def pretrain_batch_loss(model: EncoderModel, examples, mode="train"):
-    """Summed MLM (masked positions only) + NSP cross-entropy."""
+    """Summed MLM (masked positions only) + NSP cross-entropy.
+
+    Only the masked positions go through the MLM head, as BERT's
+    reference pre-training code does: the mean loss over them is the
+    masked mean over all positions, without the V-wide logits of the rest.
+    """
     ids = np.array([ex.seq.token_ids for ex in examples])
     segs = np.array([ex.seq.segment_ids for ex in examples])
     mask = np.array([ex.seq.attention_mask for ex in examples])
     outs = encode_batch(model, ids, segs, mask, mode=mode)
-    B, S = ids.shape
-    V = model.config.vocab_size
-    logits = mlm_logits(model, outs)                    # (B, S, V)
-    flat = ad.reshape(logits, (B * S, V))
-    labels = np.zeros(B * S, dtype=np.int64)
-    weights = np.zeros(B * S, dtype=model.config.np_dtype)
-    for bi, ex in enumerate(examples):
-        for pos, lab in zip(ex.mlm_positions, ex.mlm_labels):
-            labels[bi * S + pos] = lab
-            weights[bi * S + pos] = 1.0
+    S = ids.shape[1]
+    rows = np.array([bi * S + pos for bi, ex in enumerate(examples)
+                     for pos in ex.mlm_positions], dtype=np.int64)
+    labels = np.array([lab for ex in examples for lab in ex.mlm_labels],
+                      dtype=np.int64)
     nsp = nsp_logits(model, outs)                       # (B, 2)
     nsp_labels = np.array([int(ex.is_next) for ex in examples])
     nsp_loss = ad.cross_entropy(nsp, nsp_labels)
-    if weights.sum() == 0:      # batch with no corrupted positions
+    if rows.size == 0:          # batch with no corrupted positions
         return nsp_loss, 0.0, float(nsp_loss.data)
-    mlm_loss = ad.cross_entropy(flat, labels, weights)
+    mlm_loss = ad.cross_entropy(mlm_logits(model, outs, rows), labels)
     return ad.add(mlm_loss, nsp_loss), float(mlm_loss.data), \
         float(nsp_loss.data)
 
@@ -301,7 +301,10 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
 def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
                       rng: Rng, n_examples: int = 64, max_len: int = 128,
                       policy: MaskingPolicy | None = None):
-    """Average MLM+NSP loss over freshly built examples, dropout off."""
+    """Average MLM+NSP loss over freshly built examples, dropout off.
+
+    Runs without a tape: nothing is recorded for a backward pass.
+    """
     policy = policy or MaskingPolicy()
     examples = []
     i = 0
@@ -314,6 +317,5 @@ def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
         i += 1
         if i > 20 * n_examples:
             raise RuntimeError("could not build held-out examples")
-    with ad.Tape():
-        loss, mlm_l, nsp_l = pretrain_batch_loss(model, examples, mode="eval")
+    loss, mlm_l, nsp_l = pretrain_batch_loss(model, examples, mode="eval")
     return float(loss.data), mlm_l, nsp_l

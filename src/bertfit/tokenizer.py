@@ -23,7 +23,11 @@ _EN_SENT_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
 
 
 class Vocabulary:
-    """token -> id map with reserved specials at the front."""
+    """token -> id map with reserved specials at the front.
+
+    `pieces` memoizes the WordPiece split of every word `tokenize` has
+    seen; it grows with the number of distinct words tokenized.
+    """
 
     def __init__(self, tokens):
         self.id_to_token = list(tokens)
@@ -33,6 +37,7 @@ class Vocabulary:
         for i, tok in enumerate(RESERVED):
             if self.token_to_id.get(tok) != i:
                 raise ValueError(f"reserved token {tok} must have id {i}")
+        self.pieces: dict[str, tuple[str, ...]] = {}
 
     def __len__(self):
         return len(self.id_to_token)
@@ -151,30 +156,38 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
     return Vocabulary(vocab)
 
 
+def _wordpiece(word: str, vocab: Vocabulary) -> tuple[str, ...]:
+    """Greedy longest-match-first split of one word; (UNK,) if any
+    position is unmatched."""
+    pieces = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        match = None
+        while start < end:
+            sub = word[start:end]
+            if start > 0:
+                sub = "##" + sub
+            if sub in vocab:
+                match = sub
+                break
+            end -= 1
+        if match is None:
+            return (UNK,)
+        pieces.append(match)
+        start = end
+    return tuple(pieces)
+
+
 def tokenize(text: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-match-first WordPiece split of each whitespace word."""
     out = []
+    cache = vocab.pieces
     for word in pre_split(text):
-        pieces = []
-        start = 0
-        ok = True
-        while start < len(word):
-            end = len(word)
-            match = None
-            while start < end:
-                sub = word[start:end]
-                if start > 0:
-                    sub = "##" + sub
-                if sub in vocab:
-                    match = sub
-                    break
-                end -= 1
-            if match is None:
-                ok = False
-                break
-            pieces.append(match)
-            start = end
-        out.extend(pieces if ok else [UNK])
+        pieces = cache.get(word)
+        if pieces is None:
+            pieces = cache[word] = _wordpiece(word, vocab)
+        out.extend(pieces)
     return out
 
 

@@ -144,17 +144,16 @@ class FinetuneResult:
 
 def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
              recipe: TrainingRecipe, combiner=None, batch_size=64):
-    """Error rate (%) and mean loss with dropout off."""
+    """Error rate (%) and mean loss with dropout off, recording no tape."""
     n_total, n_wrong, loss_sum = 0, 0, 0.0
     for i in range(0, len(inputs), batch_size):
         batch = inputs[i:i + batch_size]
         labels = np.array([b.label if hasattr(b, "label") and b.label
                            is not None else b.fractions[0].label
                            for b in batch])
-        with ad.Tape():
-            logits = batch_logits(model, head, batch, recipe, combiner,
-                                  mode="eval")
-            loss = ad.cross_entropy(logits, labels)
+        logits = batch_logits(model, head, batch, recipe, combiner,
+                              mode="eval")
+        loss = ad.cross_entropy(logits, labels)
         pred = logits.data.argmax(axis=-1)
         n_wrong += int((pred != labels).sum())
         n_total += len(batch)

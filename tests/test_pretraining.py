@@ -213,6 +213,85 @@ class TestLossMasking:
         assert np.mean(losses) == pytest.approx(mlm_loss, rel=1e-9)
 
 
+class TestGatheredMlmLoss:
+    """pretrain_batch_loss sends only masked rows through the MLM head; it
+    must match the masked mean over the full (B, S, V) logits."""
+
+    def _model(self, vocab):
+        cfg = EncoderConfig(n_layers=1, hidden=8, n_heads=2,
+                            vocab_size=len(vocab), max_positions=16,
+                            dropout=0.0, dtype="f8")
+        return init_model(cfg, Rng(0))
+
+    def _examples(self, vocab, mask_probs):
+        docs = [["a b c d e", "f g h i j"], ["c c d d", "e e f f"],
+                ["j i h g", "f e d c b"]]
+        return [make_pretrain_example(i % len(docs), docs, vocab,
+                                      MaskingPolicy(p), 16, Rng(10 + i))
+                for i, p in enumerate(mask_probs)]
+
+    def _losses_and_grads(self, model, loss_fn):
+        from bertfit import autodiff as ad
+        with ad.Tape() as tape:
+            loss = loss_fn()
+        params = model.parameters()
+        for p in params:
+            p.zero_grad()
+        ad.backward(tape, loss, parameters=params)
+        return float(loss.data), {k: v.grad.copy()
+                                  for k, v in model.params.items()}
+
+    def _full_logit_loss(self, model, examples):
+        """Masked mean over the rows of the full logits, row by row."""
+        from bertfit import autodiff as ad
+        from bertfit.model import encode_batch, mlm_logits, nsp_logits
+        ids = np.array([ex.seq.token_ids for ex in examples])
+        outs = encode_batch(
+            model, ids, np.array([ex.seq.segment_ids for ex in examples]),
+            np.array([ex.seq.attention_mask for ex in examples]))
+        B, S = ids.shape
+        logits = mlm_logits(model, outs)
+        assert logits.shape == (B, S, model.config.vocab_size)
+        flat = ad.reshape(logits, (B * S, model.config.vocab_size))
+        terms = [ad.cross_entropy(ad.slice_rows(flat, bi * S + pos, 1),
+                                  np.array([lab]))
+                 for bi, ex in enumerate(examples)
+                 for pos, lab in zip(ex.mlm_positions, ex.mlm_labels)]
+        mlm = terms[0]
+        for t in terms[1:]:
+            mlm = ad.add(mlm, t)
+        nsp = ad.cross_entropy(nsp_logits(model, outs),
+                               np.array([int(ex.is_next) for ex in examples]))
+        return ad.add(ad.scale(mlm, 1.0 / len(terms)), nsp)
+
+    @pytest.mark.parametrize("mask_probs", [(0.4, 0.3, 0.5),
+                                            (0.4, 0.0, 0.5)])
+    def test_matches_full_logit_loss_and_grads(self, vocab, mask_probs):
+        from bertfit.pretraining import pretrain_batch_loss
+        model = self._model(vocab)
+        examples = self._examples(vocab, mask_probs)
+        if 0.0 in mask_probs:
+            assert not examples[mask_probs.index(0.0)].mlm_positions
+        got, got_grads = self._losses_and_grads(
+            model, lambda: pretrain_batch_loss(model, examples, "eval")[0])
+        want, want_grads = self._losses_and_grads(
+            model, lambda: self._full_logit_loss(model, examples))
+        assert got == pytest.approx(want, rel=1e-12)
+        for name, g in want_grads.items():
+            scale = max(np.abs(g).max(), 1e-300)
+            assert np.abs(got_grads[name] - g).max() / scale <= 1e-12, name
+
+    def test_nsp_only_batch_has_zero_mlm_loss(self, vocab):
+        from bertfit import autodiff as ad
+        from bertfit.pretraining import pretrain_batch_loss
+        model = self._model(vocab)
+        examples = self._examples(vocab, (0.0, 0.0))
+        with ad.Tape():
+            loss, mlm, nsp = pretrain_batch_loss(model, examples, "eval")
+        assert mlm == 0.0
+        assert float(loss.data) == nsp
+
+
 class TestFurtherPretrain:
     def _setup(self):
         docs = [["a b c d", "e f g h", "i j a b"],

@@ -58,6 +58,21 @@ class TestTokenize:
                     assert not prev_cont or tok is not toks[0]
             assert not toks[0].startswith("##")
 
+    @given(st.lists(st.text(alphabet="unafblexyz", min_size=1, max_size=8),
+                    min_size=1, max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_memoized_split_equals_first_split(self, words):
+        def fresh():
+            return Vocabulary(RESERVED + ["un", "##aff", "##able", "x", "y"])
+        text = " ".join(words + words[::-1])
+        first_each = [p for w in text.split() for p in tokenize(w, fresh())]
+        vocab = fresh()
+        first = tokenize(text, vocab)
+        assert set(vocab.pieces) == set(words)
+        assert tokenize(text, vocab) == first == first_each
+        if any("z" in w for w in words):
+            assert UNK in first
+
     def test_round_trip(self):
         corpus = ["the cat sat on the mat", "dogs chase cats all day"]
         vocab = build_vocab(corpus, 80)

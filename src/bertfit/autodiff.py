@@ -112,10 +112,6 @@ class Tape:
         self.records.append(_Record(out, inputs, backward_fn))
 
 
-def active_tape():
-    return _ACTIVE_TAPE
-
-
 def _accum(t: Tensor, g):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)

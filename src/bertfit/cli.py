@@ -21,12 +21,11 @@ from .rng import Rng
 from .tokenizer import Vocabulary, build_vocab
 
 
-def _load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _experiment(raw, args):
+def _setup(args):
+    """(raw config, experiment with the CLI overrides, vocabulary); the
+    model's vocab_size is set from the vocabulary."""
+    with open(args.config, encoding="utf-8") as fh:
+        raw = json.load(fh)
     exp = ExperimentConfig.from_dict(
         {k: raw[k] for k in ("model", "recipe", "seed",
                              "validation_fraction", "few_shot_proportion",
@@ -36,7 +35,9 @@ def _experiment(raw, args):
         exp.recipe.seed = args.seed
     if args.strict_deterministic:
         exp.strict_deterministic = True
-    return exp
+    vocab = Vocabulary.load(raw["vocab"])
+    exp.model.vocab_size = len(vocab)
+    return raw, exp, vocab
 
 
 def _load_data_section(raw, key="data"):
@@ -79,10 +80,7 @@ def cmd_finetune(args):
     from .training import MetricsLog, finetune, prepare_inputs
     from .longtext import FractionCombiner
     from .checkpoint import save_checkpoint
-    raw = _load_config(args.config)
-    exp = _experiment(raw, args)
-    vocab = Vocabulary.load(raw["vocab"])
-    exp.model.vocab_size = len(vocab)
+    raw, exp, vocab = _setup(args)
     train_full, test = _load_data_section(raw)
     if exp.few_shot_proportion < 1.0:
         train_full = subsample(train_full, exp.few_shot_proportion, exp.seed)
@@ -93,16 +91,16 @@ def cmd_finetune(args):
     if raw.get("init_checkpoint"):
         _load_into(model, raw["init_checkpoint"])
     recipe = exp.recipe
-    width = recipe.layer_selection.feature_width(exp.model.hidden,
-                                                 exp.model.n_layers)
-    head = ClassifierHead.init(width, train.n_classes, rng.derive(2),
-                               dtype=exp.model.np_dtype)
     combiner = None
     if recipe.combiner_kind:
         combiner = FractionCombiner.init(recipe.combiner_kind,
                                          exp.model.hidden, rng.derive(3),
                                          dtype=exp.model.np_dtype)
         recipe.layer_selection = LayerSelection()  # hierarchical: top [CLS]
+    width = recipe.layer_selection.feature_width(exp.model.hidden,
+                                                 exp.model.n_layers)
+    head = ClassifierHead.init(width, train.n_classes, rng.derive(2),
+                               dtype=exp.model.np_dtype)
     metrics = MetricsLog(args.metrics_out, strict=exp.strict_deterministic)
     res = finetune(model, head,
                    prepare_inputs(train, vocab, recipe),
@@ -138,10 +136,7 @@ def _load_into(model, path):
 
 def cmd_pretrain(args):
     from .pretraining import (MaskingPolicy, further_pretrain, read_corpus)
-    raw = _load_config(args.config)
-    exp = _experiment(raw, args)
-    vocab = Vocabulary.load(raw["vocab"])
-    exp.model.vocab_size = len(vocab)
+    raw, exp, vocab = _setup(args)
     pt = raw["pretrain"]
     docs = read_corpus(pt["corpus"])
     rng = Rng(exp.seed)
@@ -160,6 +155,9 @@ def cmd_pretrain(args):
         policy=MaskingPolicy(mask_prob=pt.get("mask_prob", 0.15)),
         checkpoint_every=pt.get("checkpoint_every"),
         checkpoint_dir=out_dir)
+    if res.diverged:
+        print("pretrain: diverged")
+        return 0
     last = res.history[-1]
     print(f"pretrain: {steps} steps, final loss {last['loss']:.4f} "
           f"(mlm {last['mlm_loss']:.4f}, nsp {last['nsp_loss']:.4f})")
@@ -172,10 +170,7 @@ def cmd_multitask(args):
     from .multitask import (MixingStrategy, MultiTaskModel,
                             multitask_finetune, per_task_refine)
     from .training import evaluate, prepare_inputs
-    raw = _load_config(args.config)
-    exp = _experiment(raw, args)
-    vocab = Vocabulary.load(raw["vocab"])
-    exp.model.vocab_size = len(vocab)
+    raw, exp, vocab = _setup(args)
     recipe = exp.recipe
     tasks_cfg = raw["multitask"]["tasks"]  # [{name, train, test?, n_classes}]
     rng = Rng(exp.seed)
@@ -210,10 +205,7 @@ def cmd_multitask(args):
 def cmd_eval(args):
     from .checkpoint import load_checkpoint
     from .training import evaluate, prepare_inputs
-    raw = _load_config(args.config)
-    exp = _experiment(raw, args)
-    vocab = Vocabulary.load(raw["vocab"])
-    exp.model.vocab_size = len(vocab)
+    raw, exp, vocab = _setup(args)
     _, tensors = load_checkpoint(args.checkpoint)
     model = init_model(exp.model, Rng(exp.seed))
     for name, p in model.params.items():
@@ -233,10 +225,7 @@ def cmd_eval(args):
 def cmd_grid(args):
     from .grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, run_grid,
                        run_lr_sweep)
-    raw = _load_config(args.config)
-    exp = _experiment(raw, args)
-    vocab = Vocabulary.load(raw["vocab"])
-    exp.model.vocab_size = len(vocab)
+    raw, exp, vocab = _setup(args)
     train_full, test = _load_data_section(raw)
     train, val = split_validation(train_full, exp.validation_fraction,
                                   exp.seed)

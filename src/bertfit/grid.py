@@ -36,9 +36,7 @@ def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
     model = init_model(model_config, rng.derive(1))
     width = recipe.layer_selection.feature_width(
         model_config.hidden, model_config.n_layers)
-    n_classes = max(
-        (s.label if not hasattr(s, "fractions") else s.fractions[0].label)
-        for s in train_inputs) + 1
+    n_classes = max(s.label for s in train_inputs) + 1
     head = ClassifierHead.init(width, n_classes, rng.derive(2),
                                dtype=model_config.np_dtype)
     return finetune(model, head, train_inputs, val_inputs, recipe,

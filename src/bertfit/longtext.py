@@ -58,6 +58,10 @@ class ChunkedDocument:
     def k(self):
         return len(self.fractions)
 
+    @property
+    def label(self):
+        return self.fractions[0].label
+
 
 def chunk(tokens: list, vocab, capacity: int = 510,
           label=None) -> ChunkedDocument:

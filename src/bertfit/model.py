@@ -107,12 +107,6 @@ class EncoderModel:
     def named_parameters(self):
         return dict(self.params)
 
-    def clone(self):
-        clone = EncoderModel(
-            self.config,
-            {k: Tensor(v.data.copy(), name=k) for k, v in self.params.items()})
-        return clone
-
     def param_count(self):
         return sum(p.size for p in self.params.values())
 

@@ -15,10 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from .config import TrainingRecipe
 from .model import ClassifierHead, EncoderModel
-from .optim import (Adam, LayerwiseLrSchedule, NanGradientError, StlrSchedule,
-                    effective_rate, group_parameters)
+from .optim import DivergedError, train_step
 from .rng import Rng
-from .training import batch_logits, finetune
+from .training import BatchCursor, batch_logits, finetune, recipe_optimizer
 
 
 @dataclass
@@ -35,9 +34,6 @@ class MixingStrategy:
 class MultiTaskModel:
     encoder: EncoderModel           # shared storage across all tasks
     heads: dict[str, ClassifierHead]
-
-    def head_parameters(self, task):
-        return self.heads[task].parameters()
 
     @classmethod
     def init(cls, encoder: EncoderModel, tasks: dict[str, int],
@@ -84,6 +80,10 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     """
     if len(task_inputs) < 2:
         raise ValueError("multi-task fine-tuning needs at least two tasks")
+    if recipe.combiner_kind:
+        raise ValueError(
+            f"long-text strategy {recipe.long_text!r} is hierarchical; "
+            "multi-task fine-tuning has no fraction combiner")
     for name, inputs in task_inputs.items():
         if not inputs:
             raise ValueError(f"task {name!r} has an empty dataset")
@@ -93,57 +93,30 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     rng = Rng(recipe.seed)
     mt.encoder.dropout_rng = rng.derive(0xD0)
     task_rng = Rng(mixing.seed).derive(0x7A)
-    order_rng = {n: rng.derive(0x0E ^ hash_name(n)) for n in names}
-
-    layerwise = LayerwiseLrSchedule(base_lr=recipe.base_lr,
-                                    decay_factor=recipe.decay_factor)
-    schedule = StlrSchedule(total_steps=recipe.train_steps,
-                            peak_lr=recipe.base_lr,
-                            warmup_proportion=recipe.warmup_proportion)
-    groups = group_parameters(mt.encoder,
-                              extra_heads=list(mt.heads.values()))
-    opt = Adam(groups, clip_norm=recipe.clip_norm)
-    top = mt.encoder.config.n_layers + 1
-
-    cursors = {n: len(task_inputs[n]) for n in names}
-    orders = {n: list(range(sizes[n])) for n in names}
-
-    def next_batch(task):
-        batch = []
-        while len(batch) < recipe.batch_size:
-            if cursors[task] >= sizes[task]:
-                order_rng[task].shuffle(orders[task])
-                cursors[task] = 0
-            batch.append(task_inputs[task][orders[task][cursors[task]]])
-            cursors[task] += 1
-        return batch
-
+    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
+               for n in names}
+    opt, rates_at = recipe_optimizer(mt.encoder, list(mt.heads.values()),
+                                     recipe)
     counts = {n: 0 for n in names}
     history = []
     diverged = False
     for step in range(1, recipe.train_steps + 1):
         task = _pick_task(names, sizes, mixing, task_rng, step - 1)
         counts[task] += 1
-        batch = next_batch(task)
-        labels = np.array([b.label if not hasattr(b, "fractions")
-                           else b.fractions[0].label for b in batch])
+        batch = cursors[task].next(recipe.batch_size)
+        labels = np.array([b.label for b in batch])
+
+        def loss_fn():
+            logits = batch_logits(mt.encoder, mt.heads[task], batch, recipe,
+                                  None, mode="train")
+            return ad.cross_entropy(logits, labels), logits
+
+        # only the shared encoder and the sampled task's head receive
+        # gradients; the other heads stay bitwise-unchanged this step
+        params = mt.encoder.parameters() + mt.heads[task].parameters()
         try:
-            with ad.Tape() as tape:
-                logits = batch_logits(mt.encoder, mt.heads[task], batch,
-                                      recipe, None, mode="train")
-                loss = ad.cross_entropy(logits, labels)
-            if not np.isfinite(loss.data):
-                raise NanGradientError(f"non-finite loss at step {step}")
-            opt.zero_grad()
-            # only the shared encoder and the sampled task's head receive
-            # gradients; the other heads stay bitwise-unchanged this step
-            params = mt.encoder.parameters() + \
-                mt.heads[task].parameters()
-            ad.backward(tape, loss, parameters=params)
-            rates = {g.depth: effective_rate(g, layerwise, schedule, step,
-                                             top) for g in groups}
-            opt.step(rates)
-        except (NanGradientError, ad.NumericalError):
+            loss, _ = train_step(opt, loss_fn, params, rates_at(step))
+        except DivergedError:
             diverged = True
             break
         if step % 50 == 0:

@@ -4,7 +4,7 @@ triangular schedule.
 Parameters are grouped by depth: embeddings at 0, block i at i+1, heads
 and task classifiers at L+1. Group l trains at rate stlr(step) * xi^(L+1-l)
 so adjacent depths differ by exactly the decay factor xi; xi=1 recovers
-plain Adam.
+plain Adam. `train_step` is the step every training loop shares.
 """
 
 from __future__ import annotations
@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 
 
 class NanGradientError(RuntimeError):
     """Raised when a gradient goes NaN; names the offending tensor."""
+
+
+class DivergedError(RuntimeError):
+    """A training step produced a non-finite loss, activation or gradient."""
 
 
 @dataclass
@@ -96,6 +101,14 @@ def effective_rate(group: ParameterGroup, layerwise: LayerwiseLrSchedule,
     return schedule.rate(step) * layerwise.multiplier(group.depth, top_depth)
 
 
+def layer_rates(groups: list[ParameterGroup], layerwise: LayerwiseLrSchedule,
+                schedule: StlrSchedule, step: int) -> dict[int, float]:
+    """Rate of every group at `step`; the deepest group is the top."""
+    top = max(g.depth for g in groups)
+    return {g.depth: effective_rate(g, layerwise, schedule, step, top)
+            for g in groups}
+
+
 class Adam:
     """Standard Adam with bias correction; one rate per parameter group."""
 
@@ -111,6 +124,7 @@ class Adam:
                   for g in groups for p in g.params}
         self.v = {id(p): np.zeros_like(p.data)
                   for g in groups for p in g.params}
+        self.last_tape = None       # see train_step
 
     def step(self, rates: dict[int, float]):
         """Apply one update; `rates` maps group depth -> learning rate."""
@@ -158,3 +172,30 @@ class Adam:
         for g in self.groups:
             for p in g.params:
                 p.grad = None
+
+
+def train_step(opt: Adam, loss_fn, params, rates: dict[int, float]):
+    """Forward on a tape, backward into `params`, one `Adam.step(rates)`.
+
+    `loss_fn()` runs the forward pass and returns a tuple whose first item
+    is the scalar loss; the tuple is returned. A non-finite loss (nothing
+    updated), softmax input or gradient raises DivergedError. The tape is
+    kept on `opt` until the next step starts: freed at once, its memory
+    went back to glibc and the next step faulted it in again (marker
+    fine-tuning with validation every 16 steps ran ~25% slower).
+    """
+    opt.last_tape = None
+    try:
+        with ad.Tape() as tape:
+            out = loss_fn()
+        loss = out[0]
+        if not np.isfinite(loss.data):
+            raise DivergedError(
+                f"non-finite loss {float(loss.data)} at step {opt.t + 1}")
+        opt.zero_grad()
+        ad.backward(tape, loss, parameters=params)
+        opt.step(rates)
+    except (NanGradientError, ad.NumericalError) as e:
+        raise DivergedError(str(e)) from e
+    opt.last_tape = tape
+    return out

@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .model import EncoderModel, encode_batch, mlm_logits, nsp_logits
-from .optim import Adam, StlrSchedule
+from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
+                    group_parameters, layer_rates, train_step)
 from .rng import Rng
 from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
 
@@ -194,7 +195,6 @@ def apply_masking(seq: TokenizedSequence, policy: MaskingPolicy, rng: Rng,
         # else: unchanged
     corrupted = TokenizedSequence(
         token_ids=ids, segment_ids=list(seq.segment_ids),
-        position_ids=list(seq.position_ids),
         attention_mask=list(seq.attention_mask), label=seq.label)
     return PretrainExample(seq=corrupted, mlm_positions=positions,
                            mlm_labels=labels, is_next=is_next)
@@ -242,6 +242,7 @@ def pretrain_batch_loss(model: EncoderModel, examples, mode="train"):
 class PretrainResult:
     checkpoints: list               # (step, path) pairs
     history: list                   # per-log dicts
+    diverged: bool = False          # a step hit a non-finite value
 
 
 def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
@@ -254,16 +255,17 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
 
     Saves periodic checkpoints (cadence plus the final step) when
     `checkpoint_every` and `checkpoint_dir` are given. All depths train at
-    the schedule rate (no layer-wise decay during further pre-training).
+    the schedule rate (no layer-wise decay during further pre-training). A
+    step that hits a non-finite value ends the run with `diverged` set.
     """
     from .checkpoint import save_checkpoint
-    from .optim import group_parameters
     if len(docs) < 1:
         raise ValueError("corpus is empty")
     policy = policy or MaskingPolicy()
     groups = group_parameters(model)
+    flat = LayerwiseLrSchedule(decay_factor=1.0)
     opt = Adam(groups)
-    top = model.config.n_layers + 1
+    params = model.parameters()
     model.dropout_rng = rng.derive(0xD0)
     sampler = rng.derive(0x5A)
     example_rng_base = rng.derive(0xE6)
@@ -277,12 +279,15 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
                 di, docs, vocab, policy, max_len,
                 example_rng_base.derive(counter)))
             counter += 1
-        with ad.Tape() as tape:
-            loss, mlm_l, nsp_l = pretrain_batch_loss(model, batch)
-        opt.zero_grad()
-        ad.backward(tape, loss, parameters=model.parameters())
-        lr = schedule.rate(step)
-        opt.step({d: lr for d in range(top + 1)})
+        rates = layer_rates(groups, flat, schedule, step)
+        lr = rates[0]               # every depth trains at this rate
+        try:
+            loss, mlm_l, nsp_l = train_step(
+                opt, lambda: pretrain_batch_loss(model, batch), params,
+                rates)
+        except DivergedError:
+            result.diverged = True
+            break
         if step % log_every == 0 or step == 1 or step == steps:
             result.history.append(
                 {"step": step, "loss": float(loss.data), "mlm_loss": mlm_l,

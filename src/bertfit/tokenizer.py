@@ -53,10 +53,6 @@ class Vocabulary:
         return 0
 
     @property
-    def unk_id(self):
-        return self.token_to_id[UNK]
-
-    @property
     def cls_id(self):
         return self.token_to_id[CLS]
 
@@ -207,7 +203,6 @@ class TokenizedSequence:
 
     token_ids: list[int]
     segment_ids: list[int]
-    position_ids: list[int]
     attention_mask: list[int]
     label: int | None = None
 
@@ -240,7 +235,6 @@ def encode(seg_a, seg_b, max_len: int, vocab: Vocabulary,
     return TokenizedSequence(
         token_ids=ids,
         segment_ids=segs,
-        position_ids=list(range(max_len)),
         attention_mask=[1] * n_real + [0] * pad,
         label=label,
     )

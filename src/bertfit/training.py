@@ -21,8 +21,8 @@ from .data import Dataset
 from .longtext import FractionCombiner, chunk, combine, truncate
 from .model import (ClassifierHead, EncoderModel, class_logits, encode_batch,
                     select_features)
-from .optim import (Adam, LayerwiseLrSchedule, NanGradientError, StlrSchedule,
-                    effective_rate, group_parameters)
+from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
+                    group_parameters, layer_rates, train_step)
 from .rng import Rng
 from .tokenizer import Vocabulary, encode, tokenize
 
@@ -115,19 +115,47 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
     feats = []
     offset = 0
     for doc in batch:
-        feats.append(_rows_combine(cls_all, offset, doc.k, combiner))
+        feats.append(combine(ad.slice_rows(cls_all, offset, doc.k), combiner))
         offset += doc.k
     stacked = ad.concat(
         [ad.reshape(f, (1, f.shape[0])) for f in feats], axis=0)
     return class_logits(stacked, head)
 
 
-def _rows_combine(cls_all, offset, k, combiner):
-    return combine(ad.slice_rows(cls_all, offset, k), combiner)
+class BatchCursor:
+    """Batches of `n` items drawn through reshuffled passes over `items`.
+
+    Each pass reshuffles the index order in place with `rng`; a batch that
+    runs past the end of a pass continues into the next one.
+    """
+
+    def __init__(self, items, rng: Rng):
+        self.items = items
+        self.rng = rng
+        self.order = list(range(len(items)))
+        self.pos = len(self.order)      # forces a shuffle on first use
+
+    def next(self, n: int) -> list:
+        batch = []
+        while len(batch) < n:
+            if self.pos >= len(self.order):
+                self.rng.shuffle(self.order)
+                self.pos = 0
+            batch.append(self.items[self.order[self.pos]])
+            self.pos += 1
+        return batch
 
 
-class DivergedError(RuntimeError):
-    pass
+def recipe_optimizer(model: EncoderModel, heads, recipe: TrainingRecipe):
+    """Adam over the model and `heads`, and the recipe's rates at a step."""
+    groups = group_parameters(model, extra_heads=heads)
+    layerwise = LayerwiseLrSchedule(base_lr=recipe.base_lr,
+                                    decay_factor=recipe.decay_factor)
+    schedule = StlrSchedule(total_steps=recipe.train_steps,
+                            peak_lr=recipe.base_lr,
+                            warmup_proportion=recipe.warmup_proportion)
+    return (Adam(groups, clip_norm=recipe.clip_norm),
+            lambda step: layer_rates(groups, layerwise, schedule, step))
 
 
 @dataclass
@@ -148,9 +176,7 @@ def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
     n_total, n_wrong, loss_sum = 0, 0, 0.0
     for i in range(0, len(inputs), batch_size):
         batch = inputs[i:i + batch_size]
-        labels = np.array([b.label if hasattr(b, "label") and b.label
-                           is not None else b.fractions[0].label
-                           for b in batch])
+        labels = np.array([b.label for b in batch])
         logits = batch_logits(model, head, batch, recipe, combiner,
                               mode="eval")
         loss = ad.cross_entropy(logits, labels)
@@ -173,53 +199,30 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     """
     rng = Rng(recipe.seed)
     model.dropout_rng = rng.derive(0xD0)
-    order_rng = rng.derive(0x0E)
+    cursor = BatchCursor(train_inputs, rng.derive(0x0E))
     heads = [head] + ([combiner] if combiner is not None else [])
-    groups = group_parameters(model, extra_heads=heads)
-    layerwise = LayerwiseLrSchedule(base_lr=recipe.base_lr,
-                                    decay_factor=recipe.decay_factor)
-    schedule = StlrSchedule(total_steps=recipe.train_steps,
-                            peak_lr=recipe.base_lr,
-                            warmup_proportion=recipe.warmup_proportion)
-    opt = Adam(groups, clip_norm=recipe.clip_norm)
+    opt, rates_at = recipe_optimizer(model, heads, recipe)
+    params = model.parameters() + [p for h in heads for p in h.parameters()]
     top = model.config.n_layers + 1
-
     steps_per_epoch = max(1, recipe.train_steps // recipe.epochs)
-    order = list(range(len(train_inputs)))
-    labels_of = lambda batch: np.array(
-        [b.label if not hasattr(b, "fractions") else b.fractions[0].label
-         for b in batch])
 
     best = {"error": float("inf"), "epoch": -1, "params": None}
     history = []
     diverged = False
     step = 0
-    pos = len(order)                 # forces a shuffle on first use
-    while step < recipe.train_steps and not diverged:
-        step += 1
-        batch = []
-        while len(batch) < recipe.batch_size:
-            if pos >= len(order):
-                order_rng.shuffle(order)
-                pos = 0
-            batch.append(train_inputs[order[pos]])
-            pos += 1
-        labels = labels_of(batch)
+    for step in range(1, recipe.train_steps + 1):
+        batch = cursor.next(recipe.batch_size)
+        labels = np.array([b.label for b in batch])
+
+        def loss_fn():
+            logits = batch_logits(model, head, batch, recipe, combiner,
+                                  mode="train")
+            return ad.cross_entropy(logits, labels), logits
+
+        rates = rates_at(step)
         try:
-            with ad.Tape() as tape:
-                logits = batch_logits(model, head, batch, recipe, combiner,
-                                      mode="train")
-                loss = ad.cross_entropy(logits, labels)
-            if not np.isfinite(loss.data):
-                raise DivergedError(f"non-finite loss at step {step}")
-            opt.zero_grad()
-            params = model.parameters() + [p for h in heads
-                                           for p in h.parameters()]
-            ad.backward(tape, loss, parameters=params)
-            rates = {g.depth: effective_rate(g, layerwise, schedule, step,
-                                             top) for g in groups}
-            opt.step(rates)
-        except (DivergedError, NanGradientError, ad.NumericalError):
+            loss, logits = train_step(opt, loss_fn, params, rates)
+        except DivergedError:
             diverged = True
             break
         pred = logits.data.argmax(axis=-1)

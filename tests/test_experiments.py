@@ -201,6 +201,31 @@ class TestCli:
         assert (tmp_path / "pretrain_step4.ckpt").exists()
         assert "final loss" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pretrain_divergence_reported(self, workspace, tmp_path, capsys):
+        root, raw = workspace
+        cfg = write_config(root, raw, name="pt_nan.json",
+                           pretrain={"corpus": str(root / "corpus.txt"),
+                                     "steps": 4, "lr": 1e30,
+                                     "batch_size": 4, "max_len": 16})
+        assert main(["pretrain", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert "diverged" in capsys.readouterr().out
+
+    def test_finetune_hierarchical_with_multi_layer_selection(
+            self, workspace, tmp_path, capsys):
+        # the hierarchical route pools top [CLS] vectors, so the head width
+        # is H even when the configured selection would concat L layers
+        root, raw = workspace
+        model = {**raw["model"], "n_layers": 2, "hidden": 16}
+        recipe = {**raw["recipe"], "long_text": "hier_mean", "max_len": 10,
+                  "layer_selection": {"strategy": "all", "layer": -1,
+                                      "combiner": "concat"}}
+        cfg = write_config(root, raw, name="hier.json", model=model,
+                           recipe=recipe)
+        assert main(["finetune", "--config", cfg]) == 0
+        assert "best val error" in capsys.readouterr().out
+
     def test_multitask_smoke(self, workspace, tmp_path, capsys):
         root, raw = workspace
         tasks = [{"name": "a", "train": raw["data"]["train"],

@@ -71,6 +71,13 @@ class TestChunk:
     def test_short_single_fraction(self, vocab):
         assert chunk(["x"] * 10, vocab).k == 1
 
+    def test_label_is_the_fractions_label(self, vocab):
+        doc = chunk(["x"] * 25, vocab, capacity=10, label=3)
+        assert doc.k == 3
+        assert doc.label == 3
+        assert [f.label for f in doc.fractions] == [3, 3, 3]
+        assert chunk(["x"], vocab).label is None
+
     def test_empty_input(self, vocab):
         doc = chunk([], vocab)
         assert doc.k == 1

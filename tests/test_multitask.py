@@ -101,6 +101,12 @@ class TestMultitaskFinetune:
         with pytest.raises(ValueError, match="two tasks"):
             multitask_finetune(mt, {"a": inputs["a"]}, tiny_recipe())
 
+    def test_hierarchical_recipe_rejected(self, tiny_config, vocab):
+        recipe = tiny_recipe(long_text="hier_mean")
+        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
+        with pytest.raises(ValueError, match="hier_mean"):
+            multitask_finetune(mt, inputs, recipe)
+
     def test_empty_task_rejected(self, tiny_config, vocab):
         mt, inputs = three_task_setup(tiny_config, vocab, tiny_recipe())
         inputs["b"] = []

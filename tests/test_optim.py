@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from bertfit import autodiff as ad
 from bertfit.autodiff import Tensor
 from bertfit.model import ClassifierHead, EncoderConfig, init_model
-from bertfit.optim import (Adam, LayerwiseLrSchedule, NanGradientError,
-                           ParameterGroup, StlrSchedule, effective_rate,
-                           group_parameters, stlr)
+from bertfit.optim import (Adam, DivergedError, LayerwiseLrSchedule,
+                           NanGradientError, ParameterGroup, StlrSchedule,
+                           effective_rate, group_parameters, layer_rates,
+                           stlr, train_step)
 from bertfit.rng import Rng
 
 
@@ -147,3 +149,74 @@ class TestAdam:
         p.grad = np.array([10.0])
         opt.step({0: 1e-2})
         assert abs(p.grad[0]) <= 0.5 + 1e-12
+
+
+class TestLayerRates:
+    def test_matches_effective_rate(self, toy_model):
+        groups = group_parameters(toy_model)
+        lw = LayerwiseLrSchedule(base_lr=1e-3, decay_factor=0.9)
+        sched = StlrSchedule(total_steps=20, peak_lr=1e-3)
+        rates = layer_rates(groups, lw, sched, 7)
+        top = toy_model.config.n_layers + 1
+        assert rates == {g.depth: effective_rate(g, lw, sched, 7, top)
+                         for g in groups}
+
+    def test_decay_one_is_the_schedule_rate(self, toy_model):
+        groups = group_parameters(toy_model)
+        sched = StlrSchedule(total_steps=20, peak_lr=3e-4)
+        rates = layer_rates(groups, LayerwiseLrSchedule(decay_factor=1.0),
+                            sched, 5)
+        assert set(rates.values()) == {sched.rate(5)}
+
+
+class TestTrainStep:
+    def _setup(self):
+        w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), name="w")
+        groups = [ParameterGroup(depth=0, params=[w])]
+        x = Tensor(np.array([[1.0, 2.0]]))
+        return w, Adam(groups), x
+
+    def test_matches_hand_written_step(self):
+        w, opt, x = self._setup()
+        w2 = Tensor(w.data.copy(), name="w")
+        opt2 = Adam([ParameterGroup(depth=0, params=[w2])])
+        for _ in range(3):
+            out = train_step(
+                opt, lambda: (ad.tsum(ad.matmul(x, w)), "aux"), [w], {0: 1e-2})
+            assert out[1] == "aux"
+            with ad.Tape() as tape:
+                loss = ad.tsum(ad.matmul(x, w2))
+            opt2.zero_grad()
+            ad.backward(tape, loss, parameters=[w2])
+            opt2.step({0: 1e-2})
+            assert np.array_equal(w.data, w2.data)
+        assert opt.t == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_leaves_parameters(self, bad):
+        w, opt, x = self._setup()
+        before = w.data.copy()
+        with pytest.raises(DivergedError, match="step 1"):
+            train_step(opt, lambda: (ad.scale(ad.tsum(ad.matmul(x, w)),
+                                              bad),), [w], {0: 1e-2})
+        assert np.array_equal(w.data, before)
+        assert w.grad is None and opt.t == 0
+
+    def test_nan_gradient_becomes_diverged(self):
+        w, opt, _ = self._setup()
+
+        def loss_fn():      # finite loss whose gradient is NaN
+            def bwd(g):
+                w.grad = np.full_like(w.data, np.nan)
+            return (ad._make(np.array(1.0), (w,), bwd),)
+
+        with pytest.raises(DivergedError, match="NaN gradient in parameter w"):
+            train_step(opt, loss_fn, [w], {0: 1e-2})
+
+    def test_numerical_error_becomes_diverged(self):
+        w, opt, x = self._setup()
+        x.data[0, 0] = np.nan
+        with pytest.raises(DivergedError, match="NaN"):
+            train_step(opt, lambda: (ad.tsum(ad.softmax(ad.matmul(x, w),
+                                                        axis=-1)),),
+                       [w], {0: 1e-2})

@@ -333,6 +333,16 @@ class TestFurtherPretrain:
                                checkpoint_dir=str(tmp_path))
         assert [s for s, _ in res.checkpoints] == [10, 20, 30, 35]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_recorded_not_raised(self):
+        docs, vocab, cfg = self._setup()
+        model = init_model(cfg, Rng(0))
+        sched = StlrSchedule(total_steps=10, peak_lr=1e30)
+        res = further_pretrain(model, docs, vocab, 10, sched, Rng(1),
+                               batch_size=4, max_len=16)
+        assert res.diverged
+        assert len(res.history) <= 1
+
     def test_empty_corpus_rejected(self):
         _, vocab, cfg = self._setup()
         model = init_model(cfg, Rng(0))

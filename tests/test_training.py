@@ -10,8 +10,8 @@ from bertfit.model import ClassifierHead, EncoderConfig, init_model
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
-from bertfit.training import (MetricsLog, MetricsRecord, evaluate, finetune,
-                              prepare_inputs)
+from bertfit.training import (BatchCursor, MetricsLog, MetricsRecord,
+                              evaluate, finetune, prepare_inputs)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,35 @@ class TestPrepareInputs:
                              tiny_recipe(long_text="hier_mean", max_len=10))
         assert all(isinstance(d, ChunkedDocument) for d in out)
         assert all(d.k >= 1 for d in out)
+
+
+class TestBatchCursor:
+    def test_every_pass_is_a_permutation(self):
+        items = list("abcdefg")
+        cursor = BatchCursor(items, Rng(4))
+        drawn = [x for _ in range(7) for x in cursor.next(3)]   # 3 passes
+        for k in range(3):
+            assert sorted(drawn[7 * k:7 * (k + 1)]) == items
+        assert drawn[:7] != drawn[7:14]
+
+    def test_same_order_as_inline_shuffle_loop(self):
+        items = list(range(10))
+        rng = Rng(11)
+        order, pos, expected = list(range(10)), 10, []
+        for _ in range(9):
+            batch = []
+            while len(batch) < 4:
+                if pos >= len(order):
+                    rng.shuffle(order)
+                    pos = 0
+                batch.append(items[order[pos]])
+                pos += 1
+            expected.append(batch)
+        cursor = BatchCursor(items, Rng(11))
+        assert [cursor.next(4) for _ in range(9)] == expected
+
+    def test_batch_larger_than_items_wraps(self):
+        assert sorted(BatchCursor([1, 2], Rng(0)).next(4)) == [1, 1, 2, 2]
 
 
 class TestEvaluate:

@@ -3,7 +3,8 @@
 Tensors are thin wrappers around row-major numpy arrays (float32 for
 training, float64 for gradient checking). Forward ops executed inside an
 active :class:`Tape` record a backward rule; :func:`backward` replays the
-tape in reverse and accumulates gradients into ``Tensor.grad``.
+tape in reverse and accumulates gradients into ``Tensor.grad``. Every op
+keeps its tensor input's dtype; constant operands are cast to it.
 
 Only the operations the encoder needs are provided; broadcasting is
 limited to trailing-dimension bias adds and batched matmul. A matmul of an
@@ -174,16 +175,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
@@ -195,6 +186,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)                    # a Python float keeps a's dtype
     out_data = a.data * c
 
     def bwd(g):
@@ -213,8 +205,9 @@ def square(a: Tensor) -> Tensor:
 
 
 def add_const(a: Tensor, c) -> Tensor:
-    """Add a non-differentiable constant array (e.g. an attention mask bias)."""
-    out_data = a.data + c
+    """Add a non-differentiable constant array (e.g. an attention mask bias),
+    cast to a's dtype."""
+    out_data = a.data + np.asarray(c, dtype=a.data.dtype)
 
     def bwd(g):
         _accum(a, _unbroadcast(g, a.shape))
@@ -379,15 +372,6 @@ def gelu(x: Tensor) -> Tensor:
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         dt = (1.0 - t * t) * du
         _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
-
-    return _make(out_data, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def bwd(g):
-        _accum(x, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (x,), bwd)
 

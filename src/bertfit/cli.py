@@ -138,10 +138,14 @@ def cmd_pretrain(args):
     from .pretraining import (MaskingPolicy, further_pretrain, read_corpus)
     raw, exp, vocab = _setup(args)
     pt = raw["pretrain"]
+    steps = pt.get("steps", 1000)
+    if steps < 1:
+        print(f"pretrain: pretrain.steps must be at least 1, got {steps}",
+              file=sys.stderr)
+        return 2
     docs = read_corpus(pt["corpus"])
     rng = Rng(exp.seed)
     model = init_model(exp.model, rng.derive(1))
-    steps = pt.get("steps", 1000)
     schedule = StlrSchedule(total_steps=steps,
                             peak_lr=pt.get("lr", 5e-5),
                             warmup_proportion=pt.get("warmup_proportion",

@@ -211,7 +211,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     if train and cfg.dropout > 0:
         x = ad.dropout(x, cfg.dropout, rng)
 
-    mask_bias = ((1.0 - mask[:, None, None, :]) * -1e9).astype(cfg.np_dtype)
+    mask_bias = (1.0 - mask[:, None, None, :]) * -1e9
     outputs = [x]
     attn_probs = []
     for i in range(cfg.n_layers):

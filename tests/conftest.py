@@ -23,3 +23,16 @@ def toy_batch():
     mask = (ids != 0).astype(int)
     labels = np.array([0, 2])
     return ids, segs, mask, labels
+
+
+def tape_dtypes(tape):
+    """The set of dtypes of every recorded output and, after backward, of
+    every gradient held by a recorded output or input (parameters
+    included)."""
+    dtypes = set()
+    for rec in tape.records:
+        dtypes.add(rec.out.data.dtype)
+        for t in (rec.out, *rec.inputs):
+            if t.grad is not None:
+                dtypes.add(t.grad.dtype)
+    return dtypes

@@ -109,6 +109,53 @@ class TestGelu:
         assert abs(ad.gelu(Tensor([-10.0], np.float64)).data[0]) < 1e-4
 
 
+# each: (op, its float64 constant, the forward and backward expressions
+# it had before constants were cast)
+_CONST_OPS = {
+    "scale": (ad.scale, 1.0 / np.sqrt(np.float64(8)),
+              lambda x, c: x * c, lambda g, c: g * c),
+    "add_const": (ad.add_const, _rand((1, 4), 9),
+                  lambda x, c: x + c, lambda g, c: g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONST_OPS))
+class TestConstantOps:
+    """Ops with a constant operand keep their tensor input's dtype."""
+
+    def test_float32_forward_and_backward(self, name):
+        op, c, _, _ = _CONST_OPS[name]
+        x = Tensor(_rand((3, 4), 1), np.float32)
+        with Tape() as tape:
+            y = op(x, c)
+            loss = ad.tsum(y)
+        ad.backward(tape, loss)
+        assert y.dtype == np.float32 and x.grad.dtype == np.float32
+
+    def test_float64_grad_check(self, name):
+        op, c, _, _ = _CONST_OPS[name]
+        x = Tensor(_rand((3, 4), 2), np.float64)
+        w = Tensor(_rand((3, 4), 3), np.float64)
+
+        def f():
+            with Tape() as tape:
+                loss = ad.tsum(ad.mul(ad.gelu(op(x, c)), w))
+            return loss, tape
+
+        assert ad.grad_check(f, [x], h=1e-5) < 1e-6
+
+    def test_float64_bitwise_as_before(self, name):
+        op, c, old_fwd, old_bwd = _CONST_OPS[name]
+        x = Tensor(_rand((3, 4), 4), np.float64)
+        w = Tensor(_rand((3, 4), 5), np.float64)
+        with Tape() as tape:
+            y = op(x, c)
+            loss = ad.tsum(ad.mul(y, w))
+        ad.backward(tape, loss)
+        assert np.array_equal(y.data, old_fwd(x.data, c))
+        assert np.array_equal(x.grad, old_bwd(w.data, c))
+
+
 class TestBackward:
     def test_square(self):
         x = Tensor([3.0], np.float64)

@@ -212,6 +212,16 @@ class TestCli:
                      "--out-dir", str(tmp_path)]) == 0
         assert "diverged" in capsys.readouterr().out
 
+    def test_pretrain_zero_steps_rejected(self, workspace, tmp_path, capsys):
+        root, raw = workspace
+        cfg = write_config(root, raw, name="pt_zero.json",
+                           pretrain={"corpus": str(root / "corpus.txt"),
+                                     "steps": 0})
+        assert main(["pretrain", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) != 0
+        assert "pretrain.steps" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_finetune_hierarchical_with_multi_layer_selection(
             self, workspace, tmp_path, capsys):
         # the hierarchical route pools top [CLS] vectors, so the head width

@@ -6,6 +6,15 @@ active :class:`Tape` record a backward rule; :func:`backward` replays the
 tape in reverse and accumulates gradients into ``Tensor.grad``. Every op
 keeps its tensor input's dtype; constant operands are cast to it.
 
+Gradient contract: ``Tensor.grad`` may be a borrowed array -- the very
+array an op's backward rule passed on, which can be shared with other
+tensors' gradients (``add`` hands one array to both inputs; ``reshape``,
+``transpose`` and ``_unbroadcast`` pass views of theirs). So neither a
+backward rule nor an optimizer ever writes into a gradient in place: a
+second contribution replaces ``grad`` with a new sum. A first gradient
+keeps the layout (strides) of the tensor's data; one in another layout is
+copied into it.
+
 Only the operations the encoder needs are provided; broadcasting is
 limited to trailing-dimension bias adds and batched matmul. A matmul of an
 n-d activation by a 2-d weight folds the leading axes into rows, so its
@@ -114,9 +123,20 @@ class Tape:
 
 
 def _accum(t: Tensor, g):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add `g` into `t.grad` without writing into either array.
+
+    The first gradient is `g` itself when it has the layout of `t.data`
+    (`g` may be a view shared with other tensors' gradients); otherwise it
+    is copied into that layout, since a gradient's strides decide the
+    summation path of every later matmul and sum over it.
+    """
+    if t.grad is not None:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
+    elif g.strides == t.data.strides and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
 
 
 def backward(tape: Tape, loss: Tensor, parameters=None):
@@ -348,30 +368,55 @@ def select(a: Tensor, index: int, axis: int) -> Tensor:
 # -- nonlinearities --------------------------------------------------------
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
-    if np.isnan(x.data).any():
+    mx = x.data.max(axis=axis, keepdims=True)
+    if np.isnan(mx).any():          # max propagates a NaN anywhere in a row
         raise NumericalError("softmax input contains NaN")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = np.subtract(x.data, mx)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(x, out_data * (g - dot))
+        gx = g * out_data
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= out_data
+        _accum(x, gx)
 
     return _make(out_data, (x,), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximate gelu."""
-    x2 = x.data * x.data
-    u = _GELU_C * (x.data + _GELU_A * (x2 * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
+    """Tanh-approximate gelu.
+
+    0.5 x (1 + t), t = tanh(C (x + A x^3)); the backward pass is
+    g (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2)). Both are built in
+    place in that operation order, so only `t` is kept for the backward.
+    """
+    xd = x.data
+    t = xd * xd
+    t *= xd
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = xd * 0.5
+    out_data *= t + 1.0
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        dt = (1.0 - t * t) * du
-        _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
+        du = xd * xd
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        dt *= du
+        np.multiply(xd, 0.5, out=du)
+        du *= dt                    # 0.5 x dt
+        np.add(t, 1.0, out=dt)
+        dt *= 0.5
+        dt += du
+        dt *= g
+        _accum(x, dt)
 
     return _make(out_data, (x,), bwd)
 
@@ -406,7 +451,8 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
     """Inverted dropout; identity when p == 0."""
     if p <= 0.0:
         return x
-    keep = (rng.uniform(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    scale = x.dtype.type(1) / x.dtype.type(1 - p)
+    keep = np.where(rng.uniform(x.shape) >= p, scale, 0)
 
     def bwd(g):
         _accum(x, g * keep)

@@ -163,10 +163,11 @@ class Adam:
         norm = np.sqrt(total)
         if norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)
-            for g in self.groups:
+            for g in self.groups:     # out of place: a grad may be shared
                 for p in g.params:
                     if p.grad is not None:
-                        p.grad *= scale
+                        p.grad = np.multiply(p.grad, scale,
+                                             out=np.empty_like(p.grad))
 
     def zero_grad(self):
         for g in self.groups:

@@ -80,6 +80,11 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="NaN"):
             ad.softmax(Tensor([np.nan, 0.0]))
 
+    def test_nan_off_the_row_max_rejected(self):
+        x = Tensor([[0.0, 5.0, 1.0], [2.0, np.nan, 9.0]])
+        with pytest.raises(ad.NumericalError, match="NaN"):
+            ad.softmax(x, axis=-1)
+
 
 class TestLayerNorm:
     def test_constant_slice_collapses(self):
@@ -156,6 +161,80 @@ class TestConstantOps:
         assert np.array_equal(x.grad, old_bwd(w.data, c))
 
 
+def _old_gelu_parts(x):
+    x2 = x * x
+    u = 0.7978845608028654 * (x + 0.044715 * (x2 * x))
+    return x2, np.tanh(u)
+
+
+def _old_gelu(x):
+    _, t = _old_gelu_parts(x)
+    return 0.5 * x * (1.0 + t)
+
+
+def _old_gelu_grad(x, g):
+    x2, t = _old_gelu_parts(x)
+    du = 0.7978845608028654 * (1.0 + 3.0 * 0.044715 * x2)
+    dt = (1.0 - t * t) * du
+    return g * (0.5 * (1.0 + t) + 0.5 * x * dt)
+
+
+def _old_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _old_softmax_grad(x, g):
+    out = _old_softmax(x)
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def _old_keep(x):  # at p = 0.15, f4(1 / (1 - p)) != f4(1) / f4(1 - p)
+    return (Rng(11).uniform(x.shape) >= 0.15).astype(x.dtype) / (1.0 - 0.15)
+
+
+# each: (op, and the forward and backward expressions it had before it was
+# built in place, of the input array x and the upstream gradient g)
+_REWRITTEN_OPS = {
+    "gelu": (ad.gelu, _old_gelu, _old_gelu_grad),
+    "softmax": (ad.softmax, _old_softmax, _old_softmax_grad),
+    "dropout": (lambda x: ad.dropout(x, 0.15, Rng(11)),
+                lambda x: x * _old_keep(x), lambda x, g: g * _old_keep(x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REWRITTEN_OPS))
+class TestRewrittenOps:
+    """gelu, softmax and dropout keep the bits of their former expressions."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_as_before(self, name, dtype):
+        op, old_fwd, old_bwd = _REWRITTEN_OPS[name]
+        x = Tensor(_rand((2, 3, 16), 1) * 3.0, dtype)
+        w = Tensor(_rand((2, 3, 16), 2), dtype)
+        with Tape() as tape:
+            y = op(x)
+            loss = ad.tsum(ad.mul(y, w))
+        ad.backward(tape, loss)
+        assert y.dtype == dtype and x.grad.dtype == dtype
+        assert np.array_equal(y.data, old_fwd(x.data))
+        assert np.array_equal(x.grad, old_bwd(x.data, w.data))
+
+    def test_float64_grad_check(self, name):
+        op = _REWRITTEN_OPS[name][0]
+        x = Tensor(_rand((2, 3, 8), 3), np.float64)
+        w = Tensor(_rand((2, 3, 8), 4), np.float64)
+
+        def f():
+            with Tape() as tape:
+                loss = ad.tsum(ad.mul(op(x), w))
+            return loss, tape
+
+        assert ad.grad_check(f, [x], h=1e-5) < 1e-6
+
+
 class TestBackward:
     def test_square(self):
         x = Tensor([3.0], np.float64)
@@ -177,6 +256,28 @@ class TestBackward:
             y = ad.square(x)
         with pytest.raises(ValueError, match="scalar"):
             ad.backward(tape, y)
+
+    def test_shared_first_gradient_is_not_written_into(self):
+        a, b, v, w = (Tensor(_rand((3, 4), i), np.float64) for i in range(4))
+        with Tape() as tape:
+            z = ad.mul(a, v)        # a's second use, differentiated last
+            y = ad.add(a, b)        # hands one array to both a and b
+            loss = ad.tsum(ad.add(ad.mul(y, w), z))
+        ad.backward(tape, loss)
+        assert np.array_equal(b.grad, w.data)
+        assert np.array_equal(a.grad, w.data + v.data)
+        assert np.array_equal(y.grad, w.data)
+
+    def test_first_gradient_keeps_the_data_layout(self):
+        x = Tensor(_rand((2, 3, 4), 1), np.float64)
+        w = Tensor(_rand((2, 4, 3), 2), np.float64)
+        with Tape() as tape:
+            xt = ad.transpose(x, (0, 2, 1))
+            loss = ad.tsum(ad.mul(xt, w))
+        ad.backward(tape, loss)
+        assert np.array_equal(x.grad, np.transpose(w.data, (0, 2, 1)))
+        assert x.grad.strides == x.data.strides
+        assert xt.grad.strides == xt.data.strides
 
     def test_disconnected_parameter_gets_exact_zero(self):
         x = Tensor([2.0], np.float64)

@@ -150,6 +150,29 @@ class TestAdam:
         opt.step({0: 1e-2})
         assert abs(p.grad[0]) <= 0.5 + 1e-12
 
+    def test_clip_scales_a_shared_gradient_once(self):
+        def run(shared):
+            pa = Tensor(np.array([1.0, -2.0]), np.float64, name="a")
+            pb = Tensor(np.array([0.5, 3.0]), np.float64, name="b")
+            c = Tensor(np.array([3.0, 4.0]), np.float64)
+            opt = Adam([ParameterGroup(0, [pa, pb])], clip_norm=0.5)
+            with ad.Tape() as tape:
+                loss = ad.tsum(ad.mul(ad.add(pa, pb), c))
+            ad.backward(tape, loss, parameters=[pa, pb])
+            assert pa.grad is pb.grad       # add hands both one array
+            if not shared:
+                pa.grad, pb.grad = pa.grad.copy(), pb.grad.copy()
+            opt.step({0: 1e-2})
+            return pa, pb
+
+        pa, pb = run(shared=True)
+        scale = 0.5 / (np.sqrt(50.0) + 1e-12)
+        assert np.array_equal(pa.grad, np.array([3.0, 4.0]) * scale)
+        assert np.array_equal(pb.grad, np.array([3.0, 4.0]) * scale)
+        qa, qb = run(shared=False)
+        assert np.array_equal(pa.data, qa.data)
+        assert np.array_equal(pb.data, qb.data)
+
 
 class TestLayerRates:
     def test_matches_effective_rate(self, toy_model):

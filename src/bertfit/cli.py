@@ -18,7 +18,14 @@ from .data import load_dataset, split_validation, subsample
 from .model import ClassifierHead, LayerSelection, init_model
 from .optim import StlrSchedule
 from .rng import Rng
-from .tokenizer import Vocabulary, build_vocab
+from .tokenizer import RESERVED, Vocabulary, build_vocab
+
+
+def _usage_error(command, message):
+    """Report a config or argument the command cannot run with; exit code
+    2."""
+    print(f"{command}: {message}", file=sys.stderr)
+    return 2
 
 
 def _setup(args):
@@ -55,6 +62,10 @@ def _load_data_section(raw, key="data"):
 
 
 def cmd_build_vocab(args):
+    if args.size < len(RESERVED):
+        return _usage_error(
+            "build-vocab", f"--size must be at least {len(RESERVED)} "
+            f"(the reserved tokens), got {args.size}")
     corpus = []
     for path in args.corpus:
         with open(path, encoding="utf-8") as fh:
@@ -140,9 +151,8 @@ def cmd_pretrain(args):
     pt = raw["pretrain"]
     steps = pt.get("steps", 1000)
     if steps < 1:
-        print(f"pretrain: pretrain.steps must be at least 1, got {steps}",
-              file=sys.stderr)
-        return 2
+        return _usage_error(
+            "pretrain", f"pretrain.steps must be at least 1, got {steps}")
     docs = read_corpus(pt["corpus"])
     rng = Rng(exp.seed)
     model = init_model(exp.model, rng.derive(1))
@@ -210,7 +220,16 @@ def cmd_eval(args):
     from .checkpoint import load_checkpoint
     from .training import evaluate, prepare_inputs
     raw, exp, vocab = _setup(args)
-    _, tensors = load_checkpoint(args.checkpoint)
+    try:
+        exp.recipe.require_flat("bertfit eval")
+    except ValueError as e:
+        return _usage_error("eval", e)
+    meta, tensors = load_checkpoint(args.checkpoint)
+    saved_hash = meta.get("vocab_hash")
+    if saved_hash is not None and saved_hash != vocab.content_hash():
+        return _usage_error(
+            "eval", f"checkpoint vocab_hash {saved_hash} does not match "
+            f"the config vocabulary {raw['vocab']} ({vocab.content_hash()})")
     model = init_model(exp.model, Rng(exp.seed))
     for name, p in model.params.items():
         p.data = tensors[name].astype(p.data.dtype)
@@ -230,6 +249,10 @@ def cmd_grid(args):
     from .grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, run_grid,
                        run_lr_sweep)
     raw, exp, vocab = _setup(args)
+    try:
+        exp.recipe.require_flat("bertfit grid")
+    except ValueError as e:
+        return _usage_error("grid", e)
     train_full, test = _load_data_section(raw)
     train, val = split_validation(train_full, exp.validation_fraction,
                                   exp.seed)

@@ -48,6 +48,14 @@ class TrainingRecipe:
         return self.long_text[5:] if self.long_text.startswith("hier_") \
             else None
 
+    def require_flat(self, where: str):
+        """Raise ValueError if the strategy is hierarchical, since `where`
+        has no fraction combiner."""
+        if self.combiner_kind:
+            raise ValueError(
+                f"long-text strategy {self.long_text!r} is hierarchical; "
+                f"{where} has no fraction combiner")
+
     def to_dict(self):
         d = asdict(self)
         d["layer_selection"] = asdict(self.layer_selection)

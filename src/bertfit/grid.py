@@ -3,7 +3,8 @@
 `run_grid` trains one seeded run per (base_lr, decay_factor) cell and
 emits a TSV report; `run_lr_sweep` produces per-epoch train/test learning
 curves for a list of learning rates. Diverged runs (NaN loss) are recorded
-as "diverged", never raised.
+as "diverged", never raised. Both build no fraction combiner, so they
+reject hierarchical (`hier_*`) recipes up front.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class GridCell:
     diverged: bool
 
 
-def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
+def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe,
               train_inputs, val_inputs, test_inputs, eval_hook=None):
     rng = Rng(recipe.seed)
     model = init_model(model_config, rng.derive(1))
@@ -46,6 +47,7 @@ def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
 def run_grid(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
              train_ds, val_ds, test_ds, lrs=TABLE4_LRS, xis=TABLE4_XIS,
              out_tsv=None) -> list[GridCell]:
+    recipe.require_flat("the grid harness")
     if not lrs or not xis:
         raise ValueError("lr and decay-factor lists must be non-empty")
     train_inputs = prepare_inputs(train_ds, vocab, recipe)
@@ -55,7 +57,7 @@ def run_grid(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
     for lr in lrs:
         for xi in xis:
             cell_recipe = replace(recipe, base_lr=lr, decay_factor=xi)
-            res = _run_cell(model_config, cell_recipe, vocab, train_inputs,
+            res = _run_cell(model_config, cell_recipe, train_inputs,
                             val_inputs, test_inputs)
             cells.append(GridCell(
                 base_lr=lr, decay_factor=xi,
@@ -84,6 +86,7 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
                  train_ds, val_ds, test_ds, lrs=FIGURE2_LRS,
                  out_jsonl=None) -> dict:
     """Catastrophic-forgetting sweep: per-epoch train/test error per lr."""
+    recipe.require_flat("the lr sweep")
     train_inputs = prepare_inputs(train_ds, vocab, recipe)
     val_inputs = prepare_inputs(val_ds, vocab, recipe)
     test_inputs = prepare_inputs(test_ds, vocab, recipe)
@@ -100,7 +103,7 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
                            "train_error": tr_err, "test_error": te_err,
                            "train_loss": tr_loss, "test_loss": te_loss})
 
-        res = _run_cell(model_config, cell_recipe, vocab, train_inputs,
+        res = _run_cell(model_config, cell_recipe, train_inputs,
                         val_inputs, test_inputs, eval_hook=hook)
         curves[lr] = {"diverged": res.diverged, "epochs": series}
     if out_jsonl:

@@ -80,10 +80,7 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     """
     if len(task_inputs) < 2:
         raise ValueError("multi-task fine-tuning needs at least two tasks")
-    if recipe.combiner_kind:
-        raise ValueError(
-            f"long-text strategy {recipe.long_text!r} is hierarchical; "
-            "multi-task fine-tuning has no fraction combiner")
+    recipe.require_flat("multi-task fine-tuning")
     for name, inputs in task_inputs.items():
         if not inputs:
             raise ValueError(f"task {name!r} has an empty dataset")

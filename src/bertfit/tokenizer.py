@@ -1,16 +1,18 @@
 """WordPiece-style tokenization at desk scale.
 
-The vocabulary is built by iterative pair-frequency merges (BPE-style) and
-rendered as WordPiece entries: the first piece of a word is bare, every
-continuation piece carries a "##" prefix. Tokenization is greedy
-longest-match-first; a word with any unmatched position becomes [UNK].
+The vocabulary is built by pair-frequency merges (BPE-style) with
+incremental pair statistics, and rendered as WordPiece entries: the first
+piece of a word is bare, every continuation piece carries a "##" prefix.
+Tokenization is greedy longest-match-first; a word with any unmatched
+position becomes [UNK].
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -81,11 +83,45 @@ class Vocabulary:
 
 
 def pre_split(text: str) -> list[str]:
-    """Lowercase, strip accents-free whitespace cleanup, split words and
-    punctuation apart."""
+    """NFC-normalise and lowercase `text`, then split it on whitespace with
+    every punctuation character (and `_`) a word of its own."""
     text = unicodedata.normalize("NFC", text).lower()
     text = _PUNCT_RE.sub(r" \1 ", text)
     return text.split()
+
+
+def _rendered(pieces):
+    """WordPiece forms of one segmented word: bare first, "##" after."""
+    return [p if j == 0 else "##" + p for j, p in enumerate(pieces)]
+
+
+def _merge(pieces, pair, merged):
+    """`pieces` with every non-overlapping `pair`, left to right, joined."""
+    out = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == pair:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return tuple(out)
+
+
+def _apply(counts, delta):
+    """Add `delta` into `counts`, deleting the counts that reach zero;
+    return the keys whose count moved and is still non-zero."""
+    moved = []
+    for key, d in delta.items():
+        if d:
+            c = counts[key] + d
+            if c:
+                counts[key] = c
+                moved.append(key)
+            else:
+                del counts[key]
+    return moved
 
 
 def build_vocab(corpus, target_size: int) -> Vocabulary:
@@ -94,8 +130,16 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
     Starts from single characters (base tokens are always retained),
     repeatedly merges the most frequent adjacent pair -- ties broken by the
     lexicographically smallest pair -- and appends the merged piece's
-    rendered WordPiece forms until the vocabulary reaches `target_size`.
-    Deterministic for a fixed corpus and size.
+    rendered WordPiece forms until the vocabulary reaches `target_size`
+    or no pair is left. Deterministic for a fixed corpus and size.
+
+    The pair statistics are incremental (Sennrich et al. 2016, subword-nmt's
+    `learn_bpe.py`): pair counts and rendered-form counts persist across
+    merges, an index maps each pair to the words that may contain it, and a
+    merge re-segments only the indexed words, taking their old pairs and
+    forms out of the counts and putting their new ones in. The best pair
+    comes off a heap keyed on (-count, pair) whose stale entries are
+    skipped, so the result equals a full recount after every merge.
     """
     if target_size < len(RESERVED):
         raise ValueError(
@@ -106,15 +150,18 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
         for word in pre_split(doc):
             word_freq[word] += 1
     # each word is a tuple of current pieces
-    words = {w: tuple(w) for w in word_freq}
-
-    def rendered_forms():
-        """WordPiece forms present in the current segmentation."""
-        toks = set()
-        for pieces in words.values():
-            for j, p in enumerate(pieces):
-                toks.add(p if j == 0 else "##" + p)
-        return toks
+    words = [tuple(w) for w in word_freq]
+    freqs = list(word_freq.values())
+    pair_freq = Counter()
+    where = defaultdict(set)      # pair -> ids of words that may contain it
+    forms = Counter()             # rendered form -> occurrences
+    for i, pieces in enumerate(words):
+        forms.update(_rendered(pieces))
+        for pair in zip(pieces, pieces[1:]):
+            pair_freq[pair] += freqs[i]
+            where[pair].add(i)
+    heap = [(-c, pair) for pair, c in pair_freq.items()]
+    heapq.heapify(heap)
 
     vocab = list(RESERVED)
     seen = set(vocab)
@@ -125,30 +172,33 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
                 seen.add(t)
                 vocab.append(t)
 
-    emit(rendered_forms())  # base character tokens, kept forever
+    emit(forms)  # base character tokens, kept forever
     while len(vocab) < target_size:
-        pair_freq = Counter()
-        for w, pieces in words.items():
-            f = word_freq[w]
-            for a, b in zip(pieces, pieces[1:]):
-                pair_freq[(a, b)] += f
-        if not pair_freq:
+        while heap and pair_freq.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)   # stale: the pair's count has moved
+        if not heap:
             break
-        top = max(pair_freq.values())
-        best = min(p for p, c in pair_freq.items() if c == top)
+        best = heapq.heappop(heap)[1]
         merged = best[0] + best[1]
-        for w, pieces in words.items():
-            out = []
-            i = 0
-            while i < len(pieces):
-                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(pieces[i])
-                    i += 1
-            words[w] = tuple(out)
-        emit({merged, "##" + merged} & rendered_forms())
+        pair_delta, form_delta = Counter(), Counter()
+        for i in where.pop(best):
+            old = words[i]
+            new = _merge(old, best, merged)
+            if len(new) == len(old):
+                continue          # index entry no longer holds the pair
+            words[i] = new
+            f = freqs[i]
+            for pair in zip(old, old[1:]):
+                pair_delta[pair] -= f
+            for pair in zip(new, new[1:]):
+                pair_delta[pair] += f
+                where[pair].add(i)
+            form_delta.subtract(_rendered(old))
+            form_delta.update(_rendered(new))
+        for pair in _apply(pair_freq, pair_delta):
+            heapq.heappush(heap, (-pair_freq[pair], pair))
+        _apply(forms, form_delta)
+        emit({merged, "##" + merged} & forms.keys())
     return Vocabulary(vocab)
 
 

@@ -3,13 +3,14 @@ import json
 
 import pytest
 
+from bertfit.checkpoint import load_checkpoint, save_checkpoint
 from bertfit.cli import main
 from bertfit.config import ExperimentConfig, TrainingRecipe
 from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
 from bertfit.data import split_validation
 from bertfit.model import EncoderConfig
-from bertfit.tokenizer import build_vocab
+from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 
 
@@ -119,6 +120,21 @@ class TestGridHarness:
             run_grid(tiny_model_config, tiny_recipe(), vocab,
                      train, val, test, lrs=(), xis=(1.0,))
 
+    def test_hierarchical_recipe_rejected(self, tiny_model_config, vocab,
+                                          splits):
+        train, val, test = splits
+        with pytest.raises(ValueError, match="'hier_mean' is hierarchical"):
+            run_grid(tiny_model_config, tiny_recipe(long_text="hier_mean"),
+                     vocab, train, val, test, lrs=(5e-4,), xis=(1.0,))
+
+    def test_lr_sweep_rejects_hierarchical_recipe(self, tiny_model_config,
+                                                  vocab, splits):
+        train, val, test = splits
+        with pytest.raises(ValueError, match="'hier_attn' is hierarchical"):
+            run_lr_sweep(tiny_model_config,
+                         tiny_recipe(long_text="hier_attn"), vocab,
+                         train, val, test, lrs=(5e-4,))
+
     def test_lr_sweep_curves(self, tiny_model_config, vocab, splits,
                              tmp_path):
         train, val, test = splits
@@ -156,6 +172,16 @@ class TestCli:
         assert tokens[:5] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
         assert len(tokens) == 10
 
+    def test_build_vocab_size_below_reserved_rejected(self, tmp_path,
+                                                      capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("aaab aaab ab\n", encoding="utf-8")
+        out = tmp_path / "v.txt"
+        assert main(["build-vocab", "--corpus", str(corpus),
+                     "--size", "3", "--out", str(out)]) == 2
+        assert "--size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_subsample(self, workspace, tmp_path, capsys):
         root, raw = workspace
         out = tmp_path / "sub.csv"
@@ -188,6 +214,41 @@ class TestCli:
                      "--checkpoint", str(ckpt)]) == 0
         out = capsys.readouterr().out
         assert "error" in out and "test" in out
+
+    def test_eval_rejects_hierarchical_recipe(self, workspace, tmp_path,
+                                              capsys):
+        root, raw = workspace
+        recipe = {**raw["recipe"], "long_text": "hier_attn", "max_len": 10}
+        cfg = write_config(root, raw, name="hier_eval.json", recipe=recipe)
+        ckpt = tmp_path / "hier.ckpt"
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        assert "'hier_attn' is hierarchical" in capsys.readouterr().err
+
+    def test_eval_checks_vocab_hash(self, workspace, tmp_path, capsys):
+        root, raw = workspace
+        cfg = write_config(root, raw)
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        vocab = Vocabulary.load(raw["vocab"])
+        other = Vocabulary(RESERVED + vocab.id_to_token[len(RESERVED):][::-1])
+        other.save(tmp_path / "other.txt")
+        other_cfg = write_config(root, raw, name="other_vocab.json",
+                                 vocab=str(tmp_path / "other.txt"))
+        capsys.readouterr()
+        assert main(["eval", "--config", other_cfg,
+                     "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert vocab.content_hash() in err and other.content_hash() in err
+        # a checkpoint without the key still loads
+        meta, tensors = load_checkpoint(ckpt)
+        del meta["vocab_hash"]
+        save_checkpoint(ckpt, tensors, meta=meta)
+        assert main(["eval", "--config", other_cfg,
+                     "--checkpoint", str(ckpt)]) == 0
 
     def test_pretrain_smoke(self, workspace, tmp_path, capsys):
         root, raw = workspace
@@ -260,6 +321,17 @@ class TestCli:
                      "--lr-sweep", str(jl)]) == 0
         assert len(tsv.read_text().splitlines()) == 3
         assert jl.exists()
+
+    def test_grid_rejects_hierarchical_recipe(self, workspace, tmp_path,
+                                              capsys):
+        root, raw = workspace
+        recipe = {**raw["recipe"], "long_text": "hier_mean", "max_len": 10}
+        cfg = write_config(root, raw, name="hier_grid.json", recipe=recipe,
+                           grid={"lrs": [5e-4], "decay_factors": [1.0]})
+        tsv = tmp_path / "report.tsv"
+        assert main(["grid", "--config", cfg, "--out", str(tsv)]) == 2
+        assert "'hier_mean' is hierarchical" in capsys.readouterr().err
+        assert not tsv.exists()
 
     def test_seed_override(self, workspace, tmp_path, capsys):
         root, raw = workspace

@@ -1,10 +1,96 @@
+import os
+import random
+import subprocess
+import sys
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bertfit
 from bertfit.tokenizer import (CLS, PAD, RESERVED, SEP, UNK, Vocabulary,
-                               build_vocab, detokenize, encode,
+                               build_vocab, detokenize, encode, pre_split,
                                segment_sentences, tokenize)
+
+
+def oracle_build_vocab(corpus, target_size: int) -> Vocabulary:
+    """The full-recount merge loop `build_vocab` replaced: every merge
+    recounts every pair, rewrites every word and rescans every rendered
+    form. `build_vocab` must return the same list."""
+    if target_size < len(RESERVED):
+        raise ValueError(
+            f"target_size {target_size} smaller than reserved set "
+            f"({len(RESERVED)} tokens)")
+    word_freq = Counter()
+    for doc in corpus:
+        for word in pre_split(doc):
+            word_freq[word] += 1
+    # each word is a tuple of current pieces
+    words = {w: tuple(w) for w in word_freq}
+
+    def rendered_forms():
+        """WordPiece forms present in the current segmentation."""
+        toks = set()
+        for pieces in words.values():
+            for j, p in enumerate(pieces):
+                toks.add(p if j == 0 else "##" + p)
+        return toks
+
+    vocab = list(RESERVED)
+    seen = set(vocab)
+
+    def emit(tokens):
+        for t in sorted(tokens):
+            if t not in seen and len(vocab) < target_size:
+                seen.add(t)
+                vocab.append(t)
+
+    emit(rendered_forms())  # base character tokens, kept forever
+    while len(vocab) < target_size:
+        pair_freq = Counter()
+        for w, pieces in words.items():
+            f = word_freq[w]
+            for a, b in zip(pieces, pieces[1:]):
+                pair_freq[(a, b)] += f
+        if not pair_freq:
+            break
+        top = max(pair_freq.values())
+        best = min(p for p, c in pair_freq.items() if c == top)
+        merged = best[0] + best[1]
+        for w, pieces in words.items():
+            out = []
+            i = 0
+            while i < len(pieces):
+                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(pieces[i])
+                    i += 1
+            words[w] = tuple(out)
+        emit({merged, "##" + merged} & rendered_forms())
+    return Vocabulary(vocab)
+
+
+def zipf_corpus(n_docs=100, n_words=600, seed=0):
+    """~100 documents of 100-400 words drawn Zipf-style (exponent 0.8) from
+    a lexicon of random 4-11 letter words."""
+    r = random.Random(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    lexicon = sorted({"".join(r.choices(letters, k=r.randint(4, 11)))
+                      for _ in range(n_words)})
+    weights = [1 / k ** 0.8 for k in range(1, len(lexicon) + 1)]
+    return [" ".join(r.choices(lexicon, weights, k=r.randint(100, 400)))
+            for _ in range(n_docs)]
+
+
+# small alphabets force ties and overlapping runs ("aaaa"); punctuation and
+# CJK characters are split into words of their own by pre_split
+corpora = st.sampled_from(["ab", "aab", "abc", "ab.,!", "ab中文", "aé"]).flatmap(
+    lambda alphabet: st.lists(st.text(alphabet=alphabet + " ", max_size=40),
+                              max_size=6))
 
 
 @pytest.fixture
@@ -37,6 +123,61 @@ class TestBuildVocab:
         vocab = build_vocab(["abc"], 20)
         assert vocab.pad_id == 0
         assert vocab.id_to_token[:5] == RESERVED
+
+
+# content hashes of oracle_build_vocab(zipf_corpus(), n): running the
+# oracle itself at these sizes takes ~3 s and ~5 s
+ZIPF_ORACLE_HASH = {
+    1000: "6e283523ad614be4b5e38cde38422f37084558cbd9b936fa24ab31d9ed4855d7",
+    2000: "c7c8a423c3012867c9f253b3356abf1c3370f434efcba6e1f99c33403bb37670",
+}
+
+
+class TestIncrementalMerges:
+    """`build_vocab` against the full-recount oracle."""
+
+    @given(corpora, st.integers(min_value=5, max_value=60))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle(self, corpus, size):
+        assert build_vocab(corpus, size).id_to_token == \
+            oracle_build_vocab(corpus, size).id_to_token
+        # far past pair exhaustion: both stop at the same list
+        assert build_vocab(corpus, 10_000).id_to_token == \
+            oracle_build_vocab(corpus, 10_000).id_to_token
+
+    def test_overlapping_runs(self):
+        corpus = ["aaaa aaa aa a aaaaa", "abab aba bab", "。。 中中中"]
+        for size in range(5, 40):
+            assert build_vocab(corpus, size).id_to_token == \
+                oracle_build_vocab(corpus, size).id_to_token
+
+    def test_zipf_corpus(self):
+        corpus = zipf_corpus()
+        assert build_vocab(corpus, 200).id_to_token == \
+            oracle_build_vocab(corpus, 200).id_to_token
+        assert build_vocab(corpus, 1000).content_hash() == \
+            ZIPF_ORACLE_HASH[1000]
+        start = time.perf_counter()
+        vocab = build_vocab(corpus, 2000)
+        elapsed = time.perf_counter() - start
+        assert len(vocab) == 2000
+        assert vocab.content_hash() == ZIPF_ORACLE_HASH[2000]
+        assert elapsed <= 1.0, f"2000-entry build took {elapsed:.2f} s"
+
+    def test_independent_of_hash_seed(self):
+        script = ("from bertfit.tokenizer import build_vocab; "
+                  "corpus = ['the cat sat on the mat, the end.', "
+                  "'a cat and a dog', '中文 aaaa abab'] * 3; "
+                  "print(build_vocab(corpus, 120).content_hash())")
+        src = os.path.dirname(os.path.dirname(bertfit.__file__))
+        hashes = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            hashes.add(out.stdout.strip())
+        assert len(hashes) == 1
 
 
 class TestTokenize:

@@ -16,9 +16,27 @@ keeps the layout (strides) of the tensor's data; one in another layout is
 copied into it.
 
 Only the operations the encoder needs are provided; broadcasting is
-limited to trailing-dimension bias adds and batched matmul. A matmul of an
-n-d activation by a 2-d weight folds the leading axes into rows, so its
-forward pass and each of its two gradients is a single 2-d GEMM.
+limited to trailing-dimension bias adds and batched matmul.
+
+What the tape keeps alive: every recorded output, and after backward its
+gradient, lives until the tape is dropped (a training step keeps the last
+tape until the next step starts), together with whatever its backward
+rule holds. So the transformer block runs on three fused ops with
+hand-written backward rules, which record one output where the unfused
+chain recorded several:
+
+- ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
+  one 2-d GEMM forward and one per weight and input gradient, the bias
+  added in place;
+- ``attention_core(q, k, v, ...)`` covers head split, scores, scale, mask
+  bias, softmax, dropout and context, and keeps only the probabilities
+  and a boolean dropout mask of the (B, heads, S, S) attention size;
+- ``add_layer_norm(x, h, ...)`` is the residual add and its layer norm,
+  without keeping the sum.
+
+Each computes the same expressions, on operands of the same layout and in
+the same order, as the chain of single ops it replaces, so it gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -224,25 +242,12 @@ def square(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    """Add a non-differentiable constant array (e.g. an attention mask bias),
-    cast to a's dtype."""
-    out_data = a.data + np.asarray(c, dtype=a.data.dtype)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-
-    return _make(out_data, (a,), bwd)
-
-
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatchError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        return _matmul_rows(a, b)
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
@@ -255,18 +260,95 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
-    """(..., K) activation times (K, N) weight as one (rows, K) GEMM."""
-    K = a.data.shape[-1]
-    out_data = np.matmul(a.data.reshape(-1, K), b.data).reshape(
-        a.data.shape[:-1] + (b.data.shape[1],))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for an (..., K) activation, a (K, N) weight and an (N,)
+    bias: the leading axes fold into rows, so the forward pass and each
+    weight and input gradient is one 2-d GEMM."""
+    K, N = w.data.shape
+    if x.data.shape[-1] != K or b.data.shape != (N,):
+        raise ShapeMismatchError(
+            f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
+    out_data = np.matmul(x.data.reshape(-1, K), w.data)
+    out_data += b.data
+    out_data = out_data.reshape(x.data.shape[:-1] + (N,))
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        _accum(a, np.matmul(g2, b.data.T).reshape(a.shape))
-        _accum(b, np.matmul(a.data.reshape(-1, K).T, g2))
+        _accum(b, _unbroadcast(g, b.shape))
+        g2 = g.reshape(-1, N)
+        _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
+        _accum(w, np.matmul(x.data.reshape(-1, K).T, g2))
 
-    return _make(out_data, (a, b), bwd)
+    return _make(out_data, (x, w, b), bwd)
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
+                   p: float, rng):
+    """Multi-head scaled dot-product attention over (B, S, H) projections.
+
+    Per head, probs = softmax(q k^T / sqrt(H / n_heads) + mask_bias) with
+    `mask_bias` (broadcast to (B, n_heads, S, S), e.g. -1e9 at padded keys)
+    cast to q's dtype, then inverted dropout at rate `p` drawn from `rng`;
+    the context probs @ v is merged back to (B, S, H). Scores, scale, mask
+    and softmax are built in place in one (B, n_heads, S, S) buffer; the
+    backward rule keeps it and the boolean dropout mask, and rebuilds the
+    dropped-out probabilities from them.
+
+    Returns the context Tensor (one tape record) and the pre-dropout
+    probabilities as a Tensor outside the tape.
+    """
+    B, S, H = q.shape
+    hd = H // n_heads
+
+    def heads(a):                   # (B, S, H) -> (B, A, S, hd) view
+        return a.reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merged(gh, axes):           # a head-split gradient as (B, S, H)
+        return np.ascontiguousarray(gh.transpose(axes)).reshape(B, S, H)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    c = float(1.0 / np.sqrt(hd))
+    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    probs *= c
+    probs += np.asarray(mask_bias, dtype=probs.dtype)
+    mx = probs.max(axis=-1, keepdims=True)
+    if np.isnan(mx).any():          # max propagates a NaN anywhere in a row
+        raise NumericalError("attention scores contain NaN")
+    probs -= mx
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    f = probs.dtype.type
+    keep_scale = f(1) / f(1 - p)
+    kept = rng.uniform(probs.shape) >= p if p > 0.0 else None
+
+    def dropped():                  # probs with inverted dropout applied
+        if kept is None:
+            return probs
+        d = probs * kept            # a bool factor is exactly 1 or 0
+        d *= keep_scale
+        return d
+
+    out_data = np.matmul(dropped(), vh).transpose(0, 2, 1, 3).reshape(B, S, H)
+
+    def bwd(g):
+        gctx = np.ascontiguousarray(heads(g))
+        d = dropped()
+        gv = np.matmul(np.swapaxes(d, -1, -2), gctx)
+        del d
+        gs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        if kept is not None:
+            gs *= kept
+            gs *= keep_scale
+        gp = gs * probs             # softmax backward, as in `softmax`
+        dot = gp.sum(axis=-1, keepdims=True)
+        np.subtract(gs, dot, out=gp)
+        gp *= probs
+        gp *= c
+        del gs
+        _accum(q, merged(np.matmul(gp, kh), (0, 2, 1, 3)))
+        _accum(k, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
+        _accum(v, merged(gv, (0, 2, 1, 3)))
+
+    return _make(out_data, (q, k, v), bwd), Tensor(probs)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -421,38 +503,68 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
+def _normalize(xd, gamma: Tensor, beta: Tensor, eps):
+    """Layer norm of array `xd` over its last axis, then affine.
+
+    Returns the output and the backward rule, which accumulates the gamma
+    and beta gradients and returns the gradient of `xd`.
+    """
+    if gamma.shape != (xd.shape[-1],) or beta.shape != (xd.shape[-1],):
         raise ShapeMismatchError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not "
-            f"match feature width {x.shape[-1]}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+            f"match feature width {xd.shape[-1]}")
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = gamma.data * xhat + beta.data
 
     def bwd(g):
-        H = x.shape[-1]
         gg = g * gamma.data
         gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        _accum(x, gx)
         red = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=red))
         _accum(beta, g.sum(axis=red))
+        return gx
+
+    return out_data, bwd
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    out_data, norm_bwd = _normalize(x.data, gamma, beta, eps)
+
+    def bwd(g):
+        _accum(x, norm_bwd(g))
 
     return _make(out_data, (x, gamma, beta), bwd)
+
+
+def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor, beta: Tensor,
+                   eps=1e-5) -> Tensor:
+    """layer_norm(x + h): a residual add and its norm as one op, which
+    does not keep the sum."""
+    if x.shape != h.shape:
+        raise ShapeMismatchError(
+            f"add_layer_norm shapes disagree: {x.shape} + {h.shape}")
+    out_data, norm_bwd = _normalize(x.data + h.data, gamma, beta, eps)
+
+    def bwd(g):
+        gx = norm_bwd(g)
+        _accum(x, gx)
+        _accum(h, gx)
+
+    return _make(out_data, (x, h, gamma, beta), bwd)
 
 
 def dropout(x: Tensor, p: float, rng) -> Tensor:
     """Inverted dropout; identity when p == 0."""
     if p <= 0.0:
         return x
-    scale = x.dtype.type(1) / x.dtype.type(1 - p)
-    keep = np.where(rng.uniform(x.shape) >= p, scale, 0)
+    keep = (rng.uniform(x.shape) >= p).astype(x.dtype)
+    keep *= x.dtype.type(1) / x.dtype.type(1 - p)
 
     def bwd(g):
         _accum(x, g * keep)

@@ -179,13 +179,15 @@ def cmd_pretrain(args):
 
 
 def cmd_multitask(args):
-    from .longtext import FractionCombiner
-    from .model import init_model
     from .multitask import (MixingStrategy, MultiTaskModel,
                             multitask_finetune, per_task_refine)
     from .training import evaluate, prepare_inputs
     raw, exp, vocab = _setup(args)
     recipe = exp.recipe
+    try:
+        recipe.require_flat("bertfit multitask")
+    except ValueError as e:
+        return _usage_error("multitask", e)
     tasks_cfg = raw["multitask"]["tasks"]  # [{name, train, test?, n_classes}]
     rng = Rng(exp.seed)
     model = init_model(exp.model, rng.derive(1))

@@ -107,9 +107,6 @@ class EncoderModel:
     def named_parameters(self):
         return dict(self.params)
 
-    def param_count(self):
-        return sum(p.size for p in self.params.values())
-
 
 def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
     """Truncated-normal(0, 0.02) weights, zero biases, unit LN gains."""
@@ -156,38 +153,15 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
     return EncoderModel(config, p)
 
 
-def _attention(p, prefix, x, mask_bias, cfg, train, rng):
-    B, S, H = x.shape
-    A = cfg.n_heads
-    hd = H // A
-
-    def proj(wname, bname):
-        y = ad.add(ad.matmul(x, p[prefix + wname]), p[prefix + bname])
-        y = ad.reshape(y, (B, S, A, hd))
-        return ad.transpose(y, (0, 2, 1, 3))          # (B, A, S, hd)
-
-    q = proj("wq", "bq")
-    k = proj("wk", "bk")
-    v = proj("wv", "bv")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                      1.0 / np.sqrt(hd))
-    scores = ad.add_const(scores, mask_bias)          # -inf at [PAD] keys
-    probs = ad.softmax(scores, axis=-1)
-    if train and cfg.dropout > 0:
-        probs = ad.dropout(probs, cfg.dropout, rng)
-    ctx = ad.matmul(probs, v)                          # (B, A, S, hd)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, S, H))
-    out = ad.add(ad.matmul(ctx, p[prefix + "wo"]), p[prefix + "bo"])
-    return out, probs
-
-
 def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
                  mode: str = "eval", return_attn: bool = False):
     """Forward pass over a batch; returns the L+1 hidden states.
 
     token_ids / segment_ids / attention_mask: (B, S) int arrays.
     Index 0 of the result is the embedding output, index l the output of
-    block l; every entry has shape (B, S, H).
+    block l; every entry has shape (B, S, H). With `return_attn`, also
+    returns each block's (B, heads, S, S) attention probabilities before
+    dropout, outside the tape.
     """
     cfg = model.config
     p = model.params
@@ -198,36 +172,35 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     if S > cfg.max_positions:
         raise ValueError(
             f"sequence length {S} exceeds max positions {cfg.max_positions}")
-    train = mode == "train"
+    p_drop = cfg.dropout if mode == "train" else 0.0
     rng = model.dropout_rng
-    if train and cfg.dropout > 0 and rng is None:
+    if p_drop > 0 and rng is None:
         raise ValueError("train mode with dropout needs model.dropout_rng")
 
     pos = np.broadcast_to(np.arange(S), (B, S))
-    x = ad.add(ad.add(ad.embedding(p["emb.tok"], ids),
-                      ad.embedding(p["emb.pos"], pos)),
-               ad.embedding(p["emb.seg"], segs))
-    x = ad.layer_norm(x, p["emb.ln_g"], p["emb.ln_b"])
-    if train and cfg.dropout > 0:
-        x = ad.dropout(x, cfg.dropout, rng)
+    x = ad.add_layer_norm(ad.add(ad.embedding(p["emb.tok"], ids),
+                                 ad.embedding(p["emb.pos"], pos)),
+                          ad.embedding(p["emb.seg"], segs),
+                          p["emb.ln_g"], p["emb.ln_b"])
+    x = ad.dropout(x, p_drop, rng)
 
-    mask_bias = (1.0 - mask[:, None, None, :]) * -1e9
+    mask_bias = (1.0 - mask[:, None, None, :]) * -1e9   # -1e9 at [PAD] keys
     outputs = [x]
     attn_probs = []
     for i in range(cfg.n_layers):
         b = f"block{i}."
-        attn_out, probs = _attention(p, b, x, mask_bias, cfg, train, rng)
+        q, k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n])
+                   for n in "qkv")
+        ctx, probs = ad.attention_core(q, k, v, cfg.n_heads, mask_bias,
+                                       p_drop, rng)
         attn_probs.append(probs)
-        if train and cfg.dropout > 0:
-            attn_out = ad.dropout(attn_out, cfg.dropout, rng)
-        x = ad.layer_norm(ad.add(x, attn_out),
-                          p[b + "attn_ln_g"], p[b + "attn_ln_b"])
-        h = ad.gelu(ad.add(ad.matmul(x, p[b + "ffn_w1"]), p[b + "ffn_b1"]))
-        h = ad.add(ad.matmul(h, p[b + "ffn_w2"]), p[b + "ffn_b2"])
-        if train and cfg.dropout > 0:
-            h = ad.dropout(h, cfg.dropout, rng)
-        x = ad.layer_norm(ad.add(x, h),
-                          p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
+        attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
+        x = ad.add_layer_norm(x, ad.dropout(attn_out, p_drop, rng),
+                              p[b + "attn_ln_g"], p[b + "attn_ln_b"])
+        h = ad.gelu(ad.linear(x, p[b + "ffn_w1"], p[b + "ffn_b1"]))
+        h = ad.dropout(ad.linear(h, p[b + "ffn_w2"], p[b + "ffn_b2"]),
+                       p_drop, rng)
+        x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
     if return_attn:
         return outputs, attn_probs
@@ -290,7 +263,7 @@ def class_logits(features: Tensor, head: ClassifierHead) -> Tensor:
         raise ValueError(
             f"feature width {features.shape[-1]} does not match classifier "
             f"input width {head.W.shape[0]}")
-    return ad.add(ad.matmul(features, head.W), head.b)
+    return ad.linear(features, head.W, head.b)
 
 
 def classify(features: Tensor, head: ClassifierHead) -> Tensor:
@@ -312,14 +285,14 @@ def mlm_logits(model: EncoderModel, outputs, rows=None) -> Tensor:
     if rows is not None:
         B, S, H = x.shape
         x = ad.embedding(ad.reshape(x, (B * S, H)), rows)
-    x = ad.gelu(ad.add(ad.matmul(x, p["head.mlm_w"]), p["head.mlm_b"]))
+    x = ad.gelu(ad.linear(x, p["head.mlm_w"], p["head.mlm_b"]))
     x = ad.layer_norm(x, p["head.mlm_ln_g"], p["head.mlm_ln_b"])
     emb_t = ad.transpose(p["emb.tok"], (1, 0))
-    return ad.add(ad.matmul(x, emb_t), p["head.mlm_out_b"])
+    return ad.linear(x, emb_t, p["head.mlm_out_b"])
 
 
 def nsp_logits(model: EncoderModel, outputs) -> Tensor:
     """2-class logits over the final [CLS] state; shape (B, 2)."""
     p = model.params
     cls_vec = ad.select(outputs[-1], 0, 1)
-    return ad.add(ad.matmul(cls_vec, p["head.nsp_w"]), p["head.nsp_b"])
+    return ad.linear(cls_vec, p["head.nsp_w"], p["head.nsp_b"])

@@ -115,12 +115,11 @@ class TestGelu:
 
 
 # each: (op, its float64 constant, the forward and backward expressions
-# it had before constants were cast)
+# it had before constants were cast); the float64 mask bias of
+# `attention_core` is checked in TestAttentionCore
 _CONST_OPS = {
     "scale": (ad.scale, 1.0 / np.sqrt(np.float64(8)),
               lambda x, c: x * c, lambda g, c: g * c),
-    "add_const": (ad.add_const, _rand((1, 4), 9),
-                  lambda x, c: x + c, lambda g, c: g),
 }
 
 
@@ -233,6 +232,156 @@ class TestRewrittenOps:
             return loss, tape
 
         assert ad.grad_check(f, [x], h=1e-5) < 1e-6
+
+
+# -- fused ops: the chains of single ops they replace are the oracles ------
+
+def unfused_linear(x, w, b):
+    """add(matmul(x, w), b), with matmul's former fold of an n-d activation
+    into one (rows, K) GEMM."""
+    K, N = w.shape
+    y = ad.matmul(ad.reshape(x, (-1, K)), w)
+    return ad.add(ad.reshape(y, x.shape[:-1] + (N,)), b)
+
+
+def unfused_attention(q, k, v, n_heads, mask_bias, p, rng):
+    B, S, H = q.shape
+    hd = H // n_heads
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (B, S, n_heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
+                      1.0 / np.sqrt(hd))
+    # the former add_const: the bias cast to the scores' dtype, added
+    scores = ad.add(scores, Tensor(mask_bias, scores.dtype))
+    probs = ad.softmax(scores, axis=-1)
+    ctx = ad.matmul(ad.dropout(probs, p, rng), vh)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, S, H)), probs
+
+
+def unfused_add_layer_norm(x, h, gamma, beta):
+    return ad.layer_norm(ad.add(x, h), gamma, beta)
+
+
+_MASK = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]])
+_MASK_BIAS = (1.0 - _MASK[:, None, None, :]) * -1e9      # float64
+
+
+def _attention_case(attention, p, mask_bias=_MASK_BIAS):
+    def op(q, k, v):
+        return attention(q, k, v, 2, mask_bias, p, Rng(11))[0]
+    return op
+
+
+def _transposed_weight(linear):
+    return lambda x, wt, b: linear(x, ad.transpose(wt, (1, 0)), b)
+
+
+# each: (fused op, its oracle, input shapes); inputs are leaf Tensors. Two
+# heads of width 6 make the score scale 1/sqrt(6), not an exact power of 2.
+_FUSED_CASES = {
+    "linear-2d": (ad.linear, unfused_linear, [(4, 5), (5, 3), (3,)]),
+    "linear-3d": (ad.linear, unfused_linear, [(2, 3, 5), (5, 3), (3,)]),
+    "linear-4d": (ad.linear, unfused_linear, [(2, 2, 3, 5), (5, 3), (3,)]),
+    "linear-transposed-weight": (_transposed_weight(ad.linear),
+                                 _transposed_weight(unfused_linear),
+                                 [(2, 3, 5), (3, 5), (3,)]),
+    "attention": (_attention_case(ad.attention_core, 0.0),
+                  _attention_case(unfused_attention, 0.0), [(2, 6, 12)] * 3),
+    "attention-dropout": (_attention_case(ad.attention_core, 0.15),
+                          _attention_case(unfused_attention, 0.15),
+                          [(2, 6, 12)] * 3),
+    "attention-float64-bias": (
+        _attention_case(ad.attention_core, 0.15, _rand((2, 1, 6, 6), 7)),
+        _attention_case(unfused_attention, 0.15, _rand((2, 1, 6, 6), 7)),
+        [(2, 6, 12)] * 3),
+    "add_layer_norm": (ad.add_layer_norm, unfused_add_layer_norm,
+                       [(2, 3, 8), (2, 3, 8), (8,), (8,)]),
+}
+
+
+def _run(op, shapes, dtype):
+    """Forward and backward of tsum(op(*inputs) * w); returns the output
+    and the input gradients."""
+    xs = [Tensor(_rand(s, i) * 2.0, dtype) for i, s in enumerate(shapes)]
+    with Tape() as tape:
+        y = op(*xs)
+        loss = ad.tsum(ad.mul(y, Tensor(_rand(y.shape, 9), dtype)))
+    ad.backward(tape, loss, parameters=xs)
+    return y, [x.grad for x in xs]
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED_CASES))
+class TestFusedOps:
+    """linear, attention_core and add_layer_norm give the bits of the chains
+    of single ops they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_as_unfused(self, name, dtype):
+        fused, unfused, shapes = _FUSED_CASES[name]
+        y, grads = _run(fused, shapes, dtype)
+        y_ref, grads_ref = _run(unfused, shapes, dtype)
+        assert y.dtype == dtype and all(g.dtype == dtype for g in grads)
+        assert np.array_equal(y.data, y_ref.data)
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.shape == g_ref.shape and np.array_equal(g, g_ref)
+
+    def test_float64_grad_check(self, name):
+        fused, _, shapes = _FUSED_CASES[name]
+        xs = [Tensor(_rand(s, 20 + i), np.float64)
+              for i, s in enumerate(shapes)]
+
+        def f():
+            with Tape() as tape:
+                y = fused(*xs)
+                w = Tensor(_rand(y.shape, 29), np.float64)
+                loss = ad.tsum(ad.mul(ad.gelu(y), w))
+            return loss, tape
+
+        assert ad.grad_check(f, xs, h=1e-5) < 1e-6
+
+
+class TestAttentionCore:
+    def test_probabilities_are_the_pre_dropout_softmax(self):
+        q, k, v = (Tensor(_rand((2, 6, 12), i), np.float64) for i in range(3))
+        with Tape() as tape:
+            _, probs = ad.attention_core(q, k, v, 2, _MASK_BIAS, 0.5, Rng(3))
+        assert probs.shape == (2, 2, 6, 6) and probs.node_id is None
+        assert len(tape.records) == 1
+        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, rtol=1e-12)
+        assert probs.data[0, :, :, 4:].max() == 0.0     # padded keys
+
+    def test_float64_mask_bias_keeps_float32(self):
+        y, grads = _run(_attention_case(ad.attention_core, 0.15),
+                           [(2, 6, 12)] * 3, np.float32)
+        assert _MASK_BIAS.dtype == np.float64
+        assert y.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32] * 3
+
+    def test_nan_score_rejected(self):
+        q, k, v = (Tensor(_rand((2, 6, 12), i)) for i in range(3))
+        q.data[1, 2, 0] = np.nan
+        with pytest.raises(ad.NumericalError, match="NaN"):
+            ad.attention_core(q, k, v, 2, _MASK_BIAS, 0.0, None)
+
+    def test_nan_score_diverges_a_training_step(self):
+        from bertfit.optim import Adam, DivergedError, ParameterGroup, \
+            train_step
+        w = Tensor(_rand((12, 12), 1), name="w")
+        x = Tensor(_rand((2, 6, 12), 2))
+        x.data[0, 0, 0] = np.nan
+        opt = Adam([ParameterGroup(depth=0, params=[w])])
+
+        def loss_fn():
+            h = ad.matmul(x, w)
+            return (ad.tsum(ad.attention_core(h, h, h, 2, _MASK_BIAS, 0.0,
+                                              None)[0]),)
+
+        with pytest.raises(DivergedError, match="NaN"):
+            train_step(opt, loss_fn, [w], {0: 1e-2})
+        assert w.grad is None and opt.t == 0
 
 
 class TestBackward:

@@ -310,6 +310,20 @@ class TestCli:
         assert "steps per task" in out
         assert out.count("val error") == 2
 
+    def test_multitask_rejects_hierarchical_recipe(self, workspace, capsys):
+        root, raw = workspace
+        tasks = [{"name": "a", "train": raw["data"]["train"],
+                  "n_classes": 2},
+                 {"name": "b", "train": raw["data"]["test"],
+                  "n_classes": 2}]
+        recipe = {**raw["recipe"], "long_text": "hier_mean", "max_len": 10}
+        cfg = write_config(root, raw, name="hier_mt.json", recipe=recipe,
+                           multitask={"tasks": tasks})
+        assert main(["multitask", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multitask: ")
+        assert "'hier_mean' is hierarchical" in err
+
     def test_grid_command(self, workspace, tmp_path, capsys):
         root, raw = workspace
         cfg = write_config(root, raw, name="grid.json",

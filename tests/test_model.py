@@ -7,13 +7,8 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            class_logits, classify, encode_batch, init_model,
                            mlm_logits, nsp_logits, select_features)
 from bertfit.rng import Rng
-
-
-def param_count_closed_form(L, H, A, F, V, P):
-    emb = V * H + P * H + 2 * H + 2 * H
-    per_block = 4 * (H * H + H) + 2 * H + (H * F + F) + (F * H + H) + 2 * H
-    heads = (H * H + H) + 2 * H + V + (H * 2 + 2)
-    return emb + L * per_block + heads
+from test_autodiff import (unfused_add_layer_norm, unfused_attention,
+                           unfused_linear)
 
 
 class TestInit:
@@ -22,13 +17,6 @@ class TestInit:
         b = init_model(toy_config, Rng(5))
         for k in a.params:
             assert (a.params[k].data == b.params[k].data).all()
-
-    def test_param_count_matches_arithmetic(self):
-        cfg = EncoderConfig(n_layers=2, hidden=32, n_heads=2, ffn=128,
-                            vocab_size=100, max_positions=64, dropout=0.0)
-        model = init_model(cfg, Rng(0))
-        assert model.param_count() == param_count_closed_form(
-            2, 32, 2, 128, 100, 64)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +58,19 @@ class TestEncode:
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         # no weight on padded keys
         assert probs[0, :, :, 4:].max() < 1e-8
+
+    def test_train_mode_attention_rows_sum_to_one(self, toy_config,
+                                                  toy_batch):
+        ids, segs, mask, _ = toy_batch
+        toy_config.dropout = 0.3
+        model = init_model(toy_config, Rng(0))
+        model.dropout_rng = Rng(1)
+        _, attn = encode_batch(model, ids, segs, mask, mode="train",
+                               return_attn=True)
+        for probs in attn:
+            np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0,
+                                       rtol=1e-12)
+            assert probs.data[0, :, :, 4:].max() < 1e-8
 
     def test_too_long_rejected(self, toy_model):
         S = toy_model.config.max_positions + 1
@@ -215,3 +216,83 @@ class TestGradCheckFullModel:
 
         err = ad.grad_check(f, params, h=2e-3, samples=40, order=4)
         assert err < 1e-6
+
+
+def _unfused_encode(model, ids, segs, mask):
+    """Train-mode encode_batch on the chain of single ops it replaced."""
+    cfg, p, rng = model.config, model.params, model.dropout_rng
+    pd = cfg.dropout
+    B, S = ids.shape
+    pos = np.broadcast_to(np.arange(S), (B, S))
+    x = unfused_add_layer_norm(
+        ad.add(ad.embedding(p["emb.tok"], ids),
+               ad.embedding(p["emb.pos"], pos)),
+        ad.embedding(p["emb.seg"], segs), p["emb.ln_g"], p["emb.ln_b"])
+    x = ad.dropout(x, pd, rng)
+    mask_bias = (1.0 - mask[:, None, None, :]) * -1e9
+    outputs = [x]
+    for i in range(cfg.n_layers):
+        b = f"block{i}."
+        q, k, v = (unfused_linear(x, p[b + "w" + n], p[b + "b" + n])
+                   for n in "qkv")
+        ctx, _ = unfused_attention(q, k, v, cfg.n_heads, mask_bias, pd, rng)
+        a = ad.dropout(unfused_linear(ctx, p[b + "wo"], p[b + "bo"]), pd, rng)
+        x = unfused_add_layer_norm(x, a, p[b + "attn_ln_g"],
+                                   p[b + "attn_ln_b"])
+        h = ad.gelu(unfused_linear(x, p[b + "ffn_w1"], p[b + "ffn_b1"]))
+        h = ad.dropout(unfused_linear(h, p[b + "ffn_w2"], p[b + "ffn_b2"]),
+                       pd, rng)
+        x = unfused_add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
+        outputs.append(x)
+    return outputs
+
+
+class TestFusedBlock:
+    """A block on the fused ops: few tape records, none of attention size,
+    and the bits of the unfused block."""
+
+    def _model(self, dtype, n_layers=2):
+        cfg = EncoderConfig(n_layers=n_layers, hidden=12, n_heads=2,
+                            vocab_size=30, max_positions=16, dropout=0.1,
+                            dtype=dtype)
+        model = init_model(cfg, Rng(0))
+        model.dropout_rng = Rng(1)
+        return model
+
+    def test_at_most_12_ops_per_block_and_none_attention_sized(
+            self, toy_batch):
+        ids, segs, mask, _ = toy_batch
+        n_records = []
+        for n_layers in (1, 2):
+            model = self._model("f4", n_layers)
+            with Tape() as tape:
+                encode_batch(model, ids, segs, mask, mode="train")
+            n_records.append(len(tape.records))
+            B, S = ids.shape
+            attn_shape = (B, model.config.n_heads, S, S)
+            assert all(r.out.shape != attn_shape for r in tape.records)
+        assert n_records[1] - n_records[0] <= 12
+
+    @pytest.mark.parametrize("dtype", ["f4", "f8"])
+    def test_bitwise_as_unfused(self, toy_batch, dtype):
+        ids, segs, mask, labels = toy_batch
+        model = self._model(dtype)
+        params = model.parameters()
+        runs = []
+        for encode in (
+                lambda: encode_batch(model, ids, segs, mask, mode="train"),
+                lambda: _unfused_encode(model, ids, segs, mask)):
+            model.dropout_rng = Rng(1)
+            for t in params:
+                t.zero_grad()
+            with Tape() as tape:
+                outs = encode()
+                mlm = mlm_logits(model, outs, rows=np.array([1, 2, 8]))
+                loss = ad.add(
+                    ad.cross_entropy(mlm, np.array([4, 9, 11])),
+                    ad.cross_entropy(nsp_logits(model, outs), labels % 2))
+            ad.backward(tape, loss, parameters=params)
+            runs.append(([o.data for o in outs], [t.grad for t in params]))
+        (outs, grads), (outs_ref, grads_ref) = runs
+        assert all(np.array_equal(a, b) for a, b in zip(outs, outs_ref))
+        assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))

@@ -56,3 +56,16 @@ def load_checkpoint(path):
             buf = fh.read(count * dt.itemsize)
             out[entry["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
     return header["meta"], out
+
+
+def load_into(named: dict, arrays: dict):
+    """Install `arrays` into the same-named tensors of `named`, ignoring extra
+    arrays; a missing, misshaped or mistyped one raises ValueError first."""
+    for name, p in named.items():
+        a = arrays.get(name)
+        if a is None or a.shape != p.shape or a.dtype != p.data.dtype:
+            found = "missing" if a is None else f"{a.dtype.name} {a.shape}"
+            raise ValueError(f"checkpoint tensor {name!r} is {found}; the "
+                             f"model's is {p.data.dtype.name} {p.shape}")
+    for name, p in named.items():
+        p.data = arrays[name]

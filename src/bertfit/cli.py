@@ -13,9 +13,10 @@ import json
 import os
 import sys
 
+from .checkpoint import load_checkpoint, load_into, save_checkpoint
 from .config import ExperimentConfig
 from .data import load_dataset, split_validation, subsample
-from .model import ClassifierHead, LayerSelection, init_model
+from .model import init_model, named_tensors
 from .optim import StlrSchedule
 from .rng import Rng
 from .tokenizer import RESERVED, Vocabulary, build_vocab
@@ -87,31 +88,37 @@ def cmd_subsample(args):
     return 0
 
 
+def _install_checkpoint(command, path, named, raw, vocab):
+    """Install checkpoint `path` into the `named` tensors; exit code 2 if
+    its vocab_hash or a tensor does not match, else None."""
+    meta, arrays = load_checkpoint(path)
+    saved_hash = meta.get("vocab_hash")
+    if saved_hash is not None and saved_hash != vocab.content_hash():
+        return _usage_error(
+            command, f"checkpoint vocab_hash {saved_hash} does not match "
+            f"the config vocabulary {raw['vocab']} ({vocab.content_hash()})")
+    try:
+        load_into(named, arrays)
+    except ValueError as e:
+        return _usage_error(command, f"{path}: {e}")
+
+
 def cmd_finetune(args):
-    from .training import MetricsLog, finetune, prepare_inputs
-    from .longtext import FractionCombiner
-    from .checkpoint import save_checkpoint
+    from .training import MetricsLog, build_model, finetune, prepare_inputs
     raw, exp, vocab = _setup(args)
     train_full, test = _load_data_section(raw)
     if exp.few_shot_proportion < 1.0:
         train_full = subsample(train_full, exp.few_shot_proportion, exp.seed)
     train, val = split_validation(train_full, exp.validation_fraction,
                                   exp.seed)
-    rng = Rng(exp.seed)
-    model = init_model(exp.model, rng.derive(1))
-    if raw.get("init_checkpoint"):
-        _load_into(model, raw["init_checkpoint"])
     recipe = exp.recipe
-    combiner = None
-    if recipe.combiner_kind:
-        combiner = FractionCombiner.init(recipe.combiner_kind,
-                                         exp.model.hidden, rng.derive(3),
-                                         dtype=exp.model.np_dtype)
-        recipe.layer_selection = LayerSelection()  # hierarchical: top [CLS]
-    width = recipe.layer_selection.feature_width(exp.model.hidden,
-                                                 exp.model.n_layers)
-    head = ClassifierHead.init(width, train.n_classes, rng.derive(2),
-                               dtype=exp.model.np_dtype)
+    model, head, combiner = build_model(exp.model, recipe, train.n_classes,
+                                        Rng(exp.seed))
+    if raw.get("init_checkpoint"):
+        code = _install_checkpoint("finetune", raw["init_checkpoint"],
+                                   named_tensors(model), raw, vocab)
+        if code:
+            return code
     metrics = MetricsLog(args.metrics_out, strict=exp.strict_deterministic)
     res = finetune(model, head,
                    prepare_inputs(train, vocab, recipe),
@@ -122,10 +129,8 @@ def cmd_finetune(args):
                    metrics=metrics)
     metrics.close()
     if args.checkpoint_out:
-        tensors = dict(model.named_parameters())
-        tensors["classifier.W"] = head.W
-        tensors["classifier.b"] = head.b
-        save_checkpoint(args.checkpoint_out, tensors,
+        save_checkpoint(args.checkpoint_out,
+                        named_tensors(model, [head, combiner]),
                         meta={"config": exp.model.to_dict(),
                               "vocab_hash": vocab.content_hash(),
                               "step": recipe.train_steps})
@@ -135,14 +140,6 @@ def cmd_finetune(args):
            if res.test_error is not None else ""))
     print(f"finetune [{train.name}]: {status}")
     return 0
-
-
-def _load_into(model, path):
-    from .checkpoint import load_checkpoint
-    _, tensors = load_checkpoint(path)
-    for name, p in model.params.items():
-        if name in tensors:
-            p.data = tensors[name].astype(p.data.dtype)
 
 
 def cmd_pretrain(args):
@@ -219,26 +216,19 @@ def cmd_multitask(args):
 
 
 def cmd_eval(args):
-    from .checkpoint import load_checkpoint
-    from .training import evaluate, prepare_inputs
+    from .training import build_model, evaluate, prepare_inputs
     raw, exp, vocab = _setup(args)
     try:
         exp.recipe.require_flat("bertfit eval")
     except ValueError as e:
         return _usage_error("eval", e)
-    meta, tensors = load_checkpoint(args.checkpoint)
-    saved_hash = meta.get("vocab_hash")
-    if saved_hash is not None and saved_hash != vocab.content_hash():
-        return _usage_error(
-            "eval", f"checkpoint vocab_hash {saved_hash} does not match "
-            f"the config vocabulary {raw['vocab']} ({vocab.content_hash()})")
-    model = init_model(exp.model, Rng(exp.seed))
-    for name, p in model.params.items():
-        p.data = tensors[name].astype(p.data.dtype)
-    from .autodiff import Tensor
-    head = ClassifierHead(W=Tensor(tensors["classifier.W"]),
-                          b=Tensor(tensors["classifier.b"]))
     ds, test = _load_data_section(raw)
+    model, head, _ = build_model(exp.model, exp.recipe, ds.n_classes,
+                                 Rng(exp.seed))
+    code = _install_checkpoint("eval", args.checkpoint,
+                               named_tensors(model, [head]), raw, vocab)
+    if code:
+        return code
     target = test or ds
     inputs = prepare_inputs(target, vocab, exp.recipe)
     err, loss = evaluate(model, head, inputs, exp.recipe)

@@ -3,8 +3,8 @@
 `run_grid` trains one seeded run per (base_lr, decay_factor) cell and
 emits a TSV report; `run_lr_sweep` produces per-epoch train/test learning
 curves for a list of learning rates. Diverged runs (NaN loss) are recorded
-as "diverged", never raised. Both build no fraction combiner, so they
-reject hierarchical (`hier_*`) recipes up front.
+as "diverged", never raised. Both train without a fraction combiner, so
+they reject hierarchical (`hier_*`) recipes up front.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, replace
 
 from .config import TrainingRecipe
-from .model import ClassifierHead, EncoderConfig, init_model
+from .model import EncoderConfig
 from .rng import Rng
-from .training import evaluate, finetune, prepare_inputs
+from .training import build_model, evaluate, finetune, prepare_inputs
 
 TABLE4_LRS = (2.5e-5, 2.0e-5)
 TABLE4_XIS = (1.00, 0.95, 0.90, 0.85)
@@ -33,13 +33,9 @@ class GridCell:
 
 def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe,
               train_inputs, val_inputs, test_inputs, eval_hook=None):
-    rng = Rng(recipe.seed)
-    model = init_model(model_config, rng.derive(1))
-    width = recipe.layer_selection.feature_width(
-        model_config.hidden, model_config.n_layers)
     n_classes = max(s.label for s in train_inputs) + 1
-    head = ClassifierHead.init(width, n_classes, rng.derive(2),
-                               dtype=model_config.np_dtype)
+    model, head, _ = build_model(model_config, recipe, n_classes,
+                                 Rng(recipe.seed))
     return finetune(model, head, train_inputs, val_inputs, recipe,
                     test_inputs=test_inputs, eval_hook=eval_hook)
 

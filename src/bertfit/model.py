@@ -9,7 +9,8 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +47,7 @@ class EncoderConfig:
         return np.float64 if self.dtype == "f8" else np.float32
 
     def to_dict(self):
-        return {
-            "n_layers": self.n_layers, "hidden": self.hidden,
-            "n_heads": self.n_heads, "ffn": self.ffn,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions, "dropout": self.dropout,
-            "n_segments": self.n_segments, "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -105,7 +100,27 @@ class EncoderModel:
         return list(self.params.values())
 
     def named_parameters(self):
-        return dict(self.params)
+        return named_tensors(self)
+
+
+def named_tensors(model: EncoderModel, heads=()) -> dict[str, Tensor]:
+    """Every trained tensor by its own name: the model's, then those of each
+    head or combiner in `heads` (None skipped); ValueError on a repeat."""
+    named = {}
+    for owner in filter(None, (model, *heads)):
+        for p in owner.parameters():
+            if p.name in named:
+                raise ValueError(f"two trained tensors are named {p.name!r}")
+            named[p.name] = p
+    return named
+
+
+def depth_of(name: str, n_layers: int) -> int:
+    """Embeddings at depth 0, block i at i+1, every other tensor on top."""
+    if name.startswith("emb."):
+        return 0
+    m = re.match(r"block(\d+)\.", name)
+    return int(m.group(1)) + 1 if m else n_layers + 1
 
 
 def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
@@ -193,7 +208,8 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
                    for n in "qkv")
         ctx, probs = ad.attention_core(q, k, v, cfg.n_heads, mask_bias,
                                        p_drop, rng)
-        attn_probs.append(probs)
+        if return_attn:
+            attn_probs.append(probs)
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
         x = ad.add_layer_norm(x, ad.dropout(attn_out, p_drop, rng),
                               p[b + "attn_ln_g"], p[b + "attn_ln_b"])
@@ -244,7 +260,7 @@ class ClassifierHead:
 
     @classmethod
     def init(cls, in_width: int, n_classes: int, rng: Rng, dtype=np.float32,
-             name="cls"):
+             name="classifier"):
         return cls(
             W=Tensor(rng.truncated_normal((in_width, n_classes), 0.02,
                                           dtype=dtype), name=f"{name}.W"),
@@ -252,10 +268,6 @@ class ClassifierHead:
 
     def parameters(self):
         return [self.W, self.b]
-
-    @property
-    def n_classes(self):
-        return self.W.shape[1]
 
 
 def class_logits(features: Tensor, head: ClassifierHead) -> Tensor:

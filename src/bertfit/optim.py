@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-
-
-class NanGradientError(RuntimeError):
-    """Raised when a gradient goes NaN; names the offending tensor."""
+from .model import depth_of, named_tensors
 
 
 class DivergedError(RuntimeError):
@@ -28,7 +25,6 @@ class DivergedError(RuntimeError):
 class ParameterGroup:
     depth: int
     params: list
-    multiplier: float = 1.0
 
 
 @dataclass
@@ -72,27 +68,12 @@ def stlr(step: int, total_steps: int, warmup: float, peak: float) -> float:
 
 
 def group_parameters(model, extra_heads=None) -> list[ParameterGroup]:
-    """Partition model parameters by depth prefix.
-
-    `extra_heads` (task classifiers, fraction combiners, ...) join the
-    heads group at depth L+1. Every tensor lands in exactly one group.
-    """
+    """Partition `named_tensors(model, extra_heads)` by `depth_of`; task
+    classifiers and fraction combiners join the heads at depth L+1."""
     L = model.config.n_layers
     groups = {d: [] for d in range(L + 2)}
-    for name, p in model.params.items():
-        if name.startswith("emb."):
-            groups[0].append(p)
-        elif name.startswith("block"):
-            i = int(name[5:name.index(".")])
-            groups[i + 1].append(p)
-        elif name.startswith("head."):
-            groups[L + 1].append(p)
-        else:
-            raise ValueError(f"cannot place parameter {name!r}")
-    if extra_heads:
-        for h in extra_heads:
-            groups[L + 1].extend(h.parameters() if hasattr(h, "parameters")
-                                 else [h])
+    for name, p in named_tensors(model, extra_heads or ()).items():
+        groups[depth_of(name, L)].append(p)
     return [ParameterGroup(depth=d, params=groups[d]) for d in sorted(groups)]
 
 
@@ -140,7 +121,7 @@ class Adam:
                 if grad is None:
                     continue
                 if np.isnan(grad).any():
-                    raise NanGradientError(
+                    raise DivergedError(
                         f"NaN gradient in parameter {p.name or id(p)}")
                 m = self.m[id(p)]
                 v = self.v[id(p)]
@@ -196,7 +177,7 @@ def train_step(opt: Adam, loss_fn, params, rates: dict[int, float]):
         opt.zero_grad()
         ad.backward(tape, loss, parameters=params)
         opt.step(rates)
-    except (NanGradientError, ad.NumericalError) as e:
+    except ad.NumericalError as e:
         raise DivergedError(str(e)) from e
     opt.last_tape = tape
     return out

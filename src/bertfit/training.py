@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import load_into
 from .config import TrainingRecipe
 from .data import Dataset
 from .longtext import FractionCombiner, chunk, combine, truncate
-from .model import (ClassifierHead, EncoderModel, class_logits, encode_batch,
+from .model import (ClassifierHead, EncoderConfig, EncoderModel,
+                    class_logits, encode_batch, init_model, named_tensors,
                     select_features)
 from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
                     group_parameters, layer_rates, train_step)
@@ -146,6 +148,21 @@ class BatchCursor:
         return batch
 
 
+def build_model(model_config: EncoderConfig, recipe: TrainingRecipe,
+                n_classes: int, rng: Rng):
+    """(model, head, combiner) from `rng.derive(1)`, `(2)` and `(3)`; a
+    hierarchical recipe pools top [CLS] vectors, else the combiner is None."""
+    H, dt = model_config.hidden, model_config.np_dtype
+    kind = recipe.combiner_kind
+    width = H if kind else recipe.layer_selection.feature_width(
+        H, model_config.n_layers)
+    model = init_model(model_config, rng.derive(1))
+    head = ClassifierHead.init(width, n_classes, rng.derive(2), dtype=dt)
+    combiner = FractionCombiner.init(kind, H, rng.derive(3), dtype=dt) \
+        if kind else None
+    return model, head, combiner
+
+
 def recipe_optimizer(model: EncoderModel, heads, recipe: TrainingRecipe):
     """Adam over the model and `heads`, and the recipe's rates at a step."""
     groups = group_parameters(model, extra_heads=heads)
@@ -195,14 +212,16 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     """Train with STLR + layer-wise rates; keep the best validation model.
 
     `train_inputs` etc. come from :func:`prepare_inputs`. Returns a
-    FinetuneResult whose model/head hold the best-validation parameters.
+    FinetuneResult whose model, head and combiner hold the best-validation
+    parameters.
     """
     rng = Rng(recipe.seed)
     model.dropout_rng = rng.derive(0xD0)
     cursor = BatchCursor(train_inputs, rng.derive(0x0E))
-    heads = [head] + ([combiner] if combiner is not None else [])
+    heads = [head, combiner]
     opt, rates_at = recipe_optimizer(model, heads, recipe)
-    params = model.parameters() + [p for h in heads for p in h.parameters()]
+    named = named_tensors(model, heads)
+    params = list(named.values())
     top = model.config.n_layers + 1
     steps_per_epoch = max(1, recipe.train_steps // recipe.epochs)
 
@@ -244,10 +263,10 @@ def finetune(model: EncoderModel, head: ClassifierHead,
             if eval_hook:
                 eval_hook(epoch, step, model, head)
             if val_err < best["error"]:   # strict <: ties keep the earliest
-                best.update(error=val_err, epoch=epoch, params=_snapshot(
-                    model, heads))
+                best.update(error=val_err, epoch=epoch, params={
+                    k: p.data.copy() for k, p in named.items()})
     if best["params"] is not None:
-        _restore(model, heads, best["params"])
+        load_into(named, best["params"])
     test_error = None
     if test_inputs is not None and not diverged:
         test_error, test_loss = evaluate(model, head, test_inputs, recipe,
@@ -259,18 +278,3 @@ def finetune(model: EncoderModel, head: ClassifierHead,
         test_error=test_error, diverged=diverged, history=history,
         model=model, head=head, combiner=combiner)
 
-
-def _snapshot(model, heads):
-    snap = {f"model.{k}": v.data.copy() for k, v in model.params.items()}
-    for i, h in enumerate(heads):
-        for j, p in enumerate(h.parameters()):
-            snap[f"head{i}.{j}"] = p.data.copy()
-    return snap
-
-
-def _restore(model, heads, snap):
-    for k, v in model.params.items():
-        v.data = snap[f"model.{k}"].copy()
-    for i, h in enumerate(heads):
-        for j, p in enumerate(h.parameters()):
-            p.data = snap[f"head{i}.{j}"].copy()

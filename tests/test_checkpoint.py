@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from bertfit.checkpoint import load_checkpoint, save_checkpoint
+from bertfit.checkpoint import load_checkpoint, load_into, save_checkpoint
 from bertfit.model import EncoderConfig, init_model
 from bertfit.rng import Rng
 
@@ -55,3 +56,33 @@ class TestRoundTrip:
         assert header["meta"] == {"k": "v"}
         assert header["tensors"][0]["name"] == "x"
         assert len(raw) == 8 + hlen + 2 * 4
+
+
+class TestLoadInto:
+    def _model(self, seed):
+        cfg = EncoderConfig(n_layers=1, hidden=8, n_heads=2, vocab_size=20,
+                            max_positions=8, dropout=0.0)
+        return init_model(cfg, Rng(seed))
+
+    def test_installs_every_tensor(self, tmp_path):
+        src, dst = self._model(1), self._model(2)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, src.named_parameters())
+        load_into(dst.named_parameters(), load_checkpoint(path)[1])
+        for k, p in src.params.items():
+            assert p.data.tobytes() == dst.params[k].data.tobytes()
+
+    @pytest.mark.parametrize("change, found", [
+        (lambda a: a.pop("block0.wq"), "missing"),
+        (lambda a: a.update({"block0.wq": np.zeros((8, 4), np.float32)}),
+         r"float32 \(8, 4\)"),
+        (lambda a: a.update({"block0.wq": np.zeros((8, 8))}),
+         r"float64 \(8, 8\)")])
+    def test_mismatch_named_and_nothing_installed(self, change, found):
+        src, dst = self._model(1), self._model(2)
+        arrays = {k: p.data.copy() for k, p in src.params.items()}
+        change(arrays)
+        before = {k: p.data for k, p in dst.params.items()}
+        with pytest.raises(ValueError, match=f"'block0.wq' is {found}"):
+            load_into(dst.named_parameters(), arrays)
+        assert all(dst.params[k].data is a for k, a in before.items())

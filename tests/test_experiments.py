@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from bertfit.checkpoint import load_checkpoint, save_checkpoint
@@ -249,6 +250,97 @@ class TestCli:
         save_checkpoint(ckpt, tensors, meta=meta)
         assert main(["eval", "--config", other_cfg,
                      "--checkpoint", str(ckpt)]) == 0
+
+    def test_eval_rejects_classifier_width_mismatch(self, workspace,
+                                                    tmp_path, capsys):
+        root, raw = workspace
+        cfg = write_config(root, raw)
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        meta, tensors = load_checkpoint(ckpt)
+        tensors["classifier.W"] = np.zeros((32, 2), np.float32)
+        save_checkpoint(ckpt, tensors, meta=meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eval: ") and "'classifier.W'" in err
+        assert "(32, 2)" in err and "(16, 2)" in err
+
+    @pytest.mark.parametrize("change", ["missing", "shape"])
+    def test_init_checkpoint_tensor_mismatch(self, workspace, tmp_path,
+                                             capsys, change):
+        root, raw = workspace
+        ckpt = tmp_path / "init.ckpt"
+        assert main(["finetune", "--config", write_config(root, raw),
+                     "--checkpoint-out", str(ckpt)]) == 0
+        meta, tensors = load_checkpoint(ckpt)
+        if change == "missing":
+            del tensors["block0.wq"]
+        else:
+            tensors["block0.wq"] = np.zeros((8, 8), np.float32)
+        save_checkpoint(ckpt, tensors, meta=meta)
+        cfg = write_config(root, raw, name="init.json",
+                           init_checkpoint=str(ckpt))
+        metrics = tmp_path / "m.jsonl"
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg,
+                     "--metrics-out", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("finetune: ") and "'block0.wq'" in err
+        assert not metrics.exists()
+
+    def test_init_checkpoint_checks_vocab_hash(self, workspace, tmp_path,
+                                               capsys):
+        root, raw = workspace
+        ckpt = tmp_path / "init.ckpt"
+        assert main(["finetune", "--config", write_config(root, raw),
+                     "--checkpoint-out", str(ckpt)]) == 0
+        meta, tensors = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, tensors, meta={**meta, "vocab_hash": "0" * 8})
+        cfg = write_config(root, raw, name="init_vocab.json",
+                           init_checkpoint=str(ckpt))
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        vocab_hash = Vocabulary.load(raw["vocab"]).content_hash()
+        assert "0" * 8 in err and vocab_hash in err
+
+    def test_init_checkpoint_hands_off_pretrained_encoder(
+            self, workspace, tmp_path, capsys):
+        root, raw = workspace
+        cfg = write_config(root, raw, name="pt_init.json",
+                           pretrain={"corpus": str(root / "corpus.txt"),
+                                     "steps": 2, "lr": 1e-3,
+                                     "batch_size": 4, "max_len": 16})
+        assert main(["pretrain", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        init = tmp_path / "pretrain_step2.ckpt"
+        # rate 0: fine-tuning leaves the loaded encoder as it was
+        cfg = write_config(root, raw, name="ft_init.json",
+                           init_checkpoint=str(init),
+                           recipe={**raw["recipe"], "base_lr": 0.0})
+        out = tmp_path / "ft.ckpt"
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(out)]) == 0
+        _, pretrained = load_checkpoint(init)
+        _, finetuned = load_checkpoint(out)
+        for name, arr in pretrained.items():
+            assert finetuned[name].tobytes() == arr.tobytes(), name
+
+    def test_hier_attn_checkpoint_holds_combiner(self, workspace, tmp_path,
+                                                 capsys):
+        root, raw = workspace
+        recipe = {**raw["recipe"], "long_text": "hier_attn", "max_len": 10}
+        cfg = write_config(root, raw, name="hier_ckpt.json", recipe=recipe)
+        ckpt = tmp_path / "hier.ckpt"
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        _, tensors = load_checkpoint(ckpt)
+        assert list(tensors)[-5:] == ["classifier.W", "classifier.b",
+                                      "combiner.q", "combiner.wk",
+                                      "combiner.wv"]
+        assert tensors["combiner.wk"].shape == (16, 16)
 
     def test_pretrain_smoke(self, workspace, tmp_path, capsys):
         root, raw = workspace

@@ -1,11 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from bertfit import autodiff as ad
 from bertfit.autodiff import Tape, Tensor
+from bertfit.longtext import FractionCombiner
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
-                           class_logits, classify, encode_batch, init_model,
-                           mlm_logits, nsp_logits, select_features)
+                           class_logits, classify, depth_of, encode_batch,
+                           init_model, mlm_logits, named_tensors, nsp_logits,
+                           select_features)
 from bertfit.rng import Rng
 from test_autodiff import (unfused_add_layer_norm, unfused_attention,
                            unfused_linear)
@@ -71,6 +75,29 @@ class TestEncode:
             np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0,
                                        rtol=1e-12)
             assert probs.data[0, :, :, 4:].max() < 1e-8
+
+    def test_eval_keeps_no_attention_probs_unasked(self, toy_config,
+                                                   toy_batch, monkeypatch):
+        # unasked, no block's probabilities outlive the block after it
+        toy_config.n_layers = 3
+        model = init_model(toy_config, Rng(0))
+        ids, segs, mask, _ = toy_batch
+        refs, alive = [], []
+        core = ad.attention_core
+
+        def spy(*args):
+            alive.append(sum(r() is not None for r in refs))
+            ctx, probs = core(*args)
+            refs.append(weakref.ref(probs.data))
+            return ctx, probs
+
+        monkeypatch.setattr(ad, "attention_core", spy)
+        encode_batch(model, ids, segs, mask)
+        assert alive == [0, 1, 1]
+        alive.clear()
+        refs.clear()
+        _, attn = encode_batch(model, ids, segs, mask, return_attn=True)
+        assert alive == [0, 1, 2] and len(attn) == 3
 
     def test_too_long_rejected(self, toy_model):
         S = toy_model.config.max_positions + 1
@@ -296,3 +323,27 @@ class TestFusedBlock:
         (outs, grads), (outs_ref, grads_ref) = runs
         assert all(np.array_equal(a, b) for a, b in zip(outs, outs_ref))
         assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))
+
+
+class TestNamedTensors:
+    def test_model_then_heads_in_order(self, toy_model):
+        head = ClassifierHead.init(8, 3, Rng(1))
+        comb = FractionCombiner.init("attn", 8, Rng(2))
+        named = named_tensors(toy_model, [head, None, comb])
+        assert list(named) == list(toy_model.params) + [
+            "classifier.W", "classifier.b",
+            "combiner.q", "combiner.wk", "combiner.wv"]
+        assert all(named[k] is p for k, p in toy_model.params.items())
+        assert named["classifier.W"] is head.W
+
+    def test_duplicate_name_rejected(self, toy_model):
+        heads = [ClassifierHead.init(8, 3, Rng(1)),
+                 ClassifierHead.init(8, 2, Rng(2))]
+        with pytest.raises(ValueError, match="classifier.W"):
+            named_tensors(toy_model, heads)
+
+    def test_depth_rule(self):
+        assert [depth_of(n, 12) for n in (
+            "emb.tok", "block0.wq", "block11.ffn_w1", "head.mlm_w",
+            "classifier.W", "combiner.q", "task.a.W")] == \
+            [0, 1, 12, 13, 13, 13, 13]

@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from bertfit import training
 from bertfit.config import TrainingRecipe
 from bertfit.data import split_validation
 from bertfit.longtext import ChunkedDocument, FractionCombiner
-from bertfit.model import ClassifierHead, EncoderConfig, init_model
+from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
+                           init_model, named_tensors)
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 from bertfit.training import (BatchCursor, MetricsLog, MetricsRecord,
-                              evaluate, finetune, prepare_inputs)
+                              build_model, evaluate, finetune, prepare_inputs)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,29 @@ class TestFinetune:
         err, _ = evaluate(res.model, res.head, vi, recipe)
         assert err == pytest.approx(best)
 
+    def test_best_model_restores_combiner(self, tiny_config, small_task,
+                                          vocab, monkeypatch):
+        train, val, _ = small_task
+        recipe = tiny_recipe(long_text="hier_attn", max_len=10,
+                             train_steps=9, epochs=3)
+        model, head, comb = build_model(tiny_config, recipe, 2, Rng(0))
+        errors = iter([10.0, 20.0, 30.0])       # epoch 1 is the best
+        monkeypatch.setattr(training, "evaluate",
+                            lambda *args: (next(errors), 1.0))
+        seen = {}
+
+        def hook(epoch, step, m, h):
+            seen[epoch] = {p.name: p.data.copy() for p in comb.parameters()}
+
+        res = finetune(model, head, prepare_inputs(train, vocab, recipe),
+                       prepare_inputs(val, vocab, recipe), recipe,
+                       combiner=comb, eval_hook=hook)
+        assert res.best_epoch == 1
+        assert not np.array_equal(seen[1]["combiner.wk"],
+                                  seen[3]["combiner.wk"])
+        for p in comb.parameters():
+            assert p.data.tobytes() == seen[1][p.name].tobytes()
+
     def test_tie_keeps_earliest_epoch(self, tiny_config, small_task, vocab):
         train, val, _ = small_task
         recipe = tiny_recipe(train_steps=30, epochs=3, base_lr=0.0)
@@ -256,3 +281,28 @@ class TestFinetune:
                    (tmp_path / "metrics.jsonl").read_text().splitlines()]
         splits = {r["split"] for r in records}
         assert {"train", "validation"} <= splits
+
+
+@pytest.mark.parametrize("long_text, selection", [
+    ("head_only", LayerSelection()),
+    ("head_only", LayerSelection("all", -1, "concat")),
+    ("hier_attn", LayerSelection("all", -1, "concat"))])
+def test_build_model_matches_inline_construction(vocab, long_text,
+                                                 selection):
+    cfg = EncoderConfig(n_layers=2, hidden=16, n_heads=2,
+                        vocab_size=len(vocab), max_positions=16, dropout=0.0)
+    recipe = tiny_recipe(long_text=long_text, layer_selection=selection)
+    built = build_model(cfg, recipe, 3, Rng(7))
+    rng = Rng(7)
+    hier = long_text.startswith("hier_")
+    width = cfg.hidden if hier else selection.feature_width(cfg.hidden, 2)
+    inline = (init_model(cfg, rng.derive(1)),
+              ClassifierHead.init(width, 3, rng.derive(2), dtype=np.float32),
+              FractionCombiner.init("attn", cfg.hidden, rng.derive(3))
+              if hier else None)
+    assert (built[2] is None) == (not hier)
+    a, b = named_tensors(built[0], built[1:]), named_tensors(inline[0],
+                                                             inline[1:])
+    assert list(a) == list(b)
+    assert all(a[k].data.dtype == b[k].data.dtype
+               and a[k].data.tobytes() == b[k].data.tobytes() for k in a)

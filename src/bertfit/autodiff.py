@@ -6,24 +6,27 @@ active :class:`Tape` record a backward rule; :func:`backward` replays the
 tape in reverse and accumulates gradients into ``Tensor.grad``. Every op
 keeps its tensor input's dtype; constant operands are cast to it.
 
-Gradient contract: ``Tensor.grad`` may be a borrowed array -- the very
-array an op's backward rule passed on, which can be shared with other
-tensors' gradients (``add`` hands one array to both inputs; ``reshape``,
-``transpose`` and ``_unbroadcast`` pass views of theirs). So neither a
-backward rule nor an optimizer ever writes into a gradient in place: a
-second contribution replaces ``grad`` with a new sum. A first gradient
-keeps the layout (strides) of the tensor's data; one in another layout is
-copied into it.
+Gradient contract: after :func:`backward`, only leaves hold a gradient --
+parameters and other tensors no op produced. A recorded output's gradient
+is taken off it just before its backward rule runs, so an intermediate
+gradient lives only until the rule that consumes it has run. A
+``Tensor.grad`` may be a borrowed array -- the very array an op's backward
+rule passed on, which can be shared with other tensors' gradients (``add``
+hands one array to both inputs; ``reshape``, ``transpose`` and
+``_unbroadcast`` pass views of theirs). So neither a backward rule nor an
+optimizer ever writes into a gradient in place: a second contribution
+replaces ``grad`` with a new sum. A first gradient keeps the layout
+(strides) of the tensor's data; one in another layout is copied into it.
 
 Only the operations the encoder needs are provided; broadcasting is
 limited to trailing-dimension bias adds and batched matmul.
 
-What the tape keeps alive: every recorded output, and after backward its
-gradient, lives until the tape is dropped (a training step keeps the last
-tape until the next step starts), together with whatever its backward
-rule holds. So the transformer block runs on three fused ops with
-hand-written backward rules, which record one output where the unfused
-chain recorded several:
+What the tape keeps alive: every recorded output lives until the tape is
+dropped (a training step keeps the last tape until the next step starts),
+together with whatever its backward rule holds -- but not its gradient
+(see above), and dropout's rule holds a boolean mask. So the transformer
+block runs on three fused ops with hand-written backward rules, which
+record one output where the unfused chain recorded several:
 
 - ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
   one 2-d GEMM forward and one per weight and input gradient, the bias
@@ -158,10 +161,13 @@ def _accum(t: Tensor, g):
 
 
 def backward(tape: Tape, loss: Tensor, parameters=None):
-    """Populate grads of everything reachable from `loss` on `tape`.
+    """Populate the grads of the leaves reachable from `loss` on `tape`.
 
-    Parameters passed explicitly that the loss does not reach get exact
-    zero gradients.
+    Each record's output gradient is taken off the output before its rule
+    runs, so every recorded output ends with grad None and an intermediate
+    gradient is freed once consumed; records and their activations stay on
+    the tape. Parameters passed explicitly that the loss does not reach
+    get exact zero gradients.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -169,9 +175,9 @@ def backward(tape: Tape, loss: Tensor, parameters=None):
         raise ValueError("loss is not recorded on the tape")
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
-        if rec.out.grad is None:
-            continue
-        rec.backward_fn(rec.out.grad)
+        g, rec.out.grad = rec.out.grad, None
+        if g is not None:
+            rec.backward_fn(g)
     if parameters is not None:
         for p in parameters:
             if p.grad is None:
@@ -560,16 +566,25 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def dropout(x: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+    """Inverted dropout; identity when p == 0.
+
+    Keeps the boolean draw and the scale f(1) / f(1 - p) in x's dtype, and
+    builds output and gradient as (a * kept) * scale.
+    """
     if p <= 0.0:
         return x
-    keep = (rng.uniform(x.shape) >= p).astype(x.dtype)
-    keep *= x.dtype.type(1) / x.dtype.type(1 - p)
+    kept = rng.uniform(x.shape) >= p
+    keep_scale = x.dtype.type(1) / x.dtype.type(1 - p)
+
+    def masked(a):                  # a bool factor is exactly 1 or 0
+        out = a * kept
+        out *= keep_scale
+        return out
 
     def bwd(g):
-        _accum(x, g * keep)
+        _accum(x, masked(g))
 
-    return _make(x.data * keep, (x,), bwd)
+    return _make(masked(x.data), (x,), bwd)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
@@ -606,7 +621,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def bwd(g):
         p = np.exp(logp)
         p[rows, labels] -= 1.0
-        _accum(logits, g * p * inv_n)
+        np.multiply(g, p, out=p)
+        p *= inv_n
+        _accum(logits, p)
 
     return _make(out_data, (logits,), bwd)
 

@@ -88,10 +88,22 @@ def cmd_subsample(args):
     return 0
 
 
-def _install_checkpoint(command, path, named, raw, vocab):
-    """Install checkpoint `path` into the `named` tensors; exit code 2 if
-    its vocab_hash or a tensor does not match, else None."""
+# The EncoderConfig fields that shape the computation; dropout does not.
+_ARCH_FIELDS = ("n_layers", "hidden", "n_heads", "ffn", "vocab_size",
+                "max_positions", "n_segments", "dtype")
+
+
+def _install_checkpoint(command, path, named, raw, vocab, config):
+    """Install checkpoint `path` into the `named` tensors of a model built
+    from `config`; exit code 2 if its config meta, vocab_hash or a tensor
+    does not match, else None."""
     meta, arrays = load_checkpoint(path)
+    saved = meta.get("config", {})
+    for key in _ARCH_FIELDS:
+        if key in saved and saved[key] != getattr(config, key):
+            return _usage_error(
+                command, f"{path}: checkpoint config {key} {saved[key]!r} "
+                f"does not match the model's {getattr(config, key)!r}")
     saved_hash = meta.get("vocab_hash")
     if saved_hash is not None and saved_hash != vocab.content_hash():
         return _usage_error(
@@ -116,7 +128,8 @@ def cmd_finetune(args):
                                         Rng(exp.seed))
     if raw.get("init_checkpoint"):
         code = _install_checkpoint("finetune", raw["init_checkpoint"],
-                                   named_tensors(model), raw, vocab)
+                                   named_tensors(model), raw, vocab,
+                                   exp.model)
         if code:
             return code
     metrics = MetricsLog(args.metrics_out, strict=exp.strict_deterministic)
@@ -226,7 +239,8 @@ def cmd_eval(args):
     model, head, _ = build_model(exp.model, exp.recipe, ds.n_classes,
                                  Rng(exp.seed))
     code = _install_checkpoint("eval", args.checkpoint,
-                               named_tensors(model, [head]), raw, vocab)
+                               named_tensors(model, [head]), raw, vocab,
+                               exp.model)
     if code:
         return code
     target = test or ds

@@ -161,10 +161,12 @@ def train_step(opt: Adam, loss_fn, params, rates: dict[int, float]):
 
     `loss_fn()` runs the forward pass and returns a tuple whose first item
     is the scalar loss; the tuple is returned. A non-finite loss (nothing
-    updated), softmax input or gradient raises DivergedError. The tape is
-    kept on `opt` until the next step starts: freed at once, its memory
-    went back to glibc and the next step faulted it in again (marker
-    fine-tuning with validation every 16 steps ran ~25% slower).
+    updated), softmax input or gradient raises DivergedError. Backward
+    frees each intermediate gradient as it is consumed, but the tape, with
+    its activations, is kept on `opt` until the next step starts: freed at
+    once (or record by record during backward), its memory went back to
+    glibc and the next step faulted it in again (marker fine-tuning steps
+    ran ~15-25% slower).
     """
     opt.last_tape = None
     try:

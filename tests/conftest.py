@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bertfit import autodiff as ad
 from bertfit.model import EncoderConfig, init_model
 from bertfit.rng import Rng
 
@@ -25,14 +26,31 @@ def toy_batch():
     return ids, segs, mask, labels
 
 
-def tape_dtypes(tape):
-    """The set of dtypes of every recorded output and, after backward, of
-    every gradient held by a recorded output or input (parameters
-    included)."""
-    dtypes = set()
+def spy_gradients(tape):
+    """Wrap the backward rule of every record on `tape` so that it keeps
+    the gradient it is handed, since `backward` releases a record output's
+    gradient once its rule has run. Returns a dict, filled in by
+    `backward`, from each output's node_id to that gradient."""
+    handed = {}
     for rec in tape.records:
-        dtypes.add(rec.out.data.dtype)
-        for t in (rec.out, *rec.inputs):
+        def spy(g, rule=rec.backward_fn, node=rec.out.node_id):
+            handed[node] = g
+            rule(g)
+        rec.backward_fn = spy
+    return handed
+
+
+def tape_dtypes(tape, loss, parameters):
+    """Run backward from `loss` and return the set of dtypes of every
+    recorded output, every gradient handed to a backward rule and every
+    gradient a record input holds afterwards (leaves: parameters and
+    untaped inputs)."""
+    handed = spy_gradients(tape)
+    ad.backward(tape, loss, parameters=parameters)
+    dtypes = {rec.out.data.dtype for rec in tape.records}
+    dtypes.update(g.dtype for g in handed.values())
+    for rec in tape.records:
+        for t in rec.inputs:
             if t.grad is not None:
                 dtypes.add(t.grad.dtype)
     return dtypes

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bertfit import autodiff as ad
 from bertfit.autodiff import ShapeMismatchError, Tape, Tensor
 from bertfit.rng import Rng
+from conftest import spy_gradients
 
 
 def _rand(shape, seed=0):
@@ -412,10 +413,12 @@ class TestBackward:
             z = ad.mul(a, v)        # a's second use, differentiated last
             y = ad.add(a, b)        # hands one array to both a and b
             loss = ad.tsum(ad.add(ad.mul(y, w), z))
+        handed = spy_gradients(tape)
         ad.backward(tape, loss)
         assert np.array_equal(b.grad, w.data)
         assert np.array_equal(a.grad, w.data + v.data)
-        assert np.array_equal(y.grad, w.data)
+        assert np.array_equal(handed[y.node_id], w.data)
+        assert y.grad is None
 
     def test_first_gradient_keeps_the_data_layout(self):
         x = Tensor(_rand((2, 3, 4), 1), np.float64)
@@ -423,10 +426,24 @@ class TestBackward:
         with Tape() as tape:
             xt = ad.transpose(x, (0, 2, 1))
             loss = ad.tsum(ad.mul(xt, w))
+        handed = spy_gradients(tape)
         ad.backward(tape, loss)
         assert np.array_equal(x.grad, np.transpose(w.data, (0, 2, 1)))
         assert x.grad.strides == x.data.strides
-        assert xt.grad.strides == xt.data.strides
+        assert handed[xt.node_id].strides == xt.data.strides
+        assert xt.grad is None
+
+    def test_gradients_released_once_consumed(self):
+        a, b, c = (Tensor(_rand((3, 4), i), np.float64) for i in range(3))
+        orphan = Tensor([1.0], np.float64)
+        with Tape() as tape:
+            y = ad.add(ad.mul(a, b), a)
+            loss = ad.tsum(ad.gelu(ad.mul(y, c)))
+        ad.backward(tape, loss, parameters=[a, b, orphan])
+        assert all(rec.out.grad is None for rec in tape.records)
+        for leaf in (a, b, c):      # c is an untaped input, not a parameter
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        assert np.array_equal(orphan.grad, [0.0])
 
     def test_disconnected_parameter_gets_exact_zero(self):
         x = Tensor([2.0], np.float64)
@@ -509,3 +526,18 @@ class TestTapeMisc:
         logits = Tensor(np.zeros((4, 5)), np.float64)
         loss = ad.cross_entropy(logits, np.array([0, 1, 2, 3]))
         assert loss.item() == pytest.approx(np.log(5.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_grad_bitwise_as_before(self, dtype):
+        # the gradient is built in place; before, it was g * p * inv_n
+        x = Tensor(_rand((6, 9), 5) * 3.0, dtype)
+        labels = np.array([0, 8, 3, 3, 1, 5])
+        with Tape() as tape:
+            loss = ad.scale(ad.cross_entropy(x, labels), 0.37)
+        ad.backward(tape, loss)
+        z = x.data - x.data.max(axis=-1, keepdims=True)
+        p = np.exp(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+        p[np.arange(6), labels] -= 1.0
+        g = np.ones((), dtype) * 0.37
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, g * p * (dtype(1) / 6))

@@ -34,8 +34,7 @@ def _seqs(toy_batch):
 def _step_dtypes(loss_fn, params):
     with Tape() as tape:
         loss = loss_fn()
-    ad.backward(tape, loss, parameters=params)
-    return tape_dtypes(tape)
+    return tape_dtypes(tape, loss, params)
 
 
 def test_pretraining_path(model, toy_batch):

@@ -306,6 +306,36 @@ class TestCli:
         vocab_hash = Vocabulary.load(raw["vocab"]).content_hash()
         assert "0" * 8 in err and vocab_hash in err
 
+    @pytest.mark.parametrize("field,saved,model", [("n_layers", 3, 2),
+                                                   ("n_heads", 4, 2)])
+    def test_checkpoint_config_mismatch_rejected(self, workspace, tmp_path,
+                                                 capsys, field, saved, model):
+        root, raw = workspace
+        ckpt = tmp_path / "other.ckpt"
+        src = write_config(root, raw, name="src_arch.json",
+                           model={**raw["model"], field: saved})
+        assert main(["finetune", "--config", src,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        dst_model = {**raw["model"], field: model}
+        init_cfg = write_config(root, raw, name="init_arch.json",
+                                model=dst_model, init_checkpoint=str(ckpt))
+        eval_cfg = write_config(root, raw, name="eval_arch.json",
+                                model=dst_model)
+        runs = (["finetune", "--config", init_cfg],
+                ["eval", "--config", eval_cfg, "--checkpoint", str(ckpt)])
+        for argv in runs:
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]}: ")
+            assert f"{field} {saved}" in err and f"model's {model}" in err
+        # a checkpoint without the config meta still loads
+        meta, tensors = load_checkpoint(ckpt)
+        del meta["config"]
+        save_checkpoint(ckpt, tensors, meta=meta)
+        for argv in runs:
+            assert main(argv) == 0
+
     def test_init_checkpoint_hands_off_pretrained_encoder(
             self, workspace, tmp_path, capsys):
         root, raw = workspace

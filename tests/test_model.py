@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -323,6 +324,54 @@ class TestFusedBlock:
         (outs, grads), (outs_ref, grads_ref) = runs
         assert all(np.array_equal(a, b) for a, b in zip(outs, outs_ref))
         assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))
+
+
+class TestBackwardMemory:
+    """Backward releases each intermediate gradient once its consumer has
+    run; only leaves keep theirs."""
+
+    def _step(self):
+        cfg = EncoderConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=100,
+                            max_positions=32, dropout=0.1, dtype="f8")
+        model = init_model(cfg, Rng(0))
+        model.dropout_rng = Rng(1)
+        unreached = ClassifierHead.init(32, 3, Rng(2), dtype=np.float64)
+        g = np.random.default_rng(0)
+        ids = g.integers(5, 100, size=(8, 32))
+        rows = np.arange(0, ids.size, 7)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                outs = encode_batch(model, ids, np.zeros_like(ids),
+                                    np.ones_like(ids), mode="train")
+                mlm = mlm_logits(model, outs, rows=rows)
+                loss = ad.add(
+                    ad.cross_entropy(mlm, g.integers(0, 100, rows.size)),
+                    ad.cross_entropy(nsp_logits(model, outs),
+                                     np.arange(8) % 2))
+            forward, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            params = model.parameters() + unreached.parameters()
+            ad.backward(tape, loss, parameters=params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return tape, params, unreached, forward, peak
+
+    def test_only_leaves_keep_gradients(self):
+        tape, params, unreached, _, _ = self._step()
+        assert all(rec.out.grad is None for rec in tape.records)
+        assert all(p.grad is not None and p.grad.shape == p.shape
+                   for p in params)
+        assert all((p.grad == 0.0).all() for p in unreached.parameters())
+
+    def test_backward_peak_over_forward_is_bounded(self):
+        # Measured: backward's traced peak sits ~25% of the forward level
+        # above it (parameter gradients plus the few intermediate ones
+        # still live); keeping every intermediate gradient until the tape
+        # is dropped put it ~69% above.
+        _, _, _, forward, peak = self._step()
+        assert peak - forward < 0.4 * forward
 
 
 class TestNamedTensors:

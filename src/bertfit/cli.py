@@ -93,11 +93,17 @@ _ARCH_FIELDS = ("n_layers", "hidden", "n_heads", "ffn", "vocab_size",
                 "max_positions", "n_segments", "dtype")
 
 
-def _install_checkpoint(command, path, named, raw, vocab, config):
+def _install_checkpoint(command, path, named, raw, vocab, config,
+                        recipe=None):
     """Install checkpoint `path` into the `named` tensors of a model built
-    from `config`; exit code 2 if its config meta, vocab_hash or a tensor
-    does not match, else None."""
+    from `config`; exit code 2 if its config meta, vocab_hash, combiner
+    kind (given `recipe`) or a tensor does not match, else None."""
     meta, arrays = load_checkpoint(path)
+    kind = recipe and recipe.combiner_kind
+    if recipe and meta.get("combiner", kind) != kind:
+        return _usage_error(command, f"{path}: checkpoint combiner "
+                            f"{meta['combiner']!r} does not match the "
+                            f"config's {kind!r} ({recipe.long_text!r})")
     saved = meta.get("config", {})
     for key in _ARCH_FIELDS:
         if key in saved and saved[key] != getattr(config, key):
@@ -146,6 +152,7 @@ def cmd_finetune(args):
                         named_tensors(model, [head, combiner]),
                         meta={"config": exp.model.to_dict(),
                               "vocab_hash": vocab.content_hash(),
+                              "combiner": recipe.combiner_kind,
                               "step": recipe.train_steps})
     status = "diverged" if res.diverged else (
         f"best val error {res.best_val_error:.2f}%"
@@ -191,18 +198,12 @@ def cmd_pretrain(args):
 def cmd_multitask(args):
     from .multitask import (MixingStrategy, MultiTaskModel,
                             multitask_finetune, per_task_refine)
-    from .training import evaluate, prepare_inputs
+    from .training import build_encoder, evaluate, prepare_inputs
     raw, exp, vocab = _setup(args)
     recipe = exp.recipe
-    try:
-        recipe.require_flat("bertfit multitask")
-    except ValueError as e:
-        return _usage_error("multitask", e)
     tasks_cfg = raw["multitask"]["tasks"]  # [{name, train, test?, n_classes}]
     rng = Rng(exp.seed)
-    model = init_model(exp.model, rng.derive(1))
-    width = recipe.layer_selection.feature_width(exp.model.hidden,
-                                                 exp.model.n_layers)
+    model, width, combiner = build_encoder(exp.model, recipe, rng)
     task_inputs, task_val, sizes = {}, {}, {}
     for t in tasks_cfg:
         ds = load_dataset(t["train"], t.get("format", "csv-label-text"),
@@ -212,6 +213,7 @@ def cmd_multitask(args):
         task_val[t["name"]] = prepare_inputs(val, vocab, recipe)
         sizes[t["name"]] = ds.n_classes
     mt = MultiTaskModel.init(model, sizes, width, rng.derive(2))
+    mt.combiner = combiner
     res = multitask_finetune(mt, task_inputs, recipe,
                              MixingStrategy(seed=exp.seed))
     print(f"multitask: steps per task {res.steps_per_task}"
@@ -223,7 +225,7 @@ def cmd_multitask(args):
             per_task_refine(mt, name, task_inputs[name], task_val[name], r)
     for name in sorted(task_inputs):
         err, loss = evaluate(mt.encoder, mt.heads[name], task_val[name],
-                             recipe)
+                             recipe, mt.combiner)
         print(f"  {name}: val error {err:.2f}%")
     return 0
 
@@ -231,21 +233,17 @@ def cmd_multitask(args):
 def cmd_eval(args):
     from .training import build_model, evaluate, prepare_inputs
     raw, exp, vocab = _setup(args)
-    try:
-        exp.recipe.require_flat("bertfit eval")
-    except ValueError as e:
-        return _usage_error("eval", e)
     ds, test = _load_data_section(raw)
-    model, head, _ = build_model(exp.model, exp.recipe, ds.n_classes,
-                                 Rng(exp.seed))
+    model, head, combiner = build_model(exp.model, exp.recipe, ds.n_classes,
+                                        Rng(exp.seed))
     code = _install_checkpoint("eval", args.checkpoint,
-                               named_tensors(model, [head]), raw, vocab,
-                               exp.model)
+                               named_tensors(model, [head, combiner]), raw,
+                               vocab, exp.model, exp.recipe)
     if code:
         return code
     target = test or ds
     inputs = prepare_inputs(target, vocab, exp.recipe)
-    err, loss = evaluate(model, head, inputs, exp.recipe)
+    err, loss = evaluate(model, head, inputs, exp.recipe, combiner)
     print(f"eval [{target.name} {target.split}]: error {err:.2f}%, "
           f"loss {loss:.4f}")
     return 0
@@ -255,10 +253,6 @@ def cmd_grid(args):
     from .grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, run_grid,
                        run_lr_sweep)
     raw, exp, vocab = _setup(args)
-    try:
-        exp.recipe.require_flat("bertfit grid")
-    except ValueError as e:
-        return _usage_error("grid", e)
     train_full, test = _load_data_section(raw)
     train, val = split_validation(train_full, exp.validation_fraction,
                                   exp.seed)

@@ -34,27 +34,18 @@ class TrainingRecipe:
         return self.max_len - 2
 
     def truncation(self) -> TruncationStrategy | None:
-        kind = self.long_text
-        if kind.startswith("hier_"):
+        if self.combiner_kind:
             return None
         cap = self.capacity
         # scale the paper's 128/382 split to the configured capacity
         head = round(cap * 128 / 510)
-        return TruncationStrategy(kind=kind, head_budget=head,
+        return TruncationStrategy(kind=self.long_text, head_budget=head,
                                   tail_budget=cap - head, capacity=cap)
 
     @property
     def combiner_kind(self) -> str | None:
         return self.long_text[5:] if self.long_text.startswith("hier_") \
             else None
-
-    def require_flat(self, where: str):
-        """Raise ValueError if the strategy is hierarchical, since `where`
-        has no fraction combiner."""
-        if self.combiner_kind:
-            raise ValueError(
-                f"long-text strategy {self.long_text!r} is hierarchical; "
-                f"{where} has no fraction combiner")
 
     def to_dict(self):
         d = asdict(self)

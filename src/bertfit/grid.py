@@ -3,8 +3,8 @@
 `run_grid` trains one seeded run per (base_lr, decay_factor) cell and
 emits a TSV report; `run_lr_sweep` produces per-epoch train/test learning
 curves for a list of learning rates. Diverged runs (NaN loss) are recorded
-as "diverged", never raised. Both train without a fraction combiner, so
-they reject hierarchical (`hier_*`) recipes up front.
+as "diverged", never raised. Both take every long-text recipe, `hier_*`
+included: each cell builds its own fraction combiner.
 """
 
 from __future__ import annotations
@@ -32,18 +32,18 @@ class GridCell:
 
 
 def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe,
-              train_inputs, val_inputs, test_inputs, eval_hook=None):
-    n_classes = max(s.label for s in train_inputs) + 1
-    model, head, _ = build_model(model_config, recipe, n_classes,
-                                 Rng(recipe.seed))
+              n_classes, train_inputs, val_inputs, test_inputs,
+              eval_hook=None):
+    model, head, combiner = build_model(model_config, recipe, n_classes,
+                                        Rng(recipe.seed))
     return finetune(model, head, train_inputs, val_inputs, recipe,
-                    test_inputs=test_inputs, eval_hook=eval_hook)
+                    combiner=combiner, test_inputs=test_inputs,
+                    eval_hook=eval_hook)
 
 
 def run_grid(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
              train_ds, val_ds, test_ds, lrs=TABLE4_LRS, xis=TABLE4_XIS,
              out_tsv=None) -> list[GridCell]:
-    recipe.require_flat("the grid harness")
     if not lrs or not xis:
         raise ValueError("lr and decay-factor lists must be non-empty")
     train_inputs = prepare_inputs(train_ds, vocab, recipe)
@@ -53,8 +53,8 @@ def run_grid(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
     for lr in lrs:
         for xi in xis:
             cell_recipe = replace(recipe, base_lr=lr, decay_factor=xi)
-            res = _run_cell(model_config, cell_recipe, train_inputs,
-                            val_inputs, test_inputs)
+            res = _run_cell(model_config, cell_recipe, train_ds.n_classes,
+                            train_inputs, val_inputs, test_inputs)
             cells.append(GridCell(
                 base_lr=lr, decay_factor=xi,
                 val_error=None if res.diverged else res.best_val_error,
@@ -82,7 +82,6 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
                  train_ds, val_ds, test_ds, lrs=FIGURE2_LRS,
                  out_jsonl=None) -> dict:
     """Catastrophic-forgetting sweep: per-epoch train/test error per lr."""
-    recipe.require_flat("the lr sweep")
     train_inputs = prepare_inputs(train_ds, vocab, recipe)
     val_inputs = prepare_inputs(val_ds, vocab, recipe)
     test_inputs = prepare_inputs(test_ds, vocab, recipe)
@@ -91,16 +90,17 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
         cell_recipe = replace(recipe, base_lr=lr)
         series = []
 
-        def hook(epoch, step, model, head):
+        def hook(epoch, step, model, head, combiner):
             tr_err, tr_loss = evaluate(model, head, train_inputs,
-                                       cell_recipe)
-            te_err, te_loss = evaluate(model, head, test_inputs, cell_recipe)
+                                       cell_recipe, combiner)
+            te_err, te_loss = evaluate(model, head, test_inputs, cell_recipe,
+                                       combiner)
             series.append({"lr": lr, "epoch": epoch, "step": step,
                            "train_error": tr_err, "test_error": te_err,
                            "train_loss": tr_loss, "test_loss": te_loss})
 
-        res = _run_cell(model_config, cell_recipe, train_inputs,
-                        val_inputs, test_inputs, eval_hook=hook)
+        res = _run_cell(model_config, cell_recipe, train_ds.n_classes,
+                        train_inputs, val_inputs, test_inputs, eval_hook=hook)
         curves[lr] = {"diverged": res.diverged, "epochs": series}
     if out_jsonl:
         with open(out_jsonl, "w", encoding="utf-8") as fh:

@@ -1,9 +1,9 @@
 """Multi-task fine-tuning: shared encoder, private per-task classifiers.
 
 Every step draws a single-task batch (proportional to dataset size by
-default, or round-robin), computes that task's classification loss, and
-updates the shared encoder plus only that task's head. Optional per-task
-refinement continues from the multi-task checkpoint at a lower rate.
+default, or round-robin), computes that task's loss, and updates the shared
+encoder and `hier_*` fraction combiner plus only that task's head. Optional
+per-task refinement continues from the multi-task checkpoint at a lower rate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainingRecipe
-from .model import ClassifierHead, EncoderModel
+from .longtext import FractionCombiner
+from .model import ClassifierHead, EncoderModel, named_tensors
 from .optim import DivergedError, train_step
 from .rng import Rng
 from .training import BatchCursor, batch_logits, finetune, recipe_optimizer
@@ -34,6 +35,7 @@ class MixingStrategy:
 class MultiTaskModel:
     encoder: EncoderModel           # shared storage across all tasks
     heads: dict[str, ClassifierHead]
+    combiner: FractionCombiner | None = None    # shared, like the encoder
 
     @classmethod
     def init(cls, encoder: EncoderModel, tasks: dict[str, int],
@@ -80,7 +82,6 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     """
     if len(task_inputs) < 2:
         raise ValueError("multi-task fine-tuning needs at least two tasks")
-    recipe.require_flat("multi-task fine-tuning")
     for name, inputs in task_inputs.items():
         if not inputs:
             raise ValueError(f"task {name!r} has an empty dataset")
@@ -92,8 +93,8 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     task_rng = Rng(mixing.seed).derive(0x7A)
     cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
                for n in names}
-    opt, rates_at = recipe_optimizer(mt.encoder, list(mt.heads.values()),
-                                     recipe)
+    opt, rates_at = recipe_optimizer(
+        mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
     counts = {n: 0 for n in names}
     history = []
     diverged = False
@@ -105,12 +106,13 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
 
         def loss_fn():
             logits = batch_logits(mt.encoder, mt.heads[task], batch, recipe,
-                                  None, mode="train")
+                                  mt.combiner, mode="train")
             return ad.cross_entropy(logits, labels), logits
 
-        # only the shared encoder and the sampled task's head receive
-        # gradients; the other heads stay bitwise-unchanged this step
-        params = mt.encoder.parameters() + mt.heads[task].parameters()
+        # only the shared encoder and combiner and the sampled task's head
+        # receive gradients; the other heads stay bitwise-unchanged this step
+        params = list(named_tensors(mt.encoder,
+                                    [mt.heads[task], mt.combiner]).values())
         try:
             loss, _ = train_step(opt, loss_fn, params, rates_at(step))
         except DivergedError:
@@ -141,7 +143,7 @@ def per_task_refine(mt: MultiTaskModel, task: str, train_inputs,
         return None
     refine_recipe = replace(recipe, base_lr=rate)
     return finetune(mt.encoder, mt.heads[task], train_inputs, val_inputs,
-                    refine_recipe)
+                    refine_recipe, combiner=mt.combiner)
 
 
 def hash_name(name: str) -> int:

@@ -102,7 +102,12 @@ def _stack(seqs):
 def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
                  recipe: TrainingRecipe, combiner: FractionCombiner | None,
                  mode: str):
-    """Class logits for a batch of prepared inputs (either route)."""
+    """Class logits for a batch of prepared inputs (either route); the
+    recipe's combiner kind must be `combiner`'s (None when flat)."""
+    kind = combiner.kind if combiner else None
+    if kind != recipe.combiner_kind:
+        raise ValueError(f"recipe {recipe.long_text!r} needs combiner "
+                         f"{recipe.combiner_kind!r}, got {kind!r}")
     if combiner is None:
         ids, segs, mask = _stack(batch)
         outs = encode_batch(model, ids, segs, mask, mode=mode)
@@ -148,18 +153,25 @@ class BatchCursor:
         return batch
 
 
-def build_model(model_config: EncoderConfig, recipe: TrainingRecipe,
-                n_classes: int, rng: Rng):
-    """(model, head, combiner) from `rng.derive(1)`, `(2)` and `(3)`; a
-    hierarchical recipe pools top [CLS] vectors, else the combiner is None."""
-    H, dt = model_config.hidden, model_config.np_dtype
-    kind = recipe.combiner_kind
+def build_encoder(model_config: EncoderConfig, recipe: TrainingRecipe,
+                  rng: Rng):
+    """(model, feature width, combiner) from `rng.derive(1)` and `(3)`; a
+    `hier_*` recipe pools top [CLS] vectors (width H), else no combiner."""
+    H, kind = model_config.hidden, recipe.combiner_kind
     width = H if kind else recipe.layer_selection.feature_width(
         H, model_config.n_layers)
-    model = init_model(model_config, rng.derive(1))
-    head = ClassifierHead.init(width, n_classes, rng.derive(2), dtype=dt)
-    combiner = FractionCombiner.init(kind, H, rng.derive(3), dtype=dt) \
-        if kind else None
+    combiner = FractionCombiner.init(
+        kind, H, rng.derive(3), dtype=model_config.np_dtype) if kind else None
+    return init_model(model_config, rng.derive(1)), width, combiner
+
+
+def build_model(model_config: EncoderConfig, recipe: TrainingRecipe,
+                n_classes: int, rng: Rng):
+    """(model, head, combiner): :func:`build_encoder` plus a head from
+    `rng.derive(2)`."""
+    model, width, combiner = build_encoder(model_config, recipe, rng)
+    head = ClassifierHead.init(width, n_classes, rng.derive(2),
+                               dtype=model_config.np_dtype)
     return model, head, combiner
 
 
@@ -261,7 +273,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
                 metrics.add(step, "validation", val_loss, val_err,
                             rates[top])
             if eval_hook:
-                eval_hook(epoch, step, model, head)
+                eval_hook(epoch, step, model, head, combiner)
             if val_err < best["error"]:   # strict <: ties keep the earliest
                 best.update(error=val_err, epoch=epoch, params={
                     k: p.data.copy() for k, p in named.items()})

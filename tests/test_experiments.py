@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from bertfit.cli import main
 from bertfit.config import ExperimentConfig, TrainingRecipe
 from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
-from bertfit.data import split_validation
+from bertfit.data import Example, split_validation
 from bertfit.model import EncoderConfig
 from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
@@ -121,20 +124,40 @@ class TestGridHarness:
             run_grid(tiny_model_config, tiny_recipe(), vocab,
                      train, val, test, lrs=(), xis=(1.0,))
 
-    def test_hierarchical_recipe_rejected(self, tiny_model_config, vocab,
-                                          splits):
+    def test_hierarchical_grid(self, tiny_model_config, vocab, splits):
         train, val, test = splits
-        with pytest.raises(ValueError, match="'hier_mean' is hierarchical"):
-            run_grid(tiny_model_config, tiny_recipe(long_text="hier_mean"),
-                     vocab, train, val, test, lrs=(5e-4,), xis=(1.0,))
+        cells = run_grid(tiny_model_config,
+                         tiny_recipe(long_text="hier_attn", max_len=10),
+                         vocab, train, val, test, lrs=(5e-4,),
+                         xis=(1.0, 0.9))
+        assert len(cells) == 2
+        for c in cells:
+            assert not c.diverged
+            assert math.isfinite(c.val_error) and math.isfinite(c.test_error)
 
-    def test_lr_sweep_rejects_hierarchical_recipe(self, tiny_model_config,
-                                                  vocab, splits):
+    def test_hierarchical_lr_sweep(self, tiny_model_config, vocab, splits):
         train, val, test = splits
-        with pytest.raises(ValueError, match="'hier_attn' is hierarchical"):
-            run_lr_sweep(tiny_model_config,
-                         tiny_recipe(long_text="hier_attn"), vocab,
-                         train, val, test, lrs=(5e-4,))
+        curves = run_lr_sweep(tiny_model_config,
+                              tiny_recipe(long_text="hier_attn", max_len=10),
+                              vocab, train, val, test, lrs=(5e-4,))
+        curve = curves[5e-4]
+        assert not curve["diverged"] and len(curve["epochs"]) == 2
+        assert all(math.isfinite(rec[k]) for rec in curve["epochs"]
+                   for k in ("train_error", "test_error", "train_loss",
+                             "test_loss"))
+
+    def test_head_sized_from_dataset(self, tiny_model_config, vocab,
+                                     splits):
+        # a declared class that the train split lacks still gets a logit
+        train, val, test = (replace(ds, n_classes=3) for ds in splits)
+        test = replace(test, examples=test.examples + [
+            Example(label=2, text=test.examples[0].text)])
+        cells = run_grid(tiny_model_config, tiny_recipe(), vocab, train,
+                         val, test, lrs=(5e-4,), xis=(1.0,))
+        assert math.isfinite(cells[0].test_error)
+        curves = run_lr_sweep(tiny_model_config, tiny_recipe(), vocab,
+                              train, val, test, lrs=(5e-4,))
+        assert len(curves[5e-4]["epochs"]) == 2
 
     def test_lr_sweep_curves(self, tiny_model_config, vocab, splits,
                              tmp_path):
@@ -216,17 +239,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "error" in out and "test" in out
 
-    def test_eval_rejects_hierarchical_recipe(self, workspace, tmp_path,
-                                              capsys):
+    @pytest.mark.parametrize("long_text",
+                             ["hier_mean", "hier_max", "hier_attn"])
+    def test_eval_reproduces_hierarchical_finetune(self, workspace, tmp_path,
+                                                   capsys, long_text):
         root, raw = workspace
-        recipe = {**raw["recipe"], "long_text": "hier_attn", "max_len": 10}
+        recipe = {**raw["recipe"], "long_text": long_text, "max_len": 10}
         cfg = write_config(root, raw, name="hier_eval.json", recipe=recipe)
         ckpt = tmp_path / "hier.ckpt"
+        capsys.readouterr()
         assert main(["finetune", "--config", cfg,
                      "--checkpoint-out", str(ckpt)]) == 0
-        capsys.readouterr()
-        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
-        assert "'hier_attn' is hierarchical" in capsys.readouterr().err
+        tuned = re.search(r"test error (\S+)%", capsys.readouterr().out)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
+        scored = re.search(r"error (\S+)%", capsys.readouterr().out)
+        assert tuned and scored and tuned.group(1) == scored.group(1)
+
+    def test_eval_checks_combiner_kind(self, workspace, tmp_path, capsys):
+        root, raw = workspace
+
+        def config(long_text):
+            return write_config(root, raw, name=f"{long_text}.json",
+                                recipe={**raw["recipe"], "max_len": 10,
+                                        "long_text": long_text})
+        ckpt = tmp_path / "attn.ckpt"
+        assert main(["finetune", "--config", config("hier_attn"),
+                     "--checkpoint-out", str(ckpt)]) == 0
+        assert load_checkpoint(ckpt)[0]["combiner"] == "attn"
+        for other, named in (("head_tail", "None"), ("hier_mean", "'mean'")):
+            capsys.readouterr()
+            assert main(["eval", "--config", config(other),
+                         "--checkpoint", str(ckpt)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("eval: ")
+            assert "combiner 'attn'" in err and f"config's {named}" in err
+        # a checkpoint without the key still loads
+        meta, tensors = load_checkpoint(ckpt)
+        del meta["combiner"]
+        save_checkpoint(ckpt, tensors, meta=meta)
+        assert main(["eval", "--config", config("hier_mean"),
+                     "--checkpoint", str(ckpt)]) == 0
 
     def test_eval_checks_vocab_hash(self, workspace, tmp_path, capsys):
         root, raw = workspace
@@ -432,19 +484,21 @@ class TestCli:
         assert "steps per task" in out
         assert out.count("val error") == 2
 
-    def test_multitask_rejects_hierarchical_recipe(self, workspace, capsys):
+    @pytest.mark.parametrize("long_text", ["hier_mean", "hier_attn"])
+    def test_multitask_hierarchical(self, workspace, capsys, long_text):
         root, raw = workspace
         tasks = [{"name": "a", "train": raw["data"]["train"],
                   "n_classes": 2},
                  {"name": "b", "train": raw["data"]["test"],
                   "n_classes": 2}]
-        recipe = {**raw["recipe"], "long_text": "hier_mean", "max_len": 10}
+        recipe = {**raw["recipe"], "long_text": long_text, "max_len": 10}
         cfg = write_config(root, raw, name="hier_mt.json", recipe=recipe,
-                           multitask={"tasks": tasks})
-        assert main(["multitask", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("multitask: ")
-        assert "'hier_mean' is hierarchical" in err
+                           multitask={"tasks": tasks, "refine_steps": 2})
+        capsys.readouterr()
+        assert main(["multitask", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "steps per task" in out and "diverged" not in out
+        assert out.count("val error") == 2
 
     def test_grid_command(self, workspace, tmp_path, capsys):
         root, raw = workspace
@@ -458,16 +512,22 @@ class TestCli:
         assert len(tsv.read_text().splitlines()) == 3
         assert jl.exists()
 
-    def test_grid_rejects_hierarchical_recipe(self, workspace, tmp_path,
-                                              capsys):
+    @pytest.mark.parametrize("long_text", ["hier_mean", "hier_attn"])
+    def test_grid_hierarchical(self, workspace, tmp_path, capsys, long_text):
         root, raw = workspace
-        recipe = {**raw["recipe"], "long_text": "hier_mean", "max_len": 10}
+        recipe = {**raw["recipe"], "long_text": long_text, "max_len": 10}
         cfg = write_config(root, raw, name="hier_grid.json", recipe=recipe,
-                           grid={"lrs": [5e-4], "decay_factors": [1.0]})
+                           grid={"lrs": [5e-4], "decay_factors": [1.0],
+                                 "sweep_lrs": [5e-4]})
         tsv = tmp_path / "report.tsv"
-        assert main(["grid", "--config", cfg, "--out", str(tsv)]) == 2
-        assert "'hier_mean' is hierarchical" in capsys.readouterr().err
-        assert not tsv.exists()
+        jl = tmp_path / "sweep.jsonl"
+        assert main(["grid", "--config", cfg, "--out", str(tsv),
+                     "--lr-sweep", str(jl)]) == 0
+        rows = tsv.read_text().splitlines()
+        assert len(rows) == 2 and "diverged" not in rows[1]
+        records = [json.loads(l) for l in jl.read_text().splitlines()]
+        assert len(records) == 2
+        assert not any(r.get("diverged") for r in records)
 
     def test_seed_override(self, workspace, tmp_path, capsys):
         root, raw = workspace

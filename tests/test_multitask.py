@@ -3,6 +3,7 @@ import pytest
 
 from bertfit.config import TrainingRecipe
 from bertfit.data import Dataset, Example
+from bertfit.longtext import FractionCombiner
 from bertfit.model import EncoderConfig, init_model
 from bertfit.multitask import (MixingStrategy, MultiTaskModel, _pick_task,
                                hash_name, multitask_finetune, per_task_refine)
@@ -104,7 +105,8 @@ class TestMultitaskFinetune:
     def test_hierarchical_recipe_rejected(self, tiny_config, vocab):
         recipe = tiny_recipe(long_text="hier_mean")
         mt, inputs = three_task_setup(tiny_config, vocab, recipe)
-        with pytest.raises(ValueError, match="hier_mean"):
+        with pytest.raises(ValueError, match="'hier_mean' needs combiner "
+                                             "'mean', got None"):
             multitask_finetune(mt, inputs, recipe)
 
     def test_empty_task_rejected(self, tiny_config, vocab):
@@ -145,6 +147,32 @@ class TestMultitaskFinetune:
         assert state["encoder_frozen"] <= 1
         assert sum(res.steps_per_task.values()) == 100
         assert all(v > 0 for v in res.steps_per_task.values())
+
+    def test_hier_attn_isolates_heads_and_trains_combiner(self, tiny_config,
+                                                           vocab):
+        recipe = tiny_recipe(long_text="hier_attn", max_len=6, train_steps=8)
+        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
+        mt.combiner = FractionCombiner.init("attn", tiny_config.hidden,
+                                            Rng(3))
+        assert max(len(doc.fractions) for doc in inputs["a"]) > 1
+        state = {"heads": {n: [p.data.tobytes() for p in h.parameters()]
+                           for n, h in mt.heads.items()},
+                 "comb": [p.data.tobytes() for p in mt.combiner.parameters()]}
+
+        def hook(step, task, model):
+            for name, head in model.heads.items():
+                now = [p.data.tobytes() for p in head.parameters()]
+                if name != task:
+                    assert now == state["heads"][name], (step, name)
+                state["heads"][name] = now
+            comb = [p.data.tobytes() for p in model.combiner.parameters()]
+            if step < recipe.train_steps:   # STLR's last rate is 0
+                assert comb != state["comb"], step
+            state["comb"] = comb
+
+        res = multitask_finetune(mt, inputs, recipe, step_hook=hook)
+        assert not res.diverged
+        assert sum(res.steps_per_task.values()) == 8
 
     def test_sampled_head_actually_trains(self, tiny_config, vocab):
         recipe = tiny_recipe(train_steps=12)

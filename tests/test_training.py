@@ -192,7 +192,8 @@ class TestFinetune:
                             lambda *args: (next(errors), 1.0))
         seen = {}
 
-        def hook(epoch, step, m, h):
+        def hook(epoch, step, m, h, c):
+            assert c is comb
             seen[epoch] = {p.name: p.data.copy() for p in comb.parameters()}
 
         res = finetune(model, head, prepare_inputs(train, vocab, recipe),
@@ -268,6 +269,22 @@ class TestFinetune:
         vi = prepare_inputs(val, vocab, recipe)
         res = finetune(model, head, ti, vi, recipe, combiner=combiner)
         assert not res.diverged
+
+    @pytest.mark.parametrize("long_text, kind", [("hier_mean", None),
+                                                 ("hier_mean", "attn"),
+                                                 ("head_tail", "mean")])
+    def test_combiner_must_match_recipe(self, tiny_config, small_task,
+                                        vocab, long_text, kind):
+        train, val, _ = small_task
+        recipe = tiny_recipe(long_text=long_text, max_len=10, train_steps=2)
+        model, head = fresh_pair(tiny_config)
+        combiner = kind and FractionCombiner.init(kind, tiny_config.hidden,
+                                                  Rng(5))
+        want = recipe.combiner_kind
+        with pytest.raises(ValueError, match=f"{want!r}, got {kind!r}"):
+            finetune(model, head, prepare_inputs(train, vocab, recipe),
+                     prepare_inputs(val, vocab, recipe), recipe,
+                     combiner=combiner)
 
     def test_metrics_written(self, tiny_config, small_task, vocab, tmp_path):
         train, val, _ = small_task

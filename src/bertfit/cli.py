@@ -14,7 +14,7 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, GridSection
 from .data import load_dataset, split_validation, subsample
 from .model import init_model, named_tensors
 from .optim import StlrSchedule
@@ -29,37 +29,32 @@ def _usage_error(command, message):
     return 2
 
 
-def _setup(args):
-    """(raw config, experiment with the CLI overrides, vocabulary); the
-    model's vocab_size is set from the vocabulary."""
+def _setup(args, *required):
+    """(experiment with the CLI overrides, vocabulary), vocab_size set from
+    the vocabulary. Raises ConfigError before reading any other file if the
+    schema, `vocab` or a `required` section is not met."""
     with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    exp = ExperimentConfig.from_dict(
-        {k: raw[k] for k in ("model", "recipe", "seed",
-                             "validation_fraction", "few_shot_proportion",
-                             "strict_deterministic") if k in raw})
+        exp = ExperimentConfig.from_dict(json.load(fh))
+    for key in ("vocab", *required):
+        if getattr(exp, key) is None:
+            raise ConfigError(f"missing key {key}")
     if args.seed is not None:
         exp.seed = args.seed
         exp.recipe.seed = args.seed
     if args.strict_deterministic:
         exp.strict_deterministic = True
-    vocab = Vocabulary.load(raw["vocab"])
+    vocab = Vocabulary.load(exp.vocab)
     exp.model.vocab_size = len(vocab)
-    return raw, exp, vocab
+    return exp, vocab
 
 
-def _load_data_section(raw, key="data"):
-    d = raw[key]
-    fmt = d.get("format", "csv-label-text")
-    train = load_dataset(d["train"], fmt, name=d.get("name", ""),
-                         n_classes=d.get("n_classes"), split="train",
-                         domain=d.get("domain"))
-    test = None
-    if d.get("test"):
-        test = load_dataset(d["test"], fmt, name=d.get("name", ""),
-                            n_classes=train.n_classes, split="test",
-                            domain=d.get("domain"))
-    return train, test
+def _train_val_test(exp):
+    """Few-shot train and validation splits of exp.data, and its test set."""
+    train, test = exp.data.load()
+    if exp.few_shot_proportion < 1.0:
+        train = subsample(train, exp.few_shot_proportion, exp.seed)
+    train, val = split_validation(train, exp.validation_fraction, exp.seed)
+    return train, val, test
 
 
 def cmd_build_vocab(args):
@@ -93,17 +88,17 @@ _ARCH_FIELDS = ("n_layers", "hidden", "n_heads", "ffn", "vocab_size",
                 "max_positions", "n_segments", "dtype")
 
 
-def _install_checkpoint(command, path, named, raw, vocab, config,
-                        recipe=None):
+def _install_checkpoint(command, path, named, exp, vocab,
+                        check_combiner=False):
     """Install checkpoint `path` into the `named` tensors of a model built
-    from `config`; exit code 2 if its config meta, vocab_hash, combiner
-    kind (given `recipe`) or a tensor does not match, else None."""
+    from `exp`; exit code 2 if its config meta, vocab_hash, combiner kind
+    (if `check_combiner`) or a tensor does not match, else None."""
     meta, arrays = load_checkpoint(path)
-    kind = recipe and recipe.combiner_kind
-    if recipe and meta.get("combiner", kind) != kind:
+    config, kind = exp.model, exp.recipe.combiner_kind
+    if check_combiner and meta.get("combiner", kind) != kind:
         return _usage_error(command, f"{path}: checkpoint combiner "
                             f"{meta['combiner']!r} does not match the "
-                            f"config's {kind!r} ({recipe.long_text!r})")
+                            f"config's {kind!r} ({exp.recipe.long_text!r})")
     saved = meta.get("config", {})
     for key in _ARCH_FIELDS:
         if key in saved and saved[key] != getattr(config, key):
@@ -114,7 +109,7 @@ def _install_checkpoint(command, path, named, raw, vocab, config,
     if saved_hash is not None and saved_hash != vocab.content_hash():
         return _usage_error(
             command, f"checkpoint vocab_hash {saved_hash} does not match "
-            f"the config vocabulary {raw['vocab']} ({vocab.content_hash()})")
+            f"the config vocabulary {exp.vocab} ({vocab.content_hash()})")
     try:
         load_into(named, arrays)
     except ValueError as e:
@@ -123,19 +118,14 @@ def _install_checkpoint(command, path, named, raw, vocab, config,
 
 def cmd_finetune(args):
     from .training import MetricsLog, build_model, finetune, prepare_inputs
-    raw, exp, vocab = _setup(args)
-    train_full, test = _load_data_section(raw)
-    if exp.few_shot_proportion < 1.0:
-        train_full = subsample(train_full, exp.few_shot_proportion, exp.seed)
-    train, val = split_validation(train_full, exp.validation_fraction,
-                                  exp.seed)
+    exp, vocab = _setup(args, "data")
+    train, val, test = _train_val_test(exp)
     recipe = exp.recipe
     model, head, combiner = build_model(exp.model, recipe, train.n_classes,
                                         Rng(exp.seed))
-    if raw.get("init_checkpoint"):
-        code = _install_checkpoint("finetune", raw["init_checkpoint"],
-                                   named_tensors(model), raw, vocab,
-                                   exp.model)
+    if exp.init_checkpoint:
+        code = _install_checkpoint("finetune", exp.init_checkpoint,
+                                   named_tensors(model), exp, vocab)
         if code:
             return code
     metrics = MetricsLog(args.metrics_out, strict=exp.strict_deterministic)
@@ -164,33 +154,26 @@ def cmd_finetune(args):
 
 def cmd_pretrain(args):
     from .pretraining import (MaskingPolicy, further_pretrain, read_corpus)
-    raw, exp, vocab = _setup(args)
-    pt = raw["pretrain"]
-    steps = pt.get("steps", 1000)
-    if steps < 1:
-        return _usage_error(
-            "pretrain", f"pretrain.steps must be at least 1, got {steps}")
-    docs = read_corpus(pt["corpus"])
+    exp, vocab = _setup(args, "pretrain")
+    pt = exp.pretrain
+    docs = read_corpus(pt.corpus)
     rng = Rng(exp.seed)
     model = init_model(exp.model, rng.derive(1))
-    schedule = StlrSchedule(total_steps=steps,
-                            peak_lr=pt.get("lr", 5e-5),
-                            warmup_proportion=pt.get("warmup_proportion",
-                                                     0.1))
+    schedule = StlrSchedule(total_steps=pt.steps, peak_lr=pt.lr,
+                            warmup_proportion=pt.warmup_proportion)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     res = further_pretrain(
-        model, docs, vocab, steps, schedule, rng.derive(2),
-        batch_size=pt.get("batch_size", 32),
-        max_len=pt.get("max_len", exp.model.max_positions),
-        policy=MaskingPolicy(mask_prob=pt.get("mask_prob", 0.15)),
-        checkpoint_every=pt.get("checkpoint_every"),
-        checkpoint_dir=out_dir)
+        model, docs, vocab, pt.steps, schedule, rng.derive(2),
+        batch_size=pt.batch_size,
+        max_len=pt.max_len or exp.model.max_positions,
+        policy=MaskingPolicy(mask_prob=pt.mask_prob),
+        checkpoint_every=pt.checkpoint_every, checkpoint_dir=out_dir)
     if res.diverged:
         print("pretrain: diverged")
         return 0
     last = res.history[-1]
-    print(f"pretrain: {steps} steps, final loss {last['loss']:.4f} "
+    print(f"pretrain: {pt.steps} steps, final loss {last['loss']:.4f} "
           f"(mlm {last['mlm_loss']:.4f}, nsp {last['nsp_loss']:.4f})")
     return 0
 
@@ -199,46 +182,50 @@ def cmd_multitask(args):
     from .multitask import (MixingStrategy, MultiTaskModel,
                             multitask_finetune, per_task_refine)
     from .training import build_encoder, evaluate, prepare_inputs
-    raw, exp, vocab = _setup(args)
+    exp, vocab = _setup(args, "multitask")
+    if exp.init_checkpoint:
+        raise ConfigError("init_checkpoint: multitask starts from random init")
     recipe = exp.recipe
-    tasks_cfg = raw["multitask"]["tasks"]  # [{name, train, test?, n_classes}]
     rng = Rng(exp.seed)
     model, width, combiner = build_encoder(exp.model, recipe, rng)
-    task_inputs, task_val, sizes = {}, {}, {}
-    for t in tasks_cfg:
-        ds = load_dataset(t["train"], t.get("format", "csv-label-text"),
-                          name=t["name"], n_classes=t.get("n_classes"))
+    task_inputs, task_val, task_test, sizes = {}, {}, {}, {}
+    for t in exp.multitask.tasks:
+        ds, test = t.load()
         train, val = split_validation(ds, exp.validation_fraction, exp.seed)
-        task_inputs[t["name"]] = prepare_inputs(train, vocab, recipe)
-        task_val[t["name"]] = prepare_inputs(val, vocab, recipe)
-        sizes[t["name"]] = ds.n_classes
+        task_inputs[t.name] = prepare_inputs(train, vocab, recipe)
+        task_val[t.name] = prepare_inputs(val, vocab, recipe)
+        task_test[t.name] = (prepare_inputs(test, vocab, recipe) if test
+                             else None)
+        sizes[t.name] = ds.n_classes
     mt = MultiTaskModel.init(model, sizes, width, rng.derive(2))
     mt.combiner = combiner
     res = multitask_finetune(mt, task_inputs, recipe,
                              MixingStrategy(seed=exp.seed))
     print(f"multitask: steps per task {res.steps_per_task}"
           + (" (diverged)" if res.diverged else ""))
-    if raw["multitask"].get("refine_steps"):
+    if exp.multitask.refine_steps:
         from dataclasses import replace
-        r = replace(recipe, train_steps=raw["multitask"]["refine_steps"])
+        r = replace(recipe, train_steps=exp.multitask.refine_steps)
         for name in sorted(task_inputs):
             per_task_refine(mt, name, task_inputs[name], task_val[name], r)
     for name in sorted(task_inputs):
-        err, loss = evaluate(mt.encoder, mt.heads[name], task_val[name],
-                             recipe, mt.combiner)
-        print(f"  {name}: val error {err:.2f}%")
+        for split, inputs in (("val", task_val), ("test", task_test)):
+            if inputs[name] is not None:
+                err, loss = evaluate(mt.encoder, mt.heads[name],
+                                     inputs[name], recipe, mt.combiner)
+                print(f"  {name}: {split} error {err:.2f}%")
     return 0
 
 
 def cmd_eval(args):
     from .training import build_model, evaluate, prepare_inputs
-    raw, exp, vocab = _setup(args)
-    ds, test = _load_data_section(raw)
+    exp, vocab = _setup(args, "data")
+    ds, test = exp.data.load()
     model, head, combiner = build_model(exp.model, exp.recipe, ds.n_classes,
                                         Rng(exp.seed))
     code = _install_checkpoint("eval", args.checkpoint,
-                               named_tensors(model, [head, combiner]), raw,
-                               vocab, exp.model, exp.recipe)
+                               named_tensors(model, [head, combiner]), exp,
+                               vocab, check_combiner=True)
     if code:
         return code
     target = test or ds
@@ -250,25 +237,22 @@ def cmd_eval(args):
 
 
 def cmd_grid(args):
-    from .grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, run_grid,
-                       run_lr_sweep)
-    raw, exp, vocab = _setup(args)
-    train_full, test = _load_data_section(raw)
-    train, val = split_validation(train_full, exp.validation_fraction,
-                                  exp.seed)
-    g = raw.get("grid", {})
-    lrs = tuple(g.get("lrs", TABLE4_LRS))
-    xis = tuple(g.get("decay_factors", TABLE4_XIS))
+    from .grid import run_grid, run_lr_sweep
+    exp, vocab = _setup(args, "data")
+    if exp.init_checkpoint:
+        raise ConfigError("init_checkpoint: grid starts from random init")
+    if args.lr_sweep and not exp.data.test:
+        raise ConfigError("missing key data.test, which --lr-sweep scores")
+    train, val, test = _train_val_test(exp)
+    g = exp.grid or GridSection()
     out_tsv = args.out or "grid_report.tsv"
     cells = run_grid(exp.model, exp.recipe, vocab, train, val, test,
-                     lrs=lrs, xis=xis, out_tsv=out_tsv)
+                     lrs=g.lrs, xis=g.decay_factors, out_tsv=out_tsv)
     print(f"grid: {len(cells)} cells -> {out_tsv}")
     if args.lr_sweep:
-        sweep_lrs = tuple(g.get("sweep_lrs", FIGURE2_LRS))
-        out_jsonl = args.lr_sweep
         run_lr_sweep(exp.model, exp.recipe, vocab, train, val, test,
-                     lrs=sweep_lrs, out_jsonl=out_jsonl)
-        print(f"lr sweep -> {out_jsonl}")
+                     lrs=g.sweep_lrs, out_jsonl=args.lr_sweep)
+        print(f"lr sweep -> {args.lr_sweep}")
     return 0
 
 
@@ -322,7 +306,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        return _usage_error(args.command, f"{args.config}: {e}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,24 @@
-"""Experiment configuration dataclasses and JSON config files."""
+"""Experiment configuration: one tree of dataclasses read from a JSON
+config by `ExperimentConfig.from_dict`."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+import typing
+from collections.abc import Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, \
+    is_dataclass
 
+from .data import load_dataset
 from .longtext import STRATEGIES, TruncationStrategy
 from .model import EncoderConfig, LayerSelection
+
+TABLE4_LRS = (2.5e-5, 2.0e-5)
+TABLE4_XIS = (1.00, 0.95, 0.90, 0.85)
+FIGURE2_LRS = (2e-5, 5e-5, 1e-4, 4e-4)
+
+
+class ConfigError(ValueError):
+    """A config the schema rejects; the message names the dotted key."""
 
 
 @dataclass
@@ -27,7 +39,7 @@ class TrainingRecipe:
 
     def __post_init__(self):
         if self.long_text not in STRATEGIES:
-            raise ValueError(f"unknown long-text strategy {self.long_text!r}")
+            raise ValueError(f"long_text: unknown strategy {self.long_text!r}")
 
     @property
     def capacity(self) -> int:
@@ -47,53 +59,113 @@ class TrainingRecipe:
         return self.long_text[5:] if self.long_text.startswith("hier_") \
             else None
 
-    def to_dict(self):
-        d = asdict(self)
-        d["layer_selection"] = asdict(self.layer_selection)
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if isinstance(d.get("layer_selection"), dict):
-            d["layer_selection"] = LayerSelection(**d["layer_selection"])
-        return cls(**d)
+@dataclass
+class DataSection:
+    """A labelled dataset: a train file and an optional test file."""
+
+    train: str
+    test: str | None = None
+    format: str = "csv-label-text"
+    name: str = ""
+    n_classes: int | None = None    # None: the largest train label
+    domain: str | None = None
+
+    def load(self):
+        """(train, test) Datasets; test is None without a test file."""
+        kw = dict(fmt=self.format, name=self.name, domain=self.domain)
+        train = load_dataset(self.train, n_classes=self.n_classes, **kw)
+        test = load_dataset(self.test, n_classes=train.n_classes,
+                            split="test", **kw) if self.test else None
+        return train, test
+
+
+@dataclass(kw_only=True)
+class TaskSection(DataSection):     # a multitask.tasks entry
+    name: str = field()             # required: field() drops the "" default
+
+
+@dataclass
+class PretrainSection:
+    corpus: str
+    steps: int = 1000
+    lr: float = 5e-5
+    warmup_proportion: float = 0.1
+    batch_size: int = 32
+    max_len: int | None = None      # None: model.max_positions
+    mask_prob: float = 0.15
+    checkpoint_every: int | None = None
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+
+
+@dataclass
+class MultitaskSection:
+    tasks: list[TaskSection]
+    refine_steps: int | None = None
+
+
+@dataclass
+class GridSection:
+    lrs: Sequence[float] = TABLE4_LRS
+    decay_factors: Sequence[float] = TABLE4_XIS
+    sweep_lrs: Sequence[float] = FIGURE2_LRS
+
+
+def _read(hint, v, path=""):
+    """Build `hint` (a section dataclass, a list of sections or a plain
+    value) from the JSON value `v`; ConfigError names the dotted key `path`
+    of an unknown or missing key, or of a section that rejects a value."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return [_read(args[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
+    cls = next((a for a in (hint, *args) if is_dataclass(a)), None)
+    if cls is None or (v is None and type(None) in args):   # absent section
+        return v
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {v!r}")
+    where, hints = f"{path}." if path else "", typing.get_type_hints(cls)
+    for key in v:
+        if key not in hints:
+            raise ConfigError(f"unknown key {where}{key}")
+    for f in fields(cls):
+        if f.name not in v and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"missing key {where}{f.name}")
+    kw = {k: _read(hints[k], x, where + k) for k, x in v.items()}
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ConfigError(f"{where}{e}") from None
 
 
 @dataclass
 class ExperimentConfig:
+    """The whole JSON config; a section or path left None is absent."""
+
     model: EncoderConfig = field(default_factory=EncoderConfig)
     recipe: TrainingRecipe = field(default_factory=TrainingRecipe)
     seed: int = 0
     validation_fraction: float = 0.1
     few_shot_proportion: float = 1.0
     strict_deterministic: bool = False
+    vocab: str | None = None
+    data: DataSection | None = None
+    init_checkpoint: str | None = None
+    pretrain: PretrainSection | None = None
+    multitask: MultitaskSection | None = None
+    grid: GridSection | None = None
+
+    def __post_init__(self):
+        if self.recipe.max_len > self.model.max_positions:
+            raise ValueError(
+                f"recipe.max_len {self.recipe.max_len} exceeds "
+                f"model.max_positions {self.model.max_positions}")
 
     def to_dict(self):
-        return {
-            "model": self.model.to_dict(),
-            "recipe": self.recipe.to_dict(),
-            "seed": self.seed,
-            "validation_fraction": self.validation_fraction,
-            "few_shot_proportion": self.few_shot_proportion,
-            "strict_deterministic": self.strict_deterministic,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if isinstance(d.get("model"), dict):
-            d["model"] = EncoderConfig.from_dict(d["model"])
-        if isinstance(d.get("recipe"), dict):
-            d["recipe"] = TrainingRecipe.from_dict(d["recipe"])
-        return cls(**d)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return _read(cls, d)

@@ -12,14 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .config import TrainingRecipe
+from .config import FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, TrainingRecipe
 from .model import EncoderConfig
 from .rng import Rng
 from .training import build_model, evaluate, finetune, prepare_inputs
-
-TABLE4_LRS = (2.5e-5, 2.0e-5)
-TABLE4_XIS = (1.00, 0.95, 0.90, 0.85)
-FIGURE2_LRS = (2e-5, 5e-5, 1e-4, 4e-4)
 
 
 @dataclass
@@ -82,6 +78,8 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
                  train_ds, val_ds, test_ds, lrs=FIGURE2_LRS,
                  out_jsonl=None) -> dict:
     """Catastrophic-forgetting sweep: per-epoch train/test error per lr."""
+    if test_ds is None:
+        raise ValueError("the lr sweep needs a test set")
     train_inputs = prepare_inputs(train_ds, vocab, recipe)
     val_inputs = prepare_inputs(val_ds, vocab, recipe)
     test_inputs = prepare_inputs(test_ds, vocab, recipe)

@@ -35,7 +35,7 @@ class EncoderConfig:
         if self.ffn is None:
             self.ffn = 4 * self.hidden
         if self.n_layers < 1:
-            raise ValueError("need at least one block")
+            raise ValueError("n_layers must be at least 1")
         if self.hidden % self.n_heads != 0:
             raise ValueError(
                 f"hidden {self.hidden} not divisible by heads {self.n_heads}")
@@ -48,10 +48,6 @@ class EncoderConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass

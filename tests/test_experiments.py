@@ -1,15 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bertfit.checkpoint import load_checkpoint, save_checkpoint
 from bertfit.cli import main
-from bertfit.config import ExperimentConfig, TrainingRecipe
+from bertfit.config import (DataSection, ExperimentConfig, GridSection,
+                            MultitaskSection, PretrainSection, TaskSection,
+                            TrainingRecipe)
 from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
 from bertfit.data import Example, split_validation
@@ -78,15 +85,40 @@ def write_config(root, raw, name="config.json", **extra):
     return str(path)
 
 
+def full_config(model_config, root):
+    """An experiment with every section set; no file it names exists."""
+    def path(name):
+        return str(root / "missing" / name)
+    return ExperimentConfig(
+        model=model_config, recipe=tiny_recipe(base_lr=3e-5), seed=7,
+        few_shot_proportion=0.5, vocab=path("vocab.txt"),
+        data=DataSection(train=path("train.csv"), test=path("test.csv"),
+                         name="marker", n_classes=2),
+        init_checkpoint=path("init.ckpt"),
+        pretrain=PretrainSection(corpus=path("corpus.txt"), steps=4),
+        multitask=MultitaskSection(tasks=[
+            TaskSection(name="a", train=path("a.csv")),
+            TaskSection(name="b", train=path("b.csv"), test=path("bt.csv"),
+                        n_classes=2)], refine_steps=2),
+        grid=GridSection(lrs=(5e-4,), sweep_lrs=(5e-4, 1e-4)))
+
+
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path, tiny_model_config):
-        cfg = ExperimentConfig(model=tiny_model_config,
-                               recipe=tiny_recipe(base_lr=3e-5),
-                               seed=7, few_shot_proportion=0.5)
-        path = tmp_path / "exp.json"
-        cfg.save(path)
-        loaded = ExperimentConfig.load(path)
-        assert loaded == cfg
+        cfg = full_config(tiny_model_config, tmp_path)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        text = json.dumps(cfg.to_dict())
+        assert json.dumps(
+            ExperimentConfig.from_dict(json.loads(text)).to_dict()) == text
+
+    def test_readme_config_block_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = re.search(r"### Config file.*?```json\n(.*?)```", readme,
+                          re.S).group(1)
+        exp = ExperimentConfig.from_dict(json.loads(block))
+        assert exp.data.train and exp.pretrain.corpus
+        assert [t.name for t in exp.multitask.tasks] == ["a", "b"]
 
     def test_default_grid_axes(self):
         assert TABLE4_LRS == (2.5e-5, 2.0e-5)
@@ -123,6 +155,12 @@ class TestGridHarness:
         with pytest.raises(ValueError, match="non-empty"):
             run_grid(tiny_model_config, tiny_recipe(), vocab,
                      train, val, test, lrs=(), xis=(1.0,))
+
+    def test_lr_sweep_needs_test_set(self, tiny_model_config, vocab, splits):
+        train, val, _ = splits
+        with pytest.raises(ValueError, match="test set"):
+            run_lr_sweep(tiny_model_config, tiny_recipe(), vocab,
+                         train, val, None, lrs=(5e-4,))
 
     def test_hierarchical_grid(self, tiny_model_config, vocab, splits):
         train, val, test = splits
@@ -553,3 +591,191 @@ class TestCli:
                   "--checkpoint-out", str(ckpt)])
             blobs.append((metrics.read_bytes(), ckpt.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_grid_lr_sweep_needs_data_test(self, workspace, tmp_path,
+                                           capsys):
+        root, raw = workspace
+        data = {k: v for k, v in raw["data"].items() if k != "test"}
+        cfg = write_config(root, raw, name="no_test.json", data=data)
+        tsv = tmp_path / "report.tsv"
+        assert main(["grid", "--config", cfg, "--out", str(tsv),
+                     "--lr-sweep", str(tmp_path / "sweep.jsonl")]) == 2
+        assert "data.test" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_multitask_reports_task_test_error(self, workspace, capsys):
+        root, raw = workspace
+        tasks = [{"name": "a", "train": raw["data"]["train"],
+                  "test": raw["data"]["test"], "n_classes": 2},
+                 {"name": "b", "train": raw["data"]["test"],
+                  "test": raw["data"]["train"], "n_classes": 2}]
+        cfg = write_config(root, raw, name="mt_test.json",
+                           multitask={"tasks": tasks})
+        capsys.readouterr()
+        assert main(["multitask", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [l.split(" error ")[0].strip() for l in lines] == [
+            "a: val", "a: test", "b: val", "b: test"]
+
+    @pytest.mark.parametrize("proportion,trained", [(1.0, 60), (0.5, 30)])
+    def test_grid_honours_few_shot_proportion(self, workspace, tmp_path,
+                                              monkeypatch, capsys,
+                                              proportion, trained):
+        seen = []
+
+        def fake_run_grid(model, recipe, vocab, train, val, test, **kw):
+            seen.append(len(train) + len(val))
+            return []
+        monkeypatch.setattr("bertfit.grid.run_grid", fake_run_grid)
+        root, raw = workspace
+        cfg = write_config(root, raw, name="few.json",
+                           few_shot_proportion=proportion)
+        assert main(["grid", "--config", cfg,
+                     "--out", str(tmp_path / "g.tsv")]) == 0
+        assert seen == [trained]
+
+    @pytest.mark.parametrize("command", ["grid", "multitask"])
+    def test_init_checkpoint_rejected_where_not_installed(
+            self, workspace, tmp_path, capsys, command):
+        root, raw = workspace
+        tasks = [{"name": "a", "train": raw["data"]["train"]}]
+        cfg = write_config(root, raw, name="init_unused.json",
+                           init_checkpoint=str(tmp_path / "init.ckpt"),
+                           multitask={"tasks": tasks})
+        capsys.readouterr()
+        assert main(command_argv(command, cfg, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{command}: {cfg}: init_checkpoint")
+        assert not captured.out and not list(tmp_path.iterdir())
+
+
+def command_argv(command, cfg, out):
+    """argv running `command` on `cfg`, with every output under `out`."""
+    extra = {"finetune": ["--metrics-out", str(out / "m.jsonl"),
+                          "--checkpoint-out", str(out / "m.ckpt")],
+             "pretrain": ["--out-dir", str(out / "pt")],
+             "multitask": [],
+             "eval": ["--checkpoint", str(out / "m.ckpt")],
+             "grid": ["--out", str(out / "g.tsv"),
+                      "--lr-sweep", str(out / "s.jsonl")]}[command]
+    return [command, "--config", str(cfg), *extra]
+
+
+def run_rejected(command, raw, root):
+    """Run `command` on config `raw`; assert exit 2, no output and nothing
+    written, and return the one stderr line."""
+    cfg = root / "rejected.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out = root / "out"
+    out.mkdir(exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        assert main(command_argv(command, cfg, out)) == 2
+    assert not stdout.getvalue() and not list(out.iterdir())
+    line, = stderr.getvalue().splitlines()
+    prefix = f"{command}: {cfg}: "
+    assert line.startswith(prefix)
+    return line[len(prefix):]
+
+
+def key_paths(node, path=()):
+    """Every key path of a config dict, `tasks` entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(key, str):
+            yield path + (key,)
+        if isinstance(value, dict) or key == "tasks":
+            yield from key_paths(value, path + (key,))
+
+
+def dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path)[1:]
+
+
+def edit(raw, path, fn):
+    """A deep copy of `raw` with fn(parent, key) applied at `path`."""
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for k in path[:-1]:
+        node = node[k]
+    fn(node, path[-1])
+    return raw
+
+
+COMMANDS = ["finetune", "pretrain", "multitask", "eval", "grid"]
+
+
+class TestConfigErrors:
+    """Every command reads the whole config before any other file, and
+    rejects what the schema does not hold with exit 2, naming the key."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tiny_model_config, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cfg")
+        return full_config(tiny_model_config, root).to_dict(), root
+
+    @pytest.mark.parametrize("command,path,typo", [
+        ("finetune", ("recipe",), "recipie"),
+        ("finetune", ("model", "hidden"), "hiden"),
+        ("finetune", ("recipe", "decay_factor"), "decay_factr"),
+        ("finetune", ("recipe", "layer_selection", "strategy"), "stratgy"),
+        ("eval", ("data", "test"), "tset"),
+        ("pretrain", ("pretrain", "steps"), "stpes"),
+        ("grid", ("grid", "lrs"), "lr"),
+        ("multitask", ("multitask", "tasks", 1, "n_classes"), "n_clases"),
+    ])
+    def test_unknown_key_named(self, valid, command, path, typo):
+        raw, root = valid
+        bad = edit(raw, path, lambda node, k: node.update({typo: node.pop(k)}))
+        assert run_rejected(command, bad, root) == \
+            f"unknown key {dotted(path[:-1] + (typo,))}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_one_key_typo_rejected(self, valid, data):
+        raw, root = valid
+        path = data.draw(st.sampled_from(list(key_paths(raw))))
+        key = path[-1]
+        i = data.draw(st.integers(0, len(key) - 1))
+        typo = data.draw(st.sampled_from([
+            key[:i] + key[i + 1:], key[:i] + key[i] + key[i:],
+            key[:i] + key[i + 1:i + 2] + key[i] + key[i + 2:], key + "s"]))
+        parent = raw
+        for k in path[:-1]:
+            parent = parent[k]
+        assume(typo and typo not in parent)
+        bad = edit(raw, path, lambda node, k: node.update({typo: node.pop(k)}))
+        command = data.draw(st.sampled_from(COMMANDS))
+        assert run_rejected(command, bad, root) == \
+            f"unknown key {dotted(path[:-1] + (typo,))}"
+
+    @pytest.mark.parametrize("command,path", [
+        *((c, ("vocab",)) for c in COMMANDS),
+        ("finetune", ("data",)), ("eval", ("data",)), ("grid", ("data",)),
+        ("pretrain", ("pretrain",)), ("multitask", ("multitask",)),
+        ("finetune", ("data", "train")), ("eval", ("pretrain", "corpus")),
+        ("grid", ("multitask", "tasks")),
+        ("multitask", ("multitask", "tasks", 0, "name")),
+        ("multitask", ("multitask", "tasks", 1, "train")),
+    ])
+    def test_missing_required_key_named(self, valid, command, path):
+        raw, root = valid
+        bad = edit(raw, path, lambda node, key: node.pop(key))
+        assert run_rejected(command, bad, root) == \
+            f"missing key {dotted(path)}"
+
+    def test_max_len_over_max_positions(self, valid):
+        raw, root = valid
+        bad = edit(raw, ("recipe", "max_len"),
+                   lambda node, key: node.update({key: 32}))
+        assert run_rejected("finetune", bad, root) == \
+            "recipe.max_len 32 exceeds model.max_positions 16"
+
+    def test_section_value_rejection_names_section(self, valid):
+        raw, root = valid
+        bad = edit(raw, ("recipe", "long_text"),
+                   lambda node, key: node.update({key: "middle"}))
+        assert run_rejected("eval", bad, root) == \
+            "recipe.long_text: unknown strategy 'middle'"

@@ -105,11 +105,10 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("out", "inputs", "backward_fn")
+    __slots__ = ("out", "backward_fn")
 
-    def __init__(self, out, inputs, backward_fn):
+    def __init__(self, out, backward_fn):
         self.out = out
-        self.inputs = inputs
         self.backward_fn = backward_fn
 
 
@@ -138,9 +137,9 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def record(self, out, inputs, backward_fn):
+    def record(self, out, backward_fn):
         out.node_id = len(self.records)
-        self.records.append(_Record(out, inputs, backward_fn))
+        self.records.append(_Record(out, backward_fn))
 
 
 def _accum(t: Tensor, g):
@@ -195,7 +194,7 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _make(out_data, inputs, backward_fn):
+def _make(out_data, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -203,7 +202,7 @@ def _make(out_data, inputs, backward_fn):
     out.name = None
     tape = _ACTIVE_TAPE
     if tape is not None:
-        tape.record(out, inputs, backward_fn)
+        tape.record(out, backward_fn)
     return out
 
 
@@ -216,7 +215,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _make(out_data, (a, b), bwd)
+    return _make(out_data, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -226,7 +225,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(out_data, (a, b), bwd)
+    return _make(out_data, bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -236,7 +235,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         _accum(a, g * c)
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def square(a: Tensor) -> Tensor:
@@ -245,7 +244,7 @@ def square(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, 2.0 * a.data * g)
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -263,7 +262,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(ga, a.shape))
         _accum(b, _unbroadcast(gb, b.shape))
 
-    return _make(out_data, (a, b), bwd)
+    return _make(out_data, bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -284,7 +283,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
         _accum(w, np.matmul(x.data.reshape(-1, K).T, g2))
 
-    return _make(out_data, (x, w, b), bwd)
+    return _make(out_data, bwd)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
@@ -354,7 +353,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         _accum(k, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
         _accum(v, merged(gv, (0, 2, 1, 3)))
 
-    return _make(out_data, (q, k, v), bwd), Tensor(probs)
+    return _make(out_data, bwd), Tensor(probs)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -364,7 +363,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def bwd(g):
         _accum(a, np.transpose(g, inv))
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -373,7 +372,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         _accum(a, g.reshape(a.shape))
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def concat(tensors, axis=-1) -> Tensor:
@@ -385,7 +384,7 @@ def concat(tensors, axis=-1) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accum(t, piece)
 
-    return _make(out_data, tuple(tensors), bwd)
+    return _make(out_data, bwd)
 
 
 # -- reductions ------------------------------------------------------------
@@ -398,7 +397,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -410,7 +409,7 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape) / n)
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def tmax(a: Tensor, axis) -> Tensor:
@@ -424,7 +423,7 @@ def tmax(a: Tensor, axis) -> Tensor:
             ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         _accum(a, ga)
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def slice_rows(a: Tensor, offset: int, k: int) -> Tensor:
@@ -436,7 +435,7 @@ def slice_rows(a: Tensor, offset: int, k: int) -> Tensor:
         ga[offset:offset + k] = g
         _accum(a, ga)
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 def select(a: Tensor, index: int, axis: int) -> Tensor:
@@ -450,7 +449,7 @@ def select(a: Tensor, index: int, axis: int) -> Tensor:
         ga[tuple(sl)] = g
         _accum(a, ga)
 
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, bwd)
 
 
 # -- nonlinearities --------------------------------------------------------
@@ -470,7 +469,7 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
         gx *= out_data
         _accum(x, gx)
 
-    return _make(out_data, (x,), bwd)
+    return _make(out_data, bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -506,7 +505,7 @@ def gelu(x: Tensor) -> Tensor:
         dt *= g
         _accum(x, dt)
 
-    return _make(out_data, (x,), bwd)
+    return _make(out_data, bwd)
 
 
 def _normalize(xd, gamma: Tensor, beta: Tensor, eps):
@@ -545,7 +544,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
     def bwd(g):
         _accum(x, norm_bwd(g))
 
-    return _make(out_data, (x, gamma, beta), bwd)
+    return _make(out_data, bwd)
 
 
 def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor, beta: Tensor,
@@ -562,7 +561,7 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor, beta: Tensor,
         _accum(x, gx)
         _accum(h, gx)
 
-    return _make(out_data, (x, h, gamma, beta), bwd)
+    return _make(out_data, bwd)
 
 
 def dropout(x: Tensor, p: float, rng) -> Tensor:
@@ -584,7 +583,7 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
     def bwd(g):
         _accum(x, masked(g))
 
-    return _make(masked(x.data), (x,), bwd)
+    return _make(masked(x.data), bwd)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
@@ -597,7 +596,7 @@ def embedding(weight: Tensor, ids) -> Tensor:
         np.add.at(gw, ids.ravel(), g.reshape(-1, weight.shape[-1]))
         _accum(weight, gw)
 
-    return _make(out_data, (weight,), bwd)
+    return _make(out_data, bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -625,7 +624,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         p *= inv_n
         _accum(logits, p)
 
-    return _make(out_data, (logits,), bwd)
+    return _make(out_data, bwd)
 
 
 # -- gradient oracle -------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .checkpoint import load_checkpoint, load_into, save_checkpoint
+from .checkpoint import CheckpointError, install, save_model
 from .config import ConfigError, ExperimentConfig, GridSection
 from .data import load_dataset, split_validation, subsample
 from .model import init_model, named_tensors
@@ -32,9 +32,13 @@ def _usage_error(command, message):
 def _setup(args, *required):
     """(experiment with the CLI overrides, vocabulary), vocab_size set from
     the vocabulary. Raises ConfigError before reading any other file if the
-    schema, `vocab` or a `required` section is not met."""
-    with open(args.config, encoding="utf-8") as fh:
-        exp = ExperimentConfig.from_dict(json.load(fh))
+    config is not JSON, or misses the schema, `vocab` or a `required` key."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read the config: {e}") from None
+    exp = ExperimentConfig.from_dict(raw)
     for key in ("vocab", *required):
         if getattr(exp, key) is None:
             raise ConfigError(f"missing key {key}")
@@ -55,6 +59,13 @@ def _train_val_test(exp):
         train = subsample(train, exp.few_shot_proportion, exp.seed)
     train, val = split_validation(train, exp.validation_fraction, exp.seed)
     return train, val, test
+
+
+def _init_from(exp, vocab, model):
+    """Install exp.init_checkpoint, if set, into the encoder `model`."""
+    if exp.init_checkpoint:
+        install(exp.init_checkpoint, named_tensors(model), exp.model, vocab,
+                exp.recipe.combiner_kind)
 
 
 def cmd_build_vocab(args):
@@ -83,39 +94,6 @@ def cmd_subsample(args):
     return 0
 
 
-# The EncoderConfig fields that shape the computation; dropout does not.
-_ARCH_FIELDS = ("n_layers", "hidden", "n_heads", "ffn", "vocab_size",
-                "max_positions", "n_segments", "dtype")
-
-
-def _install_checkpoint(command, path, named, exp, vocab,
-                        check_combiner=False):
-    """Install checkpoint `path` into the `named` tensors of a model built
-    from `exp`; exit code 2 if its config meta, vocab_hash, combiner kind
-    (if `check_combiner`) or a tensor does not match, else None."""
-    meta, arrays = load_checkpoint(path)
-    config, kind = exp.model, exp.recipe.combiner_kind
-    if check_combiner and meta.get("combiner", kind) != kind:
-        return _usage_error(command, f"{path}: checkpoint combiner "
-                            f"{meta['combiner']!r} does not match the "
-                            f"config's {kind!r} ({exp.recipe.long_text!r})")
-    saved = meta.get("config", {})
-    for key in _ARCH_FIELDS:
-        if key in saved and saved[key] != getattr(config, key):
-            return _usage_error(
-                command, f"{path}: checkpoint config {key} {saved[key]!r} "
-                f"does not match the model's {getattr(config, key)!r}")
-    saved_hash = meta.get("vocab_hash")
-    if saved_hash is not None and saved_hash != vocab.content_hash():
-        return _usage_error(
-            command, f"checkpoint vocab_hash {saved_hash} does not match "
-            f"the config vocabulary {exp.vocab} ({vocab.content_hash()})")
-    try:
-        load_into(named, arrays)
-    except ValueError as e:
-        return _usage_error(command, f"{path}: {e}")
-
-
 def cmd_finetune(args):
     from .training import MetricsLog, build_model, finetune, prepare_inputs
     exp, vocab = _setup(args, "data")
@@ -123,11 +101,7 @@ def cmd_finetune(args):
     recipe = exp.recipe
     model, head, combiner = build_model(exp.model, recipe, train.n_classes,
                                         Rng(exp.seed))
-    if exp.init_checkpoint:
-        code = _install_checkpoint("finetune", exp.init_checkpoint,
-                                   named_tensors(model), exp, vocab)
-        if code:
-            return code
+    _init_from(exp, vocab, model)
     metrics = MetricsLog(args.metrics_out, strict=exp.strict_deterministic)
     res = finetune(model, head,
                    prepare_inputs(train, vocab, recipe),
@@ -138,12 +112,9 @@ def cmd_finetune(args):
                    metrics=metrics)
     metrics.close()
     if args.checkpoint_out:
-        save_checkpoint(args.checkpoint_out,
-                        named_tensors(model, [head, combiner]),
-                        meta={"config": exp.model.to_dict(),
-                              "vocab_hash": vocab.content_hash(),
-                              "combiner": recipe.combiner_kind,
-                              "step": recipe.train_steps})
+        save_model(args.checkpoint_out,
+                   named_tensors(model, [head, combiner]), exp.model, vocab,
+                   recipe.train_steps, combiner=recipe.combiner_kind)
     status = "diverged" if res.diverged else (
         f"best val error {res.best_val_error:.2f}%"
         + (f", test error {res.test_error:.2f}%"
@@ -159,6 +130,7 @@ def cmd_pretrain(args):
     docs = read_corpus(pt.corpus)
     rng = Rng(exp.seed)
     model = init_model(exp.model, rng.derive(1))
+    _init_from(exp, vocab, model)
     schedule = StlrSchedule(total_steps=pt.steps, peak_lr=pt.lr,
                             warmup_proportion=pt.warmup_proportion)
     out_dir = args.out_dir or "."
@@ -183,11 +155,10 @@ def cmd_multitask(args):
                             multitask_finetune, per_task_refine)
     from .training import build_encoder, evaluate, prepare_inputs
     exp, vocab = _setup(args, "multitask")
-    if exp.init_checkpoint:
-        raise ConfigError("init_checkpoint: multitask starts from random init")
     recipe = exp.recipe
     rng = Rng(exp.seed)
     model, width, combiner = build_encoder(exp.model, recipe, rng)
+    _init_from(exp, vocab, model)
     task_inputs, task_val, task_test, sizes = {}, {}, {}, {}
     for t in exp.multitask.tasks:
         ds, test = t.load()
@@ -223,11 +194,8 @@ def cmd_eval(args):
     ds, test = exp.data.load()
     model, head, combiner = build_model(exp.model, exp.recipe, ds.n_classes,
                                         Rng(exp.seed))
-    code = _install_checkpoint("eval", args.checkpoint,
-                               named_tensors(model, [head, combiner]), exp,
-                               vocab, check_combiner=True)
-    if code:
-        return code
+    install(args.checkpoint, named_tensors(model, [head, combiner]),
+            exp.model, vocab, exp.recipe.combiner_kind)
     target = test or ds
     inputs = prepare_inputs(target, vocab, exp.recipe)
     err, loss = evaluate(model, head, inputs, exp.recipe, combiner)
@@ -239,19 +207,19 @@ def cmd_eval(args):
 def cmd_grid(args):
     from .grid import run_grid, run_lr_sweep
     exp, vocab = _setup(args, "data")
-    if exp.init_checkpoint:
-        raise ConfigError("init_checkpoint: grid starts from random init")
     if args.lr_sweep and not exp.data.test:
         raise ConfigError("missing key data.test, which --lr-sweep scores")
     train, val, test = _train_val_test(exp)
     g = exp.grid or GridSection()
     out_tsv = args.out or "grid_report.tsv"
     cells = run_grid(exp.model, exp.recipe, vocab, train, val, test,
-                     lrs=g.lrs, xis=g.decay_factors, out_tsv=out_tsv)
+                     lrs=g.lrs, xis=g.decay_factors, out_tsv=out_tsv,
+                     init_checkpoint=exp.init_checkpoint)
     print(f"grid: {len(cells)} cells -> {out_tsv}")
     if args.lr_sweep:
         run_lr_sweep(exp.model, exp.recipe, vocab, train, val, test,
-                     lrs=g.sweep_lrs, out_jsonl=args.lr_sweep)
+                     lrs=g.sweep_lrs, out_jsonl=args.lr_sweep,
+                     init_checkpoint=exp.init_checkpoint)
         print(f"lr sweep -> {args.lr_sweep}")
     return 0
 
@@ -310,6 +278,8 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as e:
         return _usage_error(args.command, f"{args.config}: {e}")
+    except CheckpointError as e:
+        return _usage_error(args.command, str(e))
 
 
 if __name__ == "__main__":

@@ -106,6 +106,14 @@ class MultitaskSection:
     tasks: list[TaskSection]
     refine_steps: int | None = None
 
+    def __post_init__(self):
+        names = [t.name for t in self.tasks]
+        if len(names) < 2:
+            raise ValueError(f"tasks: multi-task training needs at least "
+                             f"two tasks, got {len(names)}")
+        if len(set(names)) < len(names):
+            raise ValueError(f"tasks: two tasks share a name: {names}")
+
 
 @dataclass
 class GridSection:
@@ -114,28 +122,46 @@ class GridSection:
     sweep_lrs: Sequence[float] = FIGURE2_LRS
 
 
+# a plain value's JSON types and how a message names them; a bool is not
+# a number, and a float field takes a JSON integer
+_PLAIN = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
 def _read(hint, v, path=""):
-    """Build `hint` (a section dataclass, a list of sections or a plain
-    value) from the JSON value `v`; ConfigError names the dotted key `path`
-    of an unknown or missing key, or of a section that rejects a value."""
+    """Build `hint` (a section dataclass, a list of sections or of plain
+    values, a plain value, or `X | None` of one) from the JSON value `v`;
+    ConfigError names the dotted key `path` of an unknown or missing key, a
+    value of the wrong type, or a section that rejects a value."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return [_read(args[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
-    cls = next((a for a in (hint, *args) if is_dataclass(a)), None)
-    if cls is None or (v is None and type(None) in args):   # absent section
+    if type(None) in args:                      # X | None
+        if v is None:
+            return v
+        hint, = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin in (list, Sequence):
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {v!r}")
+        items = [_read(args[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return items if origin is list else v
+    if not is_dataclass(hint):
+        kinds, kind_name = _PLAIN[hint]
+        if isinstance(v, bool) != (hint is bool) or not isinstance(v, kinds):
+            raise ConfigError(f"{path} must be {kind_name}, got {v!r}")
         return v
     if not isinstance(v, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {v!r}")
-    where, hints = f"{path}." if path else "", typing.get_type_hints(cls)
+    where, hints = f"{path}." if path else "", typing.get_type_hints(hint)
     for key in v:
         if key not in hints:
             raise ConfigError(f"unknown key {where}{key}")
-    for f in fields(cls):
+    for f in fields(hint):
         if f.name not in v and f.default is f.default_factory is MISSING:
             raise ConfigError(f"missing key {where}{f.name}")
     kw = {k: _read(hints[k], x, where + k) for k, x in v.items()}
     try:
-        return cls(**kw)
+        return hint(**kw)
     except ValueError as e:
         raise ConfigError(f"{where}{e}") from None
 

@@ -4,7 +4,8 @@
 emits a TSV report; `run_lr_sweep` produces per-epoch train/test learning
 curves for a list of learning rates. Diverged runs (NaN loss) are recorded
 as "diverged", never raised. Both take every long-text recipe, `hier_*`
-included: each cell builds its own fraction combiner.
+included: each cell builds its own fraction combiner. Given
+`init_checkpoint`, each cell installs it into its encoder before training.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+from .checkpoint import install
 from .config import FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, TrainingRecipe
-from .model import EncoderConfig
+from .model import EncoderConfig, named_tensors
 from .rng import Rng
 from .training import build_model, evaluate, finetune, prepare_inputs
 
@@ -27,11 +29,14 @@ class GridCell:
     diverged: bool
 
 
-def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe,
+def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
               n_classes, train_inputs, val_inputs, test_inputs,
-              eval_hook=None):
+              init_checkpoint=None, eval_hook=None):
     model, head, combiner = build_model(model_config, recipe, n_classes,
                                         Rng(recipe.seed))
+    if init_checkpoint:
+        install(init_checkpoint, named_tensors(model), model_config, vocab,
+                recipe.combiner_kind)
     return finetune(model, head, train_inputs, val_inputs, recipe,
                     combiner=combiner, test_inputs=test_inputs,
                     eval_hook=eval_hook)
@@ -39,7 +44,7 @@ def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe,
 
 def run_grid(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
              train_ds, val_ds, test_ds, lrs=TABLE4_LRS, xis=TABLE4_XIS,
-             out_tsv=None) -> list[GridCell]:
+             out_tsv=None, init_checkpoint=None) -> list[GridCell]:
     if not lrs or not xis:
         raise ValueError("lr and decay-factor lists must be non-empty")
     train_inputs = prepare_inputs(train_ds, vocab, recipe)
@@ -49,8 +54,9 @@ def run_grid(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
     for lr in lrs:
         for xi in xis:
             cell_recipe = replace(recipe, base_lr=lr, decay_factor=xi)
-            res = _run_cell(model_config, cell_recipe, train_ds.n_classes,
-                            train_inputs, val_inputs, test_inputs)
+            res = _run_cell(model_config, cell_recipe, vocab,
+                            train_ds.n_classes, train_inputs, val_inputs,
+                            test_inputs, init_checkpoint)
             cells.append(GridCell(
                 base_lr=lr, decay_factor=xi,
                 val_error=None if res.diverged else res.best_val_error,
@@ -76,7 +82,7 @@ def write_grid_tsv(cells, path):
 
 def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
                  train_ds, val_ds, test_ds, lrs=FIGURE2_LRS,
-                 out_jsonl=None) -> dict:
+                 out_jsonl=None, init_checkpoint=None) -> dict:
     """Catastrophic-forgetting sweep: per-epoch train/test error per lr."""
     if test_ds is None:
         raise ValueError("the lr sweep needs a test set")
@@ -97,8 +103,9 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
                            "train_error": tr_err, "test_error": te_err,
                            "train_loss": tr_loss, "test_loss": te_loss})
 
-        res = _run_cell(model_config, cell_recipe, train_ds.n_classes,
-                        train_inputs, val_inputs, test_inputs, eval_hook=hook)
+        res = _run_cell(model_config, cell_recipe, vocab, train_ds.n_classes,
+                        train_inputs, val_inputs, test_inputs,
+                        init_checkpoint, eval_hook=hook)
         curves[lr] = {"diverged": res.diverged, "epochs": series}
     if out_jsonl:
         with open(out_jsonl, "w", encoding="utf-8") as fh:

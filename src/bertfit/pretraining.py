@@ -258,7 +258,7 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
     the schedule rate (no layer-wise decay during further pre-training). A
     step that hits a non-finite value ends the run with `diverged` set.
     """
-    from .checkpoint import save_checkpoint
+    from .checkpoint import save_model
     if len(docs) < 1:
         raise ValueError("corpus is empty")
     policy = policy or MaskingPolicy()
@@ -295,10 +295,8 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
         at_cadence = checkpoint_every and step % checkpoint_every == 0
         if checkpoint_dir and (at_cadence or step == steps):
             path = f"{checkpoint_dir}/pretrain_step{step}.ckpt"
-            save_checkpoint(path, model.named_parameters(),
-                            meta={"config": model.config.to_dict(),
-                                  "vocab_hash": vocab.content_hash(),
-                                  "step": step})
+            save_model(path, model.named_parameters(), model.config, vocab,
+                       step)
             result.checkpoints.append((step, path))
     return result
 

@@ -43,14 +43,10 @@ def spy_gradients(tape):
 def tape_dtypes(tape, loss, parameters):
     """Run backward from `loss` and return the set of dtypes of every
     recorded output, every gradient handed to a backward rule and every
-    gradient a record input holds afterwards (leaves: parameters and
-    untaped inputs)."""
+    parameter gradient afterwards (the only leaves a model step has)."""
     handed = spy_gradients(tape)
     ad.backward(tape, loss, parameters=parameters)
     dtypes = {rec.out.data.dtype for rec in tape.records}
     dtypes.update(g.dtype for g in handed.values())
-    for rec in tape.records:
-        for t in rec.inputs:
-            if t.grad is not None:
-                dtypes.add(t.grad.dtype)
+    dtypes.update(p.grad.dtype for p in parameters)
     return dtypes

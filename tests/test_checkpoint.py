@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from bertfit.checkpoint import load_checkpoint, load_into, save_checkpoint
-from bertfit.model import EncoderConfig, init_model
+from bertfit.checkpoint import (CheckpointError, install, load_checkpoint,
+                                load_into, save_checkpoint, save_model)
+from bertfit.model import ClassifierHead, EncoderConfig, init_model
 from bertfit.rng import Rng
+from bertfit.tokenizer import RESERVED, Vocabulary
 
 
 class TestRoundTrip:
@@ -86,3 +88,153 @@ class TestLoadInto:
         with pytest.raises(ValueError, match=f"'block0.wq' is {found}"):
             load_into(dst.named_parameters(), arrays)
         assert all(dst.params[k].data is a for k, a in before.items())
+
+
+class TestUnreadable:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.zeros(3, np.float32),
+                               "b": np.zeros((2, 2), np.float64)})
+        return path, path.read_bytes()
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "none.ckpt"
+        with pytest.raises(CheckpointError, match=f"^{path}: cannot open"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [0, 4, 8, 20])
+    def test_header_cut_short(self, saved, cut):
+        path, raw = saved
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError,
+                           match=f"^{path}: unreadable checkpoint header$"):
+            load_checkpoint(path)
+
+    def test_header_not_json(self, saved):
+        path, raw = saved
+        path.write_bytes(raw[:8] + b"\xff" * (len(raw) - 8))
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut,name,have,want", [
+        (1, "b", 31, 32), (32, "b", 0, 32), (40, "a", 4, 12)])
+    def test_payload_cut_short_names_tensor(self, saved, cut, name, have,
+                                            want):
+        path, raw = saved
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(CheckpointError, match=(
+                f"^{path}: checkpoint tensor '{name}' is cut short: "
+                f"{have} of {want} bytes$")):
+            load_checkpoint(path)
+
+
+class TestAtomicSave:
+    def test_overwrite_leaves_only_the_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.zeros(2, np.float32)})
+        save_checkpoint(path, {"a": np.ones(2, np.float32)})
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+        assert load_checkpoint(path)[1]["a"].tolist() == [1.0, 1.0]
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.zeros(2, np.float32)})
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr("bertfit.checkpoint.os.replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"a": np.ones(2, np.float32)})
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+        assert path.read_bytes() == before
+
+
+class TestInstall:
+    CFG = dict(n_layers=1, hidden=8, n_heads=2, vocab_size=len(RESERVED) + 2,
+               max_positions=8, dropout=0.0)
+
+    @pytest.fixture
+    def vocab(self):
+        return Vocabulary(RESERVED + ["x", "y"])
+
+    def _model(self, seed, **change):
+        cfg = EncoderConfig(**{**self.CFG, **change})
+        return init_model(cfg, Rng(seed)), ClassifierHead.init(
+            8, 2, Rng(seed + 1))
+
+    def _named(self, model, head=None):
+        named = dict(model.named_parameters())
+        if head:
+            named.update((p.name, p) for p in head.parameters())
+        return named
+
+    def test_save_model_meta(self, tmp_path, vocab):
+        model, _ = self._model(1)
+        path = tmp_path / "m.ckpt"
+        save_model(path, self._named(model), model.config, vocab, 7,
+                   combiner="attn")
+        assert load_checkpoint(path)[0] == {
+            "config": model.config.to_dict(), "combiner": "attn",
+            "vocab_hash": vocab.content_hash(), "step": 7}
+
+    def test_round_trip_installs(self, tmp_path, vocab):
+        (src, src_head), (dst, dst_head) = self._model(1), self._model(5)
+        path = tmp_path / "m.ckpt"
+        save_model(path, self._named(src, src_head), src.config, vocab, 0)
+        install(path, self._named(dst, dst_head), dst.config, vocab, None)
+        for name, p in self._named(src, src_head).items():
+            assert p.data.tobytes() == \
+                self._named(dst, dst_head)[name].data.tobytes()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"dropout": 0.3}, None),
+        ({"n_heads": 4}, "checkpoint config n_heads 2 does not match the "
+                         "model's 4"),
+        ({"dtype": "f8"}, "checkpoint config dtype 'f4' does not match the "
+                          "model's 'f8'")])
+    def test_config_fields_but_dropout_checked(self, tmp_path, vocab,
+                                               change, message):
+        src, _ = self._model(1)
+        dst, _ = self._model(5, **change)
+        path = tmp_path / "m.ckpt"
+        save_model(path, self._named(src), src.config, vocab, 0)
+        before = {n: p.data for n, p in self._named(dst).items()}
+        if message is None:
+            install(path, self._named(dst), dst.config, vocab, None)
+            return
+        with pytest.raises(CheckpointError, match=f"^{path}: {message}$"):
+            install(path, self._named(dst), dst.config, vocab, None)
+        assert all(p.data is before[n] for n, p in self._named(dst).items())
+
+    def test_vocab_hash_checked(self, tmp_path, vocab):
+        src, _ = self._model(1)
+        other = Vocabulary(RESERVED + ["y", "x"])
+        path = tmp_path / "m.ckpt"
+        save_model(path, self._named(src), src.config, vocab, 0)
+        with pytest.raises(CheckpointError, match=(
+                f"vocab_hash {vocab.content_hash()} does not match the "
+                f"vocabulary's {other.content_hash()}")):
+            install(path, self._named(src), src.config, other, None)
+
+    def test_combiner_checked_only_with_classifier(self, tmp_path, vocab):
+        src, head = self._model(1)
+        path = tmp_path / "m.ckpt"
+        save_model(path, self._named(src, head), src.config, vocab, 0,
+                   combiner="attn")
+        install(path, self._named(src), src.config, vocab, None)
+        with pytest.raises(CheckpointError, match=(
+                "checkpoint combiner 'attn' does not match the config's "
+                "'mean'")):
+            install(path, self._named(src, head), src.config, vocab, "mean")
+
+    def test_tensor_mismatch_named(self, tmp_path, vocab):
+        src, _ = self._model(1)
+        path = tmp_path / "m.ckpt"
+        named = self._named(src)
+        del named["block0.wq"]
+        save_checkpoint(path, named)
+        with pytest.raises(CheckpointError,
+                           match=f"^{path}: checkpoint tensor 'block0.wq'"):
+            install(path, self._named(src), src.config, vocab, None)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from bertfit.config import (DataSection, ExperimentConfig, GridSection,
 from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
 from bertfit.data import Example, split_validation
-from bertfit.model import EncoderConfig
+from bertfit.model import EncoderConfig, named_tensors
 from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 
@@ -101,6 +102,9 @@ def full_config(model_config, root):
             TaskSection(name="b", train=path("b.csv"), test=path("bt.csv"),
                         n_classes=2)], refine_steps=2),
         grid=GridSection(lrs=(5e-4,), sweep_lrs=(5e-4, 1e-4)))
+
+
+COMMANDS = ["finetune", "pretrain", "multitask", "eval", "grid"]
 
 
 class TestExperimentConfig:
@@ -634,47 +638,134 @@ class TestCli:
                      "--out", str(tmp_path / "g.tsv")]) == 0
         assert seen == [trained]
 
-    @pytest.mark.parametrize("command", ["grid", "multitask"])
-    def test_init_checkpoint_rejected_where_not_installed(
-            self, workspace, tmp_path, capsys, command):
+    @pytest.fixture(scope="class")
+    def chain(self, workspace, tmp_path_factory):
+        """(config with every section, the checkpoint of a 2-step `pretrain`
+        run on it): the first stage of the paper's recipe chain."""
         root, raw = workspace
-        tasks = [{"name": "a", "train": raw["data"]["train"]}]
-        cfg = write_config(root, raw, name="init_unused.json",
-                           init_checkpoint=str(tmp_path / "init.ckpt"),
-                           multitask={"tasks": tasks})
-        capsys.readouterr()
-        assert main(command_argv(command, cfg, tmp_path)) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"{command}: {cfg}: init_checkpoint")
-        assert not captured.out and not list(tmp_path.iterdir())
+        raw = {**raw, "pretrain": {"corpus": str(root / "corpus.txt"),
+                                   "steps": 2, "lr": 1e-3, "batch_size": 4,
+                                   "max_len": 16},
+               "multitask": {"tasks": [
+                   {"name": "a", "train": raw["data"]["train"],
+                    "n_classes": 2},
+                   {"name": "b", "train": raw["data"]["test"],
+                    "test": raw["data"]["train"], "n_classes": 2}],
+                   "refine_steps": 2},
+               "grid": {"lrs": [5e-4], "decay_factors": [1.0, 0.9],
+                        "sweep_lrs": [5e-4]}}
+        out = tmp_path_factory.mktemp("chain")
+        assert main(["pretrain", "--config", write_config(out, raw),
+                     "--out-dir", str(out)]) == 0
+        return raw, out / "pretrain_step2.ckpt"
+
+    @pytest.mark.parametrize("command", ["finetune", "pretrain", "multitask",
+                                         "grid"])
+    def test_init_checkpoint_installed(self, chain, tmp_path, monkeypatch,
+                                       capsys, command):
+        # pre-training hands its encoder to the next stage: every run of
+        # `command` (each grid cell) starts from the checkpoint's tensors,
+        # and two strict runs print the same
+        raw, ckpt = chain
+        starts = []
+
+        def spy(fn):
+            def start(model, *args, **kw):
+                encoder = getattr(model, "encoder", model)   # MultiTaskModel
+                starts.append({n: p.data.tobytes() for n, p in
+                               named_tensors(encoder).items()})
+                return fn(model, *args, **kw)
+            return start
+        module, trainer = {
+            "finetune": ("training", "finetune"),
+            "pretrain": ("pretraining", "further_pretrain"),
+            "multitask": ("multitask", "multitask_finetune"),
+            "grid": ("grid", "finetune")}[command]
+        module = importlib.import_module(f"bertfit.{module}")
+        monkeypatch.setattr(module, trainer, spy(getattr(module, trainer)))
+        cfg = write_config(tmp_path, raw, init_checkpoint=str(ckpt))
+        outs = []
+        for run in ("r1", "r2"):
+            (tmp_path / run).mkdir()
+            capsys.readouterr()
+            assert main(["--strict-deterministic", *command_argv(
+                command, cfg, tmp_path / run)]) == 0
+            outs.append(capsys.readouterr().out.replace(run, "run"))
+        assert outs[0] == outs[1] and "diverged" not in outs[0]
+        _, saved = load_checkpoint(ckpt)
+        # a grid run trains two cells and one lr-sweep run
+        assert len(starts) == {"grid": 3}.get(command, 1) * 2
+        for start in starts:
+            assert start == {n: a.tobytes() for n, a in saved.items()}
+
+    def test_pretrain_continues_from_init_checkpoint(self, chain, tmp_path,
+                                                     capsys):
+        raw, ckpt = chain
+        for name, init in (("fresh", {}), ("cont", {"init_checkpoint":
+                                                     str(ckpt)})):
+            cfg = write_config(tmp_path, raw, name=f"{name}.json", **init)
+            assert main(["--strict-deterministic", "pretrain", "--config",
+                         cfg, "--out-dir", str(tmp_path / name)]) == 0
+        fresh, cont = (tmp_path / d / "pretrain_step2.ckpt"
+                       for d in ("fresh", "cont"))
+        assert fresh.read_bytes() == ckpt.read_bytes()
+        assert cont.read_bytes() != fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_checkpoint_n_layers_mismatch_rejected(self, chain, tmp_path,
+                                                   command):
+        raw, ckpt = chain
+        bad = {**raw, "model": {**raw["model"], "n_layers": 2},
+               "init_checkpoint": str(ckpt)}
+        assert run_rejected(command, bad, tmp_path, about=ckpt,
+                            checkpoint=ckpt) == \
+            "checkpoint config n_layers 1 does not match the model's 2"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_unreadable_checkpoint_rejected(self, chain, tmp_path, command,
+                                            damage):
+        raw, ckpt = chain
+        bad_ckpt = tmp_path / "bad.ckpt"
+        if damage == "truncated":
+            bad_ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        line = run_rejected(command, {**raw, "init_checkpoint": str(bad_ckpt)},
+                            tmp_path, about=bad_ckpt, checkpoint=bad_ckpt)
+        assert line == (
+            "checkpoint tensor 'head.nsp_w' is cut short: 36 of 128 bytes"
+            if damage == "truncated" else
+            "cannot open checkpoint: No such file or directory")
 
 
-def command_argv(command, cfg, out):
-    """argv running `command` on `cfg`, with every output under `out`."""
+def command_argv(command, cfg, out, checkpoint=None):
+    """argv running `command` on `cfg`, with every output under `out`;
+    `eval` scores `checkpoint` (default: the one `finetune` writes)."""
     extra = {"finetune": ["--metrics-out", str(out / "m.jsonl"),
                           "--checkpoint-out", str(out / "m.ckpt")],
              "pretrain": ["--out-dir", str(out / "pt")],
              "multitask": [],
-             "eval": ["--checkpoint", str(out / "m.ckpt")],
+             "eval": ["--checkpoint", str(checkpoint or out / "m.ckpt")],
              "grid": ["--out", str(out / "g.tsv"),
                       "--lr-sweep", str(out / "s.jsonl")]}[command]
     return [command, "--config", str(cfg), *extra]
 
 
-def run_rejected(command, raw, root):
-    """Run `command` on config `raw`; assert exit 2, no output and nothing
-    written, and return the one stderr line."""
+def run_rejected(command, raw, root, about=None, checkpoint=None):
+    """Run `command` on config `raw` (a dict, or the file's text); assert
+    exit 2, no output and nothing written, and return the one stderr line
+    after `<command>: <about>: `, `about` being the config by default."""
     cfg = root / "rejected.json"
-    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw),
+                   encoding="utf-8")
     out = root / "out"
     out.mkdir(exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
-        assert main(command_argv(command, cfg, out)) == 2
+        assert main(command_argv(command, cfg, out, checkpoint)) == 2
     assert not stdout.getvalue() and not list(out.iterdir())
     line, = stderr.getvalue().splitlines()
-    prefix = f"{command}: {cfg}: "
+    prefix = f"{command}: {about or cfg}: "
     assert line.startswith(prefix)
     return line[len(prefix):]
 
@@ -702,9 +793,6 @@ def edit(raw, path, fn):
         node = node[k]
     fn(node, path[-1])
     return raw
-
-
-COMMANDS = ["finetune", "pretrain", "multitask", "eval", "grid"]
 
 
 class TestConfigErrors:
@@ -779,3 +867,47 @@ class TestConfigErrors:
                    lambda node, key: node.update({key: "middle"}))
         assert run_rejected("eval", bad, root) == \
             "recipe.long_text: unknown strategy 'middle'"
+
+    @pytest.mark.parametrize("tasks,message", [
+        (lambda a, b: [a], "multi-task training needs at least two tasks, "
+                           "got 1"),
+        (lambda a, b: [a, {**b, "name": "a"}],
+         "two tasks share a name: ['a', 'a']")])
+    def test_multitask_tasks_checked_before_loading(self, valid, tasks,
+                                                    message):
+        raw, root = valid
+        bad = edit(raw, ("multitask", "tasks"),
+                   lambda node, key: node.update({key: tasks(*node[key])}))
+        assert run_rejected("multitask", bad, root) == \
+            f"multitask.tasks: {message}"
+
+    @pytest.mark.parametrize("command,path,value,kind", [
+        ("finetune", ("model", "hidden"), "16", "an integer"),
+        ("finetune", ("model", "ffn"), 64.0, "an integer"),
+        ("eval", ("recipe", "base_lr"), True, "a number"),
+        ("grid", ("recipe", "clip_norm"), "1", "a number"),
+        ("finetune", ("strict_deterministic",), 1, "true or false"),
+        ("eval", ("data", "test"), 3, "a string"),
+        ("pretrain", ("pretrain", "max_len"), [16], "an integer"),
+        ("grid", ("grid", "lrs", 0), None, "a number"),
+        ("grid", ("grid", "decay_factors"), 0.9, "a list"),
+        ("multitask", ("multitask", "tasks", 1, "n_classes"), "2",
+         "an integer"),
+    ])
+    def test_value_type_named(self, valid, command, path, value, kind):
+        raw, root = valid
+        bad = edit(raw, path, lambda node, key: node.__setitem__(key, value))
+        assert run_rejected(command, bad, root) == \
+            f"{dotted(path)} must be {kind}, got {value!r}"
+
+    def test_float_takes_json_integer(self, valid):
+        raw, _ = valid
+        ok = edit(raw, ("recipe", "decay_factor"),
+                  lambda node, key: node.update({key: 1}))
+        assert ExperimentConfig.from_dict(ok).recipe.decay_factor == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_invalid_json_named(self, valid, command):
+        raw, root = valid
+        assert run_rejected(command, json.dumps(raw)[:-1], root).startswith(
+            "cannot read the config: Expecting ',' delimiter")

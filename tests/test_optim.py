@@ -230,7 +230,7 @@ class TestTrainStep:
         def loss_fn():      # finite loss whose gradient is NaN
             def bwd(g):
                 w.grad = np.full_like(w.data, np.nan)
-            return (ad._make(np.array(1.0), (w,), bwd),)
+            return (ad._make(np.array(1.0), bwd),)
 
         with pytest.raises(DivergedError, match="NaN gradient in parameter w"):
             train_step(opt, loss_fn, [w], {0: 1e-2})

@@ -23,11 +23,12 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
+from .data import InputError
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """A checkpoint that cannot be read or does not fit; names the path."""
 
 
@@ -117,7 +118,7 @@ def save_model(path, named: dict, config, vocab, step: int, **meta):
                                        "step": step, **meta})
 
 
-def install(path, named: dict, config, vocab, combiner_kind):
+def install(path, named: dict, config, vocab, combiner_kind=None):
     """Install checkpoint `path` into the `named` tensors of a model built
     from EncoderConfig `config` and `vocab`. Where the meta records them,
     the config (but dropout), vocab_hash and, if `named` holds the

@@ -13,9 +13,10 @@ import json
 import os
 import sys
 
-from .checkpoint import CheckpointError, install, save_model
+from .checkpoint import install, save_model
 from .config import ConfigError, ExperimentConfig, GridSection
-from .data import load_dataset, split_validation, subsample
+from .data import (InputError, load_dataset, open_input, split_validation,
+                   subsample)
 from .model import init_model, named_tensors
 from .optim import StlrSchedule
 from .rng import Rng
@@ -52,20 +53,16 @@ def _setup(args, *required):
     return exp, vocab
 
 
-def _train_val_test(exp):
-    """Few-shot train and validation splits of exp.data, and its test set."""
-    train, test = exp.data.load()
-    if exp.few_shot_proportion < 1.0:
-        train = subsample(train, exp.few_shot_proportion, exp.seed)
-    train, val = split_validation(train, exp.validation_fraction, exp.seed)
+def _train_val_test(exp, section):
+    """Few-shot train and validation splits of `section`, and its test."""
+    train, test = section.load()
+    train = subsample(train, exp.few_shot_proportion, exp.seed)
+    try:
+        train, val = split_validation(train, exp.validation_fraction,
+                                      exp.seed)
+    except ValueError as e:
+        raise InputError(f"{section.train}: {e}") from None
     return train, val, test
-
-
-def _init_from(exp, vocab, model):
-    """Install exp.init_checkpoint, if set, into the encoder `model`."""
-    if exp.init_checkpoint:
-        install(exp.init_checkpoint, named_tensors(model), exp.model, vocab,
-                exp.recipe.combiner_kind)
 
 
 def cmd_build_vocab(args):
@@ -75,7 +72,7 @@ def cmd_build_vocab(args):
             f"(the reserved tokens), got {args.size}")
     corpus = []
     for path in args.corpus:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "corpus", encoding="utf-8") as fh:
             corpus.append(fh.read())
     vocab = build_vocab(corpus, args.size)
     vocab.save(args.out)
@@ -95,13 +92,12 @@ def cmd_subsample(args):
 
 
 def cmd_finetune(args):
-    from .training import MetricsLog, build_model, finetune, prepare_inputs
+    from .training import MetricsLog, build_run, finetune, prepare_inputs
     exp, vocab = _setup(args, "data")
-    train, val, test = _train_val_test(exp)
+    train, val, test = _train_val_test(exp, exp.data)
     recipe = exp.recipe
-    model, head, combiner = build_model(exp.model, recipe, train.n_classes,
-                                        Rng(exp.seed))
-    _init_from(exp, vocab, model)
+    model, head, combiner = build_run(exp.model, recipe, vocab,
+                                      train.n_classes, exp.init_checkpoint)
     metrics = MetricsLog(args.metrics_out, strict=exp.strict_deterministic)
     res = finetune(model, head,
                    prepare_inputs(train, vocab, recipe),
@@ -125,12 +121,13 @@ def cmd_finetune(args):
 
 def cmd_pretrain(args):
     from .pretraining import (MaskingPolicy, further_pretrain, read_corpus)
+    from .training import install_encoder
     exp, vocab = _setup(args, "pretrain")
     pt = exp.pretrain
     docs = read_corpus(pt.corpus)
-    rng = Rng(exp.seed)
+    rng = Rng(exp.recipe.seed)
     model = init_model(exp.model, rng.derive(1))
-    _init_from(exp, vocab, model)
+    install_encoder(model, vocab, exp.init_checkpoint)
     schedule = StlrSchedule(total_steps=pt.steps, peak_lr=pt.lr,
                             warmup_proportion=pt.warmup_proportion)
     out_dir = args.out_dir or "."
@@ -151,27 +148,26 @@ def cmd_pretrain(args):
 
 
 def cmd_multitask(args):
-    from .multitask import (MixingStrategy, MultiTaskModel,
-                            multitask_finetune, per_task_refine)
-    from .training import build_encoder, evaluate, prepare_inputs
+    from .multitask import (MultiTaskModel, multitask_finetune,
+                            per_task_refine)
+    from .training import (build_encoder, evaluate, install_encoder,
+                           prepare_inputs)
     exp, vocab = _setup(args, "multitask")
     recipe = exp.recipe
-    rng = Rng(exp.seed)
+    rng = Rng(recipe.seed)
     model, width, combiner = build_encoder(exp.model, recipe, rng)
-    _init_from(exp, vocab, model)
+    install_encoder(model, vocab, exp.init_checkpoint)
     task_inputs, task_val, task_test, sizes = {}, {}, {}, {}
     for t in exp.multitask.tasks:
-        ds, test = t.load()
-        train, val = split_validation(ds, exp.validation_fraction, exp.seed)
+        train, val, test = _train_val_test(exp, t)
         task_inputs[t.name] = prepare_inputs(train, vocab, recipe)
         task_val[t.name] = prepare_inputs(val, vocab, recipe)
         task_test[t.name] = (prepare_inputs(test, vocab, recipe) if test
                              else None)
-        sizes[t.name] = ds.n_classes
+        sizes[t.name] = train.n_classes
     mt = MultiTaskModel.init(model, sizes, width, rng.derive(2))
     mt.combiner = combiner
-    res = multitask_finetune(mt, task_inputs, recipe,
-                             MixingStrategy(seed=exp.seed))
+    res = multitask_finetune(mt, task_inputs, recipe)
     print(f"multitask: steps per task {res.steps_per_task}"
           + (" (diverged)" if res.diverged else ""))
     if exp.multitask.refine_steps:
@@ -189,11 +185,11 @@ def cmd_multitask(args):
 
 
 def cmd_eval(args):
-    from .training import build_model, evaluate, prepare_inputs
+    from .training import build_run, evaluate, prepare_inputs
     exp, vocab = _setup(args, "data")
     ds, test = exp.data.load()
-    model, head, combiner = build_model(exp.model, exp.recipe, ds.n_classes,
-                                        Rng(exp.seed))
+    model, head, combiner = build_run(exp.model, exp.recipe, vocab,
+                                      ds.n_classes)
     install(args.checkpoint, named_tensors(model, [head, combiner]),
             exp.model, vocab, exp.recipe.combiner_kind)
     target = test or ds
@@ -209,7 +205,7 @@ def cmd_grid(args):
     exp, vocab = _setup(args, "data")
     if args.lr_sweep and not exp.data.test:
         raise ConfigError("missing key data.test, which --lr-sweep scores")
-    train, val, test = _train_val_test(exp)
+    train, val, test = _train_val_test(exp, exp.data)
     g = exp.grid or GridSection()
     out_tsv = args.out or "grid_report.tsv"
     cells = run_grid(exp.model, exp.recipe, vocab, train, val, test,
@@ -278,7 +274,7 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as e:
         return _usage_error(args.command, f"{args.config}: {e}")
-    except CheckpointError as e:
+    except InputError as e:      # a checkpoint, dataset, corpus or vocab
         return _usage_error(args.command, str(e))
 
 

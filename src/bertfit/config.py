@@ -35,7 +35,7 @@ class TrainingRecipe:
     max_len: int = 128
     epochs: int = 4                 # evaluation/selection epochs
     clip_norm: float | None = None
-    seed: int = 0
+    seed: int = 0                   # draws weights, dropout, batch order
 
     def __post_init__(self):
         if self.long_text not in STRATEGIES:
@@ -172,7 +172,7 @@ class ExperimentConfig:
 
     model: EncoderConfig = field(default_factory=EncoderConfig)
     recipe: TrainingRecipe = field(default_factory=TrainingRecipe)
-    seed: int = 0
+    seed: int = 0                   # draws the few-shot and validation splits
     validation_fraction: float = 0.1
     few_shot_proportion: float = 1.0
     strict_deterministic: bool = False
@@ -184,6 +184,12 @@ class ExperimentConfig:
     grid: GridSection | None = None
 
     def __post_init__(self):
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ValueError(f"validation_fraction must be in (0, 1), got "
+                             f"{self.validation_fraction}")
+        if not 0.0 < self.few_shot_proportion <= 1.0:
+            raise ValueError(f"few_shot_proportion must be in (0, 1], got "
+                             f"{self.few_shot_proportion}")
         if self.recipe.max_len > self.model.max_positions:
             raise ValueError(
                 f"recipe.max_len {self.recipe.max_len} exceeds "

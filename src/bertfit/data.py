@@ -8,12 +8,10 @@ get joined with a space.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .rng import Rng
-
-DOMAINS = ("sentiment", "question", "topic")
 
 # Table-style domain partition used for pre-training scopes
 DATASET_DOMAINS = {
@@ -40,12 +38,23 @@ class Dataset:
     def __len__(self):
         return len(self.examples)
 
-    def class_histogram(self):
-        return Counter(ex.label for ex in self.examples)
+
+class InputError(ValueError):
+    """An input file that cannot be read or does not fit; names the path."""
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(InputError):
     pass
+
+
+def open_input(path, what, *args, **kw):
+    """open(path, *args, **kw) to read; InputError names `path` and the
+    `what` it holds if it cannot be opened."""
+    try:
+        return open(path, *args, **kw)
+    except OSError as e:
+        raise InputError(f"{path}: cannot open {what}: {e.strerror}") \
+            from None
 
 
 def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
@@ -57,7 +66,7 @@ def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
     want = 2 if fmt == "csv-label-text" else 3
     examples = []
     max_label = -1
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input(path, "dataset", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

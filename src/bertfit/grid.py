@@ -4,8 +4,8 @@
 emits a TSV report; `run_lr_sweep` produces per-epoch train/test learning
 curves for a list of learning rates. Diverged runs (NaN loss) are recorded
 as "diverged", never raised. Both take every long-text recipe, `hier_*`
-included: each cell builds its own fraction combiner. Given
-`init_checkpoint`, each cell installs it into its encoder before training.
+included. Each cell starts as `finetune` does, from `training.build_run`:
+the cell at the config's rate and decay factor is the `finetune` run.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .checkpoint import install
 from .config import FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, TrainingRecipe
-from .model import EncoderConfig, named_tensors
-from .rng import Rng
-from .training import build_model, evaluate, finetune, prepare_inputs
+from .model import EncoderConfig
+from .training import build_run, evaluate, finetune, prepare_inputs
 
 
 @dataclass
@@ -32,11 +30,8 @@ class GridCell:
 def _run_cell(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
               n_classes, train_inputs, val_inputs, test_inputs,
               init_checkpoint=None, eval_hook=None):
-    model, head, combiner = build_model(model_config, recipe, n_classes,
-                                        Rng(recipe.seed))
-    if init_checkpoint:
-        install(init_checkpoint, named_tensors(model), model_config, vocab,
-                recipe.combiner_kind)
+    model, head, combiner = build_run(model_config, recipe, vocab, n_classes,
+                                      init_checkpoint)
     return finetune(model, head, train_inputs, val_inputs, recipe,
                     combiner=combiner, test_inputs=test_inputs,
                     eval_hook=eval_hook)

@@ -24,7 +24,6 @@ from .training import BatchCursor, batch_logits, finetune, recipe_optimizer
 @dataclass
 class MixingStrategy:
     kind: str = "proportional"      # proportional | round-robin
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("proportional", "round-robin"):
@@ -53,7 +52,6 @@ class MultiTaskModel:
 @dataclass
 class MultiTaskResult:
     steps_per_task: dict
-    history: list
     diverged: bool
 
 
@@ -78,25 +76,24 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
 
     `task_inputs` maps task name -> prepared train inputs (see
     training.prepare_inputs). Layer-wise decay applies exactly as in
-    single-task fine-tuning.
+    single-task fine-tuning; task mixing draws from `recipe.seed`.
     """
     if len(task_inputs) < 2:
         raise ValueError("multi-task fine-tuning needs at least two tasks")
     for name, inputs in task_inputs.items():
         if not inputs:
             raise ValueError(f"task {name!r} has an empty dataset")
-    mixing = mixing or MixingStrategy(seed=recipe.seed)
+    mixing = mixing or MixingStrategy()
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
     mt.encoder.dropout_rng = rng.derive(0xD0)
-    task_rng = Rng(mixing.seed).derive(0x7A)
+    task_rng = rng.derive(0x7A)
     cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
                for n in names}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
     counts = {n: 0 for n in names}
-    history = []
     diverged = False
     for step in range(1, recipe.train_steps + 1):
         task = _pick_task(names, sizes, mixing, task_rng, step - 1)
@@ -114,17 +111,13 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
         params = list(named_tensors(mt.encoder,
                                     [mt.heads[task], mt.combiner]).values())
         try:
-            loss, _ = train_step(opt, loss_fn, params, rates_at(step))
+            train_step(opt, loss_fn, params, rates_at(step))
         except DivergedError:
             diverged = True
             break
-        if step % 50 == 0:
-            history.append({"step": step, "task": task,
-                            "loss": float(loss.data)})
         if step_hook:
             step_hook(step, task, mt)
-    return MultiTaskResult(steps_per_task=counts, history=history,
-                           diverged=diverged)
+    return MultiTaskResult(steps_per_task=counts, diverged=diverged)
 
 
 def per_task_refine(mt: MultiTaskModel, task: str, train_inputs,

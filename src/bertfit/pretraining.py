@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset
+from .data import Dataset, open_input
 from .model import EncoderModel, encode_batch, mlm_logits, nsp_logits
 from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
                     group_parameters, layer_rates, train_step)
@@ -117,7 +117,7 @@ def write_corpus(docs, path):
 
 def read_corpus(path):
     docs, cur = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "corpus", encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line:

@@ -48,6 +48,3 @@ class Rng:
         for i in range(len(seq) - 1, 0, -1):
             j = int(self.gen.integers(0, i + 1))
             seq[i], seq[j] = seq[j], seq[i]
-
-    def choice(self, seq):
-        return seq[int(self.gen.integers(0, len(seq)))]

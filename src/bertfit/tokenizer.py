@@ -15,6 +15,8 @@ import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+from .data import open_input
+
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 RESERVED = [PAD, UNK, CLS, SEP, MASK]
 
@@ -78,7 +80,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "vocabulary", encoding="utf-8") as fh:
             return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
@@ -235,16 +237,6 @@ def tokenize(text: str, vocab: Vocabulary) -> list[str]:
             pieces = cache[word] = _wordpiece(word, vocab)
         out.extend(pieces)
     return out
-
-
-def detokenize(tokens) -> str:
-    words = []
-    for tok in tokens:
-        if tok.startswith("##") and words:
-            words[-1] += tok[2:]
-        else:
-            words.append(tok)
-    return " ".join(words)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_into
+from .checkpoint import install, load_into
 from .config import TrainingRecipe
 from .data import Dataset
 from .longtext import FractionCombiner, chunk, combine, truncate
@@ -173,6 +173,21 @@ def build_model(model_config: EncoderConfig, recipe: TrainingRecipe,
     head = ClassifierHead.init(width, n_classes, rng.derive(2),
                                dtype=model_config.np_dtype)
     return model, head, combiner
+
+
+def install_encoder(model: EncoderModel, vocab: Vocabulary, init_checkpoint):
+    """Install `init_checkpoint`, if set, into the encoder `model`."""
+    if init_checkpoint:
+        install(init_checkpoint, named_tensors(model), model.config, vocab)
+
+
+def build_run(model_config: EncoderConfig, recipe: TrainingRecipe,
+              vocab: Vocabulary, n_classes: int, init_checkpoint=None):
+    """(model, head, combiner) a classifier run starts from: build_model
+    from `Rng(recipe.seed)`, the encoder from `init_checkpoint` if set."""
+    run = build_model(model_config, recipe, n_classes, Rng(recipe.seed))
+    install_encoder(run[0], vocab, init_checkpoint)
+    return run
 
 
 def recipe_optimizer(model: EncoderModel, heads, recipe: TrainingRecipe):

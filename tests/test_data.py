@@ -1,7 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from bertfit.data import (Dataset, DatasetFormatError, Example, load_dataset,
                           split_validation, subsample)
+
+
+def histogram(ds):
+    return Counter(ex.label for ex in ds.examples)
 
 
 def write_csv(path, rows):
@@ -33,7 +39,7 @@ class TestLoadDataset:
                 ["4", "t", "b"], ["1", "t", "b"]]
         write_csv(p, rows)
         ds = load_dataset(p, "csv-label-title-body", n_classes=4)
-        assert ds.class_histogram() == {0: 2, 1: 2, 2: 1, 3: 3}
+        assert histogram(ds) == {0: 2, 1: 2, 2: 1, 3: 3}
 
     def test_quoted_newlines_and_quotes(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -76,7 +82,7 @@ class TestSplitValidation:
 
     def test_stratified(self):
         train, val = split_validation(balanced_dataset(200, 4), 0.25, 1)
-        for hist in (train.class_histogram(), val.class_histogram()):
+        for hist in (histogram(train), histogram(val)):
             counts = list(hist.values())
             assert max(counts) - min(counts) <= 1
 
@@ -112,8 +118,8 @@ class TestSubsample:
         ds = balanced_dataset(10)
         with pytest.warns(UserWarning):
             sub = subsample(ds, 0.01, 0)
-        assert sub.class_histogram() == {0: 1, 1: 1}
+        assert histogram(sub) == {0: 1, 1: 1}
 
     def test_stratified(self):
         sub = subsample(balanced_dataset(400, 4), 0.1, 7)
-        assert all(v == 10 for v in sub.class_histogram().values())
+        assert all(v == 10 for v in histogram(sub).values())

@@ -5,7 +5,7 @@ import io
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +106,62 @@ def full_config(model_config, root):
 
 COMMANDS = ["finetune", "pretrain", "multitask", "eval", "grid"]
 
+# the trainer each command starts, once per run (per grid cell)
+TRAINERS = {"finetune": ("training", "finetune"),
+            "pretrain": ("pretraining", "further_pretrain"),
+            "multitask": ("multitask", "multitask_finetune"),
+            "grid": ("grid", "finetune")}
+
+
+def spy_starts(monkeypatch, command):
+    """A list that gets, each time `command` starts its trainer, the bytes
+    of every tensor the run starts from: the encoder's, and the classifier
+    heads' and combiner's where the run has them."""
+    module, trainer = TRAINERS[command]
+    module = importlib.import_module(f"bertfit.{module}")
+    fn = getattr(module, trainer)
+    starts = []
+
+    def start(model, *args, **kw):
+        if hasattr(model, "encoder"):                   # MultiTaskModel
+            named = named_tensors(model.encoder,
+                                  [*model.heads.values(), model.combiner])
+        elif trainer == "finetune":
+            named = named_tensors(model, [args[0], kw.get("combiner")])
+        else:
+            named = named_tensors(model)
+        starts.append({n: p.data.tobytes() for n, p in named.items()})
+        return fn(model, *args, **kw)
+    monkeypatch.setattr(module, trainer, start)
+    return starts
+
+
+def spy_splits(monkeypatch):
+    """A list that gets (size of the split dataset, validation texts) for
+    every validation split a command draws."""
+    splits = []
+
+    def split(ds, fraction, seed):
+        train, val = split_validation(ds, fraction, seed)
+        splits.append((len(ds), [ex.text for ex in val.examples]))
+        return train, val
+    monkeypatch.setattr("bertfit.cli.split_validation", split)
+    return splits
+
+
+def key_id(value):
+    """A test id part: a key path dotted, anything else as is."""
+    return dotted(value) if isinstance(value, tuple) else value
+
+
+def two_tasks(raw):
+    """A multitask section over the workspace's train (60) and test (20)
+    files."""
+    return {"tasks": [{"name": "a", "train": raw["data"]["train"],
+                       "n_classes": 2},
+                      {"name": "b", "train": raw["data"]["test"],
+                       "test": raw["data"]["train"], "n_classes": 2}]}
+
 
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path, tiny_model_config):
@@ -123,6 +179,15 @@ class TestExperimentConfig:
         exp = ExperimentConfig.from_dict(json.loads(block))
         assert exp.data.train and exp.pretrain.corpus
         assert [t.name for t in exp.multitask.tasks] == ["a", "b"]
+
+    def test_readme_key_table_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        table = re.search(r"Which command reads which key:\n\n(.*?)\n\n",
+                          readme, re.S).group(1)
+        named = {key for row in table.splitlines()[2:]
+                 for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+        assert {f.name for f in fields(ExperimentConfig)} <= named
 
     def test_default_grid_axes(self):
         assert TABLE4_LRS == (2.5e-5, 2.0e-5)
@@ -246,6 +311,15 @@ class TestCli:
         assert main(["build-vocab", "--corpus", str(corpus),
                      "--size", "3", "--out", str(out)]) == 2
         assert "--size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_vocab_missing_corpus_rejected(self, tmp_path, capsys):
+        corpus, out = tmp_path / "c.txt", tmp_path / "v.txt"
+        assert main(["build-vocab", "--corpus", str(corpus),
+                     "--size", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"build-vocab: {corpus}: cannot open corpus: "
+            "No such file or directory\n")
         assert not out.exists()
 
     def test_subsample(self, workspace, tmp_path, capsys):
@@ -621,22 +695,58 @@ class TestCli:
         assert [l.split(" error ")[0].strip() for l in lines] == [
             "a: val", "a: test", "b: val", "b: test"]
 
-    @pytest.mark.parametrize("proportion,trained", [(1.0, 60), (0.5, 30)])
-    def test_grid_honours_few_shot_proportion(self, workspace, tmp_path,
-                                              monkeypatch, capsys,
-                                              proportion, trained):
-        seen = []
-
-        def fake_run_grid(model, recipe, vocab, train, val, test, **kw):
-            seen.append(len(train) + len(val))
-            return []
-        monkeypatch.setattr("bertfit.grid.run_grid", fake_run_grid)
+    @pytest.mark.parametrize("proportion", [1.0, 0.5])
+    @pytest.mark.parametrize("command", ["grid", "multitask"])
+    def test_few_shot_proportion_honoured(self, workspace, tmp_path,
+                                          monkeypatch, capsys, command,
+                                          proportion):
+        # every labelled section is subsampled before its validation split
+        splits = spy_splits(monkeypatch)
+        monkeypatch.setattr("bertfit.grid.run_grid", lambda *a, **kw: [])
         root, raw = workspace
-        cfg = write_config(root, raw, name="few.json",
-                           few_shot_proportion=proportion)
+        cfg = write_config(tmp_path, raw, few_shot_proportion=proportion,
+                           multitask=two_tasks(raw))
+        out = ["--out", str(tmp_path / "g.tsv")] if command == "grid" else []
+        assert main([command, "--config", cfg, *out]) == 0
+        full = {"grid": [60], "multitask": [60, 20]}[command]
+        assert [n for n, _ in splits] == [round(proportion * n)
+                                         for n in full]
+
+    def test_grid_cell_starts_as_finetune(self, workspace, tmp_path,
+                                          monkeypatch, capsys):
+        # with a data seed apart from the run seed, the grid cell at the
+        # config's own rate and decay factor starts where finetune does
+        root, raw = workspace
+        recipe = raw["recipe"]
+        cfg = write_config(tmp_path, raw, seed=7, recipe={**recipe, "seed": 0},
+                           grid={"lrs": [recipe["base_lr"]],
+                                 "decay_factors": [recipe["decay_factor"]]})
+        starts = {c: spy_starts(monkeypatch, c) for c in ("finetune", "grid")}
+        assert main(["finetune", "--config", cfg]) == 0
         assert main(["grid", "--config", cfg,
                      "--out", str(tmp_path / "g.tsv")]) == 0
-        assert seen == [trained]
+        assert len(starts["grid"]) == 1
+        assert starts["finetune"] == starts["grid"]
+
+    @pytest.mark.parametrize("command", ["finetune", "multitask"])
+    def test_seed_draws_splits_and_recipe_seed_the_run(
+            self, workspace, tmp_path, monkeypatch, capsys, command):
+        root, raw = workspace
+        splits = spy_splits(monkeypatch)
+        starts = spy_starts(monkeypatch, command)
+        runs = {}
+        for name, seed, run_seed in (("base", 0, 0), ("data", 7, 0),
+                                     ("run", 0, 7)):
+            cfg = write_config(tmp_path, raw, name=f"{name}.json", seed=seed,
+                               recipe={**raw["recipe"], "seed": run_seed},
+                               multitask=two_tasks(raw))
+            n = len(splits)
+            assert main([command, "--config", cfg]) == 0
+            runs[name] = (splits[n:], starts[-1])
+        assert runs["data"][0] != runs["base"][0]
+        assert runs["data"][1] == runs["base"][1]
+        assert runs["run"][0] == runs["base"][0]
+        assert runs["run"][1] != runs["base"][1]
 
     @pytest.fixture(scope="class")
     def chain(self, workspace, tmp_path_factory):
@@ -646,12 +756,7 @@ class TestCli:
         raw = {**raw, "pretrain": {"corpus": str(root / "corpus.txt"),
                                    "steps": 2, "lr": 1e-3, "batch_size": 4,
                                    "max_len": 16},
-               "multitask": {"tasks": [
-                   {"name": "a", "train": raw["data"]["train"],
-                    "n_classes": 2},
-                   {"name": "b", "train": raw["data"]["test"],
-                    "test": raw["data"]["train"], "n_classes": 2}],
-                   "refine_steps": 2},
+               "multitask": {**two_tasks(raw), "refine_steps": 2},
                "grid": {"lrs": [5e-4], "decay_factors": [1.0, 0.9],
                         "sweep_lrs": [5e-4]}}
         out = tmp_path_factory.mktemp("chain")
@@ -667,22 +772,7 @@ class TestCli:
         # `command` (each grid cell) starts from the checkpoint's tensors,
         # and two strict runs print the same
         raw, ckpt = chain
-        starts = []
-
-        def spy(fn):
-            def start(model, *args, **kw):
-                encoder = getattr(model, "encoder", model)   # MultiTaskModel
-                starts.append({n: p.data.tobytes() for n, p in
-                               named_tensors(encoder).items()})
-                return fn(model, *args, **kw)
-            return start
-        module, trainer = {
-            "finetune": ("training", "finetune"),
-            "pretrain": ("pretraining", "further_pretrain"),
-            "multitask": ("multitask", "multitask_finetune"),
-            "grid": ("grid", "finetune")}[command]
-        module = importlib.import_module(f"bertfit.{module}")
-        monkeypatch.setattr(module, trainer, spy(getattr(module, trainer)))
+        starts = spy_starts(monkeypatch, command)
         cfg = write_config(tmp_path, raw, init_checkpoint=str(ckpt))
         outs = []
         for run in ("r1", "r2"):
@@ -696,7 +786,8 @@ class TestCli:
         # a grid run trains two cells and one lr-sweep run
         assert len(starts) == {"grid": 3}.get(command, 1) * 2
         for start in starts:
-            assert start == {n: a.tobytes() for n, a in saved.items()}
+            assert {n: start[n] for n in saved} == {
+                n: a.tobytes() for n, a in saved.items()}
 
     def test_pretrain_continues_from_init_checkpoint(self, chain, tmp_path,
                                                      capsys):
@@ -735,6 +826,42 @@ class TestCli:
             "checkpoint tensor 'head.nsp_w' is cut short: 36 of 128 bytes"
             if damage == "truncated" else
             "cannot open checkpoint: No such file or directory")
+
+    @pytest.mark.parametrize("command,key", [
+        *((c, ("vocab",)) for c in COMMANDS),
+        ("finetune", ("data", "train")), ("eval", ("data", "train")),
+        ("grid", ("data", "test")), ("pretrain", ("pretrain", "corpus")),
+        ("multitask", ("multitask", "tasks", 0, "train")),
+        ("multitask", ("multitask", "tasks", 1, "test"))], ids=key_id)
+    def test_missing_input_rejected(self, chain, tmp_path, command, key):
+        raw, _ = chain
+        missing = tmp_path / "missing"
+        bad = edit(raw, key, lambda node, k: node.update({k: str(missing)}))
+        what = {"vocab": "vocabulary", "corpus": "corpus"}.get(key[-1],
+                                                              "dataset")
+        assert run_rejected(command, bad, tmp_path, about=missing) == \
+            f"cannot open {what}: No such file or directory"
+
+    @pytest.mark.parametrize("command,key", [
+        ("finetune", ("data", "train")), ("eval", ("data", "test")),
+        ("grid", ("data", "train")),
+        ("multitask", ("multitask", "tasks", 1, "train"))], ids=key_id)
+    def test_malformed_dataset_rejected(self, chain, tmp_path, command, key):
+        raw, _ = chain
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text('"1","a b"\n"0","c d"\n', encoding="utf-8")
+        bad = edit(raw, key, lambda node, k: node.update({k: str(bad_csv)}))
+        assert run_rejected(command, bad, tmp_path, about=f"{bad_csv}:2") \
+            == "label must be >= 1 (1-based)"
+
+    @pytest.mark.parametrize("command", ["finetune", "grid", "multitask"])
+    def test_few_shot_class_too_small_to_split_rejected(self, chain, tmp_path,
+                                                        command):
+        # 2% of 30 examples per class keeps one, which cannot be split
+        raw, _ = chain
+        assert run_rejected(command, {**raw, "few_shot_proportion": 0.02},
+                            tmp_path, about=raw["data"]["train"]) == \
+            "class 0 has 1 example(s); cannot split"
 
 
 def command_argv(command, cfg, out, checkpoint=None):
@@ -899,6 +1026,15 @@ class TestConfigErrors:
         bad = edit(raw, path, lambda node, key: node.__setitem__(key, value))
         assert run_rejected(command, bad, root) == \
             f"{dotted(path)} must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("validation_fraction", 1.5, "must be in (0, 1), got 1.5"),
+        ("few_shot_proportion", 0, "must be in (0, 1], got 0")],
+        ids=["validation_fraction", "few_shot_proportion"])
+    def test_fraction_out_of_range_named(self, valid, key, value, message):
+        raw, root = valid
+        assert run_rejected("finetune", {**raw, key: value}, root) == \
+            f"{key} {message}"
 
     def test_float_takes_json_integer(self, valid):
         raw, _ = valid

@@ -33,7 +33,8 @@ record one output where the unfused chain recorded several:
   added in place;
 - ``attention_core(q, k, v, ...)`` covers head split, scores, scale, mask
   bias, softmax, dropout and context, and keeps only the probabilities
-  and a boolean dropout mask of the (B, heads, S, S) attention size;
+  and a boolean dropout mask of the (B, heads, R, S) attention size, for
+  R query rows over S keys;
 - ``add_layer_norm(x, h, ...)`` is the residual add and its layer norm,
   without keeping the sum.
 
@@ -281,27 +282,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
                    p: float, rng):
-    """Multi-head scaled dot-product attention over (B, S, H) projections.
+    """Multi-head scaled dot-product attention of (B, R, H) query
+    projections over (B, S, H) key and value projections.
 
     Per head, probs = softmax(q k^T / sqrt(H / n_heads) + mask_bias) with
-    `mask_bias` (broadcast to (B, n_heads, S, S), e.g. -1e9 at padded keys)
+    `mask_bias` (broadcast to (B, n_heads, R, S), e.g. -1e9 at padded keys)
     cast to q's dtype, then inverted dropout at rate `p` drawn from `rng`;
-    the context probs @ v is merged back to (B, S, H). Scores, scale, mask
-    and softmax are built in place in one (B, n_heads, S, S) buffer; the
+    the context probs @ v is merged back to (B, R, H). Scores, scale, mask
+    and softmax are built in place in one (B, n_heads, R, S) buffer; the
     backward rule keeps it and the boolean dropout mask, and rebuilds the
-    dropped-out probabilities from them.
+    dropped-out probabilities from them. R is S for self-attention over
+    every position, or fewer rows when only those are read.
 
     Returns the context Tensor (one tape record) and the pre-dropout
     probabilities as a Tensor outside the tape.
     """
-    B, S, H = q.shape
+    B, R, H = q.shape
     hd = H // n_heads
 
-    def heads(a):                   # (B, S, H) -> (B, A, S, hd) view
-        return a.reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(a):                   # (B, n, H) -> (B, A, n, hd) view
+        return a.reshape(B, a.shape[1], n_heads, hd).transpose(0, 2, 1, 3)
 
-    def merged(gh, axes):           # a head-split gradient as (B, S, H)
-        return np.ascontiguousarray(gh.transpose(axes)).reshape(B, S, H)
+    def merged(gh, axes):           # a head-split gradient as (B, n, H)
+        gh = np.ascontiguousarray(gh.transpose(axes))
+        return gh.reshape(B, gh.shape[1], H)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     c = float(1.0 / np.sqrt(hd))
@@ -325,7 +329,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         d *= keep_scale
         return d
 
-    out_data = np.matmul(dropped(), vh).transpose(0, 2, 1, 3).reshape(B, S, H)
+    out_data = np.matmul(dropped(), vh).transpose(0, 2, 1, 3).reshape(B, R, H)
 
     def bwd(g):
         gctx = np.ascontiguousarray(heads(g))

@@ -8,7 +8,7 @@ from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, \
     is_dataclass
 
-from .data import load_dataset
+from .data import FORMATS, load_dataset
 from .longtext import STRATEGIES, TruncationStrategy
 from .model import EncoderConfig, LayerSelection
 
@@ -19,6 +19,11 @@ FIGURE2_LRS = (2e-5, 5e-5, 1e-4, 4e-4)
 
 class ConfigError(ValueError):
     """A config the schema rejects; the message names the dotted key."""
+
+
+def _at_least_1(key, value):
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
 
 
 @dataclass
@@ -40,6 +45,8 @@ class TrainingRecipe:
     def __post_init__(self):
         if self.long_text not in STRATEGIES:
             raise ValueError(f"long_text: unknown strategy {self.long_text!r}")
+        _at_least_1("batch_size", self.batch_size)
+        _at_least_1("epochs", self.epochs)
 
     @property
     def capacity(self) -> int:
@@ -71,6 +78,10 @@ class DataSection:
     n_classes: int | None = None    # None: the largest train label
     domain: str | None = None
 
+    def __post_init__(self):
+        if self.format not in FORMATS:
+            raise ValueError(f"format: unknown format {self.format!r}")
+
     def load(self):
         """(train, test) Datasets; test is None without a test file."""
         kw = dict(fmt=self.format, name=self.name, domain=self.domain)
@@ -97,8 +108,11 @@ class PretrainSection:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        _at_least_1("steps", self.steps)
+        _at_least_1("batch_size", self.batch_size)
+        if not 0.0 < self.mask_prob <= 1.0:
+            raise ValueError(
+                f"mask_prob must be in (0, 1], got {self.mask_prob}")
 
 
 @dataclass
@@ -190,10 +204,20 @@ class ExperimentConfig:
         if not 0.0 < self.few_shot_proportion <= 1.0:
             raise ValueError(f"few_shot_proportion must be in (0, 1], got "
                              f"{self.few_shot_proportion}")
-        if self.recipe.max_len > self.model.max_positions:
-            raise ValueError(
-                f"recipe.max_len {self.recipe.max_len} exceeds "
-                f"model.max_positions {self.model.max_positions}")
+        for key, max_len in (("recipe", self.recipe.max_len),
+                             ("pretrain", self.pretrain and
+                              self.pretrain.max_len)):
+            if max_len and max_len > self.model.max_positions:
+                raise ValueError(
+                    f"{key}.max_len {max_len} exceeds "
+                    f"model.max_positions {self.model.max_positions}")
+        # here, not in TrainingRecipe: a library recipe may take 0 steps
+        # (per_task_refine then leaves the checkpoint as it is)
+        _at_least_1("recipe.train_steps", self.recipe.train_steps)
+        try:
+            self.recipe.layer_selection.layer_indices(self.model.n_layers)
+        except ValueError as e:
+            raise ValueError(f"recipe.layer_selection.{e}") from None
 
     def to_dict(self):
         return asdict(self)

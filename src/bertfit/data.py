@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .rng import Rng
@@ -39,6 +40,9 @@ class Dataset:
         return len(self.examples)
 
 
+FORMATS = ("csv-label-text", "csv-label-title-body")
+
+
 class InputError(ValueError):
     """An input file that cannot be read or does not fit; names the path."""
 
@@ -47,21 +51,29 @@ class DatasetFormatError(InputError):
     pass
 
 
+@contextmanager
 def open_input(path, what, *args, **kw):
-    """open(path, *args, **kw) to read; InputError names `path` and the
-    `what` it holds if it cannot be opened."""
+    """`with open(path, *args, **kw)` to read; InputError names `path` and
+    the `what` it holds if it cannot be opened, or if text read in the
+    with-block is not in its encoding."""
     try:
-        return open(path, *args, **kw)
+        fh = open(path, *args, **kw)
     except OSError as e:
         raise InputError(f"{path}: cannot open {what}: {e.strerror}") \
             from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: cannot read {what}: not "
+                             f"{e.encoding} text ({e.reason})") from None
 
 
 def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
                  n_classes: int | None = None, split: str = "train",
                  domain: str | None = None) -> Dataset:
     """Load a labeled CSV; labels shift from 1-based to 0-based."""
-    if fmt not in ("csv-label-text", "csv-label-title-body"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     want = 2 if fmt == "csv-label-text" else 3
     examples = []

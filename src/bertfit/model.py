@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rng import Rng
+from .rng import Rng, RowDraws
 
 
 @dataclass
@@ -63,9 +63,16 @@ class LayerSelection:
     layer: int = -1                 # for "single"; -1 means topmost block
     combiner: str = "concat"        # concat | mean | max (unused for single)
 
+    def __post_init__(self):
+        if self.strategy not in ("single", "first4", "last4", "all"):
+            raise ValueError(f"strategy: unknown strategy {self.strategy!r}")
+        if self.combiner not in ("concat", "mean", "max"):
+            raise ValueError(f"combiner: unknown combiner {self.combiner!r}")
+
     def layer_indices(self, n_layers: int) -> list[int]:
+        """The selected layers, in ascending order."""
         if self.strategy == "single":
-            l = self.layer if self.layer >= 0 else n_layers
+            l = n_layers if self.layer == -1 else self.layer
             if not 0 <= l <= n_layers:
                 raise ValueError(f"layer {l} out of range [0, {n_layers}]")
             return [l]
@@ -73,17 +80,12 @@ class LayerSelection:
             return list(range(1, min(4, n_layers) + 1))
         if self.strategy == "last4":
             return list(range(max(1, n_layers - 3), n_layers + 1))
-        if self.strategy == "all":
-            return list(range(1, n_layers + 1))
-        raise ValueError(f"unknown strategy {self.strategy!r}")
+        return list(range(1, n_layers + 1))
 
     def feature_width(self, hidden: int, n_layers: int) -> int:
-        n = len(self.layer_indices(n_layers))
-        if self.strategy == "single" or self.combiner in ("mean", "max"):
+        if self.strategy == "single" or self.combiner != "concat":
             return hidden
-        if self.combiner == "concat":
-            return n * hidden
-        raise ValueError(f"unknown combiner {self.combiner!r}")
+        return len(self.layer_indices(n_layers)) * hidden
 
 
 class EncoderModel:
@@ -165,7 +167,7 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
 
 
 def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
-                 mode: str = "eval", return_attn: bool = False):
+                 mode: str = "eval", return_attn: bool = False, read=None):
     """Forward pass over a batch; returns the L+1 hidden states.
 
     token_ids / segment_ids / attention_mask: (B, S) int arrays.
@@ -173,6 +175,15 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     block l; every entry has shape (B, S, H). With `return_attn`, also
     returns each block's (B, heads, S, S) attention probabilities before
     dropout, outside the tape.
+
+    `read=(layer, positions)` computes only what a head reads there: the
+    blocks above `layer` do not run, so the result has layer + 1 entries,
+    and the last is (B, R, H), row r of sequence b being position
+    positions[b, r] of a (B, R) int array. In that top block keys and
+    values still cover all S positions; the queries, attention rows (so
+    its probabilities are (B, heads, R, S)), output projection, norms and
+    FFN run on the R rows. Its dropout masks are drawn at full size and
+    then cut to the rows, so the dropout stream is the full encoder's.
     """
     cfg = model.config
     p = model.params
@@ -195,28 +206,48 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
                           p["emb.ln_g"], p["emb.ln_b"])
     x = ad.dropout(x, p_drop, rng)
 
+    top, positions = (cfg.n_layers, None) if read is None else read
+    if not 0 <= top <= cfg.n_layers:
+        raise ValueError(f"read layer {top} out of range [0, {cfg.n_layers}]")
+    if positions is not None:
+        positions = np.asarray(positions)
+        flat = positions + S * np.arange(B)[:, None]      # into the B*S rows
+        row_rng = rng if rng is None else RowDraws(rng, positions, S)
+
     mask_bias = (1.0 - mask[:, None, None, :]) * -1e9   # -1e9 at [PAD] keys
     outputs = [x]
     attn_probs = []
-    for i in range(cfg.n_layers):
+    for i in range(top):
         b = f"block{i}."
-        q, k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n])
-                   for n in "qkv")
+        xq, r = x, rng
+        if positions is not None and i == top - 1:
+            xq, r = _take_rows(x, flat), row_rng
+        q = ad.linear(xq, p[b + "wq"], p[b + "bq"])
+        k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n]) for n in "kv")
         ctx, probs = ad.attention_core(q, k, v, cfg.n_heads, mask_bias,
-                                       p_drop, rng)
+                                       p_drop, r)
         if return_attn:
             attn_probs.append(probs)
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
-        x = ad.add_layer_norm(x, ad.dropout(attn_out, p_drop, rng),
+        x = ad.add_layer_norm(xq, ad.dropout(attn_out, p_drop, r),
                               p[b + "attn_ln_g"], p[b + "attn_ln_b"])
         h = ad.gelu(ad.linear(x, p[b + "ffn_w1"], p[b + "ffn_b1"]))
         h = ad.dropout(ad.linear(h, p[b + "ffn_w2"], p[b + "ffn_b2"]),
-                       p_drop, rng)
+                       p_drop, r)
         x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
+    if positions is not None and top == 0:
+        outputs[0] = _take_rows(x, flat)
     if return_attn:
         return outputs, attn_probs
     return outputs
+
+
+def _take_rows(x: Tensor, rows) -> Tensor:
+    """Rows of a (B, N, H) state at flat indices `rows` into its B*N rows
+    (index b*N + n); the result has the shape of `rows` plus H."""
+    B, N, H = x.shape
+    return ad.embedding(ad.reshape(x, (B * N, H)), rows)
 
 
 def encode(model: EncoderModel, seq, mode: str = "eval"):
@@ -228,13 +259,18 @@ def encode(model: EncoderModel, seq, mode: str = "eval"):
     return [ad.select(o, 0, 0) for o in outs]
 
 
-def select_features(outputs, sel: LayerSelection) -> Tensor:
-    """[CLS] vector(s) from the selected layers, combined per `sel`.
+def select_features(outputs, sel: LayerSelection,
+                    n_layers: int | None = None) -> Tensor:
+    """[CLS] vector(s) from the selected layers of an `n_layers`-block
+    encoder, combined per `sel`.
 
-    `outputs` holds L+1 states of shape (B, S, H); returns (B, width).
+    `outputs[l]` holds layer l's (B, *, H) states with [CLS] at row 0 for
+    every selected l (see `encode_batch`); `n_layers` defaults to
+    len(outputs) - 1, for outputs that hold every layer. Returns
+    (B, width).
     """
-    n_layers = len(outputs) - 1
-    idx = sel.layer_indices(n_layers)
+    idx = sel.layer_indices(
+        len(outputs) - 1 if n_layers is None else n_layers)
     cls_vecs = [ad.select(outputs[l], 0, 1) for l in idx]   # (B, H) each
     if len(cls_vecs) == 1:
         return cls_vecs[0]
@@ -244,9 +280,7 @@ def select_features(outputs, sel: LayerSelection) -> Tensor:
         [ad.reshape(v, (v.shape[0], 1, v.shape[1])) for v in cls_vecs], axis=1)
     if sel.combiner == "mean":
         return ad.tmean(stacked, axis=1)
-    if sel.combiner == "max":
-        return ad.tmax(stacked, axis=1)
-    raise ValueError(f"unknown combiner {sel.combiner!r}")
+    return ad.tmax(stacked, axis=1)
 
 
 @dataclass
@@ -283,16 +317,14 @@ def mlm_logits(model: EncoderModel, outputs, rows=None) -> Tensor:
     """Vocab logits from the final hidden state; the output projection is
     tied to the token embeddings.
 
-    Returns (B, S, V) logits at every position. With `rows`, an int array
-    of flat indices into the B*S positions (index b*S + s), returns
-    (len(rows), V) logits for those positions only: the transform and the
-    V-wide projection then run on those rows alone.
+    Returns (B, N, V) logits at every row of the (B, N, H) top state
+    `outputs[-1]`. With `rows`, an int array of flat indices into its B*N
+    rows (index b*N + n), returns (len(rows), V) logits for those rows
+    only: the transform and the V-wide projection then run on those rows
+    alone.
     """
     p = model.params
-    x = outputs[-1]
-    if rows is not None:
-        B, S, H = x.shape
-        x = ad.embedding(ad.reshape(x, (B * S, H)), rows)
+    x = outputs[-1] if rows is None else _take_rows(outputs[-1], rows)
     x = ad.gelu(ad.linear(x, p["head.mlm_w"], p["head.mlm_b"]))
     x = ad.layer_norm(x, p["head.mlm_ln_g"], p["head.mlm_ln_b"])
     emb_t = ad.transpose(p["emb.tok"], (1, 0))
@@ -300,7 +332,7 @@ def mlm_logits(model: EncoderModel, outputs, rows=None) -> Tensor:
 
 
 def nsp_logits(model: EncoderModel, outputs) -> Tensor:
-    """2-class logits over the final [CLS] state; shape (B, 2)."""
+    """2-class logits over the final [CLS] state (row 0); shape (B, 2)."""
     p = model.params
     cls_vec = ad.select(outputs[-1], 0, 1)
     return ad.linear(cls_vec, p["head.nsp_w"], p["head.nsp_b"])

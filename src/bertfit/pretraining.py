@@ -218,14 +218,21 @@ def pretrain_batch_loss(model: EncoderModel, examples, mode="train"):
     Only the masked positions go through the MLM head, as BERT's
     reference pre-training code does: the mean loss over them is the
     masked mean over all positions, without the V-wide logits of the rest.
+    The top block computes just the rows the heads read: each sequence's
+    [CLS], then its masked positions, padded with [CLS] to the batch's
+    largest count.
     """
     ids = np.array([ex.seq.token_ids for ex in examples])
     segs = np.array([ex.seq.segment_ids for ex in examples])
     mask = np.array([ex.seq.attention_mask for ex in examples])
-    outs = encode_batch(model, ids, segs, mask, mode=mode)
-    S = ids.shape[1]
-    rows = np.array([bi * S + pos for bi, ex in enumerate(examples)
-                     for pos in ex.mlm_positions], dtype=np.int64)
+    R = 1 + max(len(ex.mlm_positions) for ex in examples)
+    positions = np.zeros((len(examples), R), dtype=np.intp)
+    for bi, ex in enumerate(examples):
+        positions[bi, 1:1 + len(ex.mlm_positions)] = ex.mlm_positions
+    outs = encode_batch(model, ids, segs, mask, mode=mode,
+                        read=(model.config.n_layers, positions))
+    rows = np.array([bi * R + 1 + j for bi, ex in enumerate(examples)
+                     for j in range(len(ex.mlm_positions))], dtype=np.int64)
     labels = np.array([lab for ex in examples for lab in ex.mlm_labels],
                       dtype=np.int64)
     nsp = nsp_logits(model, outs)                       # (B, 2)

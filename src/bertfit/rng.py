@@ -48,3 +48,25 @@ class Rng:
         for i in range(len(seq) - 1, 0, -1):
             j = int(self.gen.integers(0, i + 1))
             seq[i], seq[j] = seq[j], seq[i]
+
+
+class RowDraws:
+    """An Rng for an op that runs on R of the S rows of each item.
+
+    `uniform` of an (..., R, W) shape draws (..., S, W) from `rng`, so the
+    stream advances as for the full array, and keeps the rows at
+    `positions`, a (B, R) int array of row indices into the S rows of each
+    of the B leading items.
+    """
+
+    def __init__(self, rng: Rng, positions, n_rows: int):
+        self.rng = rng
+        self.positions = positions
+        self.n_rows = n_rows
+
+    def uniform(self, shape):
+        *lead, _, width = shape
+        draw = self.rng.uniform((*lead, self.n_rows, width))
+        B, R = self.positions.shape
+        idx = self.positions.reshape((B,) + (1,) * (len(shape) - 3) + (R, 1))
+        return np.take_along_axis(draw, idx, axis=-2)

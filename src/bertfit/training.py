@@ -99,25 +99,34 @@ def _stack(seqs):
     return ids, segs, mask
 
 
+def _cls_rows(n):                   # position 0 of each of n sequences
+    return np.zeros((n, 1), dtype=np.intp)
+
+
 def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
                  recipe: TrainingRecipe, combiner: FractionCombiner | None,
                  mode: str):
     """Class logits for a batch of prepared inputs (either route); the
-    recipe's combiner kind must be `combiner`'s (None when flat)."""
+    recipe's combiner kind must be `combiner`'s (None when flat). The
+    encoder computes only the [CLS] rows the head reads."""
     kind = combiner.kind if combiner else None
     if kind != recipe.combiner_kind:
         raise ValueError(f"recipe {recipe.long_text!r} needs combiner "
                          f"{recipe.combiner_kind!r}, got {kind!r}")
+    n_layers = model.config.n_layers
     if combiner is None:
+        sel = recipe.layer_selection
         ids, segs, mask = _stack(batch)
-        outs = encode_batch(model, ids, segs, mask, mode=mode)
-        feats = select_features(outs, recipe.layer_selection)
-        return class_logits(feats, head)
+        top = sel.layer_indices(n_layers)[-1]
+        outs = encode_batch(model, ids, segs, mask, mode=mode,
+                            read=(top, _cls_rows(len(batch))))
+        return class_logits(select_features(outs, sel, n_layers), head)
     # hierarchical: encode all fractions of all documents as one batch,
     # then pool per document in fraction order
     flat = [frac for doc in batch for frac in doc.fractions]
     ids, segs, mask = _stack(flat)
-    outs = encode_batch(model, ids, segs, mask, mode=mode)
+    outs = encode_batch(model, ids, segs, mask, mode=mode,
+                        read=(n_layers, _cls_rows(len(flat))))
     cls_all = ad.select(outs[-1], 0, 1)          # (sum_k, H)
     feats = []
     offset = 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bertfit import autodiff as ad
 from bertfit.autodiff import ShapeMismatchError, Tape, Tensor
-from bertfit.rng import Rng
+from bertfit.rng import Rng, RowDraws
 from conftest import spy_gradients
 
 
@@ -383,6 +383,78 @@ class TestAttentionCore:
         with pytest.raises(DivergedError, match="NaN"):
             train_step(opt, loss_fn, [w], {0: 1e-2})
         assert w.grad is None and opt.t == 0
+
+
+_ROWS = np.array([[0, 3], [5, 0]])      # the query rows read, R=2 of S=6
+
+
+def _rows_of(a, axis=1):
+    """The rows at _ROWS of array `a` along `axis` (S long)."""
+    shape = [1] * a.ndim
+    shape[0], shape[axis] = _ROWS.shape
+    return np.take_along_axis(a, _ROWS.reshape(shape), axis)
+
+
+def _at_rows(t):
+    """(B, S, H) -> (B, R, H) rows of `t` at _ROWS, as a recorded op."""
+    B, S, H = t.shape
+    return ad.embedding(ad.reshape(t, (B * S, H)),
+                        _ROWS + S * np.arange(B)[:, None])
+
+
+class TestAttentionRows:
+    """attention_core on R < S query rows gives the full-row op's output
+    and gradients at those rows, dropout included: RowDraws draws the
+    masks at full size from the same seed."""
+
+    def _pair(self, dtype, p):
+        """(output, probs, q/k/v grads) of the full op read at _ROWS, and
+        of the op on those query rows only."""
+        q, k, v = (_rand((2, 6, 12), i) * 2.0 for i in range(3))
+        w = Tensor(_rand((2, 2, 12), 9), dtype)
+
+        def run(qkv, rng, read):
+            xs = [Tensor(a, dtype) for a in qkv]
+            with Tape() as tape:
+                y, probs = ad.attention_core(*xs, 2, _MASK_BIAS, p, rng)
+                y = read(y)
+                loss = ad.tsum(ad.mul(y, w))
+            ad.backward(tape, loss, parameters=xs)
+            return y.data, probs.data, [x.grad for x in xs]
+
+        y, probs, (gq, gk, gv) = run((q, k, v), Rng(11), _at_rows)
+        rows = run((_rows_of(q), k, v), RowDraws(Rng(11), _ROWS, 6),
+                   lambda y: y)
+        return (y, _rows_of(probs, 2), [_rows_of(gq), gk, gv]), rows
+
+    @pytest.mark.parametrize("p", [0.0, 0.15])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5),
+                                            (np.float64, 1e-12)])
+    def test_equals_full_rows(self, dtype, rtol, p):
+        (y, probs, grads), (y_r, probs_r, grads_r) = self._pair(dtype, p)
+        assert y_r.shape == (2, 2, 12) and probs_r.shape == (2, 2, 2, 6)
+        assert y_r.dtype == dtype
+        np.testing.assert_allclose(y_r, y, rtol=rtol, atol=rtol * 1e-3)
+        np.testing.assert_allclose(probs_r, probs, rtol=rtol, atol=0)
+        for g_r, g in zip(grads_r, grads):
+            assert g_r.shape == g.shape and g_r.dtype == dtype
+            np.testing.assert_allclose(g_r, g, rtol=rtol,
+                                       atol=rtol * np.abs(g).max())
+
+    @pytest.mark.parametrize("p", [0.0, 0.15])
+    def test_float64_grad_check(self, p):
+        xs = [Tensor(_rand(s, 20 + i), np.float64)
+              for i, s in enumerate([(2, 2, 12), (2, 6, 12), (2, 6, 12)])]
+
+        def f():
+            with Tape() as tape:
+                y = ad.attention_core(*xs, 2, _MASK_BIAS, p,
+                                      RowDraws(Rng(11), _ROWS, 6))[0]
+                w = Tensor(_rand(y.shape, 29), np.float64)
+                loss = ad.tsum(ad.mul(ad.gelu(y), w))
+            return loss, tape
+
+        assert ad.grad_check(f, xs, h=1e-5) < 1e-6
 
 
 class TestBackward:

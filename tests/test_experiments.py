@@ -843,6 +843,21 @@ class TestCli:
             f"cannot open {what}: No such file or directory"
 
     @pytest.mark.parametrize("command,key", [
+        *((c, ("vocab",)) for c in COMMANDS),
+        ("finetune", ("data", "train")), ("eval", ("data", "test")),
+        ("grid", ("data", "train")), ("pretrain", ("pretrain", "corpus")),
+        ("multitask", ("multitask", "tasks", 1, "test"))], ids=key_id)
+    def test_non_utf8_input_rejected(self, chain, tmp_path, command, key):
+        raw, _ = chain
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes('"1","caf\xe9 au lait"\n'.encode("latin-1"))
+        bad = edit(raw, key, lambda node, k: node.update({k: str(latin1)}))
+        what = {"vocab": "vocabulary", "corpus": "corpus"}.get(key[-1],
+                                                              "dataset")
+        assert run_rejected(command, bad, tmp_path, about=latin1) == \
+            f"cannot read {what}: not utf-8 text (invalid continuation byte)"
+
+    @pytest.mark.parametrize("command,key", [
         ("finetune", ("data", "train")), ("eval", ("data", "test")),
         ("grid", ("data", "train")),
         ("multitask", ("multitask", "tasks", 1, "train"))], ids=key_id)
@@ -988,6 +1003,13 @@ class TestConfigErrors:
         assert run_rejected("finetune", bad, root) == \
             "recipe.max_len 32 exceeds model.max_positions 16"
 
+    def test_pretrain_max_len_over_max_positions(self, valid):
+        raw, root = valid
+        bad = edit(raw, ("pretrain", "max_len"),
+                   lambda node, key: node.update({key: 32}))
+        assert run_rejected("pretrain", bad, root) == \
+            "pretrain.max_len 32 exceeds model.max_positions 16"
+
     def test_section_value_rejection_names_section(self, valid):
         raw, root = valid
         bad = edit(raw, ("recipe", "long_text"),
@@ -1035,6 +1057,38 @@ class TestConfigErrors:
         raw, root = valid
         assert run_rejected("finetune", {**raw, key: value}, root) == \
             f"{key} {message}"
+
+    @pytest.mark.parametrize("command,path,value,message", [
+        ("finetune", ("recipe", "layer_selection", "strategy"), "top2",
+         "recipe.layer_selection.strategy: unknown strategy 'top2'"),
+        ("grid", ("recipe", "layer_selection", "combiner"), "sum",
+         "recipe.layer_selection.combiner: unknown combiner 'sum'"),
+        ("eval", ("recipe", "layer_selection", "layer"), 2,
+         "recipe.layer_selection.layer 2 out of range [0, 1]"),
+        ("multitask", ("recipe", "layer_selection", "layer"), -2,
+         "recipe.layer_selection.layer -2 out of range [0, 1]"),
+        ("finetune", ("data", "format"), "tsv",
+         "data.format: unknown format 'tsv'"),
+        ("multitask", ("multitask", "tasks", 1, "format"), "tsv",
+         "multitask.tasks[1].format: unknown format 'tsv'"),
+        ("finetune", ("recipe", "train_steps"), 0,
+         "recipe.train_steps must be at least 1, got 0"),
+        ("grid", ("recipe", "batch_size"), 0,
+         "recipe.batch_size must be at least 1, got 0"),
+        ("eval", ("recipe", "epochs"), 0,
+         "recipe.epochs must be at least 1, got 0"),
+        ("pretrain", ("pretrain", "batch_size"), -4,
+         "pretrain.batch_size must be at least 1, got -4"),
+        ("pretrain", ("pretrain", "mask_prob"), 0,
+         "pretrain.mask_prob must be in (0, 1], got 0"),
+        ("eval", ("pretrain", "mask_prob"), 1.5,
+         "pretrain.mask_prob must be in (0, 1], got 1.5"),
+    ], ids=lambda v: key_id(v) if isinstance(v, tuple) else None)
+    def test_value_out_of_range_named(self, valid, command, path, value,
+                                      message):
+        raw, root = valid
+        bad = edit(raw, path, lambda node, key: node.__setitem__(key, value))
+        assert run_rejected(command, bad, root) == message
 
     def test_float_takes_json_integer(self, valid):
         raw, _ = valid

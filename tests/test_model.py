@@ -113,6 +113,66 @@ class TestEncode:
         assert all(o.shape == (2, 6, 8) for o in outs)
 
 
+class TestReadRows:
+    def test_classification_computes_only_what_the_head_reads(
+            self, toy_config, toy_batch, monkeypatch):
+        # layer 2 of 3: block 1 is the top block, on the [CLS] row only,
+        # and block 2 makes no record, so its tensors get no gradient
+        from bertfit.config import TrainingRecipe
+        from bertfit.tokenizer import TokenizedSequence
+        from bertfit.training import batch_logits
+        toy_config.n_layers = 3
+        model = init_model(toy_config, Rng(0))
+        head = ClassifierHead.init(8, 3, Rng(1), dtype=np.float64)
+        ids, segs, mask, labels = toy_batch
+        batch = [TokenizedSequence(list(i), list(s), list(m), int(lab))
+                 for i, s, m, lab in zip(ids, segs, mask, labels)]
+        recipe = TrainingRecipe(
+            layer_selection=LayerSelection("single", layer=2))
+        shapes = []
+        core = ad.attention_core
+
+        def spy(q, k, v, *rest):
+            ctx, probs = core(q, k, v, *rest)
+            shapes.append((q.shape, k.shape, probs.shape, ctx.shape))
+            return ctx, probs
+
+        monkeypatch.setattr(ad, "attention_core", spy)
+        with Tape() as tape:
+            logits = batch_logits(model, head, batch, recipe, None, "eval")
+            loss = ad.cross_entropy(logits, labels)
+        ad.backward(tape, loss)
+        assert shapes == [((2, 6, 8), (2, 6, 8), (2, 2, 6, 6), (2, 6, 8)),
+                          ((2, 1, 8), (2, 6, 8), (2, 2, 1, 6), (2, 1, 8))]
+        assert not any(r.out.shape[-2:] == (6, 6) for r in tape.records)
+        for name, t in model.params.items():
+            above = name.startswith("block2.") or name.startswith("head.")
+            assert (t.grad is None) == above, name
+
+    def test_rows_of_the_full_encoder(self, toy_config, toy_batch):
+        ids, segs, mask, _ = toy_batch
+        toy_config.n_layers = 3
+        model = init_model(toy_config, Rng(0))
+        full = encode_batch(model, ids, segs, mask)
+        positions = np.array([[0, 3, 3], [5, 0, 1]])
+        for layer in range(4):
+            outs = encode_batch(model, ids, segs, mask,
+                                read=(layer, positions))
+            assert len(outs) == layer + 1
+            for got, want in zip(outs[:-1], full):
+                np.testing.assert_array_equal(got.data, want.data)
+            want = np.take_along_axis(full[layer].data,
+                                      positions[..., None], 1)
+            np.testing.assert_allclose(outs[-1].data, want, rtol=1e-12,
+                                       atol=1e-13)
+
+    def test_read_layer_out_of_range_rejected(self, toy_model, toy_batch):
+        ids, segs, mask, _ = toy_batch
+        with pytest.raises(ValueError, match="read layer 3"):
+            encode_batch(toy_model, ids, segs, mask,
+                         read=(3, np.zeros((2, 1), dtype=int)))
+
+
 class TestSelectFeatures:
     def _outputs(self, model, batch):
         ids, segs, mask, _ = batch

@@ -214,13 +214,14 @@ class TestLossMasking:
 
 
 class TestGatheredMlmLoss:
-    """pretrain_batch_loss sends only masked rows through the MLM head; it
-    must match the masked mean over the full (B, S, V) logits."""
+    """pretrain_batch_loss has the top block compute only [CLS] and the
+    masked rows, and sends only masked rows through the MLM head; it must
+    match the masked mean over the full encoder's (B, S, V) logits."""
 
-    def _model(self, vocab):
-        cfg = EncoderConfig(n_layers=1, hidden=8, n_heads=2,
+    def _model(self, vocab, n_layers=1):
+        cfg = EncoderConfig(n_layers=n_layers, hidden=8, n_heads=2,
                             vocab_size=len(vocab), max_positions=16,
-                            dropout=0.0, dtype="f8")
+                            dropout=0.1, dtype="f8")
         return init_model(cfg, Rng(0))
 
     def _examples(self, vocab, mask_probs):
@@ -232,6 +233,7 @@ class TestGatheredMlmLoss:
 
     def _losses_and_grads(self, model, loss_fn):
         from bertfit import autodiff as ad
+        model.dropout_rng = Rng(5)
         with ad.Tape() as tape:
             loss = loss_fn()
         params = model.parameters()
@@ -241,14 +243,14 @@ class TestGatheredMlmLoss:
         return float(loss.data), {k: v.grad.copy()
                                   for k, v in model.params.items()}
 
-    def _full_logit_loss(self, model, examples):
+    def _full_logit_loss(self, model, examples, mode):
         """Masked mean over the rows of the full logits, row by row."""
         from bertfit import autodiff as ad
         from bertfit.model import encode_batch, mlm_logits, nsp_logits
         ids = np.array([ex.seq.token_ids for ex in examples])
         outs = encode_batch(
             model, ids, np.array([ex.seq.segment_ids for ex in examples]),
-            np.array([ex.seq.attention_mask for ex in examples]))
+            np.array([ex.seq.attention_mask for ex in examples]), mode=mode)
         B, S = ids.shape
         logits = mlm_logits(model, outs)
         assert logits.shape == (B, S, model.config.vocab_size)
@@ -257,29 +259,48 @@ class TestGatheredMlmLoss:
                                   np.array([lab]))
                  for bi, ex in enumerate(examples)
                  for pos, lab in zip(ex.mlm_positions, ex.mlm_labels)]
+        nsp = ad.cross_entropy(nsp_logits(model, outs),
+                               np.array([int(ex.is_next) for ex in examples]))
+        if not terms:
+            return nsp
         mlm = terms[0]
         for t in terms[1:]:
             mlm = ad.add(mlm, t)
-        nsp = ad.cross_entropy(nsp_logits(model, outs),
-                               np.array([int(ex.is_next) for ex in examples]))
         return ad.add(ad.scale(mlm, 1.0 / len(terms)), nsp)
 
-    @pytest.mark.parametrize("mask_probs", [(0.4, 0.3, 0.5),
-                                            (0.4, 0.0, 0.5)])
-    def test_matches_full_logit_loss_and_grads(self, vocab, mask_probs):
+    def _assert_matches_full(self, vocab, mask_probs, mode="eval",
+                             n_layers=1, per_tensor=True):
         from bertfit.pretraining import pretrain_batch_loss
-        model = self._model(vocab)
+        model = self._model(vocab, n_layers)
         examples = self._examples(vocab, mask_probs)
         if 0.0 in mask_probs:
             assert not examples[mask_probs.index(0.0)].mlm_positions
         got, got_grads = self._losses_and_grads(
-            model, lambda: pretrain_batch_loss(model, examples, "eval")[0])
+            model, lambda: pretrain_batch_loss(model, examples, mode)[0])
         want, want_grads = self._losses_and_grads(
-            model, lambda: self._full_logit_loss(model, examples))
+            model, lambda: self._full_logit_loss(model, examples, mode))
         assert got == pytest.approx(want, rel=1e-12)
+        largest = max(np.abs(g).max() for g in want_grads.values())
         for name, g in want_grads.items():
-            scale = max(np.abs(g).max(), 1e-300)
-            assert np.abs(got_grads[name] - g).max() / scale <= 1e-12, name
+            tol = max(np.abs(g).max(), 1e-300) if per_tensor else largest
+            assert np.abs(got_grads[name] - g).max() / tol <= 1e-12, name
+
+    @pytest.mark.parametrize("mask_probs", [(0.4, 0.3, 0.5),
+                                            (0.4, 0.0, 0.5)])
+    def test_matches_full_logit_loss_and_grads(self, vocab, mask_probs):
+        self._assert_matches_full(vocab, mask_probs)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("mask_probs", [(0.4, 0.3, 0.5), (0.4, 0.0, 0.5),
+                                            (0.0, 0.0)],
+                             ids=["all-masked", "one-unmasked", "none"])
+    def test_two_blocks_with_dropout_match_full(self, vocab, mask_probs,
+                                                mode):
+        # dropout on: the masks of the read rows are the full encoder's.
+        # A key bias shifts a whole score row, so its gradient is zero up
+        # to roundoff: every tensor is held to the largest gradient.
+        self._assert_matches_full(vocab, mask_probs, mode, n_layers=2,
+                                  per_tensor=False)
 
     def test_nsp_only_batch_has_zero_mlm_loss(self, vocab):
         from bertfit import autodiff as ad

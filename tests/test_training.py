@@ -4,12 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bertfit import autodiff as ad
 from bertfit import training
 from bertfit.config import TrainingRecipe
 from bertfit.data import split_validation
-from bertfit.longtext import ChunkedDocument, FractionCombiner
+from bertfit.longtext import ChunkedDocument, FractionCombiner, combine
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
-                           init_model, named_tensors)
+                           class_logits, encode_batch, init_model,
+                           named_tensors, select_features)
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
@@ -324,3 +326,100 @@ def test_build_model_matches_inline_construction(vocab, long_text,
     assert list(a) == list(b)
     assert all(a[k].data.dtype == b[k].data.dtype
                and a[k].data.tobytes() == b[k].data.tobytes() for k in a)
+
+
+# -- batch_logits reads only the rows its head reads --------------------------
+
+_READ_CFG = EncoderConfig(n_layers=5, hidden=8, n_heads=2, vocab_size=30,
+                          max_positions=8, dropout=0.1, dtype="f8")
+
+
+def _read_inputs():
+    ids = np.array([[2, 5, 6, 3, 0, 0], [2, 7, 8, 9, 10, 3],
+                    [2, 11, 3, 0, 0, 0], [2, 4, 4, 12, 3, 0]])
+    mask = (ids != 0).astype(int)
+    return [TokenizedSequence(list(i), [0] * 6, list(m), lab)
+            for i, m, lab in zip(ids, mask, (0, 1, 1, 0))]
+
+
+def _loss_and_grads(params, labels, logits_fn):
+    """logits, loss and every parameter gradient, float64."""
+    with ad.Tape() as tape:
+        logits = logits_fn()
+        loss = ad.cross_entropy(logits, labels)
+    for p in params:
+        p.zero_grad()
+    ad.backward(tape, loss, parameters=params)
+    return logits.data, float(loss.data), [p.grad.copy() for p in params]
+
+
+def _assert_same_run(got, want):
+    """Equal logits, loss and gradients to 1e-12. A key bias shifts a whole
+    score row, so its gradient is zero up to roundoff: every gradient is
+    held to the largest one."""
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-14)
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
+    largest = max(np.abs(w).max() for w in want[2])
+    for g, w in zip(got[2], want[2]):
+        assert np.abs(g - w).max() <= 1e-12 * largest
+
+
+def _full_encoder(model, seqs, mode):
+    outs = encode_batch(model, *training._stack(seqs), mode=mode)
+    assert len(outs) == model.config.n_layers + 1
+    return outs
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("strategy,layer,combiner", [
+    *(("single", layer, "concat") for layer in (-1, 0, 2)),
+    *((s, -1, c) for s in ("first4", "last4", "all")
+      for c in ("concat", "mean", "max"))])
+def test_flat_route_equals_the_full_encoder(strategy, layer, combiner, mode):
+    sel = LayerSelection(strategy, layer, combiner)
+    recipe = tiny_recipe(layer_selection=sel)
+    model = init_model(_READ_CFG, Rng(0))
+    head = ClassifierHead.init(sel.feature_width(8, 5), 2, Rng(1),
+                               dtype=np.float64)
+    params = model.parameters() + head.parameters()
+    seqs = _read_inputs()
+    labels = np.array([s.label for s in seqs])
+
+    def run(logits_fn):
+        model.dropout_rng = Rng(5)
+        return _loss_and_grads(params, labels, logits_fn)
+
+    got = run(lambda: training.batch_logits(model, head, seqs, recipe, None,
+                                            mode))
+    want = run(lambda: class_logits(
+        select_features(_full_encoder(model, seqs, mode), sel), head))
+    _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("kind", ["mean", "max", "attn"])
+def test_hier_route_equals_the_full_encoder(kind, mode):
+    recipe = tiny_recipe(long_text=f"hier_{kind}")
+    model = init_model(_READ_CFG, Rng(0))
+    head = ClassifierHead.init(8, 2, Rng(1), dtype=np.float64)
+    combiner = FractionCombiner.init(kind, 8, Rng(2), dtype=np.float64)
+    params = model.parameters() + head.parameters() + combiner.parameters()
+    seqs = _read_inputs()
+    docs = [ChunkedDocument(seqs[:1], 4), ChunkedDocument(seqs[1:], 9)]
+    labels = np.array([0, 1])
+
+    def full():
+        outs = _full_encoder(model, seqs, mode)
+        cls = ad.select(outs[-1], 0, 1)
+        pooled = [combine(ad.slice_rows(cls, 0, 1), combiner),
+                  combine(ad.slice_rows(cls, 1, 3), combiner)]
+        return class_logits(ad.concat(
+            [ad.reshape(f, (1, 8)) for f in pooled], axis=0), head)
+
+    def run(logits_fn):
+        model.dropout_rng = Rng(5)
+        return _loss_and_grads(params, labels, logits_fn)
+
+    got = run(lambda: training.batch_logits(model, head, docs, recipe,
+                                            combiner, mode))
+    _assert_same_run(got, run(full))

@@ -178,8 +178,8 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
 
     `read=(layer, positions)` computes only what a head reads there: the
     blocks above `layer` do not run, so the result has layer + 1 entries,
-    and the last is (B, R, H), row r of sequence b being position
-    positions[b, r] of a (B, R) int array. In that top block keys and
+    and the last is (B, R, H) even at layer 0, row r of sequence b being
+    position positions[b, r] of a (B, R) int array. In that top block keys and
     values still cover all S positions; the queries, attention rows (so
     its probabilities are (B, heads, R, S)), output projection, norms and
     FFN run on the R rows. Its dropout masks are drawn at full size and
@@ -206,10 +206,12 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
                           p["emb.ln_g"], p["emb.ln_b"])
     x = ad.dropout(x, p_drop, rng)
 
-    top, positions = (cfg.n_layers, None) if read is None else read
-    if not 0 <= top <= cfg.n_layers:
-        raise ValueError(f"read layer {top} out of range [0, {cfg.n_layers}]")
-    if positions is not None:
+    top = cfg.n_layers
+    if read is not None:
+        top, positions = read
+        if not 0 <= top <= cfg.n_layers:
+            raise ValueError(
+                f"read layer {top} out of range [0, {cfg.n_layers}]")
         positions = np.asarray(positions)
         flat = positions + S * np.arange(B)[:, None]      # into the B*S rows
         row_rng = rng if rng is None else RowDraws(rng, positions, S)
@@ -220,7 +222,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     for i in range(top):
         b = f"block{i}."
         xq, r = x, rng
-        if positions is not None and i == top - 1:
+        if read is not None and i == top - 1:
             xq, r = _take_rows(x, flat), row_rng
         q = ad.linear(xq, p[b + "wq"], p[b + "bq"])
         k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n]) for n in "kv")
@@ -236,7 +238,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
                        p_drop, r)
         x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
-    if positions is not None and top == 0:
+    if read is not None and top == 0:
         outputs[0] = _take_rows(x, flat)
     if return_attn:
         return outputs, attn_probs
@@ -259,18 +261,14 @@ def encode(model: EncoderModel, seq, mode: str = "eval"):
     return [ad.select(o, 0, 0) for o in outs]
 
 
-def select_features(outputs, sel: LayerSelection,
-                    n_layers: int | None = None) -> Tensor:
-    """[CLS] vector(s) from the selected layers of an `n_layers`-block
-    encoder, combined per `sel`.
+def select_features(outputs, sel: LayerSelection) -> Tensor:
+    """[CLS] vector(s) from the selected layers, combined per `sel`.
 
-    `outputs[l]` holds layer l's (B, *, H) states with [CLS] at row 0 for
-    every selected l (see `encode_batch`); `n_layers` defaults to
-    len(outputs) - 1, for outputs that hold every layer. Returns
-    (B, width).
+    `outputs` holds L+1 states of shape (B, *, H) with [CLS] at row 0;
+    returns (B, width).
     """
-    idx = sel.layer_indices(
-        len(outputs) - 1 if n_layers is None else n_layers)
+    n_layers = len(outputs) - 1
+    idx = sel.layer_indices(n_layers)
     cls_vecs = [ad.select(outputs[l], 0, 1) for l in idx]   # (B, H) each
     if len(cls_vecs) == 1:
         return cls_vecs[0]

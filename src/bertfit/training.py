@@ -113,20 +113,19 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
     if kind != recipe.combiner_kind:
         raise ValueError(f"recipe {recipe.long_text!r} needs combiner "
                          f"{recipe.combiner_kind!r}, got {kind!r}")
-    n_layers = model.config.n_layers
     if combiner is None:
         sel = recipe.layer_selection
         ids, segs, mask = _stack(batch)
-        top = sel.layer_indices(n_layers)[-1]
+        top = sel.layer_indices(model.config.n_layers)[-1]
         outs = encode_batch(model, ids, segs, mask, mode=mode,
                             read=(top, _cls_rows(len(batch))))
-        return class_logits(select_features(outs, sel, n_layers), head)
+        return class_logits(select_features(outs, sel), head)
     # hierarchical: encode all fractions of all documents as one batch,
     # then pool per document in fraction order
     flat = [frac for doc in batch for frac in doc.fractions]
     ids, segs, mask = _stack(flat)
     outs = encode_batch(model, ids, segs, mask, mode=mode,
-                        read=(n_layers, _cls_rows(len(flat))))
+                        read=(model.config.n_layers, _cls_rows(len(flat))))
     cls_all = ad.select(outs[-1], 0, 1)          # (sum_k, H)
     feats = []
     offset = 0

@@ -144,7 +144,13 @@ class TestReadRows:
         ad.backward(tape, loss)
         assert shapes == [((2, 6, 8), (2, 6, 8), (2, 2, 6, 6), (2, 6, 8)),
                           ((2, 1, 8), (2, 6, 8), (2, 2, 1, 6), (2, 1, 8))]
-        assert not any(r.out.shape[-2:] == (6, 6) for r in tape.records)
+        # after the top block's [CLS] gather, only its keys and values
+        # span all 6 positions
+        start = next(i for i, r in enumerate(tape.records)
+                     if r.out.shape == (2, 1, 8))
+        full = [r.out.shape for r in tape.records[start:]
+                if len(r.out.shape) == 3 and r.out.shape[1] == 6]
+        assert full == [(2, 6, 8)] * 2
         for name, t in model.params.items():
             above = name.startswith("block2.") or name.startswith("head.")
             assert (t.grad is None) == above, name

@@ -21,9 +21,14 @@ class ConfigError(ValueError):
     """A config the schema rejects; the message names the dotted key."""
 
 
+def _require(ok: bool, key, value, rule):
+    """Reject `value` of `key` unless `ok`; `rule` says what it must be."""
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {value}")
+
+
 def _at_least_1(key, value):
-    if value < 1:
-        raise ValueError(f"{key} must be at least 1, got {value}")
+    _require(value >= 1, key, value, "at least 1")
 
 
 @dataclass
@@ -47,6 +52,14 @@ class TrainingRecipe:
             raise ValueError(f"long_text: unknown strategy {self.long_text!r}")
         _at_least_1("batch_size", self.batch_size)
         _at_least_1("epochs", self.epochs)
+        # rate 0 is a run that leaves the model as it is
+        _require(self.base_lr >= 0, "base_lr", self.base_lr, "at least 0")
+        _require(0.0 < self.decay_factor <= 1.0, "decay_factor",
+                 self.decay_factor, "in (0, 1]")
+        _require(0.0 < self.warmup_proportion < 1.0, "warmup_proportion",
+                 self.warmup_proportion, "in (0, 1)")
+        _require(self.clip_norm is None or self.clip_norm > 0, "clip_norm",
+                 self.clip_norm, "above 0")
 
     @property
     def capacity(self) -> int:
@@ -110,9 +123,11 @@ class PretrainSection:
     def __post_init__(self):
         _at_least_1("steps", self.steps)
         _at_least_1("batch_size", self.batch_size)
-        if not 0.0 < self.mask_prob <= 1.0:
-            raise ValueError(
-                f"mask_prob must be in (0, 1], got {self.mask_prob}")
+        _require(0.0 < self.mask_prob <= 1.0, "mask_prob", self.mask_prob,
+                 "in (0, 1]")
+        _require(self.lr > 0, "lr", self.lr, "above 0")
+        _require(0.0 < self.warmup_proportion < 1.0, "warmup_proportion",
+                 self.warmup_proportion, "in (0, 1)")
 
 
 @dataclass
@@ -198,12 +213,10 @@ class ExperimentConfig:
     grid: GridSection | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError(f"validation_fraction must be in (0, 1), got "
-                             f"{self.validation_fraction}")
-        if not 0.0 < self.few_shot_proportion <= 1.0:
-            raise ValueError(f"few_shot_proportion must be in (0, 1], got "
-                             f"{self.few_shot_proportion}")
+        _require(0.0 < self.validation_fraction < 1.0, "validation_fraction",
+                 self.validation_fraction, "in (0, 1)")
+        _require(0.0 < self.few_shot_proportion <= 1.0, "few_shot_proportion",
+                 self.few_shot_proportion, "in (0, 1]")
         for key, max_len in (("recipe", self.recipe.max_len),
                              ("pretrain", self.pretrain and
                               self.pretrain.max_len)):

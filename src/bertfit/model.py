@@ -182,8 +182,9 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     position positions[b, r] of a (B, R) int array. In that top block keys and
     values still cover all S positions; the queries, attention rows (so
     its probabilities are (B, heads, R, S)), output projection, norms and
-    FFN run on the R rows. Its dropout masks are drawn at full size and
-    then cut to the rows, so the dropout stream is the full encoder's.
+    FFN run on the R rows. Its dropout masks (`rng.RowDraws`) hold what
+    full-size masks hold at those rows and leave the stream where those
+    would, so the dropout stream is the full encoder's.
     """
     cfg = model.config
     p = model.params
@@ -199,9 +200,10 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     if p_drop > 0 and rng is None:
         raise ValueError("train mode with dropout needs model.dropout_rng")
 
-    pos = np.broadcast_to(np.arange(S), (B, S))
+    # position rows [0, S), broadcast over the batch; add's backward sums
+    # the batch in order, so the gradient has a row scatter's bits
     x = ad.add_layer_norm(ad.add(ad.embedding(p["emb.tok"], ids),
-                                 ad.embedding(p["emb.pos"], pos)),
+                                 ad.slice_rows(p["emb.pos"], 0, S)),
                           ad.embedding(p["emb.seg"], segs),
                           p["emb.ln_g"], p["emb.ln_b"])
     x = ad.dropout(x, p_drop, rng)

@@ -123,16 +123,23 @@ class Adam:
                 if np.isnan(grad).any():
                     raise DivergedError(
                         f"NaN gradient in parameter {p.name or id(p)}")
+                # lr * (m / c1) / (sqrt(v / c2) + eps), built in place
                 m = self.m[id(p)]
                 v = self.v[id(p)]
+                buf = np.multiply(1.0 - self.beta1, grad)
                 m *= self.beta1
-                m += (1.0 - self.beta1) * grad
+                m += buf
+                np.multiply(1.0 - self.beta2, grad, out=buf)
+                buf *= grad
                 v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                mhat = m / c1
-                vhat = v / c2
-                p.data -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                    p.data.dtype)
+                v += buf
+                np.divide(v, c2, out=buf)
+                np.sqrt(buf, out=buf)
+                buf += self.eps
+                upd = np.divide(m, c1)
+                upd *= lr
+                upd /= buf
+                p.data -= upd.astype(p.data.dtype, copy=False)
 
     def _clip(self):
         total = 0.0

@@ -53,10 +53,15 @@ class Rng:
 class RowDraws:
     """An Rng for an op that runs on R of the S rows of each item.
 
-    `uniform` of an (..., R, W) shape draws (..., S, W) from `rng`, so the
-    stream advances as for the full array, and keeps the rows at
-    `positions`, a (B, R) int array of row indices into the S rows of each
-    of the B leading items.
+    `uniform` of an (..., R, W) shape returns the values that `rng.uniform`
+    of the full (..., S, W) shape holds at the rows `positions`, a (B, R)
+    int array of row indices into the S rows of each of the B leading
+    items, and leaves `rng` where that full draw would. It draws only rows
+    [0, positions.max()] of each leading item and skips the rest of the
+    item's S rows with `bit_generator.advance`, one step per float64.
+    `advance` also drops a buffered 32-bit half of the generator, so this
+    is exact only for a stream that draws nothing but doubles, as
+    `EncoderModel.dropout_rng` does.
     """
 
     def __init__(self, rng: Rng, positions, n_rows: int):
@@ -66,7 +71,16 @@ class RowDraws:
 
     def uniform(self, shape):
         *lead, _, width = shape
-        draw = self.rng.uniform((*lead, self.n_rows, width))
+        top = int(self.positions.max()) + 1
+        if top == self.n_rows:
+            draw = self.rng.uniform((*lead, top, width))
+        else:
+            gen = self.rng.gen
+            skip = (self.n_rows - top) * width
+            draw = np.empty((*lead, top, width))
+            for item in draw.reshape(-1, top, width):
+                gen.random(out=item)
+                gen.bit_generator.advance(skip)
         B, R = self.positions.shape
         idx = self.positions.reshape((B,) + (1,) * (len(shape) - 3) + (R, 1))
         return np.take_along_axis(draw, idx, axis=-2)

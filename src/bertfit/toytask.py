@@ -22,7 +22,8 @@ def make_marker_example(rng: Rng, min_len=8, max_len=24, min_sep=6) -> Example:
     signal is unambiguous at desk scale."""
     while True:
         n = rng.randint(min_len, max_len + 1)
-        words = [FILLERS[rng.randint(len(FILLERS))] for _ in range(n)]
+        # one call draws the same values as n scalar randint calls
+        words = [FILLERS[k] for k in rng.gen.integers(len(FILLERS), size=n)]
         i = rng.randint(n)
         j = rng.randint(n - 1)
         if j >= i:

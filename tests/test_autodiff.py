@@ -235,6 +235,120 @@ class TestRewrittenOps:
         assert ad.grad_check(f, [x], h=1e-5) < 1e-6
 
 
+def _bits(a):
+    """dtype, shape and bytes: unlike array_equal, tells -0.0 from 0.0."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _spread(shape, seed):
+    """Normal values scaled over six decades, so float32 sums round."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return gen.normal(size=shape) * 10.0 ** gen.integers(-3, 4, size=shape)
+
+
+def _input_grads(dtype, inputs, op, g):
+    """Gradients of leaf tensors `inputs` (arrays) under upstream gradient
+    `g` of op(*tensors); mul's backward by g of a tsum passes g bit for
+    bit, -0.0 included."""
+    xs = [Tensor(a, dtype) for a in inputs]
+    with Tape() as tape:
+        loss = ad.tsum(ad.mul(op(*xs), Tensor(g, dtype)))
+    ad.backward(tape, loss, parameters=xs)
+    return [x.grad for x in xs]
+
+
+def _row_scatter(table, ids, g):
+    """The former embedding backward: a row-wise np.add.at."""
+    gw = np.zeros_like(table)
+    np.add.at(gw, ids.ravel(), g.reshape(-1, table.shape[-1]))
+    return gw
+
+
+def _old_layer_norm_grads(x, gamma, g, eps=1e-5):
+    """The former layer-norm backward, one fresh array per expression:
+    the gradients of x, gamma and beta."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gg = g * gamma
+    gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    red = tuple(range(g.ndim - 1))
+    return gx, (g * xhat).sum(axis=red), g.sum(axis=red)
+
+
+_IDS = np.array([[1, 4, 1, 1], [0, 4, 5, 1], [1, 2, 1, 4]])
+
+# each: (table rows V, ids, id whose upstream gradients are all -0.0)
+_EMBEDDING_CASES = {
+    "repeated-ids": (6, _IDS, None),
+    "one-row-table": (1, np.zeros((3, 4), int), None),
+    "negative-zero-gradient": (6, _IDS, 4),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestBackwardTail:
+    """The embedding scatter, the broadcast position add and the in-place
+    layer-norm backward keep the bits of what they replaced."""
+
+    @pytest.mark.parametrize("case", sorted(_EMBEDDING_CASES))
+    def test_embedding_grad_as_row_scatter(self, dtype, case):
+        V, ids, zero_id = _EMBEDDING_CASES[case]
+        table = _rand((V, 8), 1)
+        g = _spread(ids.shape + (8,), 2).astype(dtype)
+        if zero_id is not None:
+            g[ids == zero_id] = -0.0
+        gw, = _input_grads(dtype, [table], lambda w: ad.embedding(w, ids), g)
+        assert _bits(gw) == _bits(_row_scatter(table.astype(dtype), ids, g))
+
+    def test_position_add_as_gather(self, dtype):
+        B, S, P, H = 9, 5, 7, 8
+        tok, pos = _rand((B, S, H), 3), _rand((P, H), 4)
+        g = _spread((B, S, H), 5).astype(dtype)
+        g[:, 2] = -0.0
+        rows = np.broadcast_to(np.arange(S), (B, S))
+
+        def broadcast(t, p):
+            return ad.add(t, ad.slice_rows(p, 0, S))
+
+        def gather(t, p):
+            return ad.add(t, ad.embedding(p, rows))
+
+        xs = [Tensor(a, dtype) for a in (tok, pos)]
+        assert _bits(broadcast(*xs).data) == _bits(gather(*xs).data)
+        got = _input_grads(dtype, [tok, pos], broadcast, g)
+        want = _input_grads(dtype, [tok, pos], gather, g)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+    def test_layer_norm_grads_as_before(self, dtype):
+        x, gamma, beta = _rand((2, 3, 16), 6) * 3.0, _rand(16, 7), _rand(16, 8)
+        g = _spread((2, 3, 16), 9).astype(dtype)
+        got = _input_grads(dtype, [x, gamma, beta], ad.layer_norm, g)
+        want = _old_layer_norm_grads(x.astype(dtype), gamma.astype(dtype), g)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def test_backward_tail_float64_grad_check():
+    """Embedding with repeated ids, the broadcast position add and layer
+    norm, chained."""
+    S = 4
+    tok, pos = _rand((6, 8), 10), _rand((5, 8), 11)
+    gamma, beta = _rand(8, 12), _rand(8, 13)
+    xs = [Tensor(a, np.float64) for a in (tok, pos, gamma, beta)]
+    w = Tensor(_rand((3, S, 8), 14), np.float64)
+
+    def f():
+        with Tape() as tape:
+            h = ad.add(ad.embedding(xs[0], _IDS), ad.slice_rows(xs[1], 0, S))
+            loss = ad.tsum(ad.mul(ad.layer_norm(h, xs[2], xs[3]), w))
+        return loss, tape
+
+    assert ad.grad_check(f, xs, h=1e-5) < 1e-6
+
+
 # -- fused ops: the chains of single ops they replace are the oracles ------
 
 def unfused_linear(x, w, b):
@@ -404,8 +518,8 @@ def _at_rows(t):
 
 class TestAttentionRows:
     """attention_core on R < S query rows gives the full-row op's output
-    and gradients at those rows, dropout included: RowDraws draws the
-    masks at full size from the same seed."""
+    and gradients at those rows, dropout included: RowDraws gives the
+    masks' values at those rows from the same seed."""
 
     def _pair(self, dtype, p):
         """(output, probs, q/k/v grads) of the full op read at _ROWS, and
@@ -585,6 +699,30 @@ class TestRng:
         items = list(range(20))
         Rng(seed).shuffle(items)
         assert sorted(items) == list(range(20))
+
+
+# (B, R) rows read of S=7: [CLS] only; scattered with duplicates, below the
+# last row (the draw skips); and on the last row (no skip)
+_READ_ROWS = {
+    "cls-only": np.zeros((2, 1), int),
+    "scattered-duplicates": np.array([[2, 0, 2], [1, 1, 4]]),
+    "last-row": np.array([[0, 6], [3, 6]]),
+}
+
+
+class TestRowDraws:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["hidden", "heads"])
+    @pytest.mark.parametrize("case", sorted(_READ_ROWS))
+    def test_rows_of_the_full_draw(self, case, lead):
+        positions = _READ_ROWS[case]
+        (B, R), S, W = positions.shape, 7, 5
+        full, rows = Rng(11), Rng(11)
+        want = full.uniform((B, *lead, S, W))
+        got = RowDraws(rows, positions, S).uniform((B, *lead, R, W))
+        idx = positions.reshape((B,) + (1,) * len(lead) + (R, 1))
+        assert np.array_equal(got, np.take_along_axis(want, idx, axis=-2))
+        assert rows.gen.bit_generator.state == full.gen.bit_generator.state
+        assert np.array_equal(rows.uniform((4, W)), full.uniform((4, W)))
 
 
 class TestTapeMisc:

@@ -1083,6 +1083,22 @@ class TestConfigErrors:
          "pretrain.mask_prob must be in (0, 1], got 0"),
         ("eval", ("pretrain", "mask_prob"), 1.5,
          "pretrain.mask_prob must be in (0, 1], got 1.5"),
+        ("finetune", ("recipe", "warmup_proportion"), 0.0,
+         "recipe.warmup_proportion must be in (0, 1), got 0.0"),
+        ("eval", ("recipe", "warmup_proportion"), 1,
+         "recipe.warmup_proportion must be in (0, 1), got 1"),
+        ("pretrain", ("pretrain", "warmup_proportion"), 0,
+         "pretrain.warmup_proportion must be in (0, 1), got 0"),
+        ("grid", ("recipe", "decay_factor"), 0.0,
+         "recipe.decay_factor must be in (0, 1], got 0.0"),
+        ("multitask", ("recipe", "decay_factor"), 1.05,
+         "recipe.decay_factor must be in (0, 1], got 1.05"),
+        ("grid", ("recipe", "base_lr"), -2e-05,
+         "recipe.base_lr must be at least 0, got -2e-05"),
+        ("pretrain", ("pretrain", "lr"), 0.0,
+         "pretrain.lr must be above 0, got 0.0"),
+        ("eval", ("recipe", "clip_norm"), 0,
+         "recipe.clip_norm must be above 0, got 0"),
     ], ids=lambda v: key_id(v) if isinstance(v, tuple) else None)
     def test_value_out_of_range_named(self, valid, command, path, value,
                                       message):

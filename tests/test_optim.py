@@ -172,6 +172,49 @@ class TestAdam:
         assert np.array_equal(pa.data, qa.data)
         assert np.array_equal(pb.data, qb.data)
 
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_as_before(self, dtype, clip_norm):
+        """The in-place step gives the bits of the former one, which built
+        every expression in a fresh array; a tensor without a gradient
+        keeps its data and moments."""
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        shapes = [(3, 5), (4,), (2, 2)]
+        ps = [Tensor(Rng(i).normal(s, dtype=dtype), name=f"p{i}")
+              for i, s in enumerate(shapes)]
+        opt = Adam([ParameterGroup(0, ps[:2]), ParameterGroup(1, ps[2:])],
+                   clip_norm=clip_norm)
+        ref = [[p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)]
+               for p in ps]
+        rates = {0: 3e-3, 1: 1e-2}
+        for t in range(1, 4):
+            grads = [Rng(10 * t + i).normal(s, std=10.0 ** (i - 1),
+                                            dtype=dtype)
+                     for i, s in enumerate(shapes[:2])] + [None]
+            for p, g in zip(ps, grads):
+                p.grad = g
+            opt.step(rates)
+            if clip_norm is not None:
+                norm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                                   for g in grads[:2]))
+                if norm > clip_norm:
+                    scale = clip_norm / (norm + 1e-12)
+                    grads[:2] = [(g * scale).astype(dtype) for g in grads[:2]]
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for (data, m, v), g, lr in zip(ref, grads, (3e-3, 3e-3, 1e-2)):
+                if g is None:
+                    continue
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(
+                    data.dtype)
+            for p, (data, m, v) in zip(ps, ref):
+                assert p.data.tobytes() == data.tobytes()
+                assert opt.m[id(p)].tobytes() == m.tobytes()
+                assert opt.v[id(p)].tobytes() == v.tobytes()
+
 
 class TestLayerRates:
     def test_matches_effective_rate(self, toy_model):

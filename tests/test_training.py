@@ -14,7 +14,8 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            named_tensors, select_features)
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
-from bertfit.toytask import make_marker_task, marker_vocab_corpus
+from bertfit.toytask import (FILLERS, MARKERS, make_marker_example,
+                             make_marker_task, marker_vocab_corpus)
 from bertfit.training import (BatchCursor, MetricsLog, MetricsRecord,
                               build_model, evaluate, finetune, prepare_inputs)
 
@@ -69,6 +70,25 @@ class TestMarkerTask:
         a, _ = make_marker_task(20, 5, seed=7)
         b, _ = make_marker_task(20, 5, seed=7)
         assert [e.text for e in a.examples] == [e.text for e in b.examples]
+
+    def test_fillers_as_scalar_draws(self):
+        """Drawing a document's filler indices in one call gives the
+        documents that one scalar draw per word gave."""
+        def scalar_example(rng):
+            while True:
+                n = rng.randint(8, 25)
+                words = [FILLERS[rng.randint(len(FILLERS))] for _ in range(n)]
+                i = rng.randint(n)
+                j = rng.randint(n - 1)
+                j += j >= i
+                if abs(i - j) >= 6:
+                    words[i], words[j] = MARKERS
+                    return 0 if i < j else 1, " ".join(words)
+
+        a, b = Rng(11), Rng(11)
+        for _ in range(300):
+            ex = make_marker_example(a)
+            assert (ex.label, ex.text) == scalar_example(b)
 
 
 class TestPrepareInputs:

@@ -600,10 +600,10 @@ def embedding(weight: Tensor, ids) -> Tensor:
 
     def bwd(g):
         H = weight.shape[-1]
-        gw = np.zeros(weight.shape, weight.dtype)
+        gw = np.zeros(weight.data.size, weight.dtype)
         flat = ids.reshape(-1, 1).astype(np.intp) * H + np.arange(H)
-        np.add.at(gw.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        _accum(weight, gw)
+        np.add.at(gw, flat.reshape(-1), g.reshape(-1))
+        _accum(weight, gw.reshape(weight.shape))
 
     return _make(out_data, bwd)
 

@@ -72,15 +72,12 @@ class RowDraws:
     def uniform(self, shape):
         *lead, _, width = shape
         top = int(self.positions.max()) + 1
-        if top == self.n_rows:
-            draw = self.rng.uniform((*lead, top, width))
-        else:
-            gen = self.rng.gen
-            skip = (self.n_rows - top) * width
-            draw = np.empty((*lead, top, width))
-            for item in draw.reshape(-1, top, width):
-                gen.random(out=item)
-                gen.bit_generator.advance(skip)
+        gen = self.rng.gen
+        skip = (self.n_rows - top) * width
+        draw = np.empty((*lead, top, width))
+        for item in draw.reshape(-1, top, width):
+            gen.random(out=item)
+            gen.bit_generator.advance(skip)
         B, R = self.positions.shape
         idx = self.positions.reshape((B,) + (1,) * (len(shape) - 3) + (R, 1))
         return np.take_along_axis(draw, idx, axis=-2)

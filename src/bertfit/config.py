@@ -3,6 +3,7 @@ config by `ExperimentConfig.from_dict`."""
 
 from __future__ import annotations
 
+import math
 import typing
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, \
@@ -52,6 +53,8 @@ class TrainingRecipe:
             raise ValueError(f"long_text: unknown strategy {self.long_text!r}")
         _at_least_1("batch_size", self.batch_size)
         _at_least_1("epochs", self.epochs)
+        # two specials and at least one token; `chunk` divides by capacity
+        _require(self.max_len >= 3, "max_len", self.max_len, "at least 3")
         # rate 0 is a run that leaves the model as it is
         _require(self.base_lr >= 0, "base_lr", self.base_lr, "at least 0")
         _require(0.0 < self.decay_factor <= 1.0, "decay_factor",
@@ -128,6 +131,8 @@ class PretrainSection:
         _require(self.lr > 0, "lr", self.lr, "above 0")
         _require(0.0 < self.warmup_proportion < 1.0, "warmup_proportion",
                  self.warmup_proportion, "in (0, 1)")
+        _require(self.checkpoint_every is None or self.checkpoint_every >= 1,
+                 "checkpoint_every", self.checkpoint_every, "at least 1")
 
 
 @dataclass
@@ -142,6 +147,8 @@ class MultitaskSection:
                              f"two tasks, got {len(names)}")
         if len(set(names)) < len(names):
             raise ValueError(f"tasks: two tasks share a name: {names}")
+        _require(self.refine_steps is None or self.refine_steps >= 1,
+                 "refine_steps", self.refine_steps, "at least 1")
 
 
 @dataclass
@@ -149,6 +156,15 @@ class GridSection:
     lrs: Sequence[float] = TABLE4_LRS
     decay_factors: Sequence[float] = TABLE4_XIS
     sweep_lrs: Sequence[float] = FIGURE2_LRS
+
+    def __post_init__(self):
+        for key, top, rule in (("lrs", math.inf, "above 0"),
+                               ("decay_factors", 1.0, "in (0, 1]"),
+                               ("sweep_lrs", math.inf, "above 0")):
+            values = getattr(self, key)
+            _require(len(values) > 0, key, values, "non-empty")
+            for i, v in enumerate(values):
+                _require(0 < v <= top, f"{key}[{i}]", v, rule)
 
 
 # a plain value's JSON types and how a message names them; a bool is not

@@ -105,7 +105,6 @@ class Adam:
                   for g in groups for p in g.params}
         self.v = {id(p): np.zeros_like(p.data)
                   for g in groups for p in g.params}
-        self.last_tape = None       # see train_step
 
     def step(self, rates: dict[int, float]):
         """Apply one update; `rates` maps group depth -> learning rate."""
@@ -168,14 +167,9 @@ def train_step(opt: Adam, loss_fn, params, rates: dict[int, float]):
 
     `loss_fn()` runs the forward pass and returns a tuple whose first item
     is the scalar loss; the tuple is returned. A non-finite loss (nothing
-    updated), softmax input or gradient raises DivergedError. Backward
-    frees each intermediate gradient as it is consumed, but the tape, with
-    its activations, is kept on `opt` until the next step starts: freed at
-    once (or record by record during backward), its memory went back to
-    glibc and the next step faulted it in again (marker fine-tuning steps
-    ran ~15-25% slower).
+    updated), softmax input or gradient raises DivergedError. The tape,
+    with its activations, is freed when the step returns.
     """
-    opt.last_tape = None
     try:
         with ad.Tape() as tape:
             out = loss_fn()
@@ -188,5 +182,4 @@ def train_step(opt: Adam, loss_fn, params, rates: dict[int, float]):
         opt.step(rates)
     except ad.NumericalError as e:
         raise DivergedError(str(e)) from e
-    opt.last_tape = tape
     return out

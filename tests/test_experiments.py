@@ -1099,6 +1099,25 @@ class TestConfigErrors:
          "pretrain.lr must be above 0, got 0.0"),
         ("eval", ("recipe", "clip_norm"), 0,
          "recipe.clip_norm must be above 0, got 0"),
+        ("finetune", ("recipe", "max_len"), 2,
+         "recipe.max_len must be at least 3, got 2"),
+        ("pretrain", ("pretrain", "checkpoint_every"), 0,
+         "pretrain.checkpoint_every must be at least 1, got 0"),
+        ("multitask", ("multitask", "refine_steps"), 0,
+         "multitask.refine_steps must be at least 1, got 0"),
+        ("grid", ("grid", "lrs", 0), 0,
+         "grid.lrs[0] must be above 0, got 0"),
+        ("grid", ("grid", "sweep_lrs", 1), -1e-4,
+         "grid.sweep_lrs[1] must be above 0, got -0.0001"),
+        ("grid", ("grid", "decay_factors", 0), 1.5,
+         "grid.decay_factors[0] must be in (0, 1], got 1.5"),
+        ("finetune", ("grid", "decay_factors", 3), 0.0,
+         "grid.decay_factors[3] must be in (0, 1], got 0.0"),
+        ("grid", ("grid", "lrs"), [], "grid.lrs must be non-empty, got []"),
+        ("eval", ("grid", "decay_factors"), [],
+         "grid.decay_factors must be non-empty, got []"),
+        ("grid", ("grid", "sweep_lrs"), [],
+         "grid.sweep_lrs must be non-empty, got []"),
     ], ids=lambda v: key_id(v) if isinstance(v, tuple) else None)
     def test_value_out_of_range_named(self, valid, command, path, value,
                                       message):

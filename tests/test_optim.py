@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,18 @@ class TestTrainStep:
             opt2.step({0: 1e-2})
             assert np.array_equal(w.data, w2.data)
         assert opt.t == 3
+
+    def test_tape_freed_when_step_returns(self):
+        w, opt, x = self._setup()
+        arrays = []
+
+        def loss_fn():      # Tensor has no weakref slot; its data stands in
+            h = ad.matmul(x, w)
+            arrays.append(weakref.ref(h.data))
+            return (ad.tsum(h),)
+
+        train_step(opt, loss_fn, [w], {0: 1e-2})
+        assert arrays[0]() is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_loss_leaves_parameters(self, bad):

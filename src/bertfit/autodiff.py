@@ -313,8 +313,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
     dropped-out probabilities from them. R is S for self-attention over
     every position, or fewer rows when only those are read.
 
-    Returns the context Tensor (one tape record) and the pre-dropout
-    probabilities as a Tensor outside the tape.
+    Returns the context Tensor (one tape record).
     """
     B, R, H = q.shape
     hd = H // n_heads
@@ -369,7 +368,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         _accum(k, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
         _accum(v, merged(gv, (0, 2, 1, 3)))
 
-    return _make(out_data, bwd), Tensor(probs)
+    return _make(out_data, bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:

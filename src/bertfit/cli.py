@@ -15,8 +15,8 @@ import sys
 
 from .checkpoint import install, save_model
 from .config import ConfigError, ExperimentConfig, GridSection
-from .data import (InputError, load_dataset, open_input, split_validation,
-                   subsample)
+from .data import (FORMATS, InputError, load_dataset, open_input,
+                   split_validation, subsample)
 from .model import init_model, named_tensors
 from .optim import StlrSchedule
 from .rng import Rng
@@ -28,6 +28,16 @@ def _usage_error(command, message):
     2."""
     print(f"{command}: {message}", file=sys.stderr)
     return 2
+
+
+def _check_outputs(args):
+    """Raise InputError naming the first output path whose directory does
+    not exist, before the command reads anything."""
+    for dest in args.outputs:
+        path = getattr(args, dest)
+        folder = os.path.dirname(path or "")
+        if folder and not os.path.isdir(folder):
+            raise InputError(f"{path}: no directory {folder}")
 
 
 def _setup(args, *required):
@@ -81,6 +91,9 @@ def cmd_build_vocab(args):
 
 
 def cmd_subsample(args):
+    if not 0.0 < args.proportion <= 1.0:
+        return _usage_error("subsample", "--proportion must be in (0, 1], "
+                            f"got {args.proportion}")
     ds = load_dataset(args.data, args.format)
     sub = subsample(ds, args.proportion, args.seed or 0)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -222,6 +235,7 @@ def cmd_grid(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="bertfit")
+    p.set_defaults(outputs=())      # the flags naming files a command writes
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--strict-deterministic", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
@@ -230,20 +244,20 @@ def build_parser():
     b.add_argument("--corpus", nargs="+", required=True)
     b.add_argument("--size", type=int, default=8000)
     b.add_argument("--out", required=True)
-    b.set_defaults(fn=cmd_build_vocab)
+    b.set_defaults(fn=cmd_build_vocab, outputs=("out",))
 
     s = sub.add_parser("subsample", help="stratified few-shot subset")
     s.add_argument("--data", required=True)
-    s.add_argument("--format", default="csv-label-text")
+    s.add_argument("--format", default="csv-label-text", choices=FORMATS)
     s.add_argument("--proportion", type=float, required=True)
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_subsample)
+    s.set_defaults(fn=cmd_subsample, outputs=("out",))
 
     f = sub.add_parser("finetune", help="single-task fine-tuning")
     f.add_argument("--config", required=True)
     f.add_argument("--metrics-out", default=None)
     f.add_argument("--checkpoint-out", default=None)
-    f.set_defaults(fn=cmd_finetune)
+    f.set_defaults(fn=cmd_finetune, outputs=("metrics_out", "checkpoint_out"))
 
     pt = sub.add_parser("pretrain", help="further pre-training (MLM+NSP)")
     pt.add_argument("--config", required=True)
@@ -264,13 +278,14 @@ def build_parser():
     g.add_argument("--out", default=None)
     g.add_argument("--lr-sweep", default=None,
                    help="also run the lr sweep, writing curves here")
-    g.set_defaults(fn=cmd_grid)
+    g.set_defaults(fn=cmd_grid, outputs=("out", "lr_sweep"))
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.fn(args)
     except ConfigError as e:
         return _usage_error(args.command, f"{args.config}: {e}")

@@ -111,8 +111,7 @@ class FractionCombiner:
         return []
 
 
-def combine(cls_vectors: Tensor, combiner: FractionCombiner,
-            return_weights: bool = False):
+def combine(cls_vectors: Tensor, combiner: FractionCombiner) -> Tensor:
     """Pool (k, H) fraction representations into (H,).
 
     attn: weights = softmax_k(q . (W_k c_i) / sqrt(H)), output
@@ -120,17 +119,12 @@ def combine(cls_vectors: Tensor, combiner: FractionCombiner,
     """
     k, H = cls_vectors.shape
     if combiner.kind == "mean":
-        out = ad.tmean(cls_vectors, axis=0)
-        return (out, None) if return_weights else out
+        return ad.tmean(cls_vectors, axis=0)
     if combiner.kind == "max":
-        out = ad.tmax(cls_vectors, axis=0)
-        return (out, None) if return_weights else out
+        return ad.tmax(cls_vectors, axis=0)
     keys = ad.matmul(cls_vectors, combiner.wk)          # (k, H)
     vals = ad.matmul(cls_vectors, combiner.wv)          # (k, H)
     q = ad.reshape(combiner.query, (H, 1))
     scores = ad.scale(ad.matmul(keys, q), 1.0 / np.sqrt(H))   # (k, 1)
     weights = ad.softmax(ad.reshape(scores, (1, k)), axis=-1)  # (1, k)
-    out = ad.reshape(ad.matmul(weights, vals), (H,))
-    if return_weights:
-        return out, weights
-    return out
+    return ad.reshape(ad.matmul(weights, vals), (H,))

@@ -167,24 +167,22 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
 
 
 def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
-                 mode: str = "eval", return_attn: bool = False, read=None):
+                 mode: str = "eval", read=None):
     """Forward pass over a batch; returns the L+1 hidden states.
 
     token_ids / segment_ids / attention_mask: (B, S) int arrays.
     Index 0 of the result is the embedding output, index l the output of
-    block l; every entry has shape (B, S, H). With `return_attn`, also
-    returns each block's (B, heads, S, S) attention probabilities before
-    dropout, outside the tape.
+    block l; every entry has shape (B, S, H).
 
     `read=(layer, positions)` computes only what a head reads there: the
     blocks above `layer` do not run, so the result has layer + 1 entries,
     and the last is (B, R, H) even at layer 0, row r of sequence b being
     position positions[b, r] of a (B, R) int array. In that top block keys and
-    values still cover all S positions; the queries, attention rows (so
-    its probabilities are (B, heads, R, S)), output projection, norms and
-    FFN run on the R rows. Its dropout masks (`rng.RowDraws`) hold what
-    full-size masks hold at those rows and leave the stream where those
-    would, so the dropout stream is the full encoder's.
+    values still cover all S positions; the queries, attention rows,
+    output projection, norms and FFN run on the R rows. Its dropout masks
+    (`rng.RowDraws`) hold what full-size masks hold at those rows and
+    leave the stream where those would, so the dropout stream is the full
+    encoder's.
     """
     cfg = model.config
     p = model.params
@@ -220,7 +218,6 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
 
     mask_bias = (1.0 - mask[:, None, None, :]) * -1e9   # -1e9 at [PAD] keys
     outputs = [x]
-    attn_probs = []
     for i in range(top):
         b = f"block{i}."
         xq, r = x, rng
@@ -228,10 +225,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
             xq, r = _take_rows(x, flat), row_rng
         q = ad.linear(xq, p[b + "wq"], p[b + "bq"])
         k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n]) for n in "kv")
-        ctx, probs = ad.attention_core(q, k, v, cfg.n_heads, mask_bias,
-                                       p_drop, r)
-        if return_attn:
-            attn_probs.append(probs)
+        ctx = ad.attention_core(q, k, v, cfg.n_heads, mask_bias, p_drop, r)
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
         x = ad.add_layer_norm(xq, ad.dropout(attn_out, p_drop, r),
                               p[b + "attn_ln_g"], p[b + "attn_ln_b"])
@@ -242,8 +236,6 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
         outputs.append(x)
     if read is not None and top == 0:
         outputs[0] = _take_rows(x, flat)
-    if return_attn:
-        return outputs, attn_probs
     return outputs
 
 
@@ -313,18 +305,17 @@ def classify(features: Tensor, head: ClassifierHead) -> Tensor:
     return ad.softmax(class_logits(features, head), axis=-1)
 
 
-def mlm_logits(model: EncoderModel, outputs, rows=None) -> Tensor:
+def mlm_logits(model: EncoderModel, outputs, rows) -> Tensor:
     """Vocab logits from the final hidden state; the output projection is
     tied to the token embeddings.
 
-    Returns (B, N, V) logits at every row of the (B, N, H) top state
-    `outputs[-1]`. With `rows`, an int array of flat indices into its B*N
-    rows (index b*N + n), returns (len(rows), V) logits for those rows
-    only: the transform and the V-wide projection then run on those rows
-    alone.
+    `rows` is an int array of flat indices into the B*N rows of the
+    (B, N, H) top state `outputs[-1]` (index b*N + n); returns
+    (len(rows), V) logits for those rows only, so the transform and the
+    V-wide projection run on those rows alone.
     """
     p = model.params
-    x = outputs[-1] if rows is None else _take_rows(outputs[-1], rows)
+    x = _take_rows(outputs[-1], rows)
     x = ad.gelu(ad.linear(x, p["head.mlm_w"], p["head.mlm_b"]))
     x = ad.layer_norm(x, p["head.mlm_ln_g"], p["head.mlm_ln_b"])
     emb_t = ad.transpose(p["emb.tok"], (1, 0))

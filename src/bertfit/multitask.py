@@ -1,9 +1,10 @@
 """Multi-task fine-tuning: shared encoder, private per-task classifiers.
 
-Every step draws a single-task batch (proportional to dataset size by
-default, or round-robin), computes that task's loss, and updates the shared
-encoder and `hier_*` fraction combiner plus only that task's head. Optional
-per-task refinement continues from the multi-task checkpoint at a lower rate.
+Every step draws a single-task batch (tasks drawn in proportion to their
+dataset sizes), computes that task's loss, and updates the shared encoder
+and `hier_*` fraction combiner plus only that task's head. Optional
+per-task refinement continues from the multi-task checkpoint at half the
+base rate.
 """
 
 from __future__ import annotations
@@ -19,15 +20,6 @@ from .model import ClassifierHead, EncoderModel, named_tensors
 from .optim import DivergedError, train_step
 from .rng import Rng
 from .training import BatchCursor, batch_logits, finetune, recipe_optimizer
-
-
-@dataclass
-class MixingStrategy:
-    kind: str = "proportional"      # proportional | round-robin
-
-    def __post_init__(self):
-        if self.kind not in ("proportional", "round-robin"):
-            raise ValueError(f"unknown mixing kind {self.kind!r}")
 
 
 @dataclass
@@ -55,9 +47,8 @@ class MultiTaskResult:
     diverged: bool
 
 
-def _pick_task(names, sizes, mixing: MixingStrategy, rng: Rng, step: int):
-    if mixing.kind == "round-robin":
-        return names[step % len(names)]
+def _pick_task(names, sizes, rng: Rng):
+    """A task name drawn with probability proportional to its size."""
     total = sum(sizes[n] for n in names)
     r = rng.uniform() * total
     acc = 0.0
@@ -70,7 +61,6 @@ def _pick_task(names, sizes, mixing: MixingStrategy, rng: Rng, step: int):
 
 def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
                        recipe: TrainingRecipe,
-                       mixing: MixingStrategy | None = None,
                        step_hook=None) -> MultiTaskResult:
     """Joint fine-tuning over >= 2 tasks, one task per batch.
 
@@ -83,7 +73,6 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     for name, inputs in task_inputs.items():
         if not inputs:
             raise ValueError(f"task {name!r} has an empty dataset")
-    mixing = mixing or MixingStrategy()
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
@@ -96,7 +85,7 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     counts = {n: 0 for n in names}
     diverged = False
     for step in range(1, recipe.train_steps + 1):
-        task = _pick_task(names, sizes, mixing, task_rng, step - 1)
+        task = _pick_task(names, sizes, task_rng)
         counts[task] += 1
         batch = cursors[task].next(recipe.batch_size)
         labels = np.array([b.label for b in batch])
@@ -121,20 +110,14 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
 
 
 def per_task_refine(mt: MultiTaskModel, task: str, train_inputs,
-                    val_inputs, recipe: TrainingRecipe,
-                    lower_rate: float | None = None):
-    """Single-task fine-tuning from the multi-task checkpoint.
-
-    Default rate is half the multi-task base rate; only the shared encoder
-    and the named task's head are touched. Zero refine steps return the
-    checkpoint unchanged.
+                    val_inputs, recipe: TrainingRecipe):
+    """Single-task fine-tuning from the multi-task checkpoint at half the
+    multi-task base rate; only the shared encoder and the named task's
+    head are touched. Zero refine steps return the checkpoint unchanged.
     """
-    rate = lower_rate if lower_rate is not None else recipe.base_lr / 2
-    if rate >= recipe.base_lr:
-        raise ValueError("refinement rate must be below the base rate")
     if recipe.train_steps == 0:
         return None
-    refine_recipe = replace(recipe, base_lr=rate)
+    refine_recipe = replace(recipe, base_lr=recipe.base_lr / 2)
     return finetune(mt.encoder, mt.heads[task], train_inputs, val_inputs,
                     refine_recipe, combiner=mt.combiner)
 

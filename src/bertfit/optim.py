@@ -16,6 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .model import depth_of, named_tensors
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's moment decays and epsilon
+
 
 class DivergedError(RuntimeError):
     """A training step produced a non-finite loss, activation or gradient."""
@@ -93,12 +95,9 @@ def layer_rates(groups: list[ParameterGroup], layerwise: LayerwiseLrSchedule,
 class Adam:
     """Standard Adam with bias correction; one rate per parameter group."""
 
-    def __init__(self, groups: list[ParameterGroup], beta1=0.9, beta2=0.999,
-                 eps=1e-8, clip_norm: float | None = None):
+    def __init__(self, groups: list[ParameterGroup],
+                 clip_norm: float | None = None):
         self.groups = groups
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self.m = {id(p): np.zeros_like(p.data)
@@ -111,8 +110,8 @@ class Adam:
         if self.clip_norm is not None:
             self._clip()
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for g in self.groups:
             lr = rates[g.depth]
             for p in g.params:
@@ -125,16 +124,16 @@ class Adam:
                 # lr * (m / c1) / (sqrt(v / c2) + eps), built in place
                 m = self.m[id(p)]
                 v = self.v[id(p)]
-                buf = np.multiply(1.0 - self.beta1, grad)
-                m *= self.beta1
+                buf = np.multiply(1.0 - BETA1, grad)
+                m *= BETA1
                 m += buf
-                np.multiply(1.0 - self.beta2, grad, out=buf)
+                np.multiply(1.0 - BETA2, grad, out=buf)
                 buf *= grad
-                v *= self.beta2
+                v *= BETA2
                 v += buf
                 np.divide(v, c2, out=buf)
                 np.sqrt(buf, out=buf)
-                buf += self.eps
+                buf += EPS
                 upd = np.divide(m, c1)
                 upd *= lr
                 upd /= buf

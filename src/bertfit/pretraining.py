@@ -43,17 +43,14 @@ class PretrainScope:
                     f"in-domain scope mixes domain labels: {sorted(map(str, labels))}")
 
 
+# BERT's split of the corrupted positions; the rest (0.1) stay unchanged
+MASK_TOKEN_FRAC = 0.8               # -> [MASK]
+RANDOM_FRAC = 0.1                   # -> a random token
+
+
 @dataclass
 class MaskingPolicy:
     mask_prob: float = 0.15
-    mask_token_frac: float = 0.8    # of corrupted: -> [MASK]
-    random_frac: float = 0.1        # of corrupted: -> random token
-    keep_frac: float = 0.1          # of corrupted: left unchanged
-
-    def __post_init__(self):
-        s = self.mask_token_frac + self.random_frac + self.keep_frac
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"corruption fractions sum to {s}, not 1")
 
 
 @dataclass
@@ -130,7 +127,7 @@ def read_corpus(path):
     return docs
 
 
-def build_nsp_pair(doc_index: int, docs, rng: Rng, force_is_next=None):
+def build_nsp_pair(doc_index: int, docs, rng: Rng):
     """Pick (segA sentence, segB sentence, is_next) for one document.
 
     With p=0.5 segB is the actual next sentence; otherwise a random
@@ -138,12 +135,7 @@ def build_nsp_pair(doc_index: int, docs, rng: Rng, force_is_next=None):
     a random (is_next=False) pair.
     """
     doc = docs[doc_index]
-    if len(doc) < 2:
-        is_next = False
-    elif force_is_next is not None:
-        is_next = force_is_next
-    else:
-        is_next = rng.uniform() < 0.5
+    is_next = len(doc) >= 2 and rng.uniform() < 0.5
     if len(doc) >= 2:
         i = rng.randint(0, len(doc) - 1)
         seg_a = doc[i]
@@ -188,9 +180,9 @@ def apply_masking(seq: TokenizedSequence, policy: MaskingPolicy, rng: Rng,
         positions.append(pos)
         labels.append(tid)
         r = rng.uniform()
-        if r < policy.mask_token_frac:
+        if r < MASK_TOKEN_FRAC:
             ids[pos] = vocab.mask_id
-        elif r < policy.mask_token_frac + policy.random_frac:
+        elif r < MASK_TOKEN_FRAC + RANDOM_FRAC:
             ids[pos] = rng.randint(len(vocab.id_to_token))
         # else: unchanged
     corrupted = TokenizedSequence(

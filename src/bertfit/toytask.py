@@ -17,18 +17,18 @@ FILLERS = ["red", "blue", "green", "gold", "stone", "river", "cloud",
 MARKERS = ("alpha", "beta")
 
 
-def make_marker_example(rng: Rng, min_len=8, max_len=24, min_sep=6) -> Example:
-    """One document; markers are kept `min_sep` words apart so the order
-    signal is unambiguous at desk scale."""
+def make_marker_example(rng: Rng) -> Example:
+    """One document of 8 to 24 words; the markers are kept at least 6 words
+    apart so the order signal is unambiguous at desk scale."""
     while True:
-        n = rng.randint(min_len, max_len + 1)
+        n = rng.randint(8, 25)
         # one call draws the same values as n scalar randint calls
         words = [FILLERS[k] for k in rng.gen.integers(len(FILLERS), size=n)]
         i = rng.randint(n)
         j = rng.randint(n - 1)
         if j >= i:
             j += 1
-        if abs(i - j) < min_sep:
+        if abs(i - j) < 6:
             continue
         words[i] = MARKERS[0]
         words[j] = MARKERS[1]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,23 @@ def toy_batch():
     mask = (ids != 0).astype(int)
     labels = np.array([0, 2])
     return ids, segs, mask, labels
+
+
+def attention_probs(monkeypatch):
+    """A list that gets a weak reference to the pre-dropout probabilities
+    of each `attention_core` call: the (B, heads, R, S) buffer its backward
+    rule keeps, so alive while a tape holds that rule."""
+    make = ad._make
+    refs = []
+
+    def spy(out_data, backward_fn):
+        if backward_fn.__qualname__.startswith("attention_core."):
+            cells = dict(zip(backward_fn.__code__.co_freevars,
+                             backward_fn.__closure__))
+            refs.append(weakref.ref(cells["probs"].cell_contents))
+        return make(out_data, backward_fn)
+    monkeypatch.setattr(ad, "_make", spy)
+    return refs
 
 
 def spy_gradients(tape):

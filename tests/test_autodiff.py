@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bertfit import autodiff as ad
 from bertfit.autodiff import ShapeMismatchError, Tape, Tensor
 from bertfit.rng import Rng, RowDraws
-from conftest import spy_gradients
+from conftest import attention_probs, spy_gradients
 
 
 def _rand(shape, seed=0):
@@ -373,7 +373,7 @@ def unfused_attention(q, k, v, n_heads, mask_bias, p, rng):
     scores = ad.add(scores, Tensor(mask_bias, scores.dtype))
     probs = ad.softmax(scores, axis=-1)
     ctx = ad.matmul(ad.dropout(probs, p, rng), vh)
-    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, S, H)), probs
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, S, H))
 
 
 def unfused_add_layer_norm(x, h, gamma, beta):
@@ -386,7 +386,7 @@ _MASK_BIAS = (1.0 - _MASK[:, None, None, :]) * -1e9      # float64
 
 def _attention_case(attention, p, mask_bias=_MASK_BIAS):
     def op(q, k, v):
-        return attention(q, k, v, 2, mask_bias, p, Rng(11))[0]
+        return attention(q, k, v, 2, mask_bias, p, Rng(11))
     return op
 
 
@@ -459,14 +459,15 @@ class TestFusedOps:
 
 
 class TestAttentionCore:
-    def test_probabilities_are_the_pre_dropout_softmax(self):
+    def test_probabilities_are_the_pre_dropout_softmax(self, monkeypatch):
+        refs = attention_probs(monkeypatch)
         q, k, v = (Tensor(_rand((2, 6, 12), i), np.float64) for i in range(3))
         with Tape() as tape:
-            _, probs = ad.attention_core(q, k, v, 2, _MASK_BIAS, 0.5, Rng(3))
-        assert probs.shape == (2, 2, 6, 6) and probs.node_id is None
-        assert len(tape.records) == 1
-        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, rtol=1e-12)
-        assert probs.data[0, :, :, 4:].max() == 0.0     # padded keys
+            ad.attention_core(q, k, v, 2, _MASK_BIAS, 0.5, Rng(3))
+        probs = refs[0]()
+        assert probs.shape == (2, 2, 6, 6) and len(tape.records) == 1
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
+        assert probs[0, :, :, 4:].max() == 0.0          # padded keys
 
     def test_float64_mask_bias_keeps_float32(self):
         y, grads = _run(_attention_case(ad.attention_core, 0.15),
@@ -492,7 +493,7 @@ class TestAttentionCore:
         def loss_fn():
             h = ad.matmul(x, w)
             return (ad.tsum(ad.attention_core(h, h, h, 2, _MASK_BIAS, 0.0,
-                                              None)[0]),)
+                                              None)),)
 
         with pytest.raises(DivergedError, match="NaN"):
             train_step(opt, loss_fn, [w], {0: 1e-2})
@@ -522,34 +523,31 @@ class TestAttentionRows:
     masks' values at those rows from the same seed."""
 
     def _pair(self, dtype, p):
-        """(output, probs, q/k/v grads) of the full op read at _ROWS, and
-        of the op on those query rows only."""
+        """(output, q/k/v grads) of the full op read at _ROWS, and of the
+        op on those query rows only."""
         q, k, v = (_rand((2, 6, 12), i) * 2.0 for i in range(3))
         w = Tensor(_rand((2, 2, 12), 9), dtype)
 
         def run(qkv, rng, read):
             xs = [Tensor(a, dtype) for a in qkv]
             with Tape() as tape:
-                y, probs = ad.attention_core(*xs, 2, _MASK_BIAS, p, rng)
-                y = read(y)
+                y = read(ad.attention_core(*xs, 2, _MASK_BIAS, p, rng))
                 loss = ad.tsum(ad.mul(y, w))
             ad.backward(tape, loss, parameters=xs)
-            return y.data, probs.data, [x.grad for x in xs]
+            return y.data, [x.grad for x in xs]
 
-        y, probs, (gq, gk, gv) = run((q, k, v), Rng(11), _at_rows)
+        y, (gq, gk, gv) = run((q, k, v), Rng(11), _at_rows)
         rows = run((_rows_of(q), k, v), RowDraws(Rng(11), _ROWS, 6),
                    lambda y: y)
-        return (y, _rows_of(probs, 2), [_rows_of(gq), gk, gv]), rows
+        return (y, [_rows_of(gq), gk, gv]), rows
 
     @pytest.mark.parametrize("p", [0.0, 0.15])
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5),
                                             (np.float64, 1e-12)])
     def test_equals_full_rows(self, dtype, rtol, p):
-        (y, probs, grads), (y_r, probs_r, grads_r) = self._pair(dtype, p)
-        assert y_r.shape == (2, 2, 12) and probs_r.shape == (2, 2, 2, 6)
-        assert y_r.dtype == dtype
+        (y, grads), (y_r, grads_r) = self._pair(dtype, p)
+        assert y_r.shape == (2, 2, 12) and y_r.dtype == dtype
         np.testing.assert_allclose(y_r, y, rtol=rtol, atol=rtol * 1e-3)
-        np.testing.assert_allclose(probs_r, probs, rtol=rtol, atol=0)
         for g_r, g in zip(grads_r, grads):
             assert g_r.shape == g.shape and g_r.dtype == dtype
             np.testing.assert_allclose(g_r, g, rtol=rtol,
@@ -563,7 +561,7 @@ class TestAttentionRows:
         def f():
             with Tape() as tape:
                 y = ad.attention_core(*xs, 2, _MASK_BIAS, p,
-                                      RowDraws(Rng(11), _ROWS, 6))[0]
+                                      RowDraws(Rng(11), _ROWS, 6))
                 w = Tensor(_rand(y.shape, 29), np.float64)
                 loss = ad.tsum(ad.mul(ad.gelu(y), w))
             return loss, tape

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bertfit import multitask
 from bertfit.checkpoint import load_checkpoint, save_checkpoint
 from bertfit.cli import main
 from bertfit.config import (DataSection, ExperimentConfig, GridSection,
@@ -331,6 +332,44 @@ class TestCli:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 12
 
+    @pytest.mark.parametrize("flag,value", [("--format", "tsv"),
+                                            ("--proportion", "1.5"),
+                                            ("--proportion", "0")])
+    def test_subsample_bad_flag_rejected(self, workspace, tmp_path, capsys,
+                                         flag, value):
+        root, raw = workspace
+        out = tmp_path / "sub.csv"
+        argv = ["subsample", "--data", raw["data"]["train"],
+                "--proportion", "0.5", "--out", str(out), flag, value]
+        try:
+            code = main(argv)
+        except SystemExit as e:     # argparse rejects a choice
+            code = e.code
+        assert code == 2 and not out.exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("bertfit subsample: error: argument --format"
+                               if flag == "--format" else "subsample: --")
+        assert flag in last and value in last
+
+    @pytest.mark.parametrize("command,flag", [
+        ("finetune", "--checkpoint-out"), ("finetune", "--metrics-out"),
+        ("grid", "--out"), ("grid", "--lr-sweep"),
+        ("build-vocab", "--out"), ("subsample", "--out")])
+    def test_output_in_missing_directory_rejected(self, tmp_path, capsys,
+                                                  command, flag):
+        # no input exists either: the outputs are checked before any read
+        absent, missing = tmp_path / "absent", tmp_path / "missing"
+        argv = {"build-vocab": ["build-vocab", "--corpus", str(absent),
+                                "--out", "v.txt"],
+                "subsample": ["subsample", "--data", str(absent),
+                              "--proportion", "0.5", "--out", "s.csv"]}.get(
+            command) or command_argv(command, absent, tmp_path)
+        argv[argv.index(flag) + 1] = str(missing / "out")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and not list(tmp_path.iterdir())
+        assert err == f"{command}: {missing / 'out'}: no directory {missing}\n"
+
     def test_finetune_writes_artifacts(self, workspace, tmp_path, capsys):
         root, raw = workspace
         cfg = write_config(root, raw)
@@ -599,6 +638,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "steps per task" in out
         assert out.count("val error") == 2
+
+    def test_multitask_zero_base_rate_refines(self, workspace, tmp_path,
+                                              monkeypatch, capsys):
+        # rate 0 is a run that leaves the model as it is, refinement too
+        root, raw = workspace
+        starts, refined = spy_starts(monkeypatch, "multitask"), []
+        refine = multitask.per_task_refine
+
+        def spy(mt, *args):
+            res = refine(mt, *args)
+            refined.append({n: p.data.tobytes()
+                            for n, p in named_tensors(mt.encoder).items()})
+            return res
+        monkeypatch.setattr(multitask, "per_task_refine", spy)
+        cfg = write_config(tmp_path, raw,
+                           recipe={**raw["recipe"], "base_lr": 0.0},
+                           multitask={**two_tasks(raw), "refine_steps": 1})
+        assert main(["multitask", "--config", cfg]) == 0
+        assert "diverged" not in capsys.readouterr().out
+        assert len(refined) == 2
+        for encoder in refined:
+            assert encoder == {n: starts[0][n] for n in encoder}
 
     @pytest.mark.parametrize("long_text", ["hier_mean", "hier_attn"])
     def test_multitask_hierarchical(self, workspace, capsys, long_text):

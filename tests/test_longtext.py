@@ -115,13 +115,18 @@ class TestCombine:
         np.testing.assert_allclose(mx.data, [3.0, 3.0])
 
     def test_attention_weights_sum_to_one(self):
+        # fractions that differ only where W_v is zero draw unequal weights
+        # but give one value: the output is that value times their sum
         rng = Rng(1)
-        v = Tensor(rng.normal((5, 8), dtype=np.float64), np.float64)
         comb = FractionCombiner.init("attn", hidden=8, rng=rng,
                                      dtype=np.float64)
-        out, weights = combine(v, comb, return_weights=True)
-        assert abs(weights.data.sum() - 1.0) < 1e-6
+        comb.wv.data[0, 0] = 0.0
+        v = np.tile(rng.normal((8,), dtype=np.float64), (5, 1))
+        v[:, 0] = np.arange(5.0)
+        out = combine(Tensor(v, np.float64), comb)
         assert out.shape == (8,)
+        np.testing.assert_allclose(out.data, v[0] @ comb.wv.data,
+                                   rtol=1e-12)
 
     def test_permutation_invariance_mean_max(self):
         rng = Rng(2)

@@ -1,5 +1,4 @@
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            init_model, mlm_logits, named_tensors, nsp_logits,
                            select_features)
 from bertfit.rng import Rng
+from conftest import attention_probs
 from test_autodiff import (unfused_add_layer_norm, unfused_attention,
                            unfused_linear)
 
@@ -55,50 +55,52 @@ class TestEncode:
         b = encode_batch(toy_model, ids, segs, mask, mode="eval")[-1].data
         assert (a == b).all()
 
-    def test_attention_rows_sum_to_one(self, toy_model, toy_batch):
+    def test_attention_rows_sum_to_one(self, toy_model, toy_batch,
+                                       monkeypatch):
         ids, segs, mask, _ = toy_batch
-        _, attn = encode_batch(toy_model, ids, segs, mask, return_attn=True)
-        probs = attn[0].data      # (B, A, S, S)
+        refs = attention_probs(monkeypatch)
+        with Tape() as tape:        # holds each block's probabilities
+            encode_batch(toy_model, ids, segs, mask)
+        assert len(refs) == 2
+        probs = refs[0]()         # (B, A, S, S)
         sums = probs.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         # no weight on padded keys
         assert probs[0, :, :, 4:].max() < 1e-8
 
     def test_train_mode_attention_rows_sum_to_one(self, toy_config,
-                                                  toy_batch):
+                                                  toy_batch, monkeypatch):
         ids, segs, mask, _ = toy_batch
         toy_config.dropout = 0.3
         model = init_model(toy_config, Rng(0))
         model.dropout_rng = Rng(1)
-        _, attn = encode_batch(model, ids, segs, mask, mode="train",
-                               return_attn=True)
-        for probs in attn:
-            np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0,
-                                       rtol=1e-12)
-            assert probs.data[0, :, :, 4:].max() < 1e-8
+        refs = attention_probs(monkeypatch)
+        with Tape() as tape:        # holds each block's probabilities
+            encode_batch(model, ids, segs, mask, mode="train")
+        assert len(refs) == 2
+        for ref in refs:
+            probs = ref()
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
+            assert probs[0, :, :, 4:].max() < 1e-8
 
     def test_eval_keeps_no_attention_probs_unasked(self, toy_config,
                                                    toy_batch, monkeypatch):
-        # unasked, no block's probabilities outlive the block after it
+        # without a tape, each block's probabilities are freed when its
+        # attention returns
         toy_config.n_layers = 3
         model = init_model(toy_config, Rng(0))
         ids, segs, mask, _ = toy_batch
-        refs, alive = [], []
+        refs, alive = attention_probs(monkeypatch), []
         core = ad.attention_core
 
         def spy(*args):
+            ctx = core(*args)
             alive.append(sum(r() is not None for r in refs))
-            ctx, probs = core(*args)
-            refs.append(weakref.ref(probs.data))
-            return ctx, probs
+            return ctx
 
         monkeypatch.setattr(ad, "attention_core", spy)
         encode_batch(model, ids, segs, mask)
-        assert alive == [0, 1, 1]
-        alive.clear()
-        refs.clear()
-        _, attn = encode_batch(model, ids, segs, mask, return_attn=True)
-        assert alive == [0, 1, 2] and len(attn) == 3
+        assert len(refs) == 3 and alive == [0, 0, 0]
 
     def test_too_long_rejected(self, toy_model):
         S = toy_model.config.max_positions + 1
@@ -129,21 +131,22 @@ class TestReadRows:
                  for i, s, m, lab in zip(ids, segs, mask, labels)]
         recipe = TrainingRecipe(
             layer_selection=LayerSelection("single", layer=2))
-        shapes = []
+        shapes, probs = [], attention_probs(monkeypatch)
         core = ad.attention_core
 
         def spy(q, k, v, *rest):
-            ctx, probs = core(q, k, v, *rest)
-            shapes.append((q.shape, k.shape, probs.shape, ctx.shape))
-            return ctx, probs
+            ctx = core(q, k, v, *rest)
+            shapes.append((q.shape, k.shape, ctx.shape))
+            return ctx
 
         monkeypatch.setattr(ad, "attention_core", spy)
         with Tape() as tape:
             logits = batch_logits(model, head, batch, recipe, None, "eval")
             loss = ad.cross_entropy(logits, labels)
+        assert [r().shape for r in probs] == [(2, 2, 6, 6), (2, 2, 1, 6)]
         ad.backward(tape, loss)
-        assert shapes == [((2, 6, 8), (2, 6, 8), (2, 2, 6, 6), (2, 6, 8)),
-                          ((2, 1, 8), (2, 6, 8), (2, 2, 1, 6), (2, 1, 8))]
+        assert shapes == [((2, 6, 8), (2, 6, 8), (2, 6, 8)),
+                          ((2, 1, 8), (2, 6, 8), (2, 1, 8))]
         # after the top block's [CLS] gather, only its keys and values
         # span all 6 positions
         start = next(i for i, r in enumerate(tape.records)
@@ -273,7 +276,7 @@ class TestHeads:
     def test_mlm_shape(self, toy_model, toy_batch):
         ids, segs, mask, _ = toy_batch
         outs = encode_batch(toy_model, ids, segs, mask)
-        assert mlm_logits(toy_model, outs).shape == (2, 6, 30)
+        assert mlm_logits(toy_model, outs, np.arange(12)).shape == (12, 30)
 
     def test_nsp_shape(self, toy_model, toy_batch):
         ids, segs, mask, _ = toy_batch
@@ -283,12 +286,12 @@ class TestHeads:
     def test_tied_embedding_perturbation(self, toy_model, toy_batch):
         ids, segs, mask, _ = toy_batch
         outs = encode_batch(toy_model, ids, segs, mask)
-        before = mlm_logits(toy_model, outs).data.copy()
+        before = mlm_logits(toy_model, outs, np.arange(12)).data.copy()
         tok = 23
         assert tok not in ids  # perturbed row must not feed the forward pass
         toy_model.params["emb.tok"].data[tok, 0] += 0.5
         outs2 = encode_batch(toy_model, ids, segs, mask)
-        after = mlm_logits(toy_model, outs2).data
+        after = mlm_logits(toy_model, outs2, np.arange(12)).data
         assert np.abs(after[..., tok] - before[..., tok]).max() > 1e-4
         np.testing.assert_allclose(
             np.delete(after, tok, axis=-1), np.delete(before, tok, axis=-1),
@@ -329,7 +332,7 @@ def _unfused_encode(model, ids, segs, mask):
         b = f"block{i}."
         q, k, v = (unfused_linear(x, p[b + "w" + n], p[b + "b" + n])
                    for n in "qkv")
-        ctx, _ = unfused_attention(q, k, v, cfg.n_heads, mask_bias, pd, rng)
+        ctx = unfused_attention(q, k, v, cfg.n_heads, mask_bias, pd, rng)
         a = ad.dropout(unfused_linear(ctx, p[b + "wo"], p[b + "bo"]), pd, rng)
         x = unfused_add_layer_norm(x, a, p[b + "attn_ln_g"],
                                    p[b + "attn_ln_b"])

@@ -5,8 +5,9 @@ from bertfit.config import TrainingRecipe
 from bertfit.data import Dataset, Example
 from bertfit.longtext import FractionCombiner
 from bertfit.model import EncoderConfig, init_model
-from bertfit.multitask import (MixingStrategy, MultiTaskModel, _pick_task,
-                               hash_name, multitask_finetune, per_task_refine)
+from bertfit import multitask
+from bertfit.multitask import (MultiTaskModel, _pick_task, hash_name,
+                               multitask_finetune, per_task_refine)
 from bertfit.rng import Rng
 from bertfit.tokenizer import build_vocab
 from bertfit.toytask import FILLERS, marker_vocab_corpus
@@ -73,23 +74,12 @@ class TestModelInit:
 
 class TestMixing:
     def test_proportional_fraction(self):
-        mixing = MixingStrategy("proportional")
         rng = Rng(0)
         sizes = {"big": 300, "small": 100}
         names = ["big", "small"]
-        hits = sum(_pick_task(names, sizes, mixing, rng, s) == "big"
-                   for s in range(4000))
+        hits = sum(_pick_task(names, sizes, rng) == "big"
+                   for _ in range(4000))
         assert abs(hits / 4000 - 0.75) < 0.03
-
-    def test_round_robin_cycles(self):
-        mixing = MixingStrategy("round-robin")
-        names = ["a", "b", "c"]
-        picks = [_pick_task(names, {}, mixing, Rng(0), s) for s in range(6)]
-        assert picks == ["a", "b", "c", "a", "b", "c"]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="mixing"):
-            MixingStrategy("sequential")
 
     def test_hash_name_stable(self):
         assert hash_name("imdb") == hash_name("imdb")
@@ -184,13 +174,6 @@ class TestMultitaskFinetune:
                 assert not np.array_equal(mt.heads[name].W.data,
                                           before[name])
 
-    def test_round_robin_counts(self, tiny_config, vocab):
-        recipe = tiny_recipe(train_steps=12)
-        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
-        res = multitask_finetune(mt, inputs, recipe,
-                                 MixingStrategy("round-robin"))
-        assert res.steps_per_task == {"a": 4, "b": 4, "c": 4}
-
     def test_deterministic(self, tiny_config, vocab):
         outs = []
         for _ in range(2):
@@ -203,19 +186,30 @@ class TestMultitaskFinetune:
 
 
 class TestPerTaskRefine:
-    def test_default_half_rate(self, tiny_config, vocab):
+    def test_default_half_rate(self, tiny_config, vocab, monkeypatch):
         recipe = tiny_recipe(train_steps=6)
         mt, inputs = three_task_setup(tiny_config, vocab, recipe)
         multitask_finetune(mt, inputs, recipe)
+        rates, finetune = [], multitask.finetune
+
+        def spy(*args, **kw):
+            rates.append(args[4].base_lr)
+            return finetune(*args, **kw)
+
+        monkeypatch.setattr(multitask, "finetune", spy)
+        res = per_task_refine(mt, "a", inputs["a"], inputs["a"], recipe)
+        assert not res.diverged and rates == [recipe.base_lr / 2]
+
+    def test_zero_base_rate_leaves_encoder(self, tiny_config, vocab):
+        # rate 0 is a run that leaves the model as it is, refinement too
+        recipe = tiny_recipe(train_steps=6, base_lr=0.0)
+        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
+        before = {k: v.data.tobytes() for k, v in mt.encoder.params.items()}
+        multitask_finetune(mt, inputs, recipe)
         res = per_task_refine(mt, "a", inputs["a"], inputs["a"], recipe)
         assert not res.diverged
-
-    def test_rate_must_be_lower(self, tiny_config, vocab):
-        recipe = tiny_recipe(train_steps=6)
-        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
-        with pytest.raises(ValueError, match="below"):
-            per_task_refine(mt, "a", inputs["a"], inputs["a"], recipe,
-                            lower_rate=recipe.base_lr)
+        assert before == {k: v.data.tobytes()
+                          for k, v in mt.encoder.params.items()}
 
     def test_zero_steps_noop(self, tiny_config, vocab):
         recipe = tiny_recipe(train_steps=0)

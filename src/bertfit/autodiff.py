@@ -62,6 +62,8 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
+LN_EPS = 1e-5                   # layer norm's variance floor
+
 # sqrt(2/pi), for the tanh gelu approximation
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
@@ -441,32 +443,6 @@ def tmax(a: Tensor, axis) -> Tensor:
     return _make(out_data, bwd)
 
 
-def slice_rows(a: Tensor, offset: int, k: int) -> Tensor:
-    """Contiguous slice of k leading-axis rows starting at `offset`."""
-    out_data = a.data[offset:offset + k]
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[offset:offset + k] = g
-        _accum(a, ga)
-
-    return _make(out_data, bwd)
-
-
-def select(a: Tensor, index: int, axis: int) -> Tensor:
-    """Take one slice along `axis` (e.g. the [CLS] position)."""
-    out_data = np.take(a.data, index, axis=axis)
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = index
-        ga[tuple(sl)] = g
-        _accum(a, ga)
-
-    return _make(out_data, bwd)
-
-
 # -- nonlinearities --------------------------------------------------------
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
@@ -523,7 +499,7 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
-def _normalize(xd, gamma: Tensor, beta: Tensor, eps):
+def _normalize(xd, gamma: Tensor, beta: Tensor):
     """Layer norm of array `xd` over its last axis, then affine.
 
     Returns the output and the backward rule, which accumulates the gamma
@@ -536,7 +512,7 @@ def _normalize(xd, gamma: Tensor, beta: Tensor, eps):
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out_data = gamma.data * xhat + beta.data
 
@@ -556,9 +532,9 @@ def _normalize(xd, gamma: Tensor, beta: Tensor, eps):
     return out_data, bwd
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    out_data, norm_bwd = _normalize(x.data, gamma, beta, eps)
+    out_data, norm_bwd = _normalize(x.data, gamma, beta)
 
     def bwd(g):
         _accum(x, norm_bwd(g))
@@ -566,14 +542,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
     return _make(out_data, bwd)
 
 
-def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor, beta: Tensor,
-                   eps=1e-5) -> Tensor:
+def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor,
+                   beta: Tensor) -> Tensor:
     """layer_norm(x + h): a residual add and its norm as one op, which
     does not keep the sum."""
     if x.shape != h.shape:
         raise ShapeMismatchError(
             f"add_layer_norm shapes disagree: {x.shape} + {h.shape}")
-    out_data, norm_bwd = _normalize(x.data + h.data, gamma, beta, eps)
+    out_data, norm_bwd = _normalize(x.data + h.data, gamma, beta)
 
     def bwd(g):
         gx = norm_bwd(g)
@@ -608,16 +584,19 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup into `weight` by an integer id array.
 
-    The backward scatters into the flat table with one 1-d `np.add.at`
-    over the element indices id * H + column: each table element still
-    receives its contributions in row order, so the gradient has the bits
-    of a row-wise `np.add.at`, at a fraction of its cost.
+    A (..., H) `weight` is read as the table of its rows, so id b*N + n of
+    a (B, N, H) activation is its row [b, n]: embeddings and gathers of
+    activation rows are one op. The backward scatters into the flat table
+    with one 1-d `np.add.at` over the element indices id * H + column:
+    each table element still receives its contributions in row order, so
+    the gradient has the bits of a row-wise `np.add.at`, at a fraction of
+    its cost.
     """
     ids = np.asarray(ids)
-    out_data = weight.data[ids]
+    H = weight.shape[-1]
+    out_data = weight.data.reshape(-1, H)[ids]
 
     def bwd(g):
-        H = weight.shape[-1]
         gw = np.zeros(weight.data.size, weight.dtype)
         flat = ids.reshape(-1, 1).astype(np.intp) * H + np.arange(H)
         np.add.at(gw, flat.reshape(-1), g.reshape(-1))

@@ -31,13 +31,19 @@ def _usage_error(command, message):
 
 
 def _check_outputs(args):
-    """Raise InputError naming the first output path whose directory does
-    not exist, before the command reads anything."""
+    """Raise InputError naming the first output the command could not
+    write, before it reads anything: a file path that is a directory or
+    whose directory does not exist, or an `--out-dir` that is a file."""
     for dest in args.outputs:
         path = getattr(args, dest)
         folder = os.path.dirname(path or "")
         if folder and not os.path.isdir(folder):
             raise InputError(f"{path}: no directory {folder}")
+        if path and os.path.isdir(path):
+            raise InputError(f"{path}: is a directory")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise InputError(f"{out_dir}: not a directory")
 
 
 def _setup(args, *required):

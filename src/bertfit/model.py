@@ -92,7 +92,6 @@ class EncoderModel:
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        self.dropout_rng: Rng | None = None
 
     def parameters(self):
         return list(self.params.values())
@@ -167,12 +166,13 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
 
 
 def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
-                 mode: str = "eval", read=None):
+                 read=None, rng: Rng | None = None):
     """Forward pass over a batch; returns the L+1 hidden states.
 
     token_ids / segment_ids / attention_mask: (B, S) int arrays.
     Index 0 of the result is the embedding output, index l the output of
-    block l; every entry has shape (B, S, H).
+    block l; every entry has shape (B, S, H). Dropout runs, drawing from
+    `rng`, if and only if `rng` is given.
 
     `read=(layer, positions)` computes only what a head reads there: the
     blocks above `layer` do not run, so the result has layer + 1 entries,
@@ -193,15 +193,12 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     if S > cfg.max_positions:
         raise ValueError(
             f"sequence length {S} exceeds max positions {cfg.max_positions}")
-    p_drop = cfg.dropout if mode == "train" else 0.0
-    rng = model.dropout_rng
-    if p_drop > 0 and rng is None:
-        raise ValueError("train mode with dropout needs model.dropout_rng")
+    p_drop = cfg.dropout if rng is not None else 0.0
 
     # position rows [0, S), broadcast over the batch; add's backward sums
     # the batch in order, so the gradient has a row scatter's bits
     x = ad.add_layer_norm(ad.add(ad.embedding(p["emb.tok"], ids),
-                                 ad.slice_rows(p["emb.pos"], 0, S)),
+                                 ad.embedding(p["emb.pos"], np.arange(S))),
                           ad.embedding(p["emb.seg"], segs),
                           p["emb.ln_g"], p["emb.ln_b"])
     x = ad.dropout(x, p_drop, rng)
@@ -222,7 +219,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
         b = f"block{i}."
         xq, r = x, rng
         if read is not None and i == top - 1:
-            xq, r = _take_rows(x, flat), row_rng
+            xq, r = ad.embedding(x, flat), row_rng
         q = ad.linear(xq, p[b + "wq"], p[b + "bq"])
         k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n]) for n in "kv")
         ctx = ad.attention_core(q, k, v, cfg.n_heads, mask_bias, p_drop, r)
@@ -235,24 +232,25 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
         x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
     if read is not None and top == 0:
-        outputs[0] = _take_rows(x, flat)
+        outputs[0] = ad.embedding(x, flat)
     return outputs
 
 
-def _take_rows(x: Tensor, rows) -> Tensor:
-    """Rows of a (B, N, H) state at flat indices `rows` into its B*N rows
-    (index b*N + n); the result has the shape of `rows` plus H."""
-    B, N, H = x.shape
-    return ad.embedding(ad.reshape(x, (B * N, H)), rows)
-
-
-def encode(model: EncoderModel, seq, mode: str = "eval"):
-    """Single-sequence wrapper; returns L+1 states of shape (S, H)."""
+def encode(model: EncoderModel, seq):
+    """Single-sequence wrapper without dropout; returns L+1 states of
+    shape (S, H)."""
     outs = encode_batch(
         model, np.asarray(seq.token_ids)[None, :],
         np.asarray(seq.segment_ids)[None, :],
-        np.asarray(seq.attention_mask)[None, :], mode=mode)
-    return [ad.select(o, 0, 0) for o in outs]
+        np.asarray(seq.attention_mask)[None, :])
+    return [ad.reshape(o, o.shape[1:]) for o in outs]
+
+
+def cls_states(x: Tensor) -> Tensor:
+    """The (B, H) [CLS] rows (row 0 of each sequence) of a (B, N, H)
+    state."""
+    B, N, _ = x.shape
+    return ad.embedding(x, np.arange(B) * N)
 
 
 def select_features(outputs, sel: LayerSelection) -> Tensor:
@@ -263,7 +261,7 @@ def select_features(outputs, sel: LayerSelection) -> Tensor:
     """
     n_layers = len(outputs) - 1
     idx = sel.layer_indices(n_layers)
-    cls_vecs = [ad.select(outputs[l], 0, 1) for l in idx]   # (B, H) each
+    cls_vecs = [cls_states(outputs[l]) for l in idx]   # (B, H) each
     if len(cls_vecs) == 1:
         return cls_vecs[0]
     if sel.combiner == "concat":
@@ -315,7 +313,7 @@ def mlm_logits(model: EncoderModel, outputs, rows) -> Tensor:
     V-wide projection run on those rows alone.
     """
     p = model.params
-    x = _take_rows(outputs[-1], rows)
+    x = ad.embedding(outputs[-1], rows)
     x = ad.gelu(ad.linear(x, p["head.mlm_w"], p["head.mlm_b"]))
     x = ad.layer_norm(x, p["head.mlm_ln_g"], p["head.mlm_ln_b"])
     emb_t = ad.transpose(p["emb.tok"], (1, 0))
@@ -325,5 +323,5 @@ def mlm_logits(model: EncoderModel, outputs, rows) -> Tensor:
 def nsp_logits(model: EncoderModel, outputs) -> Tensor:
     """2-class logits over the final [CLS] state (row 0); shape (B, 2)."""
     p = model.params
-    cls_vec = ad.select(outputs[-1], 0, 1)
-    return ad.linear(cls_vec, p["head.nsp_w"], p["head.nsp_b"])
+    return ad.linear(cls_states(outputs[-1]), p["head.nsp_w"],
+                     p["head.nsp_b"])

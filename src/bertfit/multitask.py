@@ -76,7 +76,7 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
-    mt.encoder.dropout_rng = rng.derive(0xD0)
+    dropout_rng = rng.derive(0xD0)
     task_rng = rng.derive(0x7A)
     cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
                for n in names}
@@ -92,7 +92,7 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
 
         def loss_fn():
             logits = batch_logits(mt.encoder, mt.heads[task], batch, recipe,
-                                  mt.combiner, mode="train")
+                                  mt.combiner, dropout_rng)
             return ad.cross_entropy(logits, labels), logits
 
         # only the shared encoder and combiner and the sampled task's head

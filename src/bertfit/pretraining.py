@@ -204,8 +204,9 @@ def make_pretrain_example(doc_index: int, docs, vocab: Vocabulary,
     return apply_masking(seq, policy, rng, vocab, is_next=is_next)
 
 
-def pretrain_batch_loss(model: EncoderModel, examples, mode="train"):
-    """Summed MLM (masked positions only) + NSP cross-entropy.
+def pretrain_batch_loss(model: EncoderModel, examples, rng: Rng | None = None):
+    """Summed MLM (masked positions only) + NSP cross-entropy, with dropout
+    drawn from `rng` if given.
 
     Only the masked positions go through the MLM head, as BERT's
     reference pre-training code does: the mean loss over them is the
@@ -221,8 +222,8 @@ def pretrain_batch_loss(model: EncoderModel, examples, mode="train"):
     positions = np.zeros((len(examples), R), dtype=np.intp)
     for bi, ex in enumerate(examples):
         positions[bi, 1:1 + len(ex.mlm_positions)] = ex.mlm_positions
-    outs = encode_batch(model, ids, segs, mask, mode=mode,
-                        read=(model.config.n_layers, positions))
+    outs = encode_batch(model, ids, segs, mask,
+                        read=(model.config.n_layers, positions), rng=rng)
     rows = np.array([bi * R + 1 + j for bi, ex in enumerate(examples)
                      for j in range(len(ex.mlm_positions))], dtype=np.int64)
     labels = np.array([lab for ex in examples for lab in ex.mlm_labels],
@@ -265,7 +266,7 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
     flat = LayerwiseLrSchedule(decay_factor=1.0)
     opt = Adam(groups)
     params = model.parameters()
-    model.dropout_rng = rng.derive(0xD0)
+    dropout_rng = rng.derive(0xD0)
     sampler = rng.derive(0x5A)
     example_rng_base = rng.derive(0xE6)
     result = PretrainResult(checkpoints=[], history=[])
@@ -282,8 +283,8 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
         lr = rates[0]               # every depth trains at this rate
         try:
             loss, mlm_l, nsp_l = train_step(
-                opt, lambda: pretrain_batch_loss(model, batch), params,
-                rates)
+                opt, lambda: pretrain_batch_loss(model, batch, dropout_rng),
+                params, rates)
         except DivergedError:
             result.diverged = True
             break
@@ -301,13 +302,13 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
 
 
 def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
-                      rng: Rng, n_examples: int = 64, max_len: int = 128,
-                      policy: MaskingPolicy | None = None):
-    """Average MLM+NSP loss over freshly built examples, dropout off.
+                      rng: Rng, n_examples: int = 64, max_len: int = 128):
+    """Average MLM+NSP loss over freshly built examples under the default
+    `MaskingPolicy`, dropout off.
 
     Runs without a tape: nothing is recorded for a backward pass.
     """
-    policy = policy or MaskingPolicy()
+    policy = MaskingPolicy()
     examples = []
     i = 0
     while len(examples) < n_examples:
@@ -319,5 +320,5 @@ def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
         i += 1
         if i > 20 * n_examples:
             raise RuntimeError("could not build held-out examples")
-    loss, mlm_l, nsp_l = pretrain_batch_loss(model, examples, mode="eval")
+    loss, mlm_l, nsp_l = pretrain_batch_loss(model, examples)
     return float(loss.data), mlm_l, nsp_l

@@ -60,8 +60,8 @@ class RowDraws:
     [0, positions.max()] of each leading item and skips the rest of the
     item's S rows with `bit_generator.advance`, one step per float64.
     `advance` also drops a buffered 32-bit half of the generator, so this
-    is exact only for a stream that draws nothing but doubles, as
-    `EncoderModel.dropout_rng` does.
+    is exact only for a stream that draws nothing but doubles, as the
+    dropout stream a training loop passes to `model.encode_batch` does.
     """
 
     def __init__(self, rng: Rng, positions, n_rows: int):

@@ -21,8 +21,8 @@ from .config import TrainingRecipe
 from .data import Dataset
 from .longtext import FractionCombiner, chunk, combine, truncate
 from .model import (ClassifierHead, EncoderConfig, EncoderModel,
-                    class_logits, encode_batch, init_model, named_tensors,
-                    select_features)
+                    class_logits, cls_states, encode_batch, init_model,
+                    named_tensors, select_features)
 from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
                     group_parameters, layer_rates, train_step)
 from .rng import Rng
@@ -105,10 +105,11 @@ def _cls_rows(n):                   # position 0 of each of n sequences
 
 def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
                  recipe: TrainingRecipe, combiner: FractionCombiner | None,
-                 mode: str):
+                 rng: Rng | None = None):
     """Class logits for a batch of prepared inputs (either route); the
     recipe's combiner kind must be `combiner`'s (None when flat). The
-    encoder computes only the [CLS] rows the head reads."""
+    encoder computes only the [CLS] rows the head reads, with dropout
+    drawn from `rng` if given."""
     kind = combiner.kind if combiner else None
     if kind != recipe.combiner_kind:
         raise ValueError(f"recipe {recipe.long_text!r} needs combiner "
@@ -117,20 +118,22 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
         sel = recipe.layer_selection
         ids, segs, mask = _stack(batch)
         top = sel.layer_indices(model.config.n_layers)[-1]
-        outs = encode_batch(model, ids, segs, mask, mode=mode,
-                            read=(top, _cls_rows(len(batch))))
+        outs = encode_batch(model, ids, segs, mask,
+                            read=(top, _cls_rows(len(batch))), rng=rng)
         return class_logits(select_features(outs, sel), head)
     # hierarchical: encode all fractions of all documents as one batch,
     # then pool per document in fraction order
     flat = [frac for doc in batch for frac in doc.fractions]
     ids, segs, mask = _stack(flat)
-    outs = encode_batch(model, ids, segs, mask, mode=mode,
-                        read=(model.config.n_layers, _cls_rows(len(flat))))
-    cls_all = ad.select(outs[-1], 0, 1)          # (sum_k, H)
+    outs = encode_batch(model, ids, segs, mask,
+                        read=(model.config.n_layers, _cls_rows(len(flat))),
+                        rng=rng)
+    cls_all = cls_states(outs[-1])               # (sum_k, H)
     feats = []
     offset = 0
     for doc in batch:
-        feats.append(combine(ad.slice_rows(cls_all, offset, doc.k), combiner))
+        rows = np.arange(offset, offset + doc.k)
+        feats.append(combine(ad.embedding(cls_all, rows), combiner))
         offset += doc.k
     stacked = ad.concat(
         [ad.reshape(f, (1, f.shape[0])) for f in feats], axis=0)
@@ -229,8 +232,7 @@ def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
     for i in range(0, len(inputs), batch_size):
         batch = inputs[i:i + batch_size]
         labels = np.array([b.label for b in batch])
-        logits = batch_logits(model, head, batch, recipe, combiner,
-                              mode="eval")
+        logits = batch_logits(model, head, batch, recipe, combiner)
         loss = ad.cross_entropy(logits, labels)
         pred = logits.data.argmax(axis=-1)
         n_wrong += int((pred != labels).sum())
@@ -251,7 +253,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     parameters.
     """
     rng = Rng(recipe.seed)
-    model.dropout_rng = rng.derive(0xD0)
+    dropout_rng = rng.derive(0xD0)
     cursor = BatchCursor(train_inputs, rng.derive(0x0E))
     heads = [head, combiner]
     opt, rates_at = recipe_optimizer(model, heads, recipe)
@@ -270,7 +272,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
 
         def loss_fn():
             logits = batch_logits(model, head, batch, recipe, combiner,
-                                  mode="train")
+                                  dropout_rng)
             return ad.cross_entropy(logits, labels), logits
 
         rates = rates_at(step)

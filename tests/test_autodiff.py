@@ -312,7 +312,7 @@ class TestBackwardTail:
         rows = np.broadcast_to(np.arange(S), (B, S))
 
         def broadcast(t, p):
-            return ad.add(t, ad.slice_rows(p, 0, S))
+            return ad.add(t, ad.embedding(p, np.arange(S)))
 
         def gather(t, p):
             return ad.add(t, ad.embedding(p, rows))
@@ -332,21 +332,85 @@ class TestBackwardTail:
 
 
 def test_backward_tail_float64_grad_check():
-    """Embedding with repeated ids, the broadcast position add and layer
-    norm, chained."""
+    """Embedding with repeated ids, the broadcast position add, layer norm
+    and a gather of rows of the normed (B, S, H) activation, chained."""
     S = 4
     tok, pos = _rand((6, 8), 10), _rand((5, 8), 11)
     gamma, beta = _rand(8, 12), _rand(8, 13)
     xs = [Tensor(a, np.float64) for a in (tok, pos, gamma, beta)]
-    w = Tensor(_rand((3, S, 8), 14), np.float64)
+    rows = np.array([[0, 5, 5], [11, 2, 7]])         # into the 3*S rows
+    w = Tensor(_rand((2, 3, 8), 14), np.float64)
 
     def f():
         with Tape() as tape:
-            h = ad.add(ad.embedding(xs[0], _IDS), ad.slice_rows(xs[1], 0, S))
-            loss = ad.tsum(ad.mul(ad.layer_norm(h, xs[2], xs[3]), w))
+            h = ad.add(ad.embedding(xs[0], _IDS),
+                       ad.embedding(xs[1], np.arange(S)))
+            h = ad.embedding(ad.layer_norm(h, xs[2], xs[3]), rows)
+            loss = ad.tsum(ad.mul(h, w))
         return loss, tape
 
     assert ad.grad_check(f, xs, h=1e-5) < 1e-6
+
+
+# -- the former row pickers: embedding on an activation is each of them ----
+
+def _old_select(a, index, axis):
+    """The former `ad.select`: one slice along `axis`."""
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        sl = [slice(None)] * a.data.ndim
+        sl[axis] = index
+        ga[tuple(sl)] = g
+        ad._accum(a, ga)
+
+    return ad._make(np.take(a.data, index, axis=axis), bwd)
+
+
+def _old_slice_rows(a, offset, k):
+    """The former `ad.slice_rows`: k leading-axis rows from `offset`."""
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[offset:offset + k] = g
+        ad._accum(a, ga)
+
+    return ad._make(a.data[offset:offset + k], bwd)
+
+
+_B, _N, _H = 3, 5, 8
+_READ = np.array([[0, 3, 3], [5, 0, 1], [14, 14, 9]])   # into the B*N rows
+
+# each: (the gather, the former expression it replaces)
+_GATHER_CASES = {
+    "cls": (lambda x: ad.embedding(x, np.arange(_B) * _N),
+            lambda x: _old_select(x, 0, 1)),
+    "positions": (lambda x: ad.embedding(x, np.arange(4)),
+                  lambda x: _old_slice_rows(x, 0, 4)),
+    "fractions": (lambda x: ad.embedding(x, np.arange(2, 5)),
+                  lambda x: _old_slice_rows(x, 2, 3)),
+    "read-rows": (lambda x: ad.embedding(x, _READ),
+                  lambda x: ad.embedding(ad.reshape(x, (_B * _N, _H)), _READ)),
+    "mlm-rows": (lambda x: ad.embedding(x, _READ[:, 0]),
+                 lambda x: ad.embedding(ad.reshape(x, (_B * _N, _H)),
+                                        _READ[:, 0])),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_GATHER_CASES))
+def test_gather_as_the_former_row_pickers(dtype, case):
+    """Same forward bits and same gradient bits, but for the sign of a
+    zero: the gather's backward adds into +0, and 0 + -0 is +0."""
+    gather, former = _GATHER_CASES[case]
+    shape = (_B * _N, _H) if case in ("positions", "fractions") \
+        else (_B, _N, _H)
+    x = _rand(shape, 15)
+    assert _bits(gather(Tensor(x, dtype)).data) == \
+        _bits(former(Tensor(x, dtype)).data)
+    g = _spread(gather(Tensor(x, dtype)).shape, 16).astype(dtype)
+    g.reshape(-1)[::3] = -0.0
+    got, = _input_grads(dtype, [x], gather, g)
+    want, = _input_grads(dtype, [x], former, g)
+    assert _bits(got) == _bits(want + dtype(0.0))
 
 
 # -- fused ops: the chains of single ops they replace are the oracles ------

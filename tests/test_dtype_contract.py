@@ -1,5 +1,5 @@
 """A model's dtype holds end to end: every recorded output and every
-gradient of a train-mode step has it, float32 as well as float64."""
+gradient of a training step, dropout on, has it, float32 as well as float64."""
 
 import numpy as np
 import pytest
@@ -20,9 +20,7 @@ from conftest import tape_dtypes
 def model(request):
     cfg = EncoderConfig(n_layers=2, hidden=8, n_heads=2, vocab_size=30,
                         max_positions=16, dropout=0.1, dtype=request.param)
-    m = init_model(cfg, Rng(0))
-    m.dropout_rng = Rng(1)
-    return m
+    return init_model(cfg, Rng(0))
 
 
 def _seqs(toy_batch):
@@ -41,7 +39,7 @@ def test_pretraining_path(model, toy_batch):
     ids, segs, mask, _ = toy_batch
 
     def loss_fn():
-        outs = encode_batch(model, ids, segs, mask, mode="train")
+        outs = encode_batch(model, ids, segs, mask, rng=Rng(1))
         mlm = mlm_logits(model, outs, rows=np.array([1, 2, 8]))
         nsp = nsp_logits(model, outs)
         return ad.add(ad.cross_entropy(mlm, np.array([4, 9, 11])),
@@ -61,7 +59,7 @@ def test_classifier_path(model, toy_batch, combiner):
     seqs = _seqs(toy_batch)
 
     def loss_fn():
-        logits = batch_logits(model, head, seqs, recipe, None, mode="train")
+        logits = batch_logits(model, head, seqs, recipe, None, Rng(1))
         return ad.cross_entropy(logits, toy_batch[3])
 
     params = model.parameters() + head.parameters()
@@ -80,7 +78,7 @@ def test_hierarchical_path(model, toy_batch, kind):
             ChunkedDocument([b], n_content=4)]
 
     def loss_fn():
-        logits = batch_logits(model, head, docs, recipe, comb, mode="train")
+        logits = batch_logits(model, head, docs, recipe, comb, Rng(1))
         return ad.cross_entropy(logits, np.array([0, 2]))
 
     params = model.parameters() + head.parameters() + comb.parameters()

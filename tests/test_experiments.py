@@ -106,6 +106,11 @@ def full_config(model_config, root):
 
 
 COMMANDS = ["finetune", "pretrain", "multitask", "eval", "grid"]
+# the flags naming a file a command writes
+OUTPUT_FLAGS = [("finetune", "--checkpoint-out"),
+                ("finetune", "--metrics-out"), ("grid", "--out"),
+                ("grid", "--lr-sweep"), ("build-vocab", "--out"),
+                ("subsample", "--out")]
 
 # the trainer each command starts, once per run (per grid cell)
 TRAINERS = {"finetune": ("training", "finetune"),
@@ -351,24 +356,50 @@ class TestCli:
                                if flag == "--format" else "subsample: --")
         assert flag in last and value in last
 
-    @pytest.mark.parametrize("command,flag", [
-        ("finetune", "--checkpoint-out"), ("finetune", "--metrics-out"),
-        ("grid", "--out"), ("grid", "--lr-sweep"),
-        ("build-vocab", "--out"), ("subsample", "--out")])
-    def test_output_in_missing_directory_rejected(self, tmp_path, capsys,
-                                                  command, flag):
-        # no input exists either: the outputs are checked before any read
-        absent, missing = tmp_path / "absent", tmp_path / "missing"
+    @staticmethod
+    def _rejected_output(command, flag, value, tmp_path, capsys):
+        """Run `command` with `flag` set to `value` and no input at all
+        (the outputs are checked before any read); assert exit 2 and no
+        stdout, and return stderr."""
+        absent = tmp_path / "absent"
         argv = {"build-vocab": ["build-vocab", "--corpus", str(absent),
                                 "--out", "v.txt"],
                 "subsample": ["subsample", "--data", str(absent),
                               "--proportion", "0.5", "--out", "s.csv"]}.get(
             command) or command_argv(command, absent, tmp_path)
-        argv[argv.index(flag) + 1] = str(missing / "out")
+        argv[argv.index(flag) + 1] = str(value)
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert not out and not list(tmp_path.iterdir())
+        assert not out
+        return err
+
+    @pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+    def test_output_in_missing_directory_rejected(self, tmp_path, capsys,
+                                                  command, flag):
+        missing = tmp_path / "missing"
+        err = self._rejected_output(command, flag, missing / "out", tmp_path,
+                                    capsys)
+        assert not list(tmp_path.iterdir())
         assert err == f"{command}: {missing / 'out'}: no directory {missing}\n"
+
+    @pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+    def test_output_that_is_a_directory_rejected(self, tmp_path, capsys,
+                                                 command, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        err = self._rejected_output(command, flag, folder, tmp_path, capsys)
+        assert list(tmp_path.iterdir()) == [folder]
+        assert not list(folder.iterdir())
+        assert err == f"{command}: {folder}: is a directory\n"
+
+    def test_pretrain_out_dir_that_is_a_file_rejected(self, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("kept\n")
+        err = self._rejected_output("pretrain", "--out-dir", target, tmp_path,
+                                    capsys)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "kept\n"
+        assert err == f"pretrain: {target}: not a directory\n"
 
     def test_finetune_writes_artifacts(self, workspace, tmp_path, capsys):
         root, raw = workspace

@@ -33,8 +33,8 @@ class TestInit:
 
     def test_zero_dropout_forward_deterministic(self, toy_model, toy_batch):
         ids, segs, mask, _ = toy_batch
-        a = encode_batch(toy_model, ids, segs, mask, mode="train")
-        b = encode_batch(toy_model, ids, segs, mask, mode="train")
+        a = encode_batch(toy_model, ids, segs, mask, rng=Rng(1))
+        b = encode_batch(toy_model, ids, segs, mask, rng=Rng(2))
         assert (a[-1].data == b[-1].data).all()
 
 
@@ -49,11 +49,28 @@ class TestEncode:
         out2 = encode_batch(toy_model, ids2, segs, mask)[-1].data
         np.testing.assert_array_equal(out1[0, :4], out2[0, :4])
 
-    def test_eval_deterministic(self, toy_model, toy_batch):
+    def test_eval_deterministic(self, toy_config, toy_batch):
+        # the weights of a dropout-0 model, at dropout 0.5: without a
+        # stream no dropout runs, so every forward is the dropout-0 one
         ids, segs, mask, _ = toy_batch
-        a = encode_batch(toy_model, ids, segs, mask, mode="eval")[-1].data
-        b = encode_batch(toy_model, ids, segs, mask, mode="eval")[-1].data
-        assert (a == b).all()
+        want = encode_batch(init_model(toy_config, Rng(0)), ids, segs, mask)
+        toy_config.dropout = 0.5
+        model = init_model(toy_config, Rng(0))
+        for _ in range(2):
+            got = encode_batch(model, ids, segs, mask)
+            assert all(a.data.tobytes() == b.data.tobytes()
+                       for a, b in zip(got, want))
+
+    def test_equal_streams_give_equal_forwards(self, toy_config, toy_batch):
+        ids, segs, mask, _ = toy_batch
+        toy_config.dropout = 0.5
+        model = init_model(toy_config, Rng(0))
+        a, b = (encode_batch(model, ids, segs, mask, rng=Rng(3))
+                for _ in range(2))
+        assert all(x.data.tobytes() == y.data.tobytes()
+                   for x, y in zip(a, b))
+        plain = encode_batch(model, ids, segs, mask)
+        assert not np.array_equal(a[-1].data, plain[-1].data)
 
     def test_attention_rows_sum_to_one(self, toy_model, toy_batch,
                                        monkeypatch):
@@ -73,10 +90,9 @@ class TestEncode:
         ids, segs, mask, _ = toy_batch
         toy_config.dropout = 0.3
         model = init_model(toy_config, Rng(0))
-        model.dropout_rng = Rng(1)
         refs = attention_probs(monkeypatch)
         with Tape() as tape:        # holds each block's probabilities
-            encode_batch(model, ids, segs, mask, mode="train")
+            encode_batch(model, ids, segs, mask, rng=Rng(1))
         assert len(refs) == 2
         for ref in refs:
             probs = ref()
@@ -141,7 +157,7 @@ class TestReadRows:
 
         monkeypatch.setattr(ad, "attention_core", spy)
         with Tape() as tape:
-            logits = batch_logits(model, head, batch, recipe, None, "eval")
+            logits = batch_logits(model, head, batch, recipe, None)
             loss = ad.cross_entropy(logits, labels)
         assert [r().shape for r in probs] == [(2, 2, 6, 6), (2, 2, 1, 6)]
         ad.backward(tape, loss)
@@ -174,6 +190,22 @@ class TestReadRows:
                                       positions[..., None], 1)
             np.testing.assert_allclose(outs[-1].data, want, rtol=1e-12,
                                        atol=1e-13)
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_a_read_adds_one_gather_record(self, toy_config, toy_batch,
+                                           dropout):
+        # the top block runs on the gathered rows, so its records number
+        # the full block's; the gather adds one
+        ids, segs, mask, _ = toy_batch
+        toy_config.dropout = 0.1
+        model = init_model(toy_config, Rng(0))
+        n_records = []
+        for read in (None, (2, np.array([[0, 3], [5, 0]]))):
+            with Tape() as tape:
+                encode_batch(model, ids, segs, mask, read=read,
+                             rng=Rng(1) if dropout else None)
+            n_records.append(len(tape.records))
+        assert n_records[1] == n_records[0] + 1
 
     def test_read_layer_out_of_range_rejected(self, toy_model, toy_batch):
         ids, segs, mask, _ = toy_batch
@@ -315,9 +347,10 @@ class TestGradCheckFullModel:
         assert err < 1e-6
 
 
-def _unfused_encode(model, ids, segs, mask):
-    """Train-mode encode_batch on the chain of single ops it replaced."""
-    cfg, p, rng = model.config, model.params, model.dropout_rng
+def _unfused_encode(model, ids, segs, mask, rng):
+    """encode_batch with dropout drawn from `rng`, on the chain of single
+    ops it replaced."""
+    cfg, p = model.config, model.params
     pd = cfg.dropout
     B, S = ids.shape
     pos = np.broadcast_to(np.arange(S), (B, S))
@@ -352,9 +385,7 @@ class TestFusedBlock:
         cfg = EncoderConfig(n_layers=n_layers, hidden=12, n_heads=2,
                             vocab_size=30, max_positions=16, dropout=0.1,
                             dtype=dtype)
-        model = init_model(cfg, Rng(0))
-        model.dropout_rng = Rng(1)
-        return model
+        return init_model(cfg, Rng(0))
 
     def test_at_most_12_ops_per_block_and_none_attention_sized(
             self, toy_batch):
@@ -363,7 +394,7 @@ class TestFusedBlock:
         for n_layers in (1, 2):
             model = self._model("f4", n_layers)
             with Tape() as tape:
-                encode_batch(model, ids, segs, mask, mode="train")
+                encode_batch(model, ids, segs, mask, rng=Rng(1))
             n_records.append(len(tape.records))
             B, S = ids.shape
             attn_shape = (B, model.config.n_heads, S, S)
@@ -377,9 +408,8 @@ class TestFusedBlock:
         params = model.parameters()
         runs = []
         for encode in (
-                lambda: encode_batch(model, ids, segs, mask, mode="train"),
-                lambda: _unfused_encode(model, ids, segs, mask)):
-            model.dropout_rng = Rng(1)
+                lambda: encode_batch(model, ids, segs, mask, rng=Rng(1)),
+                lambda: _unfused_encode(model, ids, segs, mask, Rng(1))):
             for t in params:
                 t.zero_grad()
             with Tape() as tape:
@@ -403,7 +433,6 @@ class TestBackwardMemory:
         cfg = EncoderConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=100,
                             max_positions=32, dropout=0.1, dtype="f8")
         model = init_model(cfg, Rng(0))
-        model.dropout_rng = Rng(1)
         unreached = ClassifierHead.init(32, 3, Rng(2), dtype=np.float64)
         g = np.random.default_rng(0)
         ids = g.integers(5, 100, size=(8, 32))
@@ -412,7 +441,7 @@ class TestBackwardMemory:
         try:
             with Tape() as tape:
                 outs = encode_batch(model, ids, np.zeros_like(ids),
-                                    np.ones_like(ids), mode="train")
+                                    np.ones_like(ids), rng=Rng(1))
                 mlm = mlm_logits(model, outs, rows=rows)
                 loss = ad.add(
                     ad.cross_entropy(mlm, g.integers(0, 100, rows.size)),

@@ -193,7 +193,7 @@ class TestLossMasking:
         from bertfit.model import encode_batch, mlm_logits
         from bertfit.pretraining import pretrain_batch_loss
         with ad.Tape():
-            _, mlm_loss, _ = pretrain_batch_loss(model, [ex], mode="eval")
+            _, mlm_loss, _ = pretrain_batch_loss(model, [ex])
         ids = np.array([ex.seq.token_ids])
         outs = encode_batch(model, ids, np.array([ex.seq.segment_ids]),
                             np.array([ex.seq.attention_mask]))
@@ -229,7 +229,6 @@ class TestGatheredMlmLoss:
 
     def _losses_and_grads(self, model, loss_fn):
         from bertfit import autodiff as ad
-        model.dropout_rng = Rng(5)
         with ad.Tape() as tape:
             loss = loss_fn()
         params = model.parameters()
@@ -239,18 +238,19 @@ class TestGatheredMlmLoss:
         return float(loss.data), {k: v.grad.copy()
                                   for k, v in model.params.items()}
 
-    def _full_logit_loss(self, model, examples, mode):
-        """Masked mean over the rows of the full logits, row by row."""
+    def _full_logit_loss(self, model, examples, rng):
+        """Masked mean over the rows of the full logits, row by row,
+        dropout drawn from `rng` if given."""
         from bertfit import autodiff as ad
         from bertfit.model import encode_batch, mlm_logits, nsp_logits
         ids = np.array([ex.seq.token_ids for ex in examples])
         outs = encode_batch(
             model, ids, np.array([ex.seq.segment_ids for ex in examples]),
-            np.array([ex.seq.attention_mask for ex in examples]), mode=mode)
+            np.array([ex.seq.attention_mask for ex in examples]), rng=rng)
         B, S = ids.shape
         flat = mlm_logits(model, outs, np.arange(B * S))
         assert flat.shape == (B * S, model.config.vocab_size)
-        terms = [ad.cross_entropy(ad.slice_rows(flat, bi * S + pos, 1),
+        terms = [ad.cross_entropy(ad.embedding(flat, [bi * S + pos]),
                                   np.array([lab]))
                  for bi, ex in enumerate(examples)
                  for pos, lab in zip(ex.mlm_positions, ex.mlm_labels)]
@@ -270,10 +270,14 @@ class TestGatheredMlmLoss:
         examples = self._examples(vocab, mask_probs)
         if 0.0 in mask_probs:
             assert not examples[mask_probs.index(0.0)].mlm_positions
+
+        def stream():               # equal draws for both runs
+            return Rng(5) if mode == "train" else None
+
         got, got_grads = self._losses_and_grads(
-            model, lambda: pretrain_batch_loss(model, examples, mode)[0])
+            model, lambda: pretrain_batch_loss(model, examples, stream())[0])
         want, want_grads = self._losses_and_grads(
-            model, lambda: self._full_logit_loss(model, examples, mode))
+            model, lambda: self._full_logit_loss(model, examples, stream()))
         assert got == pytest.approx(want, rel=1e-12)
         largest = max(np.abs(g).max() for g in want_grads.values())
         for name, g in want_grads.items():
@@ -303,7 +307,7 @@ class TestGatheredMlmLoss:
         model = self._model(vocab)
         examples = self._examples(vocab, (0.0, 0.0))
         with ad.Tape():
-            loss, mlm, nsp = pretrain_batch_loss(model, examples, "eval")
+            loss, mlm, nsp = pretrain_batch_loss(model, examples)
         assert mlm == 0.0
         assert float(loss.data) == nsp
 

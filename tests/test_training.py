@@ -12,7 +12,7 @@ from bertfit.config import TrainingRecipe
 from bertfit.data import split_validation
 from bertfit.longtext import ChunkedDocument, FractionCombiner, combine
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
-                           class_logits, encode_batch, init_model,
+                           class_logits, cls_states, encode_batch, init_model,
                            named_tensors, select_features)
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
@@ -388,8 +388,14 @@ def _assert_same_run(got, want):
         assert np.abs(g - w).max() <= 1e-12 * largest
 
 
+def _stream(mode):
+    """The dropout stream of a "train" run (the same draws each call); none
+    for "eval"."""
+    return Rng(5) if mode == "train" else None
+
+
 def _full_encoder(model, seqs, mode):
-    outs = encode_batch(model, *training._stack(seqs), mode=mode)
+    outs = encode_batch(model, *training._stack(seqs), rng=_stream(mode))
     assert len(outs) == model.config.n_layers + 1
     return outs
 
@@ -410,11 +416,10 @@ def test_flat_route_equals_the_full_encoder(strategy, layer, combiner, mode):
     labels = np.array([s.label for s in seqs])
 
     def run(logits_fn):
-        model.dropout_rng = Rng(5)
         return _loss_and_grads(params, labels, logits_fn)
 
     got = run(lambda: training.batch_logits(model, head, seqs, recipe, None,
-                                            mode))
+                                            _stream(mode)))
     want = run(lambda: class_logits(
         select_features(_full_encoder(model, seqs, mode), sel), head))
     _assert_same_run(got, want)
@@ -434,18 +439,17 @@ def test_hier_route_equals_the_full_encoder(kind, mode):
 
     def full():
         outs = _full_encoder(model, seqs, mode)
-        cls = ad.select(outs[-1], 0, 1)
-        pooled = [combine(ad.slice_rows(cls, 0, 1), combiner),
-                  combine(ad.slice_rows(cls, 1, 3), combiner)]
+        cls = cls_states(outs[-1])
+        pooled = [combine(ad.embedding(cls, [0]), combiner),
+                  combine(ad.embedding(cls, [1, 2, 3]), combiner)]
         return class_logits(ad.concat(
             [ad.reshape(f, (1, 8)) for f in pooled], axis=0), head)
 
     def run(logits_fn):
-        model.dropout_rng = Rng(5)
         return _loss_and_grads(params, labels, logits_fn)
 
     got = run(lambda: training.batch_logits(model, head, docs, recipe,
-                                            combiner, mode))
+                                            combiner, _stream(mode)))
     _assert_same_run(got, run(full))
 
 
@@ -466,7 +470,7 @@ def test_freed_activation_memory_stays_in_the_process(vocab):
     test_in = prepare_inputs(test, vocab, recipe)
     rng = Rng(0)
     model = init_model(config, rng.derive(1))
-    model.dropout_rng = rng.derive(3)
+    dropout_rng = rng.derive(3)
     head = ClassifierHead.init(config.hidden, 2, rng.derive(2))
     opt, rates_at = training.recipe_optimizer(model, [head], recipe)
     params = list(named_tensors(model, [head]).values())
@@ -476,7 +480,7 @@ def test_freed_activation_memory_stays_in_the_process(vocab):
         batch = cursor.next(recipe.batch_size)
         labels = np.array([b.label for b in batch])
         train_step(opt, lambda: (ad.cross_entropy(training.batch_logits(
-            model, head, batch, recipe, None, mode="train"), labels),),
+            model, head, batch, recipe, None, dropout_rng), labels),),
             params, rates_at(i))
 
     for i in (1, 2):

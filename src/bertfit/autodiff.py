@@ -34,13 +34,17 @@ record one output where the unfused chain recorded several:
 - ``attention_core(q, k, v, ...)`` covers head split, scores, scale, mask
   bias, softmax, dropout and context, and keeps only the probabilities
   and a boolean dropout mask of the (B, heads, R, S) attention size, for
-  R query rows over S keys;
+  R query rows over S keys. It is every attention there is: the encoder's
+  self-attention, and the single-query pooling of a document's fractions
+  (`longtext.combine`);
 - ``add_layer_norm(x, h, ...)`` is the residual add and its layer norm,
   without keeping the sum.
 
 Each computes the same expressions, on operands of the same layout and in
 the same order, as the chain of single ops it replaces, so it gives the
-same bits.
+same bits. ``softmax``, ``dropout`` and ``attention_core`` share one
+softmax forward (`_softmax`), one softmax backward (`_softmax_grad`) and
+one dropout-mask builder (`_dropout_mask`).
 
 Freed memory stays in the process: on glibc, importing this module sets
 the mmap threshold to 32 MB (the largest glibc takes on 64-bit; a set
@@ -243,16 +247,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)                    # a Python float keeps a's dtype
-    out_data = a.data * c
-
-    def bwd(g):
-        _accum(a, g * c)
-
-    return _make(out_data, bwd)
-
-
 def square(a: Tensor) -> Tensor:
     out_data = a.data * a.data
 
@@ -332,22 +326,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
     probs = np.matmul(qh, np.swapaxes(kh, -1, -2))
     probs *= c
     probs += np.asarray(mask_bias, dtype=probs.dtype)
-    mx = probs.max(axis=-1, keepdims=True)
-    if np.isnan(mx).any():          # max propagates a NaN anywhere in a row
-        raise NumericalError("attention scores contain NaN")
-    probs -= mx
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    f = probs.dtype.type
-    keep_scale = f(1) / f(1 - p)
-    kept = rng.uniform(probs.shape) >= p if p > 0.0 else None
+    _softmax(probs, out=probs)
+    drop = _dropout_mask(probs.shape, p, rng, probs.dtype) if p > 0.0 \
+        else None
 
     def dropped():                  # probs with inverted dropout applied
-        if kept is None:
-            return probs
-        d = probs * kept            # a bool factor is exactly 1 or 0
-        d *= keep_scale
-        return d
+        return probs if drop is None else drop(probs)
 
     out_data = np.matmul(dropped(), vh).transpose(0, 2, 1, 3).reshape(B, R, H)
 
@@ -357,15 +341,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         gv = np.matmul(np.swapaxes(d, -1, -2), gctx)
         del d
         gs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
-        if kept is not None:
-            gs *= kept
-            gs *= keep_scale
-        gp = gs * probs             # softmax backward, as in `softmax`
-        dot = gp.sum(axis=-1, keepdims=True)
-        np.subtract(gs, dot, out=gp)
-        gp *= probs
-        gp *= c
+        if drop is not None:
+            drop(gs, out=gs)
+        gp = _softmax_grad(gs, probs)
         del gs
+        gp *= c
         _accum(q, merged(np.matmul(gp, kh), (0, 2, 1, 3)))
         _accum(k, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
         _accum(v, merged(gv, (0, 2, 1, 3)))
@@ -445,20 +425,34 @@ def tmax(a: Tensor, axis) -> Tensor:
 
 # -- nonlinearities --------------------------------------------------------
 
-def softmax(x: Tensor, axis=-1) -> Tensor:
-    mx = x.data.max(axis=axis, keepdims=True)
+def _softmax(s, out=None):
+    """Softmax of array `s` over its last axis, into `out` (which may be
+    `s` itself) or a new array; NumericalError if a row holds a NaN."""
+    mx = s.max(axis=-1, keepdims=True)
     if np.isnan(mx).any():          # max propagates a NaN anywhere in a row
         raise NumericalError("softmax input contains NaN")
-    out_data = np.subtract(x.data, mx)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    out = np.subtract(s, mx, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_grad(g, probs):
+    """The gradient of a softmax's input, (g - sum(g * probs)) * probs
+    over the last axis, in a new array built in place."""
+    gx = g * probs
+    dot = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gx)
+    gx *= probs
+    return gx
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    out_data = _softmax(x.data)
 
     def bwd(g):
-        gx = g * out_data
-        dot = gx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= out_data
-        _accum(x, gx)
+        _accum(x, _softmax_grad(g, out_data))
 
     return _make(out_data, bwd)
 
@@ -559,26 +553,34 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor,
     return _make(out_data, bwd)
 
 
-def dropout(x: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout; identity when p == 0.
+def _dropout_mask(shape, p: float, rng, dtype):
+    """Inverted dropout at rate p > 0 for arrays of `shape`: draws the
+    boolean `kept = rng.uniform(shape) >= p` and returns
+    `apply(a, out=None)`, which builds (a * kept) * (f(1) / f(1 - p)), f
+    being `dtype`, into `out` or a new array. A bool factor is exactly 1
+    or 0."""
+    kept = rng.uniform(shape) >= p
+    keep_scale = dtype.type(1) / dtype.type(1 - p)
 
-    Keeps the boolean draw and the scale f(1) / f(1 - p) in x's dtype, and
-    builds output and gradient as (a * kept) * scale.
-    """
-    if p <= 0.0:
-        return x
-    kept = rng.uniform(x.shape) >= p
-    keep_scale = x.dtype.type(1) / x.dtype.type(1 - p)
-
-    def masked(a):                  # a bool factor is exactly 1 or 0
-        out = a * kept
+    def apply(a, out=None):
+        out = np.multiply(a, kept, out=out)
         out *= keep_scale
         return out
 
-    def bwd(g):
-        _accum(x, masked(g))
+    return apply
 
-    return _make(masked(x.data), bwd)
+
+def dropout(x: Tensor, p: float, rng) -> Tensor:
+    """Inverted dropout; identity when p == 0. Keeps only the boolean
+    draw (see `_dropout_mask`)."""
+    if p <= 0.0:
+        return x
+    drop = _dropout_mask(x.shape, p, rng, x.dtype)
+
+    def bwd(g):
+        _accum(x, drop(g))
+
+    return _make(drop(x.data), bwd)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:

@@ -17,7 +17,7 @@ from .checkpoint import install, save_model
 from .config import ConfigError, ExperimentConfig, GridSection
 from .data import (FORMATS, InputError, load_dataset, open_input,
                    split_validation, subsample)
-from .model import init_model, named_tensors
+from .model import named_tensors
 from .optim import StlrSchedule
 from .rng import Rng
 from .tokenizer import RESERVED, Vocabulary, build_vocab
@@ -140,20 +140,19 @@ def cmd_finetune(args):
 
 def cmd_pretrain(args):
     from .pretraining import (MaskingPolicy, further_pretrain, read_corpus)
-    from .training import install_encoder
+    from .training import build_encoder
     exp, vocab = _setup(args, "pretrain")
     pt = exp.pretrain
     docs = read_corpus(pt.corpus)
-    rng = Rng(exp.recipe.seed)
-    model = init_model(exp.model, rng.derive(1))
-    install_encoder(model, vocab, exp.init_checkpoint)
+    model = build_encoder(exp.model, exp.recipe, vocab,
+                          exp.init_checkpoint)[0]
     schedule = StlrSchedule(total_steps=pt.steps, peak_lr=pt.lr,
                             warmup_proportion=pt.warmup_proportion)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     res = further_pretrain(
-        model, docs, vocab, pt.steps, schedule, rng.derive(2),
-        batch_size=pt.batch_size,
+        model, docs, vocab, pt.steps, schedule,
+        Rng(exp.recipe.seed).derive(2), batch_size=pt.batch_size,
         max_len=pt.max_len or exp.model.max_positions,
         policy=MaskingPolicy(mask_prob=pt.mask_prob),
         checkpoint_every=pt.checkpoint_every, checkpoint_dir=out_dir)
@@ -169,13 +168,11 @@ def cmd_pretrain(args):
 def cmd_multitask(args):
     from .multitask import (MultiTaskModel, multitask_finetune,
                             per_task_refine)
-    from .training import (build_encoder, evaluate, install_encoder,
-                           prepare_inputs)
+    from .training import build_encoder, evaluate, prepare_inputs
     exp, vocab = _setup(args, "multitask")
     recipe = exp.recipe
-    rng = Rng(recipe.seed)
-    model, width, combiner = build_encoder(exp.model, recipe, rng)
-    install_encoder(model, vocab, exp.init_checkpoint)
+    model, width, combiner = build_encoder(exp.model, recipe, vocab,
+                                           exp.init_checkpoint)
     task_inputs, task_val, task_test, sizes = {}, {}, {}, {}
     for t in exp.multitask.tasks:
         train, val, test = _train_val_test(exp, t)
@@ -184,7 +181,7 @@ def cmd_multitask(args):
         task_test[t.name] = (prepare_inputs(test, vocab, recipe) if test
                              else None)
         sizes[t.name] = train.n_classes
-    mt = MultiTaskModel.init(model, sizes, width, rng.derive(2))
+    mt = MultiTaskModel.init(model, sizes, width, Rng(recipe.seed).derive(2))
     mt.combiner = combiner
     res = multitask_finetune(mt, task_inputs, recipe)
     print(f"multitask: steps per task {res.steps_per_task}"

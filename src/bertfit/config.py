@@ -71,11 +71,7 @@ class TrainingRecipe:
     def truncation(self) -> TruncationStrategy | None:
         if self.combiner_kind:
             return None
-        cap = self.capacity
-        # scale the paper's 128/382 split to the configured capacity
-        head = round(cap * 128 / 510)
-        return TruncationStrategy(kind=self.long_text, head_budget=head,
-                                  tail_budget=cap - head, capacity=cap)
+        return TruncationStrategy(kind=self.long_text, capacity=self.capacity)
 
     @property
     def combiner_kind(self) -> str | None:
@@ -126,6 +122,9 @@ class PretrainSection:
     def __post_init__(self):
         _at_least_1("steps", self.steps)
         _at_least_1("batch_size", self.batch_size)
+        # as recipe.max_len: two specials and at least one token
+        _require(self.max_len is None or self.max_len >= 3, "max_len",
+                 self.max_len, "None or at least 3")
         _require(0.0 < self.mask_prob <= 1.0, "mask_prob", self.mask_prob,
                  "in (0, 1]")
         _require(self.lr > 0, "lr", self.lr, "above 0")

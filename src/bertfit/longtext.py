@@ -23,21 +23,16 @@ STRATEGIES = ("head_only", "tail_only", "head_tail",
 @dataclass
 class TruncationStrategy:
     kind: str = "head_tail"         # head_only | tail_only | head_tail
-    head_budget: int = 128
-    tail_budget: int = 382
     capacity: int = 510
 
     def __post_init__(self):
         if self.kind not in ("head_only", "tail_only", "head_tail"):
             raise ValueError(f"unknown truncation kind {self.kind!r}")
-        if self.kind == "head_tail" and \
-                self.head_budget + self.tail_budget != self.capacity:
-            raise ValueError(
-                f"head {self.head_budget} + tail {self.tail_budget} "
-                f"!= capacity {self.capacity}")
 
 
 def truncate(tokens: list, strategy: TruncationStrategy) -> list:
+    """At most `capacity` tokens; head_tail keeps the paper's 128/382
+    split scaled to the capacity (exactly 128 + 382 at 510)."""
     cap = strategy.capacity
     if len(tokens) <= cap:
         return list(tokens)
@@ -45,8 +40,8 @@ def truncate(tokens: list, strategy: TruncationStrategy) -> list:
         return list(tokens[:cap])
     if strategy.kind == "tail_only":
         return list(tokens[-cap:])
-    return list(tokens[:strategy.head_budget]) + \
-        list(tokens[-strategy.tail_budget:])
+    head = round(cap * 128 / 510)   # < cap, so the tail keeps >= 1
+    return list(tokens[:head]) + list(tokens[-(cap - head):])
 
 
 @dataclass
@@ -115,16 +110,16 @@ def combine(cls_vectors: Tensor, combiner: FractionCombiner) -> Tensor:
     """Pool (k, H) fraction representations into (H,).
 
     attn: weights = softmax_k(q . (W_k c_i) / sqrt(H)), output
-    sum_i w_i (W_v c_i).
+    sum_i w_i (W_v c_i): one single-head `attention_core` of the query
+    over the k fractions.
     """
     k, H = cls_vectors.shape
     if combiner.kind == "mean":
         return ad.tmean(cls_vectors, axis=0)
     if combiner.kind == "max":
         return ad.tmax(cls_vectors, axis=0)
-    keys = ad.matmul(cls_vectors, combiner.wk)          # (k, H)
-    vals = ad.matmul(cls_vectors, combiner.wv)          # (k, H)
-    q = ad.reshape(combiner.query, (H, 1))
-    scores = ad.scale(ad.matmul(keys, q), 1.0 / np.sqrt(H))   # (k, 1)
-    weights = ad.softmax(ad.reshape(scores, (1, k)), axis=-1)  # (1, k)
-    return ad.reshape(ad.matmul(weights, vals), (H,))
+    keys, vals = (ad.reshape(ad.matmul(cls_vectors, w), (1, k, H))
+                  for w in (combiner.wk, combiner.wv))
+    q = ad.reshape(combiner.query, (1, 1, H))
+    return ad.reshape(ad.attention_core(q, keys, vals, 1, 0.0, 0.0, None),
+                      (H,))

@@ -28,14 +28,17 @@ class EncoderConfig:
     vocab_size: int = 8000
     max_positions: int = 128
     dropout: float = 0.1
-    n_segments: int = 2
-    dtype: str = "f4"               # "f8" for gradient checking
+    dtype: str = "f4"               # "f4", or "f8" for gradient checking
 
     def __post_init__(self):
         if self.ffn is None:
             self.ffn = 4 * self.hidden
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be at least 1")
+        for key in ("n_layers", "hidden", "n_heads", "ffn"):
+            if getattr(self, key) < 1:
+                raise ValueError(
+                    f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.dtype not in ("f4", "f8"):
+            raise ValueError(f"dtype must be 'f4' or 'f8', got {self.dtype!r}")
         if self.hidden % self.n_heads != 0:
             raise ValueError(
                 f"hidden {self.hidden} not divisible by heads {self.n_heads}")
@@ -137,7 +140,7 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
 
     w("emb.tok", (V, H))
     w("emb.pos", (config.max_positions, H))
-    w("emb.seg", (config.n_segments, H))
+    w("emb.seg", (2, H))            # segment ids are 0 (A) and 1 (B)
     ones("emb.ln_g", (H,))
     zeros("emb.ln_b", (H,))
     for i in range(config.n_layers):
@@ -300,7 +303,7 @@ def class_logits(features: Tensor, head: ClassifierHead) -> Tensor:
 
 def classify(features: Tensor, head: ClassifierHead) -> Tensor:
     """softmax(W.features + b); rows sum to 1."""
-    return ad.softmax(class_logits(features, head), axis=-1)
+    return ad.softmax(class_logits(features, head))
 
 
 def mlm_logits(model: EncoderModel, outputs, rows) -> Tensor:

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, open_input
 from .model import EncoderModel, encode_batch, mlm_logits, nsp_logits
-from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
-                    group_parameters, layer_rates, train_step)
+from .optim import (Adam, DivergedError, StlrSchedule, group_parameters,
+                    train_step)
 from .rng import Rng
 from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
 
@@ -263,7 +263,6 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
         raise ValueError("corpus is empty")
     policy = policy or MaskingPolicy()
     groups = group_parameters(model)
-    flat = LayerwiseLrSchedule(decay_factor=1.0)
     opt = Adam(groups)
     params = model.parameters()
     dropout_rng = rng.derive(0xD0)
@@ -279,8 +278,8 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
                 di, docs, vocab, policy, max_len,
                 example_rng_base.derive(counter)))
             counter += 1
-        rates = layer_rates(groups, flat, schedule, step)
-        lr = rates[0]               # every depth trains at this rate
+        lr = schedule.rate(step)    # every depth trains at this rate
+        rates = {g.depth: lr for g in groups}
         try:
             loss, mlm_l, nsp_l = train_step(
                 opt, lambda: pretrain_batch_loss(model, batch, dropout_rng),

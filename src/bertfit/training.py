@@ -165,40 +165,32 @@ class BatchCursor:
 
 
 def build_encoder(model_config: EncoderConfig, recipe: TrainingRecipe,
-                  rng: Rng):
-    """(model, feature width, combiner) from `rng.derive(1)` and `(3)`; a
-    `hier_*` recipe pools top [CLS] vectors (width H), else no combiner."""
+                  vocab: Vocabulary, init_checkpoint=None):
+    """(model, feature width, combiner) every run starts from, seeded from
+    `Rng(recipe.seed)`: the model from `derive(1)`, then `init_checkpoint`
+    installed into it if set; a `hier_*` recipe's combiner from
+    `derive(3)`, pooling top [CLS] vectors (width H), else None."""
+    rng = Rng(recipe.seed)
     H, kind = model_config.hidden, recipe.combiner_kind
     width = H if kind else recipe.layer_selection.feature_width(
         H, model_config.n_layers)
     combiner = FractionCombiner.init(
         kind, H, rng.derive(3), dtype=model_config.np_dtype) if kind else None
-    return init_model(model_config, rng.derive(1)), width, combiner
-
-
-def build_model(model_config: EncoderConfig, recipe: TrainingRecipe,
-                n_classes: int, rng: Rng):
-    """(model, head, combiner): :func:`build_encoder` plus a head from
-    `rng.derive(2)`."""
-    model, width, combiner = build_encoder(model_config, recipe, rng)
-    head = ClassifierHead.init(width, n_classes, rng.derive(2),
-                               dtype=model_config.np_dtype)
-    return model, head, combiner
-
-
-def install_encoder(model: EncoderModel, vocab: Vocabulary, init_checkpoint):
-    """Install `init_checkpoint`, if set, into the encoder `model`."""
+    model = init_model(model_config, rng.derive(1))
     if init_checkpoint:
-        install(init_checkpoint, named_tensors(model), model.config, vocab)
+        install(init_checkpoint, named_tensors(model), model_config, vocab)
+    return model, width, combiner
 
 
 def build_run(model_config: EncoderConfig, recipe: TrainingRecipe,
               vocab: Vocabulary, n_classes: int, init_checkpoint=None):
-    """(model, head, combiner) a classifier run starts from: build_model
-    from `Rng(recipe.seed)`, the encoder from `init_checkpoint` if set."""
-    run = build_model(model_config, recipe, n_classes, Rng(recipe.seed))
-    install_encoder(run[0], vocab, init_checkpoint)
-    return run
+    """(model, head, combiner) a classifier run starts from:
+    :func:`build_encoder` plus a head from `Rng(recipe.seed).derive(2)`."""
+    model, width, combiner = build_encoder(model_config, recipe, vocab,
+                                           init_checkpoint)
+    head = ClassifierHead.init(width, n_classes, Rng(recipe.seed).derive(2),
+                               dtype=model_config.np_dtype)
+    return model, head, combiner
 
 
 def recipe_optimizer(model: EncoderModel, heads, recipe: TrainingRecipe):

@@ -84,7 +84,7 @@ class TestSoftmax:
     def test_nan_off_the_row_max_rejected(self):
         x = Tensor([[0.0, 5.0, 1.0], [2.0, np.nan, 9.0]])
         with pytest.raises(ad.NumericalError, match="NaN"):
-            ad.softmax(x, axis=-1)
+            ad.softmax(x)
 
 
 class TestLayerNorm:
@@ -113,52 +113,6 @@ class TestGelu:
     def test_asymptotes(self):
         assert abs(ad.gelu(Tensor([10.0], np.float64)).data[0] - 10.0) < 1e-4
         assert abs(ad.gelu(Tensor([-10.0], np.float64)).data[0]) < 1e-4
-
-
-# each: (op, its float64 constant, the forward and backward expressions
-# it had before constants were cast); the float64 mask bias of
-# `attention_core` is checked in TestAttentionCore
-_CONST_OPS = {
-    "scale": (ad.scale, 1.0 / np.sqrt(np.float64(8)),
-              lambda x, c: x * c, lambda g, c: g * c),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_CONST_OPS))
-class TestConstantOps:
-    """Ops with a constant operand keep their tensor input's dtype."""
-
-    def test_float32_forward_and_backward(self, name):
-        op, c, _, _ = _CONST_OPS[name]
-        x = Tensor(_rand((3, 4), 1), np.float32)
-        with Tape() as tape:
-            y = op(x, c)
-            loss = ad.tsum(y)
-        ad.backward(tape, loss)
-        assert y.dtype == np.float32 and x.grad.dtype == np.float32
-
-    def test_float64_grad_check(self, name):
-        op, c, _, _ = _CONST_OPS[name]
-        x = Tensor(_rand((3, 4), 2), np.float64)
-        w = Tensor(_rand((3, 4), 3), np.float64)
-
-        def f():
-            with Tape() as tape:
-                loss = ad.tsum(ad.mul(ad.gelu(op(x, c)), w))
-            return loss, tape
-
-        assert ad.grad_check(f, [x], h=1e-5) < 1e-6
-
-    def test_float64_bitwise_as_before(self, name):
-        op, c, old_fwd, old_bwd = _CONST_OPS[name]
-        x = Tensor(_rand((3, 4), 4), np.float64)
-        w = Tensor(_rand((3, 4), 5), np.float64)
-        with Tape() as tape:
-            y = op(x, c)
-            loss = ad.tsum(ad.mul(y, w))
-        ad.backward(tape, loss)
-        assert np.array_equal(y.data, old_fwd(x.data, c))
-        assert np.array_equal(x.grad, old_bwd(w.data, c))
 
 
 def _old_gelu_parts(x):
@@ -431,11 +385,12 @@ def unfused_attention(q, k, v, n_heads, mask_bias, p, rng):
         return ad.transpose(ad.reshape(t, (B, S, n_heads, hd)), (0, 2, 1, 3))
 
     qh, kh, vh = heads(q), heads(k), heads(v)
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))),
-                      1.0 / np.sqrt(hd))
+    scores = ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2)))
+    # the former scale op: times a 0-d constant of the scores' dtype
+    scores = ad.mul(scores, Tensor(1.0 / np.sqrt(hd), scores.dtype))
     # the former add_const: the bias cast to the scores' dtype, added
     scores = ad.add(scores, Tensor(mask_bias, scores.dtype))
-    probs = ad.softmax(scores, axis=-1)
+    probs = ad.softmax(scores)
     ctx = ad.matmul(ad.dropout(probs, p, rng), vh)
     return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, S, H))
 
@@ -805,7 +760,7 @@ class TestTapeMisc:
         x = Tensor(_rand((6, 9), 5) * 3.0, dtype)
         labels = np.array([0, 8, 3, 3, 1, 5])
         with Tape() as tape:
-            loss = ad.scale(ad.cross_entropy(x, labels), 0.37)
+            loss = ad.mul(ad.cross_entropy(x, labels), Tensor(0.37, dtype))
         ad.backward(tape, loss)
         z = x.data - x.data.max(axis=-1, keepdims=True)
         p = np.exp(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))

@@ -22,7 +22,8 @@ from bertfit.config import (DataSection, ExperimentConfig, GridSection,
 from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
 from bertfit.data import Example, split_validation
-from bertfit.model import EncoderConfig, named_tensors
+from bertfit.model import EncoderConfig, init_model, named_tensors
+from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 
@@ -622,6 +623,26 @@ class TestCli:
         assert (tmp_path / "pretrain_step4.ckpt").exists()
         assert "final loss" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("long_text", ["head_only", "hier_attn"])
+    def test_pretrain_starts_from_seeded_init(self, workspace, tmp_path,
+                                              monkeypatch, long_text):
+        # pre-training starts from the encoder every run starts from,
+        # init_model from Rng(recipe.seed).derive(1), whatever the route
+        root, raw = workspace
+        starts = spy_starts(monkeypatch, "pretrain")
+        cfg = write_config(root, raw, name=f"pt_init_{long_text}.json",
+                           recipe={**raw["recipe"], "long_text": long_text,
+                                   "seed": 5},
+                           pretrain={"corpus": str(root / "corpus.txt"),
+                                     "steps": 1, "batch_size": 2,
+                                     "max_len": 16})
+        assert main(["pretrain", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        want = init_model(ExperimentConfig.from_dict(raw).model,
+                          Rng(5).derive(1))
+        assert starts == [{n: p.data.tobytes()
+                           for n, p in named_tensors(want).items()}]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pretrain_divergence_reported(self, workspace, tmp_path, capsys):
         root, raw = workspace
@@ -1088,6 +1109,13 @@ class TestConfigErrors:
         assert run_rejected(command, bad, root) == \
             f"missing key {dotted(path)}"
 
+    def test_n_segments_is_not_a_key(self, valid):
+        # the tokenizer writes segment ids 0 and 1 only: emb.seg has 2 rows
+        raw, root = valid
+        bad = {**raw, "model": {**raw["model"], "n_segments": 2}}
+        assert run_rejected("pretrain", bad, root) == \
+            "unknown key model.n_segments"
+
     def test_max_len_over_max_positions(self, valid):
         raw, root = valid
         bad = edit(raw, ("recipe", "max_len"),
@@ -1210,6 +1238,18 @@ class TestConfigErrors:
          "grid.decay_factors must be non-empty, got []"),
         ("grid", ("grid", "sweep_lrs"), [],
          "grid.sweep_lrs must be non-empty, got []"),
+        ("finetune", ("model", "n_heads"), 0,
+         "model.n_heads must be at least 1, got 0"),
+        ("eval", ("model", "hidden"), 0,
+         "model.hidden must be at least 1, got 0"),
+        ("multitask", ("model", "ffn"), 0,
+         "model.ffn must be at least 1, got 0"),
+        ("finetune", ("model", "dtype"), "float64",
+         "model.dtype must be 'f4' or 'f8', got 'float64'"),
+        ("pretrain", ("pretrain", "max_len"), 2,
+         "pretrain.max_len must be None or at least 3, got 2"),
+        ("pretrain", ("pretrain", "max_len"), 0,
+         "pretrain.max_len must be None or at least 3, got 0"),
     ], ids=lambda v: key_id(v) if isinstance(v, tuple) else None)
     def test_value_out_of_range_named(self, valid, command, path, value,
                                       message):

@@ -43,10 +43,12 @@ class TestTruncate:
         assert truncate(t, TruncationStrategy(kind="head_only")) == t[:510]
         assert truncate(t, TruncationStrategy(kind="tail_only")) == t[-510:]
 
-    def test_budget_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TruncationStrategy(kind="head_tail", head_budget=100,
-                               tail_budget=100, capacity=510)
+    @pytest.mark.parametrize("cap, head", [(1, 0), (4, 1), (62, 16),
+                                           (126, 32), (510, 128)])
+    def test_head_tail_split_scales_with_capacity(self, cap, head):
+        t = toks(cap + 7)
+        out = truncate(t, TruncationStrategy(kind="head_tail", capacity=cap))
+        assert out == t[:head] + t[-(cap - head):]
 
     @given(st.integers(min_value=0, max_value=1200))
     @settings(max_examples=60, deadline=None)
@@ -92,6 +94,27 @@ class TestChunk:
                 if real and tid not in (vocab.cls_id, vocab.sep_id):
                     flat.append(vocab.id_to_token[tid])
         assert flat == tokens
+
+
+def _scale(a, c):
+    """The former `ad.scale` op: a times a Python float constant."""
+    c = float(c)
+
+    def bwd(g):
+        ad._accum(a, g * c)
+
+    return ad._make(a.data * c, bwd)
+
+
+def _former_attn_combine(cls_vectors, combiner):
+    """`combine`'s attn route as it was built from single ops."""
+    k, H = cls_vectors.shape
+    keys = ad.matmul(cls_vectors, combiner.wk)
+    vals = ad.matmul(cls_vectors, combiner.wv)
+    q = ad.reshape(combiner.query, (H, 1))
+    scores = _scale(ad.matmul(keys, q), 1.0 / np.sqrt(H))
+    weights = ad.softmax(ad.reshape(scores, (1, k)))
+    return ad.reshape(ad.matmul(weights, vals), (H,))
 
 
 class TestCombine:
@@ -152,3 +175,33 @@ class TestCombine:
             return loss, tape
 
         assert ad.grad_check(f, params, h=1e-4) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("H", [6, 64])
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_attn_bitwise_as_former_chain(self, dtype, H, k):
+        """Output and every gradient (fractions, query, W_k, W_v) have the
+        bits of the former chain of matmul, scale and softmax."""
+        rng = Rng(100 * H + k)
+        v = rng.normal((k, H), dtype=np.float64)
+        comb = FractionCombiner.init("attn", H, rng, dtype=dtype)
+        comb.wv.data += rng.normal((H, H), 0.05, dtype=dtype)
+        w = rng.normal((H,), dtype=dtype)
+
+        def run(pool):
+            x = Tensor(v, dtype)
+            params = [x] + comb.parameters()
+            with ad.Tape() as tape:
+                out = pool(x, comb)
+                loss = ad.tsum(ad.mul(out, Tensor(w, dtype)))
+            ad.backward(tape, loss, parameters=params)
+            grads = [p.grad for p in params]
+            for p in params:
+                p.zero_grad()
+            return out.data, grads
+
+        out, grads = run(combine)
+        want, want_grads = run(_former_attn_combine)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        for g, g_ref in zip(grads, want_grads):
+            assert g.dtype == dtype and g.tobytes() == g_ref.tobytes()

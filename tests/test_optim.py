@@ -276,8 +276,9 @@ class TestTrainStep:
         w, opt, x = self._setup()
         before = w.data.copy()
         with pytest.raises(DivergedError, match="step 1"):
-            train_step(opt, lambda: (ad.scale(ad.tsum(ad.matmul(x, w)),
-                                              bad),), [w], {0: 1e-2})
+            train_step(opt, lambda: (ad.mul(ad.tsum(ad.matmul(x, w)),
+                                            Tensor(bad, x.dtype)),),
+                       [w], {0: 1e-2})
         assert np.array_equal(w.data, before)
         assert w.grad is None and opt.t == 0
 
@@ -296,6 +297,5 @@ class TestTrainStep:
         w, opt, x = self._setup()
         x.data[0, 0] = np.nan
         with pytest.raises(DivergedError, match="NaN"):
-            train_step(opt, lambda: (ad.tsum(ad.softmax(ad.matmul(x, w),
-                                                        axis=-1)),),
+            train_step(opt, lambda: (ad.tsum(ad.softmax(ad.matmul(x, w))),),
                        [w], {0: 1e-2})

@@ -261,7 +261,8 @@ class TestGatheredMlmLoss:
         mlm = terms[0]
         for t in terms[1:]:
             mlm = ad.add(mlm, t)
-        return ad.add(ad.scale(mlm, 1.0 / len(terms)), nsp)
+        return ad.add(ad.mul(mlm, ad.Tensor(1.0 / len(terms), mlm.dtype)),
+                      nsp)
 
     def _assert_matches_full(self, vocab, mask_probs, mode="eval",
                              n_layers=1, per_tensor=True):

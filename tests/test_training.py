@@ -2,6 +2,7 @@ import json
 import platform
 import resource
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bertfit.toytask import (FILLERS, MARKERS, make_marker_example,
                              make_marker_task, marker_benchmark,
                              marker_vocab_corpus)
 from bertfit.training import (BatchCursor, MetricsLog, MetricsRecord,
-                              build_model, evaluate, finetune, prepare_inputs)
+                              build_run, evaluate, finetune, prepare_inputs)
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +214,8 @@ class TestFinetune:
         train, val, _ = small_task
         recipe = tiny_recipe(long_text="hier_attn", max_len=10,
                              train_steps=9, epochs=3)
-        model, head, comb = build_model(tiny_config, recipe, 2, Rng(0))
+        model, head, comb = build_run(tiny_config, replace(recipe, seed=0),
+                                      vocab, 2)
         errors = iter([10.0, 20.0, 30.0])       # epoch 1 is the best
         monkeypatch.setattr(training, "evaluate",
                             lambda *args: (next(errors), 1.0))
@@ -333,10 +335,11 @@ class TestFinetune:
     ("hier_attn", LayerSelection("all", -1, "concat"))])
 def test_build_model_matches_inline_construction(vocab, long_text,
                                                  selection):
+    """`build_run` seeds model, head and combiner as inline calls do."""
     cfg = EncoderConfig(n_layers=2, hidden=16, n_heads=2,
                         vocab_size=len(vocab), max_positions=16, dropout=0.0)
     recipe = tiny_recipe(long_text=long_text, layer_selection=selection)
-    built = build_model(cfg, recipe, 3, Rng(7))
+    built = build_run(cfg, replace(recipe, seed=7), vocab, 3)
     rng = Rng(7)
     hier = long_text.startswith("hier_")
     width = cfg.hidden if hier else selection.feature_width(cfg.hidden, 2)

@@ -12,8 +12,9 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .checkpoint import install, save_model
+from .checkpoint import install, load_into, save_model
 from .config import ConfigError, ExperimentConfig, GridSection
 from .data import (FORMATS, InputError, load_dataset, open_input,
                    split_validation, subsample)
@@ -56,6 +57,8 @@ def _setup(args, *required):
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read the config: {e}") from None
     exp = ExperimentConfig.from_dict(raw)
+    if args.command != "pretrain":      # it reads pretrain.max_len
+        exp.check_max_len("recipe")
     for key in ("vocab", *required):
         if getattr(exp, key) is None:
             raise ConfigError(f"missing key {key}")
@@ -186,12 +189,15 @@ def cmd_multitask(args):
     res = multitask_finetune(mt, task_inputs, recipe)
     print(f"multitask: steps per task {res.steps_per_task}"
           + (" (diverged)" if res.diverged else ""))
-    if exp.multitask.refine_steps:
-        from dataclasses import replace
-        r = replace(recipe, train_steps=exp.multitask.refine_steps)
-        for name in sorted(task_inputs):
-            per_task_refine(mt, name, task_inputs[name], task_val[name], r)
+    steps = exp.multitask.refine_steps
+    shared = named_tensors(mt.encoder, [mt.combiner])
+    start = {k: p.data for k, p in shared.items()}
     for name in sorted(task_inputs):
+        if steps:   # each task from the multi-task weights, scored next;
+            # copies, as Adam updates the installed arrays in place
+            load_into(shared, {k: a.copy() for k, a in start.items()})
+            per_task_refine(mt, name, task_inputs[name], task_val[name],
+                            replace(recipe, train_steps=steps))
         for split, inputs in (("val", task_val), ("test", task_test)):
             if inputs[name] is not None:
                 err, loss = evaluate(mt.encoder, mt.heads[name],

@@ -232,13 +232,7 @@ class ExperimentConfig:
                  self.validation_fraction, "in (0, 1)")
         _require(0.0 < self.few_shot_proportion <= 1.0, "few_shot_proportion",
                  self.few_shot_proportion, "in (0, 1]")
-        for key, max_len in (("recipe", self.recipe.max_len),
-                             ("pretrain", self.pretrain and
-                              self.pretrain.max_len)):
-            if max_len and max_len > self.model.max_positions:
-                raise ValueError(
-                    f"{key}.max_len {max_len} exceeds "
-                    f"model.max_positions {self.model.max_positions}")
+        self.check_max_len("pretrain")
         # here, not in TrainingRecipe: a library recipe may take 0 steps
         # (per_task_refine then leaves the checkpoint as it is)
         _at_least_1("recipe.train_steps", self.recipe.train_steps)
@@ -246,6 +240,16 @@ class ExperimentConfig:
             self.recipe.layer_selection.layer_indices(self.model.n_layers)
         except ValueError as e:
             raise ValueError(f"recipe.layer_selection.{e}") from None
+
+    def check_max_len(self, section: str):
+        """ConfigError if the `section` ("recipe" or "pretrain") sets a
+        max_len above model.max_positions; the commands that read
+        `recipe.max_len` check it, `pretrain.max_len` is checked here."""
+        max_len = getattr(getattr(self, section), "max_len", None)
+        if max_len and max_len > self.model.max_positions:
+            raise ConfigError(
+                f"{section}.max_len {max_len} exceeds "
+                f"model.max_positions {self.model.max_positions}")
 
     def to_dict(self):
         return asdict(self)

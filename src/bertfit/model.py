@@ -168,6 +168,14 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
     return EncoderModel(config, p)
 
 
+def stack_inputs(seqs):
+    """The (B, S) token, segment and mask arrays of B equal-length
+    sequences, as `encode_batch` takes them."""
+    return (np.array([s.token_ids for s in seqs]),
+            np.array([s.segment_ids for s in seqs]),
+            np.array([s.attention_mask for s in seqs]))
+
+
 def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
                  read=None, rng: Rng | None = None):
     """Forward pass over a batch; returns the L+1 hidden states.
@@ -242,10 +250,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
 def encode(model: EncoderModel, seq):
     """Single-sequence wrapper without dropout; returns L+1 states of
     shape (S, H)."""
-    outs = encode_batch(
-        model, np.asarray(seq.token_ids)[None, :],
-        np.asarray(seq.segment_ids)[None, :],
-        np.asarray(seq.attention_mask)[None, :])
+    outs = encode_batch(model, *stack_inputs([seq]))
     return [ad.reshape(o, o.shape[1:]) for o in outs]
 
 

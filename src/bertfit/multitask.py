@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from . import autodiff as ad
 from .config import TrainingRecipe
 from .longtext import FractionCombiner
-from .model import ClassifierHead, EncoderModel, named_tensors
+from .model import ClassifierHead, EncoderModel
 from .optim import DivergedError, train_step
 from .rng import Rng
-from .training import BatchCursor, batch_logits, finetune, recipe_optimizer
+from .training import BatchCursor, batch_loss, finetune, recipe_optimizer
 
 
 @dataclass
@@ -88,19 +85,12 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
         task = _pick_task(names, sizes, task_rng)
         counts[task] += 1
         batch = cursors[task].next(recipe.batch_size)
-        labels = np.array([b.label for b in batch])
-
-        def loss_fn():
-            logits = batch_logits(mt.encoder, mt.heads[task], batch, recipe,
-                                  mt.combiner, dropout_rng)
-            return ad.cross_entropy(logits, labels), logits
-
         # only the shared encoder and combiner and the sampled task's head
         # receive gradients; the other heads stay bitwise-unchanged this step
-        params = list(named_tensors(mt.encoder,
-                                    [mt.heads[task], mt.combiner]).values())
         try:
-            train_step(opt, loss_fn, params, rates_at(step))
+            train_step(opt, lambda: batch_loss(
+                mt.encoder, mt.heads[task], batch, recipe, mt.combiner,
+                dropout_rng), rates_at(step))
         except DivergedError:
             diverged = True
             break

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, open_input
-from .model import EncoderModel, encode_batch, mlm_logits, nsp_logits
+from .model import (EncoderModel, encode_batch, mlm_logits, nsp_logits,
+                    stack_inputs)
 from .optim import (Adam, DivergedError, StlrSchedule, group_parameters,
                     train_step)
 from .rng import Rng
@@ -215,14 +216,11 @@ def pretrain_batch_loss(model: EncoderModel, examples, rng: Rng | None = None):
     [CLS], then its masked positions, padded with [CLS] to the batch's
     largest count.
     """
-    ids = np.array([ex.seq.token_ids for ex in examples])
-    segs = np.array([ex.seq.segment_ids for ex in examples])
-    mask = np.array([ex.seq.attention_mask for ex in examples])
     R = 1 + max(len(ex.mlm_positions) for ex in examples)
     positions = np.zeros((len(examples), R), dtype=np.intp)
     for bi, ex in enumerate(examples):
         positions[bi, 1:1 + len(ex.mlm_positions)] = ex.mlm_positions
-    outs = encode_batch(model, ids, segs, mask,
+    outs = encode_batch(model, *stack_inputs([ex.seq for ex in examples]),
                         read=(model.config.n_layers, positions), rng=rng)
     rows = np.array([bi * R + 1 + j for bi, ex in enumerate(examples)
                      for j in range(len(ex.mlm_positions))], dtype=np.int64)
@@ -231,7 +229,7 @@ def pretrain_batch_loss(model: EncoderModel, examples, rng: Rng | None = None):
     nsp = nsp_logits(model, outs)                       # (B, 2)
     nsp_labels = np.array([int(ex.is_next) for ex in examples])
     nsp_loss = ad.cross_entropy(nsp, nsp_labels)
-    if rows.size == 0:          # batch with no corrupted positions
+    if rows.size == 0:      # nothing masked: no gradient for the MLM head
         return nsp_loss, 0.0, float(nsp_loss.data)
     mlm_loss = ad.cross_entropy(mlm_logits(model, outs, rows), labels)
     return ad.add(mlm_loss, nsp_loss), float(mlm_loss.data), \
@@ -264,7 +262,6 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
     policy = policy or MaskingPolicy()
     groups = group_parameters(model)
     opt = Adam(groups)
-    params = model.parameters()
     dropout_rng = rng.derive(0xD0)
     sampler = rng.derive(0x5A)
     example_rng_base = rng.derive(0xE6)
@@ -283,7 +280,7 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
         try:
             loss, mlm_l, nsp_l = train_step(
                 opt, lambda: pretrain_batch_loss(model, batch, dropout_rng),
-                params, rates)
+                rates)
         except DivergedError:
             result.diverged = True
             break

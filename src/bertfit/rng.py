@@ -29,9 +29,6 @@ class Rng:
 
     # -- convenience passthroughs ------------------------------------------
 
-    def normal(self, shape, std=1.0, dtype=np.float32):
-        return self.gen.normal(0.0, std, size=shape).astype(dtype)
-
     def truncated_normal(self, shape, std=0.02, dtype=np.float32):
         """Normal(0, std) clipped at two standard deviations."""
         x = self.gen.normal(0.0, std, size=shape)

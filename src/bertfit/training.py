@@ -22,7 +22,7 @@ from .data import Dataset
 from .longtext import FractionCombiner, chunk, combine, truncate
 from .model import (ClassifierHead, EncoderConfig, EncoderModel,
                     class_logits, cls_states, encode_batch, init_model,
-                    named_tensors, select_features)
+                    named_tensors, select_features, stack_inputs)
 from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
                     group_parameters, layer_rates, train_step)
 from .rng import Rng
@@ -92,13 +92,6 @@ def prepare_inputs(dataset: Dataset, vocab: Vocabulary,
     return out
 
 
-def _stack(seqs):
-    ids = np.array([s.token_ids for s in seqs])
-    segs = np.array([s.segment_ids for s in seqs])
-    mask = np.array([s.attention_mask for s in seqs])
-    return ids, segs, mask
-
-
 def _cls_rows(n):                   # position 0 of each of n sequences
     return np.zeros((n, 1), dtype=np.intp)
 
@@ -116,16 +109,14 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
                          f"{recipe.combiner_kind!r}, got {kind!r}")
     if combiner is None:
         sel = recipe.layer_selection
-        ids, segs, mask = _stack(batch)
         top = sel.layer_indices(model.config.n_layers)[-1]
-        outs = encode_batch(model, ids, segs, mask,
+        outs = encode_batch(model, *stack_inputs(batch),
                             read=(top, _cls_rows(len(batch))), rng=rng)
         return class_logits(select_features(outs, sel), head)
     # hierarchical: encode all fractions of all documents as one batch,
     # then pool per document in fraction order
     flat = [frac for doc in batch for frac in doc.fractions]
-    ids, segs, mask = _stack(flat)
-    outs = encode_batch(model, ids, segs, mask,
+    outs = encode_batch(model, *stack_inputs(flat),
                         read=(model.config.n_layers, _cls_rows(len(flat))),
                         rng=rng)
     cls_all = cls_states(outs[-1])               # (sum_k, H)
@@ -138,6 +129,16 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
     stacked = ad.concat(
         [ad.reshape(f, (1, f.shape[0])) for f in feats], axis=0)
     return class_logits(stacked, head)
+
+
+def batch_loss(model: EncoderModel, head: ClassifierHead, batch,
+               recipe: TrainingRecipe, combiner: FractionCombiner | None,
+               rng: Rng | None = None):
+    """(mean cross-entropy, logits, labels) of a batch of prepared inputs;
+    see :func:`batch_logits`."""
+    labels = np.array([b.label for b in batch])
+    logits = batch_logits(model, head, batch, recipe, combiner, rng)
+    return ad.cross_entropy(logits, labels), logits, labels
 
 
 class BatchCursor:
@@ -196,8 +197,7 @@ def build_run(model_config: EncoderConfig, recipe: TrainingRecipe,
 def recipe_optimizer(model: EncoderModel, heads, recipe: TrainingRecipe):
     """Adam over the model and `heads`, and the recipe's rates at a step."""
     groups = group_parameters(model, extra_heads=heads)
-    layerwise = LayerwiseLrSchedule(base_lr=recipe.base_lr,
-                                    decay_factor=recipe.decay_factor)
+    layerwise = LayerwiseLrSchedule(decay_factor=recipe.decay_factor)
     schedule = StlrSchedule(total_steps=recipe.train_steps,
                             peak_lr=recipe.base_lr,
                             warmup_proportion=recipe.warmup_proportion)
@@ -220,17 +220,14 @@ class FinetuneResult:
 def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
              recipe: TrainingRecipe, combiner=None, batch_size=64):
     """Error rate (%) and mean loss with dropout off, recording no tape."""
-    n_total, n_wrong, loss_sum = 0, 0, 0.0
+    n_wrong, loss_sum = 0, 0.0
     for i in range(0, len(inputs), batch_size):
         batch = inputs[i:i + batch_size]
-        labels = np.array([b.label for b in batch])
-        logits = batch_logits(model, head, batch, recipe, combiner)
-        loss = ad.cross_entropy(logits, labels)
-        pred = logits.data.argmax(axis=-1)
-        n_wrong += int((pred != labels).sum())
-        n_total += len(batch)
+        loss, logits, labels = batch_loss(model, head, batch, recipe,
+                                          combiner)
+        n_wrong += int((logits.data.argmax(axis=-1) != labels).sum())
         loss_sum += float(loss.data) * len(batch)
-    return 100.0 * n_wrong / n_total, loss_sum / n_total
+    return 100.0 * n_wrong / len(inputs), loss_sum / len(inputs)
 
 
 def finetune(model: EncoderModel, head: ClassifierHead,
@@ -250,7 +247,6 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     heads = [head, combiner]
     opt, rates_at = recipe_optimizer(model, heads, recipe)
     named = named_tensors(model, heads)
-    params = list(named.values())
     top = model.config.n_layers + 1
     steps_per_epoch = max(1, recipe.train_steps // recipe.epochs)
 
@@ -260,22 +256,16 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     step = 0
     for step in range(1, recipe.train_steps + 1):
         batch = cursor.next(recipe.batch_size)
-        labels = np.array([b.label for b in batch])
-
-        def loss_fn():
-            logits = batch_logits(model, head, batch, recipe, combiner,
-                                  dropout_rng)
-            return ad.cross_entropy(logits, labels), logits
-
         rates = rates_at(step)
         try:
-            loss, logits = train_step(opt, loss_fn, params, rates)
+            loss, logits, labels = train_step(opt, lambda: batch_loss(
+                model, head, batch, recipe, combiner, dropout_rng), rates)
         except DivergedError:
             diverged = True
             break
-        pred = logits.data.argmax(axis=-1)
-        train_err = 100.0 * float((pred != labels).mean())
         if metrics and step % 10 == 0:
+            train_err = 100.0 * float(
+                (logits.data.argmax(axis=-1) != labels).mean())
             metrics.add(step, "train", float(loss.data), train_err,
                         rates[top])
         end_of_epoch = step % steps_per_epoch == 0 or \

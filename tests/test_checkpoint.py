@@ -21,7 +21,8 @@ class TestRoundTrip:
 
     def test_values_and_shapes(self, tmp_path):
         rng = Rng(0)
-        tensors = {"w": rng.normal((4, 5)), "scalar": np.float32(2.0)}
+        tensors = {"w": rng.truncated_normal((4, 5), 1.0),
+                   "scalar": np.float32(2.0)}
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, tensors)
         _, loaded = load_checkpoint(path)

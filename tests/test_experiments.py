@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bertfit import multitask
+from bertfit import multitask, training
 from bertfit.checkpoint import load_checkpoint, save_checkpoint
 from bertfit.cli import main
 from bertfit.config import (DataSection, ExperimentConfig, GridSection,
@@ -713,6 +713,51 @@ class TestCli:
         for encoder in refined:
             assert encoder == {n: starts[0][n] for n in encoder}
 
+    @pytest.mark.parametrize("long_text", ["head_only", "hier_attn"])
+    def test_multitask_each_task_refines_from_the_multitask_model(
+            self, workspace, tmp_path, monkeypatch, capsys, long_text):
+        # every task's refinement starts from the encoder and combiner that
+        # multi-task training left, and the task is scored with the
+        # weights its own refinement left
+        root, raw = workspace
+        train, refine = multitask.multitask_finetune, multitask.per_task_refine
+        evaluate = training.evaluate
+        trained, entered, refined, scored, refining = [], {}, {}, [], []
+
+        def weights(encoder, combiner):
+            return {n: p.data.tobytes()
+                    for n, p in named_tensors(encoder, [combiner]).items()}
+
+        def spy_train(mt, *args, **kw):
+            res = train(mt, *args, **kw)
+            trained.append(weights(mt.encoder, mt.combiner))
+            return res
+
+        def spy_refine(mt, task, *args):
+            entered[task] = weights(mt.encoder, mt.combiner)
+            refining.append(task)
+            res = refine(mt, task, *args)
+            refining.pop()
+            refined[task] = weights(mt.encoder, mt.combiner)
+            return res
+
+        def spy_evaluate(model, head, inputs, recipe, combiner=None, **kw):
+            if not refining:        # not a validation round of refinement
+                scored.append((head.W.name, weights(model, combiner)))
+            return evaluate(model, head, inputs, recipe, combiner, **kw)
+        monkeypatch.setattr(multitask, "multitask_finetune", spy_train)
+        monkeypatch.setattr(multitask, "per_task_refine", spy_refine)
+        monkeypatch.setattr(training, "evaluate", spy_evaluate)
+        recipe = {**raw["recipe"], "long_text": long_text, "max_len": 10}
+        cfg = write_config(tmp_path, raw, recipe=recipe,
+                           multitask={**two_tasks(raw), "refine_steps": 2})
+        assert main(["multitask", "--config", cfg]) == 0
+        assert entered == {"a": trained[0], "b": trained[0]}
+        assert trained[0] != refined["a"] != refined["b"] != trained[0]
+        assert scored == [("task.a.W", refined["a"]),       # a: val
+                          ("task.b.W", refined["b"]),       # b: val, test
+                          ("task.b.W", refined["b"])]
+
     @pytest.mark.parametrize("long_text", ["hier_mean", "hier_attn"])
     def test_multitask_hierarchical(self, workspace, capsys, long_text):
         root, raw = workspace
@@ -1123,6 +1168,15 @@ class TestConfigErrors:
         assert run_rejected("finetune", bad, root) == \
             "recipe.max_len 32 exceeds model.max_positions 16"
 
+    def test_recipe_max_len_not_checked_by_pretrain(self, valid):
+        # pretrain reads pretrain.max_len or model.max_positions: the config
+        # is accepted, and the first input it reads (the vocabulary) missing
+        raw, root = valid
+        bad = edit(raw, ("recipe", "max_len"),
+                   lambda node, key: node.update({key: 32}))
+        assert run_rejected("pretrain", bad, root, about=raw["vocab"]) == \
+            "cannot open vocabulary: No such file or directory"
+
     def test_pretrain_max_len_over_max_positions(self, valid):
         raw, root = valid
         bad = edit(raw, ("pretrain", "max_len"),
@@ -1250,6 +1304,9 @@ class TestConfigErrors:
          "pretrain.max_len must be None or at least 3, got 2"),
         ("pretrain", ("pretrain", "max_len"), 0,
          "pretrain.max_len must be None or at least 3, got 0"),
+        *((c, ("recipe", "max_len"), 32,
+           "recipe.max_len 32 exceeds model.max_positions 16")
+          for c in ("multitask", "eval", "grid")),
     ], ids=lambda v: key_id(v) if isinstance(v, tuple) else None)
     def test_value_out_of_range_named(self, valid, command, path, value,
                                       message):

@@ -144,7 +144,7 @@ class TestCombine:
         comb = FractionCombiner.init("attn", hidden=8, rng=rng,
                                      dtype=np.float64)
         comb.wv.data[0, 0] = 0.0
-        v = np.tile(rng.normal((8,), dtype=np.float64), (5, 1))
+        v = np.tile(rng.gen.normal(size=8), (5, 1))
         v[:, 0] = np.arange(5.0)
         out = combine(Tensor(v, np.float64), comb)
         assert out.shape == (8,)
@@ -153,7 +153,7 @@ class TestCombine:
 
     def test_permutation_invariance_mean_max(self):
         rng = Rng(2)
-        rows = rng.normal((4, 6), dtype=np.float64)
+        rows = rng.gen.normal(size=(4, 6))
         perm = rows[[2, 0, 3, 1]]
         for kind in ("mean", "max"):
             comb = FractionCombiner.init(kind)
@@ -163,7 +163,7 @@ class TestCombine:
 
     def test_attn_grad_check(self):
         rng = Rng(3)
-        v = Tensor(rng.normal((3, 6), dtype=np.float64), np.float64)
+        v = Tensor(rng.gen.normal(size=(3, 6)), np.float64)
         comb = FractionCombiner.init("attn", hidden=6, rng=rng,
                                      dtype=np.float64)
         params = [v] + comb.parameters()
@@ -183,10 +183,10 @@ class TestCombine:
         """Output and every gradient (fractions, query, W_k, W_v) have the
         bits of the former chain of matmul, scale and softmax."""
         rng = Rng(100 * H + k)
-        v = rng.normal((k, H), dtype=np.float64)
+        v = rng.gen.normal(size=(k, H))
         comb = FractionCombiner.init("attn", H, rng, dtype=dtype)
-        comb.wv.data += rng.normal((H, H), 0.05, dtype=dtype)
-        w = rng.normal((H,), dtype=dtype)
+        comb.wv.data += rng.gen.normal(0.0, 0.05, (H, H)).astype(dtype)
+        w = rng.gen.normal(size=H).astype(dtype)
 
         def run(pool):
             x = Tensor(v, dtype)

@@ -286,7 +286,8 @@ class TestClassify:
     def test_rows_sum_to_one(self):
         rng = Rng(3)
         head = ClassifierHead.init(8, 5, rng)
-        probs = classify(Tensor(rng.normal((6, 8)) * 30), head)
+        probs = classify(
+            Tensor(rng.gen.normal(size=(6, 8)).astype(np.float32) * 30), head)
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_width_mismatch_rejected(self):

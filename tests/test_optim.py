@@ -137,7 +137,7 @@ class TestAdam:
             for step in range(3):
                 for g in groups:
                     for p in g.params:
-                        p.grad = rng.normal(p.shape, dtype=p.dtype)
+                        p.grad = rng.gen.normal(size=p.shape).astype(p.dtype)
                 opt.step({d: 1e-3 for d in range(3)})
             return np.concatenate([p.data.ravel()
                                    for p in model.parameters()])
@@ -182,7 +182,7 @@ class TestAdam:
         keeps its data and moments."""
         b1, b2, eps = 0.9, 0.999, 1e-8
         shapes = [(3, 5), (4,), (2, 2)]
-        ps = [Tensor(Rng(i).normal(s, dtype=dtype), name=f"p{i}")
+        ps = [Tensor(Rng(i).gen.normal(size=s).astype(dtype), name=f"p{i}")
               for i, s in enumerate(shapes)]
         opt = Adam([ParameterGroup(0, ps[:2]), ParameterGroup(1, ps[2:])],
                    clip_norm=clip_norm)
@@ -190,8 +190,8 @@ class TestAdam:
                for p in ps]
         rates = {0: 3e-3, 1: 1e-2}
         for t in range(1, 4):
-            grads = [Rng(10 * t + i).normal(s, std=10.0 ** (i - 1),
-                                            dtype=dtype)
+            grads = [Rng(10 * t + i).gen.normal(0.0, 10.0 ** (i - 1),
+                                                size=s).astype(dtype)
                      for i, s in enumerate(shapes[:2])] + [None]
             for p, g in zip(ps, grads):
                 p.grad = g
@@ -249,7 +249,7 @@ class TestTrainStep:
         opt2 = Adam([ParameterGroup(depth=0, params=[w2])])
         for _ in range(3):
             out = train_step(
-                opt, lambda: (ad.tsum(ad.matmul(x, w)), "aux"), [w], {0: 1e-2})
+                opt, lambda: (ad.tsum(ad.matmul(x, w)), "aux"), {0: 1e-2})
             assert out[1] == "aux"
             with ad.Tape() as tape:
                 loss = ad.tsum(ad.matmul(x, w2))
@@ -268,7 +268,7 @@ class TestTrainStep:
             arrays.append(weakref.ref(h.data))
             return (ad.tsum(h),)
 
-        train_step(opt, loss_fn, [w], {0: 1e-2})
+        train_step(opt, loss_fn, {0: 1e-2})
         assert arrays[0]() is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -278,7 +278,7 @@ class TestTrainStep:
         with pytest.raises(DivergedError, match="step 1"):
             train_step(opt, lambda: (ad.mul(ad.tsum(ad.matmul(x, w)),
                                             Tensor(bad, x.dtype)),),
-                       [w], {0: 1e-2})
+                       {0: 1e-2})
         assert np.array_equal(w.data, before)
         assert w.grad is None and opt.t == 0
 
@@ -291,11 +291,36 @@ class TestTrainStep:
             return (ad._make(np.array(1.0), bwd),)
 
         with pytest.raises(DivergedError, match="NaN gradient in parameter w"):
-            train_step(opt, loss_fn, [w], {0: 1e-2})
+            train_step(opt, loss_fn, {0: 1e-2})
 
     def test_numerical_error_becomes_diverged(self):
         w, opt, x = self._setup()
         x.data[0, 0] = np.nan
         with pytest.raises(DivergedError, match="NaN"):
             train_step(opt, lambda: (ad.tsum(ad.softmax(ad.matmul(x, w))),),
-                       [w], {0: 1e-2})
+                       {0: 1e-2})
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    def test_tensor_the_loss_misses_is_left_as_it_was(self, clip_norm):
+        """What trains is what the loss reaches: after a step that trained
+        `u`, a step whose loss does not reach it leaves its data and Adam
+        moments as they were, and so does the clip norm."""
+        w, _, x = self._setup()
+        u = Tensor(np.array([[1.5, -0.5], [0.25, 3.0]]), name="u")
+        opt = Adam([ParameterGroup(0, [w]), ParameterGroup(1, [u])],
+                   clip_norm=clip_norm)
+        rates = {0: 1e-2, 1: 1e-2}
+        train_step(opt, lambda: (ad.tsum(ad.matmul(ad.matmul(x, w), u)),),
+                   rates)
+        kept = [a.tobytes() for a in (u.data, opt.m[id(u)], opt.v[id(u)])]
+        assert opt.m[id(u)].any()
+        w_alone = Tensor(w.data.copy(), name="w")
+        ref = Adam([ParameterGroup(0, [w_alone])], clip_norm=clip_norm)
+        ref.t, ref.m[id(w_alone)], ref.v[id(w_alone)] = \
+            opt.t, opt.m[id(w)].copy(), opt.v[id(w)].copy()
+        for o, p in ((opt, w), (ref, w_alone)):
+            train_step(o, lambda: (ad.tsum(ad.matmul(x, p)),), rates)
+        assert u.grad is None
+        assert [a.tobytes() for a in (u.data, opt.m[id(u)],
+                                      opt.v[id(u)])] == kept
+        assert w.data.tobytes() == w_alone.data.tobytes()

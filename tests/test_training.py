@@ -14,7 +14,7 @@ from bertfit.data import split_validation
 from bertfit.longtext import ChunkedDocument, FractionCombiner, combine
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            class_logits, cls_states, encode_batch, init_model,
-                           named_tensors, select_features)
+                           named_tensors, select_features, stack_inputs)
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.optim import train_step
@@ -398,7 +398,7 @@ def _stream(mode):
 
 
 def _full_encoder(model, seqs, mode):
-    outs = encode_batch(model, *training._stack(seqs), rng=_stream(mode))
+    outs = encode_batch(model, *stack_inputs(seqs), rng=_stream(mode))
     assert len(outs) == model.config.n_layers + 1
     return outs
 
@@ -476,15 +476,12 @@ def test_freed_activation_memory_stays_in_the_process(vocab):
     dropout_rng = rng.derive(3)
     head = ClassifierHead.init(config.hidden, 2, rng.derive(2))
     opt, rates_at = training.recipe_optimizer(model, [head], recipe)
-    params = list(named_tensors(model, [head]).values())
     cursor = BatchCursor(train_in, rng.derive(4))
 
     def step(i):
         batch = cursor.next(recipe.batch_size)
-        labels = np.array([b.label for b in batch])
-        train_step(opt, lambda: (ad.cross_entropy(training.batch_logits(
-            model, head, batch, recipe, None, dropout_rng), labels),),
-            params, rates_at(i))
+        train_step(opt, lambda: training.batch_loss(
+            model, head, batch, recipe, None, dropout_rng), rates_at(i))
 
     for i in (1, 2):
         step(i)
@@ -496,3 +493,55 @@ def test_freed_activation_memory_stays_in_the_process(vocab):
     before = _minor_faults()
     evaluate(model, head, test_in, recipe)
     assert _minor_faults() - before < 200
+
+
+def test_stack_inputs_equals_the_former_stackers():
+    """The (B, S) arrays of the stacking code that training, pretraining
+    and model.encode each used to hold."""
+    seqs = _read_inputs()
+    got = stack_inputs(seqs)
+    former = [
+        (np.array([s.token_ids for s in seqs]),         # training._stack
+         np.array([s.segment_ids for s in seqs]),
+         np.array([s.attention_mask for s in seqs])),
+        (np.array([ex.token_ids for ex in seqs]),       # pretrain_batch_loss
+         np.array([ex.segment_ids for ex in seqs]),
+         np.array([ex.attention_mask for ex in seqs]))]
+    one = seqs[1]
+    encode_former = (np.asarray(one.token_ids)[None, :],  # model.encode
+                     np.asarray(one.segment_ids)[None, :],
+                     np.asarray(one.attention_mask)[None, :])
+    for want, have in [*((f, got) for f in former),
+                       (encode_former, stack_inputs([one]))]:
+        for w, h in zip(want, have, strict=True):
+            assert h.dtype == w.dtype and h.shape == w.shape
+            assert h.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("long_text", ["head_only", "hier_attn"])
+@pytest.mark.parametrize("dtype", ["f4", "f8"])
+def test_batch_loss_equals_the_former_chain(dtype, long_text, mode):
+    """Loss and logits have the bits of the label stack, batch_logits and
+    cross_entropy that finetune, multitask_finetune and evaluate each
+    wrote out."""
+    cfg = replace(_READ_CFG, dtype=dtype)
+    recipe = tiny_recipe(long_text=long_text)
+    model = init_model(cfg, Rng(0))
+    head = ClassifierHead.init(8, 2, Rng(1), dtype=cfg.np_dtype)
+    combiner = FractionCombiner.init(recipe.combiner_kind, 8, Rng(2),
+                                     dtype=cfg.np_dtype) \
+        if recipe.combiner_kind else None
+    seqs = _read_inputs()
+    batch = seqs if combiner is None else [
+        ChunkedDocument(seqs[:1], 4), ChunkedDocument(seqs[1:], 9)]
+    loss, logits, labels = training.batch_loss(
+        model, head, batch, recipe, combiner, _stream(mode))
+    want_labels = np.array([b.label for b in batch])
+    want_logits = training.batch_logits(model, head, batch, recipe,
+                                        combiner, _stream(mode))
+    want_loss = ad.cross_entropy(want_logits, want_labels)
+    assert np.array_equal(labels, want_labels)
+    assert logits.data.tobytes() == want_logits.data.tobytes()
+    assert loss.data.tobytes() == want_loss.data.tobytes()
+    assert loss.data.dtype == cfg.np_dtype

@@ -6,27 +6,34 @@ active :class:`Tape` record a backward rule; :func:`backward` replays the
 tape in reverse and accumulates gradients into ``Tensor.grad``. Every op
 keeps its tensor input's dtype; constant operands are cast to it.
 
-Gradient contract: after :func:`backward`, only leaves hold a gradient --
-parameters and other tensors no op produced. A recorded output's gradient
-is taken off it just before its backward rule runs, so an intermediate
-gradient lives only until the rule that consumes it has run. A
-``Tensor.grad`` may be a borrowed array -- the very array an op's backward
-rule passed on, which can be shared with other tensors' gradients (``add``
-hands one array to both inputs; ``reshape``, ``transpose`` and
-``_unbroadcast`` pass views of theirs). So neither a backward rule nor an
-optimizer ever writes into a gradient in place: a second contribution
-replaces ``grad`` with a new sum. A first gradient keeps the layout
-(strides) of the tensor's data; one in another layout is copied into it.
+Gradient contract: each gradient collects in a sink. A recorded output's
+sink is its tape record (``Tensor.node``), which holds the gradient, the
+backward rule and the output's shape, dtype and strides, but not its
+data; a leaf -- a parameter, or another tensor no op produced -- is its
+own sink. So after :func:`backward` only leaves hold a gradient, and a
+record's gradient lives only until its rule has run. A gradient may be a
+borrowed array -- the very array an op's backward rule passed on, which
+can be shared with other sinks' gradients (``add`` hands one array to
+both inputs; ``reshape``, ``transpose`` and ``_unbroadcast`` pass views
+of theirs). So no backward rule or optimizer writes into a gradient it
+was handed: `_accum` adds a later contribution in place only into an
+array it allocated for that record, and replaces any other gradient -- a
+borrowed one, or a leaf's, which outlives backward -- with a new sum. A
+first gradient keeps the layout (strides) of the output; one in another
+layout is copied into it.
 
 Only the operations the encoder needs are provided; broadcasting is
 limited to trailing-dimension bias adds and batched matmul.
 
-What the tape keeps alive: every recorded output lives until the tape is
-dropped (a training step's tape lives until `optim.train_step` returns),
-together with whatever its backward rule holds -- but not its gradient
-(see above), and dropout's rule holds a boolean mask. So the transformer
-block runs on three fused ops with hand-written backward rules, which
-record one output where the unfused chain recorded several:
+What the tape keeps alive: a backward rule holds the arrays it reads and
+the sinks of its inputs, never an op's output Tensor, and the tape holds
+no output. So an activation no rule reads (a linear output that only
+dropout reads, a dropout output, the MLM logits) is freed as soon as the
+forward pass drops it, and `backward` frees each record's rule, with
+what it holds, once the rule has run. Dropout's rule holds a boolean
+mask. The
+transformer block runs on three fused ops with hand-written backward
+rules, which hold less than the chain of single ops they replace:
 
 - ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
   one 2-d GEMM forward and one per weight and input gradient, the bias
@@ -90,12 +97,14 @@ class ShapeMismatchError(ValueError):
 class Tensor:
     """n-d array participating in a recorded computation graph.
 
-    `node_id` is the tensor's position on the tape; constants created
-    outside a tape have node_id None and never receive gradients unless
-    registered as parameters.
+    `node` is the tape record of the op that produced the tensor, its
+    gradient sink; it is None for a leaf (a parameter, or a constant
+    created outside a tape), which is its own sink and never receives a
+    gradient unless the loss reaches it.
     """
 
-    __slots__ = ("data", "grad", "node_id", "name")
+    __slots__ = ("data", "grad", "node", "name")
+    _owned = None           # a leaf's gradient outlives backward: see _accum
 
     def __init__(self, data, dtype=None, name=None):
         arr = np.asarray(data)
@@ -105,7 +114,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
-        self.node_id = None
+        self.node = None
         self.name = name
 
     @property
@@ -116,6 +125,13 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def strides(self):
+        return self.data.strides
+
+    def _new_grad(self):
+        return np.empty_like(self.data)
+
     def zero_grad(self):
         self.grad = None
 
@@ -124,11 +140,29 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("out", "backward_fn")
+    """The gradient sink of one recorded output: its gradient, the rule
+    that passes that gradient on to the sinks of the op's inputs, and the
+    output's shape, dtype and strides. A non-contiguous output keeps its
+    view (`like`) to allocate gradients in its layout; every other output's
+    data is not kept."""
 
-    def __init__(self, out, backward_fn):
-        self.out = out
+    __slots__ = ("grad", "_owned", "backward_fn", "shape", "dtype",
+                 "strides", "like")
+
+    def __init__(self, data, backward_fn):
+        self.grad = self._owned = None
         self.backward_fn = backward_fn
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self.strides = data.strides
+        self.like = None if data.flags.c_contiguous else data
+
+    def _new_grad(self):
+        """An empty array in the output's layout, owned by this record."""
+        g = np.empty(self.shape, self.dtype) if self.like is None \
+            else np.empty_like(self.like)
+        self._owned = g
+        return g
 
 
 _ACTIVE_TAPE = None
@@ -138,7 +172,7 @@ class Tape:
     """Topologically ordered list of recorded operations.
 
     Confined to one training thread; use as a context manager around the
-    forward pass.
+    forward pass. `backward` consumes it: afterwards `records` is None.
     """
 
     def __init__(self):
@@ -148,6 +182,8 @@ class Tape:
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a Tape is already active")
+        if self.records is None:
+            raise ValueError("this Tape was consumed by backward")
         _ACTIVE_TAPE = self
         return self
 
@@ -156,46 +192,62 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def record(self, out, backward_fn):
-        out.node_id = len(self.records)
-        self.records.append(_Record(out, backward_fn))
+    def record(self, out_data, backward_fn):
+        rec = _Record(out_data, backward_fn)
+        self.records.append(rec)
+        return rec
 
 
-def _accum(t: Tensor, g):
-    """Add `g` into `t.grad` without writing into either array.
+def _accum(sink, g):
+    """Add `g` into the gradient of `sink`, a record or a leaf Tensor.
 
-    The first gradient is `g` itself when it has the layout of `t.data`
-    (`g` may be a view shared with other tensors' gradients); otherwise it
-    is copied into that layout, since a gradient's strides decide the
-    summation path of every later matmul and sum over it.
+    The first gradient is `g` itself when it has the sink's strides and
+    dtype (`g` may be a view shared with other sinks' gradients);
+    otherwise it is copied into that layout, since a gradient's strides
+    decide the summation path of every later matmul and sum over it. A
+    later `g` is added in place into an array `_accum` allocated for this
+    record (checked by identity), and otherwise into a new one, so a
+    borrowed gradient, a leaf's or one set from outside is never written
+    into. Elementwise addition gives the same bits either way.
     """
-    if t.grad is not None:
-        t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
-    elif g.strides == t.data.strides and g.dtype == t.data.dtype:
-        t.grad = g
+    grad = sink.grad
+    if grad is None:
+        if g.strides == sink.strides and g.dtype == sink.dtype:
+            sink.grad = g
+        else:
+            sink.grad = grad = sink._new_grad()
+            np.copyto(grad, g)
+    elif grad is sink._owned:
+        grad += g
     else:
-        t.grad = np.empty_like(t.data)
-        np.copyto(t.grad, g)
+        sink.grad = np.add(grad, g, out=sink._new_grad())
 
 
 def backward(tape: Tape, loss: Tensor, parameters=None):
     """Populate the grads of the leaves reachable from `loss` on `tape`.
 
-    Each record's output gradient is taken off the output before its rule
-    runs, so every recorded output ends with grad None and an intermediate
-    gradient is freed once consumed; records and their activations stay on
-    the tape. Parameters passed explicitly that the loss does not reach
-    get exact zero gradients.
+    Consumes the tape: each record is taken off it and its rule cleared
+    before the rule runs, so every activation and intermediate gradient a
+    rule holds is freed once that rule has run (also for a tensor kept
+    past the step, whose `node` would otherwise hold its whole graph). A
+    second `backward` on the tape raises ValueError. Parameters passed
+    explicitly that the loss does not reach get exact zero gradients.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    if loss.node_id is None:
+    if tape.records is None:
+        raise ValueError("backward already consumed this tape; record the "
+                         "forward pass again on a new Tape")
+    if loss.node is None:
         raise ValueError("loss is not recorded on the tape")
-    loss.grad = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
-        g, rec.out.grad = rec.out.grad, None
+    records, tape.records = tape.records, None
+    loss.node.grad = np.ones_like(loss.data)
+    while records:
+        rec = records.pop()
+        g, rule = rec.grad, rec.backward_fn
+        rec.grad = rec._owned = rec.backward_fn = None
         if g is not None:
-            rec.backward_fn(g)
+            rule(g)
     if parameters is not None:
         for p in parameters:
             if p.grad is None:
@@ -214,14 +266,16 @@ def _unbroadcast(grad, shape):
 
 
 def _make(out_data, backward_fn):
+    """The output Tensor of an op; on an active tape its record is its
+    `node`. `backward_fn` must hold no input Tensor, only the arrays it
+    reads and the sinks (`t.node or t`) of the inputs it passes gradients
+    to, so that the tape keeps no more than backward reads."""
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out.node_id = None
     out.name = None
     tape = _ACTIVE_TAPE
-    if tape is not None:
-        tape.record(out, backward_fn)
+    out.node = None if tape is None else tape.record(out_data, backward_fn)
     return out
 
 
@@ -229,29 +283,34 @@ def _make(out_data, backward_fn):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
+    sa, sb = a.node or a, b.node or b
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(sa, _unbroadcast(g, sa.shape))
+        _accum(sb, _unbroadcast(g, sb.shape))
 
     return _make(out_data, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
+    da, db = a.data, b.data
+    out_data = da * db
+    sa, sb = a.node or a, b.node or b
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(sa, _unbroadcast(g * db, sa.shape))
+        _accum(sb, _unbroadcast(g * da, sb.shape))
 
     return _make(out_data, bwd)
 
 
 def square(a: Tensor) -> Tensor:
-    out_data = a.data * a.data
+    da = a.data
+    out_data = da * da
+    sa = a.node or a
 
     def bwd(g):
-        _accum(a, 2.0 * a.data * g)
+        _accum(sa, 2.0 * da * g)
 
     return _make(out_data, bwd)
 
@@ -259,17 +318,19 @@ def square(a: Tensor) -> Tensor:
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+    da, db = a.data, b.data
+    if da.shape[-1] != db.shape[-2 if db.ndim > 1 else 0]:
         raise ShapeMismatchError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    out_data = np.matmul(da, db)
+    sa, sb = a.node or a, b.node or b
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if b.data.ndim > 1 \
-            else np.multiply.outer(g, b.data)
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        ga = np.matmul(g, np.swapaxes(db, -1, -2)) if db.ndim > 1 \
+            else np.multiply.outer(g, db)
+        gb = np.matmul(np.swapaxes(da, -1, -2), g)
+        _accum(sa, _unbroadcast(ga, sa.shape))
+        _accum(sb, _unbroadcast(gb, sb.shape))
 
     return _make(out_data, bwd)
 
@@ -278,19 +339,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for an (..., K) activation, a (K, N) weight and an (N,)
     bias: the leading axes fold into rows, so the forward pass and each
     weight and input gradient is one 2-d GEMM."""
-    K, N = w.data.shape
-    if x.data.shape[-1] != K or b.data.shape != (N,):
+    xd, wd = x.data, w.data
+    K, N = wd.shape
+    if xd.shape[-1] != K or b.data.shape != (N,):
         raise ShapeMismatchError(
             f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
-    out_data = np.matmul(x.data.reshape(-1, K), w.data)
+    out_data = np.matmul(xd.reshape(-1, K), wd)
     out_data += b.data
-    out_data = out_data.reshape(x.data.shape[:-1] + (N,))
+    out_data = out_data.reshape(xd.shape[:-1] + (N,))
+    sx, sw, sb = x.node or x, w.node or w, b.node or b
 
     def bwd(g):
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(sb, _unbroadcast(g, sb.shape))
         g2 = g.reshape(-1, N)
-        _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
-        _accum(w, np.matmul(x.data.reshape(-1, K).T, g2))
+        _accum(sx, np.matmul(g2, wd.T).reshape(sx.shape))
+        _accum(sw, np.matmul(xd.reshape(-1, K).T, g2))
 
     return _make(out_data, bwd)
 
@@ -334,6 +397,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         return probs if drop is None else drop(probs)
 
     out_data = np.matmul(dropped(), vh).transpose(0, 2, 1, 3).reshape(B, R, H)
+    sq, sk, sv = q.node or q, k.node or k, v.node or v
 
     def bwd(g):
         gctx = np.ascontiguousarray(heads(g))
@@ -346,9 +410,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         gp = _softmax_grad(gs, probs)
         del gs
         gp *= c
-        _accum(q, merged(np.matmul(gp, kh), (0, 2, 1, 3)))
-        _accum(k, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
-        _accum(v, merged(gv, (0, 2, 1, 3)))
+        _accum(sq, merged(np.matmul(gp, kh), (0, 2, 1, 3)))
+        _accum(sk, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
+        _accum(sv, merged(gv, (0, 2, 1, 3)))
 
     return _make(out_data, bwd)
 
@@ -356,18 +420,20 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
 def transpose(a: Tensor, axes) -> Tensor:
     out_data = np.transpose(a.data, axes)
     inv = np.argsort(axes)
+    sa = a.node or a
 
     def bwd(g):
-        _accum(a, np.transpose(g, inv))
+        _accum(sa, np.transpose(g, inv))
 
     return _make(out_data, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
+    sa = a.node or a
 
     def bwd(g):
-        _accum(a, g.reshape(a.shape))
+        _accum(sa, g.reshape(sa.shape))
 
     return _make(out_data, bwd)
 
@@ -376,10 +442,11 @@ def concat(tensors, axis=-1) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    sinks = [t.node or t for t in tensors]
 
     def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        for s, piece in zip(sinks, np.split(g, splits, axis=axis)):
+            _accum(s, piece)
 
     return _make(out_data, bwd)
 
@@ -388,11 +455,12 @@ def concat(tensors, axis=-1) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    sa = a.node or a
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(sa, np.broadcast_to(g, sa.shape).copy())
 
     return _make(out_data, bwd)
 
@@ -400,11 +468,12 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    sa = a.node or a
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / n)
+        _accum(sa, np.broadcast_to(g, sa.shape) / n)
 
     return _make(out_data, bwd)
 
@@ -413,12 +482,13 @@ def tmax(a: Tensor, axis) -> Tensor:
     """Max over one axis; gradient routed to the (first) argmax."""
     out_data = a.data.max(axis=axis)
     idx = a.data.argmax(axis=axis)
+    sa = a.node or a
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(sa.shape, sa.dtype)
         np.put_along_axis(
             ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-        _accum(a, ga)
+        _accum(sa, ga)
 
     return _make(out_data, bwd)
 
@@ -450,9 +520,10 @@ def _softmax_grad(g, probs):
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     out_data = _softmax(x.data)
+    sx = x.node or x
 
     def bwd(g):
-        _accum(x, _softmax_grad(g, out_data))
+        _accum(sx, _softmax_grad(g, out_data))
 
     return _make(out_data, bwd)
 
@@ -473,6 +544,7 @@ def gelu(x: Tensor) -> Tensor:
     np.tanh(t, out=t)
     out_data = xd * 0.5
     out_data *= t + 1.0
+    sx = x.node or x
 
     def bwd(g):
         du = xd * xd
@@ -488,7 +560,7 @@ def gelu(x: Tensor) -> Tensor:
         dt *= 0.5
         dt += du
         dt *= g
-        _accum(x, dt)
+        _accum(sx, dt)
 
     return _make(out_data, bwd)
 
@@ -508,19 +580,21 @@ def _normalize(xd, gamma: Tensor, beta: Tensor):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out_data = gamma.data * xhat + beta.data
+    gd = gamma.data
+    out_data = gd * xhat + beta.data
+    sg, sb = gamma.node or gamma, beta.node or beta
 
     def bwd(g):
         # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), built in place
-        gg = g * gamma.data
+        gg = g * gd
         prod = gg * xhat
         gg_xhat = prod.mean(axis=-1, keepdims=True)
         gx = np.subtract(gg, gg.mean(axis=-1, keepdims=True), out=gg)
         gx -= np.multiply(xhat, gg_xhat, out=prod)
         gx *= inv
         red = tuple(range(g.ndim - 1))
-        _accum(gamma, np.multiply(g, xhat, out=prod).sum(axis=red))
-        _accum(beta, g.sum(axis=red))
+        _accum(sg, np.multiply(g, xhat, out=prod).sum(axis=red))
+        _accum(sb, g.sum(axis=red))
         return gx
 
     return out_data, bwd
@@ -529,9 +603,10 @@ def _normalize(xd, gamma: Tensor, beta: Tensor):
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     out_data, norm_bwd = _normalize(x.data, gamma, beta)
+    sx = x.node or x
 
     def bwd(g):
-        _accum(x, norm_bwd(g))
+        _accum(sx, norm_bwd(g))
 
     return _make(out_data, bwd)
 
@@ -544,11 +619,12 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor,
         raise ShapeMismatchError(
             f"add_layer_norm shapes disagree: {x.shape} + {h.shape}")
     out_data, norm_bwd = _normalize(x.data + h.data, gamma, beta)
+    sx, sh = x.node or x, h.node or h
 
     def bwd(g):
         gx = norm_bwd(g)
-        _accum(x, gx)
-        _accum(h, gx)
+        _accum(sx, gx)
+        _accum(sh, gx)
 
     return _make(out_data, bwd)
 
@@ -576,9 +652,10 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
     if p <= 0.0:
         return x
     drop = _dropout_mask(x.shape, p, rng, x.dtype)
+    sx = x.node or x
 
     def bwd(g):
-        _accum(x, drop(g))
+        _accum(sx, drop(g))
 
     return _make(drop(x.data), bwd)
 
@@ -588,8 +665,9 @@ def embedding(weight: Tensor, ids) -> Tensor:
 
     A (..., H) `weight` is read as the table of its rows, so id b*N + n of
     a (B, N, H) activation is its row [b, n]: embeddings and gathers of
-    activation rows are one op. The backward scatters into the flat table
-    with one 1-d `np.add.at` over the element indices id * H + column:
+    activation rows are one op. The backward rule keeps the ids and the
+    table's size, not its data, and scatters into the flat table with
+    one 1-d `np.add.at` over the element indices id * H + column:
     each table element still receives its contributions in row order, so
     the gradient has the bits of a row-wise `np.add.at`, at a fraction of
     its cost.
@@ -597,12 +675,14 @@ def embedding(weight: Tensor, ids) -> Tensor:
     ids = np.asarray(ids)
     H = weight.shape[-1]
     out_data = weight.data.reshape(-1, H)[ids]
+    size = weight.data.size
+    sw = weight.node or weight
 
     def bwd(g):
-        gw = np.zeros(weight.data.size, weight.dtype)
+        gw = np.zeros(size, sw.dtype)
         flat = ids.reshape(-1, 1).astype(np.intp) * H + np.arange(H)
         np.add.at(gw, flat.reshape(-1), g.reshape(-1))
-        _accum(weight, gw.reshape(weight.shape))
+        _accum(sw, gw.reshape(sw.shape))
 
     return _make(out_data, bwd)
 
@@ -611,7 +691,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy over the rows of `logits`.
 
     logits: (N, C); labels: (N,) ints. Fused log-softmax keeps the backward
-    rule exact.
+    rule exact; the rule keeps only the log-probabilities.
     """
     labels = np.asarray(labels)
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
@@ -624,13 +704,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     nll = -logp[rows, labels].sum() / n
     out_data = np.asarray(nll, dtype=logits.dtype)
     inv_n = logits.dtype.type(1) / n
+    sl = logits.node or logits
 
     def bwd(g):
         p = np.exp(logp)
         p[rows, labels] -= 1.0
         np.multiply(g, p, out=p)
         p *= inv_n
-        _accum(logits, p)
+        _accum(sl, p)
 
     return _make(out_data, bwd)
 

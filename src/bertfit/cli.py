@@ -193,15 +193,20 @@ def cmd_multitask(args):
     shared = named_tensors(mt.encoder, [mt.combiner])
     start = {k: p.data for k, p in shared.items()}
     for name in sorted(task_inputs):
+        splits = [("val", task_val[name]), ("test", task_test[name])]
         if steps:   # each task from the multi-task weights, scored next;
             # copies, as Adam updates the installed arrays in place
             load_into(shared, {k: a.copy() for k, a in start.items()})
-            per_task_refine(mt, name, task_inputs[name], task_val[name],
-                            replace(recipe, train_steps=steps))
-        for split, inputs in (("val", task_val), ("test", task_test)):
-            if inputs[name] is not None:
-                err, loss = evaluate(mt.encoder, mt.heads[name],
-                                     inputs[name], recipe, mt.combiner)
+            ref = per_task_refine(mt, name, task_inputs[name], task_val[name],
+                                  replace(recipe, train_steps=steps))
+            # `finetune` scored it on the very parameters it restored
+            print(f"  {name}: val error {ref.best_val_error:.2f}%"
+                  + (" (refinement diverged)" if ref.diverged else ""))
+            splits = splits[1:]
+        for split, inputs in splits:
+            if inputs is not None:
+                err, loss = evaluate(mt.encoder, mt.heads[name], inputs,
+                                     recipe, mt.combiner)
                 print(f"  {name}: {split} error {err:.2f}%")
     return 0
 

@@ -172,8 +172,9 @@ def train_step(opt: Adam, loss_fn, rates: dict[int, float]):
 
     `loss_fn()` runs the forward pass and returns a tuple whose first item
     is the scalar loss; the tuple is returned. A non-finite loss (nothing
-    updated), softmax input or gradient raises DivergedError. The tape,
-    with its activations, is freed when the step returns.
+    updated), softmax input or gradient raises DivergedError. `backward`
+    consumes the tape, freeing each op's saved activations once its rule
+    has run, so a returned Tensor keeps none of the step's graph.
     """
     try:
         with ad.Tape() as tape:

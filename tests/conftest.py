@@ -47,12 +47,12 @@ def attention_probs(monkeypatch):
 
 def spy_gradients(tape):
     """Wrap the backward rule of every record on `tape` so that it keeps
-    the gradient it is handed, since `backward` releases a record output's
+    the gradient it is handed, since `backward` releases a record's
     gradient once its rule has run. Returns a dict, filled in by
-    `backward`, from each output's node_id to that gradient."""
+    `backward`, from each record (an output's `node`) to that gradient."""
     handed = {}
     for rec in tape.records:
-        def spy(g, rule=rec.backward_fn, node=rec.out.node_id):
+        def spy(g, rule=rec.backward_fn, node=rec):
             handed[node] = g
             rule(g)
         rec.backward_fn = spy
@@ -62,10 +62,12 @@ def spy_gradients(tape):
 def tape_dtypes(tape, loss, parameters):
     """Run backward from `loss` and return the set of dtypes of every
     recorded output, every gradient handed to a backward rule and every
-    parameter gradient afterwards (the only leaves a model step has)."""
+    parameter gradient afterwards (the only leaves a model step has).
+    The outputs' dtypes are read off their records before `backward`
+    consumes the tape."""
+    dtypes = {rec.dtype for rec in tape.records}
     handed = spy_gradients(tape)
     ad.backward(tape, loss, parameters=parameters)
-    dtypes = {rec.out.data.dtype for rec in tape.records}
     dtypes.update(g.dtype for g in handed.values())
     dtypes.update(p.grad.dtype for p in parameters)
     return dtypes

@@ -1,3 +1,6 @@
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,22 +313,26 @@ def test_backward_tail_float64_grad_check():
 
 def _old_select(a, index, axis):
     """The former `ad.select`: one slice along `axis`."""
+    sink = a.node or a
+
     def bwd(g):
-        ga = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
+        ga = np.zeros(sink.shape, sink.dtype)
+        sl = [slice(None)] * len(sink.shape)
         sl[axis] = index
         ga[tuple(sl)] = g
-        ad._accum(a, ga)
+        ad._accum(sink, ga)
 
     return ad._make(np.take(a.data, index, axis=axis), bwd)
 
 
 def _old_slice_rows(a, offset, k):
     """The former `ad.slice_rows`: k leading-axis rows from `offset`."""
+    sink = a.node or a
+
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(sink.shape, sink.dtype)
         ga[offset:offset + k] = g
-        ad._accum(a, ga)
+        ad._accum(sink, ga)
 
     return ad._make(a.data[offset:offset + k], bwd)
 
@@ -620,7 +627,7 @@ class TestBackward:
         ad.backward(tape, loss)
         assert np.array_equal(b.grad, w.data)
         assert np.array_equal(a.grad, w.data + v.data)
-        assert np.array_equal(handed[y.node_id], w.data)
+        assert np.array_equal(handed[y.node], w.data)
         assert y.grad is None
 
     def test_first_gradient_keeps_the_data_layout(self):
@@ -633,7 +640,7 @@ class TestBackward:
         ad.backward(tape, loss)
         assert np.array_equal(x.grad, np.transpose(w.data, (0, 2, 1)))
         assert x.grad.strides == x.data.strides
-        assert handed[xt.node_id].strides == xt.data.strides
+        assert handed[xt.node].strides == xt.data.strides
         assert xt.grad is None
 
     def test_gradients_released_once_consumed(self):
@@ -642,8 +649,9 @@ class TestBackward:
         with Tape() as tape:
             y = ad.add(ad.mul(a, b), a)
             loss = ad.tsum(ad.gelu(ad.mul(y, c)))
+        records = list(tape.records)
         ad.backward(tape, loss, parameters=[a, b, orphan])
-        assert all(rec.out.grad is None for rec in tape.records)
+        assert all(rec.grad is None for rec in records)
         for leaf in (a, b, c):      # c is an untaped input, not a parameter
             assert leaf.grad is not None and leaf.grad.shape == leaf.shape
         assert np.array_equal(orphan.grad, [0.0])
@@ -769,3 +777,142 @@ class TestTapeMisc:
         g = np.ones((), dtype) * 0.37
         assert x.grad.dtype == dtype
         assert np.array_equal(x.grad, g * p * (dtype(1) / 6))
+
+
+# -- what the tape keeps: records are gradient sinks -----------------------
+
+_OPS = sorted(name for name, fn in vars(ad).items()
+              if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+              and not name.startswith("_")
+              and name not in ("backward", "grad_check"))
+
+
+def _every_op(x, w, b, gamma, beta):
+    """A scalar loss over a graph that runs every public op, on
+    activations where an op takes one; `h` feeds five ops and `u` three,
+    so their records collect several gradients."""
+    rng = Rng(3)
+    h = ad.linear(x, w, b)                                  # (2, 4, 6)
+    u = ad.gelu(ad.add(h, x))
+    a = ad.attention_core(h, u, h, 2, np.zeros((2, 1, 1, 4)), 0.25, rng)
+    n = ad.add_layer_norm(a, h, gamma, beta)
+    n = ad.layer_norm(ad.dropout(n, 0.2, rng), gamma, beta)
+    m = ad.mul(ad.square(n), u)
+    t = ad.transpose(ad.reshape(m, (8, 6)), (1, 0))         # (6, 8) view
+    rows = ad.softmax(ad.embedding(h, np.array([0, 5, 7, 2, 3, 1, 0, 6])))
+    s = ad.matmul(t, ad.mul(rows, ad.reshape(u, (8, 6))))
+    pooled = ad.concat([ad.tmax(s, 0), ad.tmean(s, axis=1)], axis=-1)
+    return ad.add(ad.cross_entropy(ad.reshape(pooled, (2, 6)), [1, 4]),
+                  ad.tsum(s))
+
+
+def _every_op_leaves():
+    return [Tensor(_rand(shape, 40 + i), np.float64) for i, shape in
+            enumerate([(2, 4, 6), (6, 6), (6,), (6,), (6,)])]
+
+
+def _held(obj):
+    """Every object a backward rule reaches through its closures (nested
+    rules included), lists and tuples; sinks are not followed."""
+    if isinstance(obj, (list, tuple)):
+        for o in obj:
+            yield from _held(o)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            yield from _held(cell.cell_contents)
+    yield obj
+
+
+class TestSinks:
+    def test_every_op_is_in_the_graph(self, monkeypatch):
+        ran = set()
+        for name in _OPS:
+            def spy(*args, _op=getattr(ad, name), _name=name, **kw):
+                ran.add(_name)
+                return _op(*args, **kw)
+            monkeypatch.setattr(ad, name, spy)
+        _every_op(*_every_op_leaves())
+        assert ran == set(_OPS) and len(_OPS) == 19
+
+    def test_every_op_float64_grad_check(self):
+        xs = _every_op_leaves()
+
+        def f():
+            with Tape() as tape:
+                loss = _every_op(*xs)
+            return loss, tape
+
+        assert ad.grad_check(f, xs, h=1e-5) < 1e-6
+
+    def test_no_rule_holds_a_recorded_tensor_and_the_tape_no_output(self):
+        # a rule holds the leaves it passes gradients to (their own
+        # sinks), never an op's output Tensor
+        with Tape() as tape:
+            _every_op(*_every_op_leaves())
+        assert len(tape.records) >= 19
+        for rec in tape.records:
+            assert all(o.node is None for o in _held(rec.backward_fn)
+                       if isinstance(o, Tensor))
+        # only the transpose's non-contiguous output keeps its view
+        assert [rec.like.shape for rec in tape.records
+                if rec.like is not None] == [(6, 8)]
+
+    def test_a_rule_s_arrays_are_freed_once_it_has_run(self):
+        xs = _every_op_leaves()
+        with Tape() as tape:
+            loss = _every_op(*xs)
+        leaf_data = {id(t.data) for t in xs}
+        first = tape.records[0]
+        refs = [weakref.ref(o) for rec in tape.records[1:]
+                for o in _held(rec.backward_fn)
+                if isinstance(o, np.ndarray) and id(o) not in leaf_data]
+        assert len(refs) > 20 and all(r() is not None for r in refs)
+        alive = []
+        rule = first.backward_fn
+
+        def spy(g):                     # the first op's rule runs last
+            alive.append(sum(r() is not None for r in refs))
+            rule(g)
+        first.backward_fn = spy
+        ad.backward(tape, loss)
+        assert alive == [0]
+
+    def test_second_backward_on_a_tape_raises(self):
+        x = Tensor(_rand((3,), 1), np.float64)
+        with Tape() as tape:
+            loss = ad.tsum(ad.square(x))
+        ad.backward(tape, loss)
+        grad = x.grad.copy()
+        with pytest.raises(ValueError, match="already consumed this tape"):
+            ad.backward(tape, loss)
+        with pytest.raises(ValueError, match="consumed"):
+            with tape:
+                pass
+        assert np.array_equal(x.grad, grad)
+
+    def test_a_record_adds_in_place_only_into_its_own_sum(self):
+        with Tape() as tape:
+            y = ad.square(Tensor(_rand((3, 4), 1), np.float64))
+        g1, g2, g3 = (_rand((3, 4), i) for i in (2, 3, 4))
+        before = g1.copy()
+        ad._accum(y.node, g1)
+        assert y.node.grad is g1                    # borrowed
+        ad._accum(y.node, g2)
+        own = y.node.grad
+        assert own is not g1 and np.array_equal(g1, before)
+        ad._accum(y.node, g3)
+        assert y.node.grad is own                   # added in place
+        assert _bits(own) == _bits(np.add(np.add(g1, g2), g3))
+        assert len(tape.records) == 1
+
+    def test_a_leaf_gradient_is_never_added_into(self):
+        x = Tensor(_rand((3, 4), 1), np.float64)
+        g1, g2, g3 = (_rand((3, 4), i) for i in (2, 3, 4))
+        outside = g1.copy()
+        x.grad = outside
+        ad._accum(x, g2)
+        first = x.grad
+        ad._accum(x, g3)
+        assert np.array_equal(outside, g1) and np.array_equal(first, g1 + g2)
+        assert x.grad is not first
+        assert _bits(x.grad) == _bits(np.add(np.add(g1, g2), g3))

@@ -23,6 +23,7 @@ from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
 from bertfit.data import Example, split_validation
 from bertfit.model import EncoderConfig, init_model, named_tensors
+from bertfit.optim import DivergedError
 from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
@@ -718,11 +719,13 @@ class TestCli:
             self, workspace, tmp_path, monkeypatch, capsys, long_text):
         # every task's refinement starts from the encoder and combiner that
         # multi-task training left, and the task is scored with the
-        # weights its own refinement left
+        # weights its own refinement left: its validation error is the
+        # refinement's round on them, its test error is scored after
         root, raw = workspace
         train, refine = multitask.multitask_finetune, multitask.per_task_refine
         evaluate = training.evaluate
-        trained, entered, refined, scored, refining = [], {}, {}, [], []
+        trained, entered, refined, refining = [], {}, {}, []
+        scored, rounds = [], []
 
         def weights(encoder, combiner):
             return {n: p.data.tobytes()
@@ -742,21 +745,28 @@ class TestCli:
             return res
 
         def spy_evaluate(model, head, inputs, recipe, combiner=None, **kw):
-            if not refining:        # not a validation round of refinement
-                scored.append((head.W.name, weights(model, combiner)))
-            return evaluate(model, head, inputs, recipe, combiner, **kw)
+            res = evaluate(model, head, inputs, recipe, combiner, **kw)
+            # a validation round of refinement, or a scoring after it
+            (rounds if refining else scored).append(
+                (head.W.name, weights(model, combiner), res[0]))
+            return res
         monkeypatch.setattr(multitask, "multitask_finetune", spy_train)
         monkeypatch.setattr(multitask, "per_task_refine", spy_refine)
         monkeypatch.setattr(training, "evaluate", spy_evaluate)
         recipe = {**raw["recipe"], "long_text": long_text, "max_len": 10}
         cfg = write_config(tmp_path, raw, recipe=recipe,
                            multitask={**two_tasks(raw), "refine_steps": 2})
+        capsys.readouterr()
         assert main(["multitask", "--config", cfg]) == 0
+        out = capsys.readouterr().out
         assert entered == {"a": trained[0], "b": trained[0]}
         assert trained[0] != refined["a"] != refined["b"] != trained[0]
-        assert scored == [("task.a.W", refined["a"]),       # a: val
-                          ("task.b.W", refined["b"]),       # b: val, test
-                          ("task.b.W", refined["b"])]
+        assert [(n, w) for n, w, _ in scored] == [
+            ("task.b.W", refined["b"])]                     # b: test
+        for task in "ab":
+            err = next(e for n, w, e in rounds
+                       if n == f"task.{task}.W" and w == refined[task])
+            assert f"  {task}: val error {err:.2f}%\n" in out
 
     @pytest.mark.parametrize("long_text", ["hier_mean", "hier_attn"])
     def test_multitask_hierarchical(self, workspace, capsys, long_text):
@@ -773,6 +783,69 @@ class TestCli:
         out = capsys.readouterr().out
         assert "steps per task" in out and "diverged" not in out
         assert out.count("val error") == 2
+
+    def test_multitask_refinement_scores_validation_once(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # `finetune` scores each task's validation set in its epochs; the
+        # command reports that and scores no split again (no test files)
+        root, raw = workspace
+        refine, evaluate = multitask.per_task_refine, training.evaluate
+        refining, calls, results = [], [], []
+
+        def spy_refine(*args):
+            refining.append(True)
+            results.append(refine(*args))
+            refining.pop()
+            return results[-1]
+
+        def spy_evaluate(*args, **kw):
+            calls.append(bool(refining))
+            return evaluate(*args, **kw)
+        monkeypatch.setattr(multitask, "per_task_refine", spy_refine)
+        monkeypatch.setattr(training, "evaluate", spy_evaluate)
+        tasks = [{k: v for k, v in t.items() if k != "test"}
+                 for t in two_tasks(raw)["tasks"]]
+        cfg = write_config(tmp_path, raw,
+                           multitask={"tasks": tasks, "refine_steps": 2})
+        capsys.readouterr()
+        assert main(["multitask", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert calls and all(calls)
+        assert lines == [f"  {t}: val error {r.best_val_error:.2f}%"
+                         for t, r in zip("ab", results)]
+
+    def test_multitask_reports_a_diverged_refinement(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        root, raw = workspace
+        refine, step = multitask.per_task_refine, training.train_step
+        refining = []
+
+        def spy_refine(*args):
+            refining.append(0)
+            try:
+                return refine(*args)
+            finally:
+                refining.pop()
+
+        def diverging_step(*args):      # each refinement's second step
+            if refining:
+                refining[-1] += 1
+                if refining[-1] == 2:
+                    raise DivergedError("forced")
+            return step(*args)
+        monkeypatch.setattr(multitask, "per_task_refine", spy_refine)
+        monkeypatch.setattr(training, "train_step", diverging_step)
+        tasks = [{k: v for k, v in t.items() if k != "test"}
+                 for t in two_tasks(raw)["tasks"]]
+        cfg = write_config(tmp_path, raw,
+                           multitask={"tasks": tasks, "refine_steps": 2})
+        capsys.readouterr()
+        assert main(["multitask", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "diverged" not in lines[0]
+        assert [l.split(": val error ")[0] for l in lines[1:]] == \
+            ["  a", "  b"]
+        assert all(l.endswith("% (refinement diverged)") for l in lines[1:])
 
     def test_grid_command(self, workspace, tmp_path, capsys):
         root, raw = workspace

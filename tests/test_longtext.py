@@ -99,9 +99,10 @@ class TestChunk:
 def _scale(a, c):
     """The former `ad.scale` op: a times a Python float constant."""
     c = float(c)
+    sink = a.node or a
 
     def bwd(g):
-        ad._accum(a, g * c)
+        ad._accum(sink, g * c)
 
     return ad._make(a.data * c, bwd)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            class_logits, classify, depth_of, encode_batch,
                            init_model, mlm_logits, named_tensors, nsp_logits,
                            select_features)
+from bertfit.optim import Adam, group_parameters, train_step
 from bertfit.rng import Rng
 from conftest import attention_probs
 from test_autodiff import (unfused_add_layer_norm, unfused_attention,
@@ -160,15 +162,15 @@ class TestReadRows:
             logits = batch_logits(model, head, batch, recipe, None)
             loss = ad.cross_entropy(logits, labels)
         assert [r().shape for r in probs] == [(2, 2, 6, 6), (2, 2, 1, 6)]
+        # after the top block's [CLS] gather, only its keys and values
+        # span all 6 positions (read before backward consumes the tape)
+        start = next(i for i, r in enumerate(tape.records)
+                     if r.shape == (2, 1, 8))
+        full = [r.shape for r in tape.records[start:]
+                if len(r.shape) == 3 and r.shape[1] == 6]
         ad.backward(tape, loss)
         assert shapes == [((2, 6, 8), (2, 6, 8), (2, 6, 8)),
                           ((2, 1, 8), (2, 6, 8), (2, 1, 8))]
-        # after the top block's [CLS] gather, only its keys and values
-        # span all 6 positions
-        start = next(i for i, r in enumerate(tape.records)
-                     if r.out.shape == (2, 1, 8))
-        full = [r.out.shape for r in tape.records[start:]
-                if len(r.out.shape) == 3 and r.out.shape[1] == 6]
         assert full == [(2, 6, 8)] * 2
         for name, t in model.params.items():
             above = name.startswith("block2.") or name.startswith("head.")
@@ -399,7 +401,7 @@ class TestFusedBlock:
             n_records.append(len(tape.records))
             B, S = ids.shape
             attn_shape = (B, model.config.n_heads, S, S)
-            assert all(r.out.shape != attn_shape for r in tape.records)
+            assert all(r.shape != attn_shape for r in tape.records)
         assert n_records[1] - n_records[0] <= 12
 
     @pytest.mark.parametrize("dtype", ["f4", "f8"])
@@ -451,26 +453,95 @@ class TestBackwardMemory:
             forward, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             params = model.parameters() + unreached.parameters()
+            records = list(tape.records)
             ad.backward(tape, loss, parameters=params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return tape, params, unreached, forward, peak
+        return records, params, unreached, forward, peak
 
     def test_only_leaves_keep_gradients(self):
-        tape, params, unreached, _, _ = self._step()
-        assert all(rec.out.grad is None for rec in tape.records)
+        records, params, unreached, _, _ = self._step()
+        assert all(rec.grad is None for rec in records)
         assert all(p.grad is not None and p.grad.shape == p.shape
                    for p in params)
         assert all((p.grad == 0.0).all() for p in unreached.parameters())
 
     def test_backward_peak_over_forward_is_bounded(self):
-        # Measured: backward's traced peak sits ~25% of the forward level
+        # Measured: backward's traced peak sits ~14% of the forward level
         # above it (parameter gradients plus the few intermediate ones
-        # still live); keeping every intermediate gradient until the tape
-        # is dropped put it ~69% above.
+        # still live, less the records already freed); keeping every
+        # intermediate gradient until the tape is dropped put it ~69%
+        # above.
         _, _, _, forward, peak = self._step()
         assert peak - forward < 0.4 * forward
+
+
+class TestTapeKeepsWhatBackwardReads:
+    """A rule holds only the arrays it reads, so an output no rule reads
+    is freed during the forward pass, even on a live tape."""
+
+    def _model(self):
+        cfg = EncoderConfig(n_layers=2, hidden=16, n_heads=2, vocab_size=40,
+                            max_positions=16, dropout=0.1)
+        return init_model(cfg, Rng(0))
+
+    def _spy(self, monkeypatch, name, keep=lambda *args: True, arg=None):
+        """Weak references to the output data of each `ad.<name>` call for
+        which `keep(*args)` holds, or to its argument `arg` if given."""
+        op, refs = getattr(ad, name), []
+
+        def spy(*args):
+            out = op(*args)
+            if keep(*args):
+                refs.append(weakref.ref((out if arg is None
+                                         else args[arg]).data))
+            return out
+        monkeypatch.setattr(ad, name, spy)
+        return refs
+
+    def test_unread_outputs_freed_on_a_live_tape(self, toy_batch,
+                                                 monkeypatch):
+        ids, segs, mask, labels = toy_batch
+        model = self._model()
+        wo = self._spy(monkeypatch, "linear",
+                       lambda x, w, b: str(w.name).endswith(".wo"))
+        dropped = self._spy(monkeypatch, "dropout")
+        sums = self._spy(monkeypatch, "add", lambda a, b: a.data.ndim == 3)
+        logits = self._spy(monkeypatch, "cross_entropy", arg=0)
+        probs = attention_probs(monkeypatch)
+        with Tape() as tape:
+            outs = encode_batch(model, ids, segs, mask, rng=Rng(1))
+            loss = ad.add(
+                ad.cross_entropy(mlm_logits(model, outs, np.array([1, 8])),
+                                 np.array([4, 9])),
+                ad.cross_entropy(nsp_logits(model, outs), labels % 2))
+        assert (len(wo), len(dropped), len(sums), len(logits)) == \
+            (2, 5, 1, 2)
+        # the dropped embedding output is the held outs[0]; the logits
+        # passed first are the MLM head's
+        for refs in (wo, dropped[1:], sums, logits[:1]):
+            assert all(r() is None for r in refs)
+        assert all(r() is not None for r in probs)      # the tape is live
+        ad.backward(tape, loss)
+        assert all(r() is None for r in probs)
+
+    def test_held_step_outputs_keep_no_attention_probs(self, toy_batch,
+                                                       monkeypatch):
+        # a returned Tensor's node is a record whose rule backward cleared,
+        # so the step's graph does not outlive the step
+        ids, segs, mask, labels = toy_batch
+        model = self._model()
+        opt = Adam(group_parameters(model))
+        probs = attention_probs(monkeypatch)
+
+        def loss_fn():
+            logits = nsp_logits(model, encode_batch(model, ids, segs, mask,
+                                                    rng=Rng(1)))
+            return ad.cross_entropy(logits, labels % 2), logits
+        out = train_step(opt, loss_fn, {d: 1e-3 for d in range(4)})
+        assert len(probs) == 2 and all(r() is None for r in probs)
+        assert out[0].node is not None and out[1].node.backward_fn is None
 
 
 class TestNamedTensors:

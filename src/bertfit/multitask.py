@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from .config import TrainingRecipe
 from .longtext import FractionCombiner
 from .model import ClassifierHead, EncoderModel
-from .optim import DivergedError, train_step
 from .rng import Rng
-from .training import BatchCursor, batch_loss, finetune, recipe_optimizer
+from .training import (BatchCursor, batch_loss, finetune, recipe_optimizer,
+                       train_steps)
 
 
 @dataclass
@@ -73,30 +73,27 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
-    dropout_rng = rng.derive(0xD0)
     task_rng = rng.derive(0x7A)
     cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
                for n in names}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
-    counts = {n: 0 for n in names}
-    diverged = False
-    for step in range(1, recipe.train_steps + 1):
+
+    def next_batch(step):
         task = _pick_task(names, sizes, task_rng)
+        return task, cursors[task].next(recipe.batch_size)
+
+    # only the shared encoder and combiner and the sampled task's head
+    # receive gradients; the other heads stay bitwise-unchanged this step
+    counts = {n: 0 for n in names}
+    for step, (task, _), _, _ in train_steps(
+            opt, rates_at, recipe.train_steps, rng, next_batch,
+            lambda tb, dropout: batch_loss(mt.encoder, mt.heads[tb[0]], tb[1],
+                                           recipe, mt.combiner, dropout)):
         counts[task] += 1
-        batch = cursors[task].next(recipe.batch_size)
-        # only the shared encoder and combiner and the sampled task's head
-        # receive gradients; the other heads stay bitwise-unchanged this step
-        try:
-            train_step(opt, lambda: batch_loss(
-                mt.encoder, mt.heads[task], batch, recipe, mt.combiner,
-                dropout_rng), rates_at(step))
-        except DivergedError:
-            diverged = True
-            break
         if step_hook:
             step_hook(step, task, mt)
-    return MultiTaskResult(steps_per_task=counts, diverged=diverged)
+    return MultiTaskResult(counts, opt.t < recipe.train_steps)
 
 
 def per_task_refine(mt: MultiTaskModel, task: str, train_inputs,

@@ -4,8 +4,9 @@ triangular schedule.
 Parameters are grouped by depth: embeddings at 0, block i at i+1, heads
 and task classifiers at L+1. Group l trains at rate stlr(step) * xi^(L+1-l)
 so adjacent depths differ by exactly the decay factor xi; xi=1 recovers
-plain Adam. `train_step`, the step every training loop shares, trains
-what its loss reaches: Adam skips a tensor that got no gradient.
+plain Adam. `train_step` is the step that `training.train_steps`, the one
+training loop, takes; it trains what its loss reaches: Adam skips a tensor
+that got no gradient. A step that diverges changes nothing.
 """
 
 from __future__ import annotations
@@ -111,7 +112,15 @@ class Adam:
                   for g in groups for p in g.params}
 
     def step(self, rates: dict[int, float]):
-        """Apply one update; `rates` maps group depth -> learning rate."""
+        """Apply one update; `rates` maps group depth -> learning rate. A
+        NaN or inf gradient raises DivergedError before anything moves:
+        no parameter, moment or `t` changes."""
+        for g in self.groups:
+            for p in g.params:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    kind = "NaN" if np.isnan(p.grad).any() else "inf"
+                    raise DivergedError(
+                        f"{kind} gradient in parameter {p.name or id(p)}")
         if self.clip_norm is not None:
             self._clip()
         self.t += 1
@@ -123,9 +132,6 @@ class Adam:
                 grad = p.grad
                 if grad is None:
                     continue
-                if np.isnan(grad).any():
-                    raise DivergedError(
-                        f"NaN gradient in parameter {p.name or id(p)}")
                 # lr * (m / c1) / (sqrt(v / c2) + eps), built in place
                 m = self.m[id(p)]
                 v = self.v[id(p)]
@@ -171,8 +177,8 @@ def train_step(opt: Adam, loss_fn, rates: dict[int, float]):
     tensors the loss reaches get a gradient, so only they train.
 
     `loss_fn()` runs the forward pass and returns a tuple whose first item
-    is the scalar loss; the tuple is returned. A non-finite loss (nothing
-    updated), softmax input or gradient raises DivergedError. `backward`
+    is the scalar loss; the tuple is returned. A non-finite loss, softmax
+    input or gradient raises DivergedError, with nothing updated. `backward`
     consumes the tape, freeing each op's saved activations once its rule
     has run, so a returned Tensor keeps none of the step's graph.
     """

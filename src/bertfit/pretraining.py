@@ -1,5 +1,5 @@
 """Further pre-training: corpus assembly, MLM/NSP example construction,
-and the joint training loop.
+and joint MLM+NSP training through `training.train_steps`.
 
 Corpus scopes mirror the three pre-training regimes: within-task (one
 dataset's training documents), in-domain (all datasets sharing a domain
@@ -18,10 +18,10 @@ from . import autodiff as ad
 from .data import Dataset, open_input
 from .model import (EncoderModel, encode_batch, mlm_logits, nsp_logits,
                     stack_inputs)
-from .optim import (Adam, DivergedError, StlrSchedule, group_parameters,
-                    train_step)
+from .optim import Adam, StlrSchedule, group_parameters
 from .rng import Rng
 from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
+from .training import train_steps
 
 
 @dataclass
@@ -262,39 +262,31 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
     policy = policy or MaskingPolicy()
     groups = group_parameters(model)
     opt = Adam(groups)
-    dropout_rng = rng.derive(0xD0)
     sampler = rng.derive(0x5A)
     example_rng_base = rng.derive(0xE6)
-    result = PretrainResult(checkpoints=[], history=[])
-    counter = 0
-    for step in range(1, steps + 1):
-        batch = []
-        for _ in range(batch_size):
-            di = sampler.randint(len(docs))
-            batch.append(make_pretrain_example(
-                di, docs, vocab, policy, max_len,
-                example_rng_base.derive(counter)))
-            counter += 1
-        lr = schedule.rate(step)    # every depth trains at this rate
-        rates = {g.depth: lr for g in groups}
-        try:
-            loss, mlm_l, nsp_l = train_step(
-                opt, lambda: pretrain_batch_loss(model, batch, dropout_rng),
-                rates)
-        except DivergedError:
-            result.diverged = True
-            break
+
+    def next_batch(step):
+        return [make_pretrain_example(
+            sampler.randint(len(docs)), docs, vocab, policy, max_len,
+            example_rng_base.derive((step - 1) * batch_size + i))
+            for i in range(batch_size)]
+
+    checkpoints, history = [], []
+    for step, _, (loss, mlm_l, nsp_l), rates in train_steps(
+            opt, lambda s: {g.depth: schedule.rate(s) for g in groups},
+            steps, rng, next_batch,
+            lambda batch, dropout: pretrain_batch_loss(model, batch, dropout)):
         if step % log_every == 0 or step == 1 or step == steps:
-            result.history.append(
+            history.append(
                 {"step": step, "loss": float(loss.data), "mlm_loss": mlm_l,
-                 "nsp_loss": nsp_l, "lr": lr})
+                 "nsp_loss": nsp_l, "lr": rates[0]})
         at_cadence = checkpoint_every and step % checkpoint_every == 0
         if checkpoint_dir and (at_cadence or step == steps):
             path = f"{checkpoint_dir}/pretrain_step{step}.ckpt"
             save_model(path, model.named_parameters(), model.config, vocab,
                        step)
-            result.checkpoints.append((step, path))
-    return result
+            checkpoints.append((step, path))
+    return PretrainResult(checkpoints, history, diverged=opt.t < steps)
 
 
 def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,

@@ -1,4 +1,4 @@
-"""Single-task fine-tuning loop, evaluation, and metrics logging.
+"""The one training loop; fine-tuning, evaluation and metrics logging.
 
 Training follows the paper-style recipe: slanted triangular schedule with
 layer-wise decreasing rates, best-model selection on the validation split
@@ -230,6 +230,24 @@ def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
     return 100.0 * n_wrong / len(inputs), loss_sum / len(inputs)
 
 
+def train_steps(opt: Adam, rates_at, steps: int, rng: Rng, next_batch,
+                loss_of):
+    """The one training loop: steps 1..`steps`, each a `train_step` of
+    `loss_of(batch := next_batch(step), dropout)` at `rates_at(step)`, with
+    dropout drawn from `rng.derive(0xD0)`. Yields (step, batch, out, rates)
+    once each step applies. A step that diverges changes nothing, `opt.t`
+    included, and ends the run: the run diverged if `opt.t < steps`."""
+    dropout = rng.derive(0xD0)
+    for step in range(1, steps + 1):
+        batch = next_batch(step)
+        rates = rates_at(step)
+        try:
+            out = train_step(opt, lambda: loss_of(batch, dropout), rates)
+        except DivergedError:
+            return
+        yield step, batch, out, rates
+
+
 def finetune(model: EncoderModel, head: ClassifierHead,
              train_inputs, val_inputs, recipe: TrainingRecipe,
              combiner: FractionCombiner | None = None,
@@ -242,7 +260,6 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     parameters.
     """
     rng = Rng(recipe.seed)
-    dropout_rng = rng.derive(0xD0)
     cursor = BatchCursor(train_inputs, rng.derive(0x0E))
     heads = [head, combiner]
     opt, rates_at = recipe_optimizer(model, heads, recipe)
@@ -252,21 +269,14 @@ def finetune(model: EncoderModel, head: ClassifierHead,
 
     best = {"error": float("inf"), "epoch": -1, "params": None}
     history = []
-    diverged = False
-    step = 0
-    for step in range(1, recipe.train_steps + 1):
-        batch = cursor.next(recipe.batch_size)
-        rates = rates_at(step)
-        try:
-            loss, logits, labels = train_step(opt, lambda: batch_loss(
-                model, head, batch, recipe, combiner, dropout_rng), rates)
-        except DivergedError:
-            diverged = True
-            break
+    for step, _, (loss, logits, labels), rates in train_steps(
+            opt, rates_at, recipe.train_steps, rng,
+            lambda _: cursor.next(recipe.batch_size),
+            lambda batch, dropout: batch_loss(model, head, batch, recipe,
+                                              combiner, dropout)):
         if metrics and step % 10 == 0:
-            train_err = 100.0 * float(
-                (logits.data.argmax(axis=-1) != labels).mean())
-            metrics.add(step, "train", float(loss.data), train_err,
+            wrong = logits.data.argmax(axis=-1) != labels
+            metrics.add(step, "train", loss.data, 100.0 * wrong.mean(),
                         rates[top])
         end_of_epoch = step % steps_per_epoch == 0 or \
             step == recipe.train_steps
@@ -284,6 +294,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
             if val_err < best["error"]:   # strict <: ties keep the earliest
                 best.update(error=val_err, epoch=epoch, params={
                     k: p.data.copy() for k, p in named.items()})
+    diverged = opt.t < recipe.train_steps
     if best["params"] is not None:
         load_into(named, best["params"])
     test_error = None
@@ -291,7 +302,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
         test_error, test_loss = evaluate(model, head, test_inputs, recipe,
                                          combiner)
         if metrics:
-            metrics.add(step, "test", test_loss, test_error, 0.0)
+            metrics.add(recipe.train_steps, "test", test_loss, test_error, 0.0)
     return FinetuneResult(
         best_val_error=best["error"], best_epoch=best["epoch"],
         test_error=test_error, diverged=diverged, history=history,

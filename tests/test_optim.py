@@ -293,6 +293,32 @@ class TestTrainStep:
         with pytest.raises(DivergedError, match="NaN gradient in parameter w"):
             train_step(opt, loss_fn, {0: 1e-2})
 
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("kind, bad", [("NaN", np.nan), ("inf", np.inf)])
+    def test_non_finite_gradient_changes_nothing(self, kind, bad, clip_norm):
+        """A NaN or inf in the last tensor's gradient raises before Adam
+        moves anything: every parameter, both moments and `t` keep their
+        bits, with clipping or without."""
+        w, _, x = self._setup()
+        u = Tensor(np.array([[1.5, -0.5], [0.25, 3.0]]), name="u")
+        opt = Adam([ParameterGroup(0, [w]), ParameterGroup(1, [u])],
+                   clip_norm=clip_norm)
+        rates = {0: 1e-2, 1: 1e-2}
+        train_step(opt, lambda: (ad.tsum(ad.matmul(ad.matmul(x, w), u)),),
+                   rates)
+
+        def state():
+            return [opt.t] + [a.tobytes() for p in (w, u)
+                              for a in (p.data, opt.m[id(p)], opt.v[id(p)])]
+
+        kept = state()
+        w.grad = np.ones_like(w.data)
+        u.grad = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(DivergedError,
+                           match=f"{kind} gradient in parameter u"):
+            opt.step(rates)
+        assert state() == kept
+
     def test_numerical_error_becomes_diverged(self):
         w, opt, x = self._setup()
         x.data[0, 0] = np.nan

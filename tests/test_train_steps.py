@@ -1,0 +1,248 @@
+"""The one training loop, `training.train_steps`, and the three recipes
+that step through it: `finetune`, `multitask_finetune` and
+`further_pretrain`."""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import bertfit
+from bertfit import training
+from bertfit.config import TrainingRecipe
+from bertfit.longtext import FractionCombiner
+from bertfit.model import ClassifierHead, EncoderConfig, init_model
+from bertfit.multitask import (MultiTaskModel, _pick_task, hash_name,
+                               multitask_finetune)
+from bertfit.optim import (Adam, DivergedError, StlrSchedule,
+                           group_parameters, train_step)
+from bertfit.pretraining import (MaskingPolicy, further_pretrain,
+                                 make_pretrain_example, pretrain_batch_loss)
+from bertfit.rng import Rng
+from bertfit.tokenizer import build_vocab
+from bertfit.toytask import make_marker_task, marker_vocab_corpus
+from bertfit.training import (BatchCursor, MetricsLog, batch_loss, finetune,
+                              prepare_inputs, recipe_optimizer)
+
+RECIPES = ["finetune-head_only", "finetune-hier_attn", "multitask",
+           "pretrain"]
+
+
+@pytest.fixture(scope="module")
+def vocab():
+    return build_vocab(marker_vocab_corpus(), 60)
+
+
+def _config(vocab):                 # dropout on, so its stream is exercised
+    return EncoderConfig(n_layers=1, hidden=16, n_heads=2,
+                         vocab_size=len(vocab), max_positions=16,
+                         dropout=0.1, dtype="f4")
+
+
+def _recipe(long_text="head_only"):     # hier_attn: several fractions
+    return TrainingRecipe(long_text=long_text, base_lr=1e-3, train_steps=4,
+                          batch_size=4, epochs=1, seed=5,
+                          max_len=16 if long_text == "head_only" else 6)
+
+
+def _inputs(vocab, recipe, seed):
+    return prepare_inputs(make_marker_task(12, 1, seed=seed)[0], vocab,
+                          recipe)
+
+
+def _finetune_run(vocab, long_text):
+    """(model, head, combiner, train inputs, recipe) of a small run."""
+    recipe = _recipe(long_text)
+    model = init_model(_config(vocab), Rng(1))
+    head = ClassifierHead.init(16, 2, Rng(2))
+    combiner = FractionCombiner.init(recipe.combiner_kind, 16, Rng(3)) \
+        if recipe.combiner_kind else None
+    return model, head, combiner, _inputs(vocab, recipe, 0), recipe
+
+
+def _multitask_run(vocab):
+    recipe = _recipe()
+    mt = MultiTaskModel.init(init_model(_config(vocab), Rng(1)),
+                             {"a": 2, "b": 2}, 16, Rng(2))
+    return mt, {"a": _inputs(vocab, recipe, 1),
+                "b": _inputs(vocab, recipe, 2)}, recipe
+
+
+def _pretrain_run(vocab):
+    """(model, docs, schedule) of a small further pre-training run."""
+    docs = [[ex.text for ex in make_marker_task(3, 1, seed=i)[0].examples]
+            for i in range(3)]
+    return (init_model(_config(vocab), Rng(1)), docs,
+            StlrSchedule(total_steps=4, peak_lr=1e-3))
+
+
+# -- the loops each recipe wrote out before `train_steps` --------------------
+
+def _former_finetune(model, head, train_inputs, recipe, combiner):
+    rng = Rng(recipe.seed)
+    dropout_rng = rng.derive(0xD0)
+    cursor = BatchCursor(train_inputs, rng.derive(0x0E))
+    opt, rates_at = recipe_optimizer(model, [head, combiner], recipe)
+    for step in range(1, recipe.train_steps + 1):
+        batch = cursor.next(recipe.batch_size)
+        rates = rates_at(step)
+        train_step(opt, lambda: batch_loss(
+            model, head, batch, recipe, combiner, dropout_rng), rates)
+
+
+def _former_multitask(mt, task_inputs, recipe):
+    names = sorted(task_inputs)
+    sizes = {n: len(task_inputs[n]) for n in names}
+    rng = Rng(recipe.seed)
+    dropout_rng = rng.derive(0xD0)
+    task_rng = rng.derive(0x7A)
+    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
+               for n in names}
+    opt, rates_at = recipe_optimizer(
+        mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
+    counts = {n: 0 for n in names}
+    for step in range(1, recipe.train_steps + 1):
+        task = _pick_task(names, sizes, task_rng)
+        counts[task] += 1
+        batch = cursors[task].next(recipe.batch_size)
+        train_step(opt, lambda: batch_loss(
+            mt.encoder, mt.heads[task], batch, recipe, mt.combiner,
+            dropout_rng), rates_at(step))
+    return counts
+
+
+def _former_pretrain(model, docs, vocab, steps, schedule, rng, batch_size,
+                     max_len):
+    policy = MaskingPolicy()
+    groups = group_parameters(model)
+    opt = Adam(groups)
+    dropout_rng = rng.derive(0xD0)
+    sampler = rng.derive(0x5A)
+    example_rng_base = rng.derive(0xE6)
+    counter = 0
+    for step in range(1, steps + 1):
+        batch = []
+        for _ in range(batch_size):
+            di = sampler.randint(len(docs))
+            batch.append(make_pretrain_example(
+                di, docs, vocab, policy, max_len,
+                example_rng_base.derive(counter)))
+            counter += 1
+        lr = schedule.rate(step)
+        rates = {g.depth: lr for g in groups}
+        train_step(opt, lambda: pretrain_batch_loss(model, batch,
+                                                    dropout_rng), rates)
+
+
+def _state(*modules):
+    return [p.data.tobytes() for m in modules if m is not None
+            for p in m.parameters()]
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_each_recipe_equals_its_former_loop(vocab, name):
+    """Every parameter has the bits of the loop the recipe wrote out
+    before it stepped through `train_steps`, dropout stream included."""
+    runs = []
+    for new in (True, False):
+        if name.startswith("finetune"):
+            model, head, combiner, inputs, recipe = _finetune_run(
+                vocab, name.split("-")[1])
+            if new:
+                assert not finetune(model, head, inputs, None, recipe,
+                                    combiner).diverged
+            else:
+                _former_finetune(model, head, inputs, recipe, combiner)
+            runs.append(_state(model, head, combiner))
+        elif name == "multitask":
+            mt, task_inputs, recipe = _multitask_run(vocab)
+            counts = (multitask_finetune(mt, task_inputs, recipe)
+                      .steps_per_task if new else
+                      _former_multitask(mt, task_inputs, recipe))
+            runs.append([counts, _state(mt.encoder, *mt.heads.values())])
+        else:
+            model, docs, schedule = _pretrain_run(vocab)
+            args = (model, docs, vocab, 4, schedule, Rng(7))
+            if new:
+                assert not further_pretrain(*args, batch_size=3,
+                                            max_len=16).diverged
+            else:
+                _former_pretrain(*args, batch_size=3, max_len=16)
+            runs.append(_state(model))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", ["finetune", "multitask", "pretrain"])
+def test_a_run_that_diverges_at_step_3_records_nothing_from_it(
+        vocab, name, monkeypatch, tmp_path):
+    step = training.train_step
+    calls = []
+
+    def diverging_step(*args):
+        calls.append(0)
+        if len(calls) == 3:
+            raise DivergedError("forced")
+        return step(*args)
+    monkeypatch.setattr(training, "train_step", diverging_step)
+    if name == "finetune":
+        model, head, combiner, inputs, recipe = _finetune_run(
+            vocab, "head_only")
+        log = MetricsLog(strict=True)
+        res = finetune(model, head, inputs, inputs,
+                       replace(recipe, train_steps=6, epochs=6),
+                       test_inputs=inputs, metrics=log)
+        assert res.diverged and res.test_error is None
+        assert [h["step"] for h in res.history] == [1, 2]
+        assert [(r.step, r.split) for r in log.records] == \
+            [(1, "validation"), (2, "validation")]
+    elif name == "multitask":
+        mt, task_inputs, recipe = _multitask_run(vocab)
+        hooked = []
+        res = multitask_finetune(mt, task_inputs,
+                                 replace(recipe, train_steps=6),
+                                 step_hook=lambda s, task, _: hooked.append(s))
+        assert res.diverged and hooked == [1, 2]
+        assert sum(res.steps_per_task.values()) == 2
+    else:
+        model, docs, _ = _pretrain_run(vocab)
+        res = further_pretrain(
+            model, docs, vocab, 6, StlrSchedule(total_steps=6, peak_lr=1e-3),
+            Rng(7), batch_size=3, max_len=16, checkpoint_every=1,
+            checkpoint_dir=str(tmp_path), log_every=1)
+        assert res.diverged
+        assert [h["step"] for h in res.history] == [1, 2]
+        assert [s for s, _ in res.checkpoints] == [1, 2]
+    assert len(calls) == 3
+
+
+# -- structure: one loop ------------------------------------------------------
+
+def _call_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+SITES = {
+    "calls train_step": lambda n: isinstance(n, ast.Call)
+    and _call_name(n) == "train_step",
+    "catches DivergedError": lambda n: isinstance(n, ast.ExceptHandler)
+    and n.type is not None and "DivergedError" in ast.unparse(n.type),
+    "derives the dropout stream 0xD0": lambda n: isinstance(n, ast.Call)
+    and _call_name(n) == "derive" and len(n.args) == 1
+    and isinstance(n.args[0], ast.Constant) and n.args[0].value == 0xD0,
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_only_the_one_loop_steps(site):
+    """A training loop calls `train_step`, ends the run on DivergedError
+    and derives the dropout stream; only `training.train_steps` does, so
+    a recipe cannot grow a loop of its own."""
+    found = []
+    for path in sorted(Path(bertfit.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for node in ast.walk(top) if SITES[site](node)]
+    assert found == ["training.train_steps"]

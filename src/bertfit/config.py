@@ -122,9 +122,9 @@ class PretrainSection:
     def __post_init__(self):
         _at_least_1("steps", self.steps)
         _at_least_1("batch_size", self.batch_size)
-        # as recipe.max_len: two specials and at least one token
-        _require(self.max_len is None or self.max_len >= 3, "max_len",
-                 self.max_len, "None or at least 3")
+        # a pair: three specials and at least one token per segment
+        _require(self.max_len is None or self.max_len >= 5, "max_len",
+                 self.max_len, "None or at least 5")
         _require(0.0 < self.mask_prob <= 1.0, "mask_prob", self.mask_prob,
                  "in (0, 1]")
         _require(self.lr > 0, "lr", self.lr, "above 0")

@@ -122,7 +122,8 @@ def _stratified_indices(examples, rng: Rng):
 
 
 def split_validation(dataset: Dataset, fraction: float, seed: int):
-    """Stratified, seeded train/validation split; disjoint and exhaustive."""
+    """Stratified, seeded train/validation split; disjoint and exhaustive.
+    Every class keeps at least one example in each split."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     by_class = _stratified_indices(dataset.examples, Rng(seed))
@@ -132,7 +133,7 @@ def split_validation(dataset: Dataset, fraction: float, seed: int):
         if len(idxs) < 2:
             raise ValueError(
                 f"class {label} has {len(idxs)} example(s); cannot split")
-        n_val = max(1, round(fraction * len(idxs)))
+        n_val = min(max(1, round(fraction * len(idxs))), len(idxs) - 1)
         val_idx.update(idxs[:n_val])
     train, val = [], []
     for i, ex in enumerate(dataset.examples):

@@ -2,10 +2,10 @@
 triangular schedule.
 
 Parameters are grouped by depth: embeddings at 0, block i at i+1, heads
-and task classifiers at L+1. Group l trains at rate stlr(step) * xi^(L+1-l)
-so adjacent depths differ by exactly the decay factor xi; xi=1 recovers
-plain Adam. `train_step` is the step that `training.train_steps`, the one
-training loop, takes; it trains what its loss reaches: Adam skips a tensor
+and task classifiers at L+1. `build_optimizer` trains group l at
+`StlrSchedule.rate(step) * xi^(L+1-l)`: adjacent depths differ by exactly
+xi, and xi=1 (pre-training) is plain Adam. `train_step`, the step of
+`training.train_steps`, trains what its loss reaches: Adam skips a tensor
 that got no gradient. A step that diverges changes nothing.
 """
 
@@ -53,24 +53,20 @@ class StlrSchedule:
     warmup_proportion: float = 0.1
 
     def rate(self, step: int) -> float:
-        return stlr(step, self.total_steps, self.warmup_proportion,
-                    self.peak_lr)
-
-
-def stlr(step: int, total_steps: int, warmup: float, peak: float) -> float:
-    """Piecewise-linear: 0 -> peak over the warm-up, peak -> 0 after."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-    if not 0.0 < warmup < 1.0:
-        raise ValueError("warmup proportion must be in (0, 1)")
-    cut = warmup * total_steps
-    if step > total_steps:
-        import warnings
-        warnings.warn(f"step {step} past total_steps {total_steps}; rate 0")
-        return 0.0
-    if step <= cut:
-        return peak * step / cut
-    return peak * (total_steps - step) / ((1.0 - warmup) * total_steps)
+        """Piecewise-linear: 0 -> peak over the warm-up, peak -> 0 after."""
+        total, warmup = self.total_steps, self.warmup_proportion
+        if total < 1:
+            raise ValueError("total_steps must be >= 1")
+        if not 0.0 < warmup < 1.0:
+            raise ValueError("warmup proportion must be in (0, 1)")
+        cut = warmup * total
+        if step > total:
+            import warnings
+            warnings.warn(f"step {step} past total_steps {total}; rate 0")
+            return 0.0
+        if step <= cut:
+            return self.peak_lr * step / cut
+        return self.peak_lr * (total - step) / ((1.0 - warmup) * total)
 
 
 def group_parameters(model, extra_heads=None) -> list[ParameterGroup]:
@@ -86,14 +82,6 @@ def group_parameters(model, extra_heads=None) -> list[ParameterGroup]:
 def effective_rate(group: ParameterGroup, layerwise: LayerwiseLrSchedule,
                    schedule: StlrSchedule, step: int, top_depth: int) -> float:
     return schedule.rate(step) * layerwise.multiplier(group.depth, top_depth)
-
-
-def layer_rates(groups: list[ParameterGroup], layerwise: LayerwiseLrSchedule,
-                schedule: StlrSchedule, step: int) -> dict[int, float]:
-    """Rate of every group at `step`; the deepest group is the top."""
-    top = max(g.depth for g in groups)
-    return {g.depth: effective_rate(g, layerwise, schedule, step, top)
-            for g in groups}
 
 
 class Adam:
@@ -170,6 +158,17 @@ class Adam:
         for g in self.groups:
             for p in g.params:
                 p.grad = None
+
+
+def build_optimizer(model, heads, schedule, decay_factor=1.0, clip_norm=None):
+    """Adam over `group_parameters(model, heads)`, and `rates_at(step)`,
+    which maps each group's depth to its `effective_rate`."""
+    groups = group_parameters(model, heads)
+    lw = LayerwiseLrSchedule(decay_factor=decay_factor)
+    top = max(g.depth for g in groups)
+    return (Adam(groups, clip_norm=clip_norm),
+            lambda step: {g.depth: effective_rate(g, lw, schedule, step, top)
+                          for g in groups})
 
 
 def train_step(opt: Adam, loss_fn, rates: dict[int, float]):

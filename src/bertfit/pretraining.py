@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .data import Dataset, open_input
 from .model import (EncoderModel, encode_batch, mlm_logits, nsp_logits,
                     stack_inputs)
-from .optim import Adam, StlrSchedule, group_parameters
+from .optim import StlrSchedule, build_optimizer
 from .rng import Rng
 from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
 from .training import train_steps
@@ -197,6 +197,9 @@ def make_pretrain_example(doc_index: int, docs, vocab: Vocabulary,
                           policy: MaskingPolicy, max_len: int,
                           rng: Rng) -> PretrainExample:
     from .tokenizer import encode
+    if max_len < 5:     # [CLS] A [SEP] B [SEP], one token or more each
+        raise ValueError(f"max_len {max_len} leaves a segment empty: a "
+                         f"pair needs at least 5")
     seg_a, seg_b, is_next = build_nsp_pair(doc_index, docs, rng)
     tok_a = tokenize(seg_a, vocab)
     tok_b = tokenize(seg_b, vocab)
@@ -252,16 +255,16 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
     """Joint MLM+NSP training loop over an assembled corpus.
 
     Saves periodic checkpoints (cadence plus the final step) when
-    `checkpoint_every` and `checkpoint_dir` are given. All depths train at
-    the schedule rate (no layer-wise decay during further pre-training). A
+    `checkpoint_every` and `checkpoint_dir` are given. The optimizer is
+    `build_optimizer`'s at decay factor 1: fine-tuning's rate rule with no
+    layer-wise decay, so every depth trains at `schedule.rate(step)`. A
     step that hits a non-finite value ends the run with `diverged` set.
     """
     from .checkpoint import save_model
     if len(docs) < 1:
         raise ValueError("corpus is empty")
     policy = policy or MaskingPolicy()
-    groups = group_parameters(model)
-    opt = Adam(groups)
+    opt, rates_at = build_optimizer(model, (), schedule)
     sampler = rng.derive(0x5A)
     example_rng_base = rng.derive(0xE6)
 
@@ -273,8 +276,7 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
 
     checkpoints, history = [], []
     for step, _, (loss, mlm_l, nsp_l), rates in train_steps(
-            opt, lambda s: {g.depth: schedule.rate(s) for g in groups},
-            steps, rng, next_batch,
+            opt, rates_at, steps, rng, next_batch,
             lambda batch, dropout: pretrain_batch_loss(model, batch, dropout)):
         if step % log_every == 0 or step == 1 or step == steps:
             history.append(

@@ -21,10 +21,10 @@ from .config import TrainingRecipe
 from .data import Dataset
 from .longtext import FractionCombiner, chunk, combine, truncate
 from .model import (ClassifierHead, EncoderConfig, EncoderModel,
-                    class_logits, cls_states, encode_batch, init_model,
-                    named_tensors, select_features, stack_inputs)
-from .optim import (Adam, DivergedError, LayerwiseLrSchedule, StlrSchedule,
-                    group_parameters, layer_rates, train_step)
+                    class_logits, encode_batch, init_model, named_tensors,
+                    select_features, stack_inputs)
+from .optim import (Adam, DivergedError, StlrSchedule, build_optimizer,
+                    train_step)
 from .rng import Rng
 from .tokenizer import Vocabulary, encode, tokenize
 
@@ -92,43 +92,37 @@ def prepare_inputs(dataset: Dataset, vocab: Vocabulary,
     return out
 
 
-def _cls_rows(n):                   # position 0 of each of n sequences
-    return np.zeros((n, 1), dtype=np.intp)
-
-
 def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
                  recipe: TrainingRecipe, combiner: FractionCombiner | None,
                  rng: Rng | None = None):
     """Class logits for a batch of prepared inputs (either route); the
-    recipe's combiner kind must be `combiner`'s (None when flat). The
-    encoder computes only the [CLS] rows the head reads, with dropout
-    drawn from `rng` if given."""
+    recipe's combiner kind must be `combiner`'s (None when flat). One
+    encoder call computes only the [CLS] rows the head reads, with dropout
+    drawn from `rng` if given: flat, up to the top selected layer;
+    hierarchical, at layer L for every fraction, pooled per document."""
     kind = combiner.kind if combiner else None
     if kind != recipe.combiner_kind:
         raise ValueError(f"recipe {recipe.long_text!r} needs combiner "
                          f"{recipe.combiner_kind!r}, got {kind!r}")
     if combiner is None:
-        sel = recipe.layer_selection
-        top = sel.layer_indices(model.config.n_layers)[-1]
-        outs = encode_batch(model, *stack_inputs(batch),
-                            read=(top, _cls_rows(len(batch))), rng=rng)
-        return class_logits(select_features(outs, sel), head)
-    # hierarchical: encode all fractions of all documents as one batch,
-    # then pool per document in fraction order
-    flat = [frac for doc in batch for frac in doc.fractions]
-    outs = encode_batch(model, *stack_inputs(flat),
-                        read=(model.config.n_layers, _cls_rows(len(flat))),
-                        rng=rng)
-    cls_all = cls_states(outs[-1])               # (sum_k, H)
+        seqs = batch
+        layer = recipe.layer_selection.layer_indices(model.config.n_layers)[-1]
+    else:
+        seqs = [frac for doc in batch for frac in doc.fractions]
+        layer = model.config.n_layers
+    outs = encode_batch(model, *stack_inputs(seqs), rng=rng,
+                        read=(layer, np.zeros((len(seqs), 1), dtype=np.intp)))
+    if combiner is None:
+        return class_logits(select_features(outs, recipe.layer_selection), head)
+    # outs[-1] is (sum_k, 1, H): row i is fraction i's [CLS]
     feats = []
     offset = 0
     for doc in batch:
         rows = np.arange(offset, offset + doc.k)
-        feats.append(combine(ad.embedding(cls_all, rows), combiner))
+        f = combine(ad.embedding(outs[-1], rows), combiner)
+        feats.append(ad.reshape(f, (1, f.shape[0])))
         offset += doc.k
-    stacked = ad.concat(
-        [ad.reshape(f, (1, f.shape[0])) for f in feats], axis=0)
-    return class_logits(stacked, head)
+    return class_logits(ad.concat(feats, axis=0), head)
 
 
 def batch_loss(model: EncoderModel, head: ClassifierHead, batch,
@@ -195,14 +189,12 @@ def build_run(model_config: EncoderConfig, recipe: TrainingRecipe,
 
 
 def recipe_optimizer(model: EncoderModel, heads, recipe: TrainingRecipe):
-    """Adam over the model and `heads`, and the recipe's rates at a step."""
-    groups = group_parameters(model, extra_heads=heads)
-    layerwise = LayerwiseLrSchedule(decay_factor=recipe.decay_factor)
+    """`build_optimizer` at the recipe's STLR, decay factor and clip norm."""
     schedule = StlrSchedule(total_steps=recipe.train_steps,
                             peak_lr=recipe.base_lr,
                             warmup_proportion=recipe.warmup_proportion)
-    return (Adam(groups, clip_norm=recipe.clip_norm),
-            lambda step: layer_rates(groups, layerwise, schedule, step))
+    return build_optimizer(model, heads, schedule, recipe.decay_factor,
+                           recipe.clip_norm)
 
 
 @dataclass

@@ -92,6 +92,13 @@ class TestSplitValidation:
         texts = sorted(e.text for e in train.examples + val.examples)
         assert texts == sorted(e.text for e in ds.examples)
 
+    @pytest.mark.parametrize("fraction", [0.5, 0.75, 0.9])
+    def test_every_class_keeps_a_training_example(self, fraction):
+        ds = Dataset(name="t", n_classes=2, examples=[
+            Example(label, str(i)) for i, label in enumerate([0, 0, 1, 1, 1])])
+        for split in split_validation(ds, fraction, 0):
+            assert histogram(split).keys() == {0, 1}
+
     def test_tiny_class_rejected(self):
         ds = Dataset(name="t", examples=[Example(0, "a"), Example(1, "b"),
                                          Example(0, "c")], n_classes=2)

@@ -1373,10 +1373,9 @@ class TestConfigErrors:
          "model.ffn must be at least 1, got 0"),
         ("finetune", ("model", "dtype"), "float64",
          "model.dtype must be 'f4' or 'f8', got 'float64'"),
-        ("pretrain", ("pretrain", "max_len"), 2,
-         "pretrain.max_len must be None or at least 3, got 2"),
-        ("pretrain", ("pretrain", "max_len"), 0,
-         "pretrain.max_len must be None or at least 3, got 0"),
+        *(("pretrain", ("pretrain", "max_len"), n,
+           f"pretrain.max_len must be None or at least 5, got {n}")
+          for n in (0, 2, 3, 4)),
         *((c, ("recipe", "max_len"), 32,
            "recipe.max_len 32 exceeds model.max_positions 16")
           for c in ("multitask", "eval", "grid")),

@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -7,8 +8,8 @@ from bertfit import autodiff as ad
 from bertfit.autodiff import Tensor
 from bertfit.model import ClassifierHead, EncoderConfig, init_model
 from bertfit.optim import (Adam, DivergedError, LayerwiseLrSchedule,
-                           ParameterGroup, StlrSchedule, effective_rate,
-                           group_parameters, layer_rates, stlr, train_step)
+                           ParameterGroup, StlrSchedule, build_optimizer,
+                           effective_rate, group_parameters, train_step)
 from bertfit.rng import Rng
 
 
@@ -36,17 +37,22 @@ class TestGrouping:
         assert ratio == pytest.approx(0.95 ** 13)
 
 
+def _rate(step, total_steps, warmup, peak):
+    return StlrSchedule(total_steps=total_steps, peak_lr=peak,
+                        warmup_proportion=warmup).rate(step)
+
+
 class TestStlr:
     def test_golden_points(self):
         T, peak = 1000, 2e-5
-        assert stlr(0, T, 0.1, peak) == 0.0
-        assert stlr(100, T, 0.1, peak) == peak
-        assert stlr(T, T, 0.1, peak) == 0.0
-        assert stlr(50, T, 0.1, peak) == pytest.approx(peak / 2)
+        assert _rate(0, T, 0.1, peak) == 0.0
+        assert _rate(100, T, 0.1, peak) == peak
+        assert _rate(T, T, 0.1, peak) == 0.0
+        assert _rate(50, T, 0.1, peak) == pytest.approx(peak / 2)
 
     def test_piecewise_linear_continuous(self):
         T, w, peak = 400, 0.1, 3e-4
-        rates = [stlr(s, T, w, peak) for s in range(T + 1)]
+        rates = [_rate(s, T, w, peak) for s in range(T + 1)]
         assert max(rates) == pytest.approx(peak)
         diffs = np.diff(rates)
         # one positive slope then one negative slope
@@ -219,21 +225,40 @@ class TestAdam:
 
 
 class TestLayerRates:
+    """The per-depth rates `build_optimizer` returns."""
+
     def test_matches_effective_rate(self, toy_model):
         groups = group_parameters(toy_model)
         lw = LayerwiseLrSchedule(base_lr=1e-3, decay_factor=0.9)
         sched = StlrSchedule(total_steps=20, peak_lr=1e-3)
-        rates = layer_rates(groups, lw, sched, 7)
+        opt, rates_at = build_optimizer(toy_model, (), sched, 0.9)
         top = toy_model.config.n_layers + 1
-        assert rates == {g.depth: effective_rate(g, lw, sched, 7, top)
-                         for g in groups}
+        assert [g.depth for g in opt.groups] == [g.depth for g in groups]
+        assert rates_at(7) == {g.depth: effective_rate(g, lw, sched, 7, top)
+                               for g in groups}
 
     def test_decay_one_is_the_schedule_rate(self, toy_model):
-        groups = group_parameters(toy_model)
+        """Pre-training's optimizer: every depth at the schedule's rate,
+        bit for bit, in the warm-up, at the peak, in the decay, at the
+        end and past it."""
         sched = StlrSchedule(total_steps=20, peak_lr=3e-4)
-        rates = layer_rates(groups, LayerwiseLrSchedule(decay_factor=1.0),
-                            sched, 5)
-        assert set(rates.values()) == {sched.rate(5)}
+        opt, rates_at = build_optimizer(toy_model, (), sched)
+        assert opt.clip_norm is None
+        for step in (1, 2, 5, 19, 20, 21):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # step 21 is past the end
+                rates, want = rates_at(step), sched.rate(step)
+            assert sorted(rates) == list(range(toy_model.config.n_layers + 2))
+            assert {r.hex() for r in rates.values()} == {want.hex()}
+
+    def test_recipe_options_reach_adam(self, toy_model):
+        head = ClassifierHead.init(8, 3, Rng(1))
+        opt, _ = build_optimizer(toy_model, [head, None],
+                                 StlrSchedule(total_steps=4), 0.9, 0.5)
+        assert opt.clip_norm == 0.5
+        assert head.W in opt.groups[-1].params
+        with pytest.raises(ValueError, match="decay factor"):
+            build_optimizer(toy_model, (), StlrSchedule(total_steps=4), 1.5)
 
 
 class TestTrainStep:

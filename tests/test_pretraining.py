@@ -127,6 +127,18 @@ class TestNspPairs:
         a, b = trim_pair(["a"] * 100, ["b"] * 60, 128)
         assert (len(a), len(b)) == (65, 60)
 
+    @pytest.mark.parametrize("max_len", [3, 4])
+    def test_max_len_below_a_pair_rejected(self, vocab, max_len):
+        with pytest.raises(ValueError, match=f"max_len {max_len}"):
+            make_pretrain_example(0, self.DOCS, vocab, MaskingPolicy(),
+                                  max_len, Rng(0))
+
+    def test_shortest_pair_has_both_segments(self, vocab):
+        ex = make_pretrain_example(0, self.DOCS, vocab, MaskingPolicy(), 5,
+                                   Rng(0))
+        assert ex.seq.segment_ids == [0, 0, 0, 1, 1]
+        assert ex.seq.attention_mask == [1] * 5
+
 
 class TestMasking:
     def _long_seq(self, vocab, n=120):

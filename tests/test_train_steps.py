@@ -235,14 +235,32 @@ SITES = {
 }
 
 
+def _sites(match, modules="*"):
+    """`module.top-level name` once per AST node of `src/bertfit/`
+    `modules`.py that `match`es."""
+    found = []
+    for path in sorted(Path(bertfit.__file__).parent.glob(f"{modules}.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for node in ast.walk(top) if match(node)]
+    return found
+
+
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_only_the_one_loop_steps(site):
     """A training loop calls `train_step`, ends the run on DivergedError
     and derives the dropout stream; only `training.train_steps` does, so
     a recipe cannot grow a loop of its own."""
-    found = []
-    for path in sorted(Path(bertfit.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            found += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
-                      for node in ast.walk(top) if SITES[site](node)]
-    assert found == ["training.train_steps"]
+    assert _sites(SITES[site]) == ["training.train_steps"]
+
+
+@pytest.mark.parametrize("callee, modules, sites", [
+    ("Adam", "*", ["optim.build_optimizer"]),
+    ("encode_batch", "training", ["training.batch_logits"])])
+def test_one_optimizer_builder_and_one_classifier_encoder_call(
+        callee, modules, sites):
+    """Only `build_optimizer` constructs Adam, so every recipe trains at
+    one rate rule; both classifier routes read the encoder through one
+    `encode_batch` call."""
+    assert _sites(lambda n: isinstance(n, ast.Call)
+                  and _call_name(n) == callee, modules) == sites

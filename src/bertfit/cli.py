@@ -156,7 +156,7 @@ def cmd_pretrain(args):
     res = further_pretrain(
         model, docs, vocab, pt.steps, schedule,
         Rng(exp.recipe.seed).derive(2), batch_size=pt.batch_size,
-        max_len=pt.max_len or exp.model.max_positions,
+        max_len=pt.max_len,
         policy=MaskingPolicy(mask_prob=pt.mask_prob),
         checkpoint_every=pt.checkpoint_every, checkpoint_dir=out_dir)
     if res.diverged:

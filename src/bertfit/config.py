@@ -51,6 +51,7 @@ class TrainingRecipe:
     def __post_init__(self):
         if self.long_text not in STRATEGIES:
             raise ValueError(f"long_text: unknown strategy {self.long_text!r}")
+        _at_least_1("train_steps", self.train_steps)
         _at_least_1("batch_size", self.batch_size)
         _at_least_1("epochs", self.epochs)
         # two specials and at least one token; `chunk` divides by capacity
@@ -88,7 +89,6 @@ class DataSection:
     format: str = "csv-label-text"
     name: str = ""
     n_classes: int | None = None    # None: the largest train label
-    domain: str | None = None
 
     def __post_init__(self):
         if self.format not in FORMATS:
@@ -96,7 +96,7 @@ class DataSection:
 
     def load(self):
         """(train, test) Datasets; test is None without a test file."""
-        kw = dict(fmt=self.format, name=self.name, domain=self.domain)
+        kw = dict(fmt=self.format, name=self.name)
         train = load_dataset(self.train, n_classes=self.n_classes, **kw)
         test = load_dataset(self.test, n_classes=train.n_classes,
                             split="test", **kw) if self.test else None
@@ -233,9 +233,11 @@ class ExperimentConfig:
         _require(0.0 < self.few_shot_proportion <= 1.0, "few_shot_proportion",
                  self.few_shot_proportion, "in (0, 1]")
         self.check_max_len("pretrain")
-        # here, not in TrainingRecipe: a library recipe may take 0 steps
-        # (per_task_refine then leaves the checkpoint as it is)
-        _at_least_1("recipe.train_steps", self.recipe.train_steps)
+        if self.pretrain and self.pretrain.max_len is None:
+            _require(self.model.max_positions >= 5, "model.max_positions",
+                     self.model.max_positions,
+                     "at least 5 when pretrain.max_len is unset")
+            self.pretrain.max_len = self.model.max_positions
         try:
             self.recipe.layer_selection.layer_indices(self.model.n_layers)
         except ValueError as e:

@@ -14,13 +14,6 @@ from dataclasses import dataclass
 
 from .rng import Rng
 
-# Table-style domain partition used for pre-training scopes
-DATASET_DOMAINS = {
-    "imdb": "sentiment", "yelp_p": "sentiment", "yelp_f": "sentiment",
-    "trec": "question", "yah_a": "question",
-    "ag": "topic", "dbpedia": "topic", "sogou": "topic",
-}
-
 
 @dataclass
 class Example:
@@ -34,7 +27,6 @@ class Dataset:
     examples: list[Example]
     n_classes: int
     split: str = "train"
-    domain: str | None = None
 
     def __len__(self):
         return len(self.examples)
@@ -70,8 +62,8 @@ def open_input(path, what, *args, **kw):
 
 
 def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
-                 n_classes: int | None = None, split: str = "train",
-                 domain: str | None = None) -> Dataset:
+                 n_classes: int | None = None,
+                 split: str = "train") -> Dataset:
     """Load a labeled CSV; labels shift from 1-based to 0-based."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -108,8 +100,7 @@ def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
             f"{path}: label {max_label + 1} outside declared {n_classes} "
             "classes")
     return Dataset(name=name or str(path), examples=examples,
-                   n_classes=n_classes, split=split,
-                   domain=domain or DATASET_DOMAINS.get(name))
+                   n_classes=n_classes, split=split)
 
 
 def _stratified_indices(examples, rng: Rng):
@@ -140,7 +131,7 @@ def split_validation(dataset: Dataset, fraction: float, seed: int):
         (val if i in val_idx else train).append(ex)
     mk = lambda exs, split: Dataset(
         name=dataset.name, examples=exs, n_classes=dataset.n_classes,
-        split=split, domain=dataset.domain)
+        split=split)
     return mk(train, "train"), mk(val, "validation")
 
 
@@ -165,5 +156,4 @@ def subsample(dataset: Dataset, proportion: float, seed: int) -> Dataset:
     keep.sort()
     return Dataset(name=dataset.name,
                    examples=[dataset.examples[i] for i in keep],
-                   n_classes=dataset.n_classes, split=dataset.split,
-                   domain=dataset.domain)
+                   n_classes=dataset.n_classes, split=dataset.split)

@@ -100,10 +100,7 @@ def per_task_refine(mt: MultiTaskModel, task: str, train_inputs,
                     val_inputs, recipe: TrainingRecipe):
     """Single-task fine-tuning from the multi-task checkpoint at half the
     multi-task base rate; only the shared encoder and the named task's
-    head are touched. Zero refine steps return the checkpoint unchanged.
-    """
-    if recipe.train_steps == 0:
-        return None
+    head are touched."""
     refine_recipe = replace(recipe, base_lr=recipe.base_lr / 2)
     return finetune(mt.encoder, mt.heads[task], train_inputs, val_inputs,
                     refine_recipe, combiner=mt.combiner)

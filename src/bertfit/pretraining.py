@@ -1,47 +1,27 @@
 """Further pre-training: corpus assembly, MLM/NSP example construction,
 and joint MLM+NSP training through `training.train_steps`.
 
-Corpus scopes mirror the three pre-training regimes: within-task (one
-dataset's training documents), in-domain (all datasets sharing a domain
-label), cross-domain (any mix). Overlapping dataset pairs are deduplicated
-by exact normalized-text hash.
+A corpus is the training documents of the datasets passed in, so the
+three pre-training regimes are three lists: within-task (one dataset),
+in-domain (the datasets of one domain) and cross-domain (any mix).
+Overlapping dataset pairs are deduplicated by exact normalized-text hash.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, open_input
+from .data import Dataset, InputError, open_input
 from .model import (EncoderModel, encode_batch, mlm_logits, nsp_logits,
                     stack_inputs)
 from .optim import StlrSchedule, build_optimizer
 from .rng import Rng
 from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
 from .training import train_steps
-
-
-@dataclass
-class PretrainScope:
-    kind: str                       # within-task | in-domain | cross-domain
-    dataset_ids: list
-    domains: dict = field(default_factory=dict)  # dataset id -> domain label
-
-    def __post_init__(self):
-        if self.kind not in ("within-task", "in-domain", "cross-domain"):
-            raise ValueError(f"unknown scope kind {self.kind!r}")
-        if not self.dataset_ids:
-            raise ValueError("empty pre-training scope")
-        if self.kind == "within-task" and len(self.dataset_ids) != 1:
-            raise ValueError("within-task scope takes exactly one dataset")
-        if self.kind == "in-domain":
-            labels = {self.domains.get(d) for d in self.dataset_ids}
-            if len(labels) != 1 or None in labels:
-                raise ValueError(
-                    f"in-domain scope mixes domain labels: {sorted(map(str, labels))}")
 
 
 # BERT's split of the corrupted positions; the rest (0.1) stay unchanged
@@ -70,30 +50,30 @@ def _doc_hash(text: str) -> str:
     return hashlib.sha256(_normalize(text).encode("utf-8")).hexdigest()
 
 
-def assemble_corpus(scope: PretrainScope, datasets: dict[str, Dataset],
-                    dedup_pairs=(), exclude_texts=()) -> list[list[str]]:
-    """Concatenate training documents of the scope, sentence-segmented.
+def assemble_corpus(datasets: list[Dataset], dedup_pairs=(),
+                    exclude_texts=()) -> list[list[str]]:
+    """Concatenate the training documents of `datasets`, sentence-segmented.
 
-    Returns a list of documents, each a list of sentences, in dataset-id
-    then document order (deterministic). For dataset pairs listed in
+    Returns a list of documents, each a list of sentences, in list then
+    document order (deterministic). For pairs of dataset names listed in
     `dedup_pairs`, exact duplicates (normalized whitespace, case-folded)
     are kept once; documents matching any `exclude_texts` entry (e.g. a
-    held-out test set) are dropped.
+    held-out test set) are dropped. The dataset named "sogou" is
+    segmented as Chinese, every other as English.
     """
-    dedup_ids = set()
+    dedup_names = set()
     for a, b in dedup_pairs:
-        dedup_ids.update((a, b))
+        dedup_names.update((a, b))
     excluded = {_doc_hash(t) for t in exclude_texts}
     seen = set()
     docs = []
-    for ds_id in scope.dataset_ids:
-        ds = datasets[ds_id]
-        language = "chinese" if ds_id == "sogou" else "english"
+    for ds in datasets:
+        language = "chinese" if ds.name == "sogou" else "english"
         for ex in ds.examples:
             h = _doc_hash(ex.text)
             if h in excluded:
                 continue
-            if ds_id in dedup_ids:
+            if ds.name in dedup_names:
                 if h in seen:
                     continue
                 seen.add(h)
@@ -114,17 +94,21 @@ def write_corpus(docs, path):
 
 
 def read_corpus(path):
+    """`write_corpus`'s documents; InputError names `path` if it holds
+    none."""
     docs, cur = [], []
     with open_input(path, "corpus", encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
-            if line:
+            if line.strip():
                 cur.append(line)
             elif cur:
                 docs.append(cur)
                 cur = []
     if cur:
         docs.append(cur)
+    if not docs:
+        raise InputError(f"{path}: no document in corpus")
     return docs
 
 

@@ -1109,6 +1109,32 @@ class TestCli:
                             tmp_path, about=raw["data"]["train"]) == \
             "class 0 has 1 example(s); cannot split"
 
+    @pytest.mark.parametrize("text", ["", "\n\n\n", " \n\t\n"],
+                             ids=["empty", "blank", "whitespace"])
+    def test_empty_corpus_rejected(self, chain, tmp_path, text):
+        # before --out-dir is made, not as a traceback from further_pretrain
+        raw, _ = chain
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text, encoding="utf-8")
+        bad = edit(raw, ("pretrain", "corpus"),
+                   lambda node, k: node.update({k: str(corpus)}))
+        assert run_rejected("pretrain", bad, tmp_path, about=corpus) == \
+            "no document in corpus"
+
+    @pytest.mark.parametrize("unset", ["absent", "null"])
+    def test_pretrain_max_len_default_below_a_pair_rejected(
+            self, chain, tmp_path, unset):
+        # unset, pretrain.max_len is model.max_positions: the config names
+        # that key, before --out-dir is made or a step is built
+        raw, _ = chain
+        bad = edit(raw, ("pretrain", "max_len"), lambda node, k: (
+            node.pop(k) if unset == "absent" else node.update({k: None})))
+        bad = edit(bad, ("model", "max_positions"),
+                   lambda node, k: node.update({k: 4}))
+        assert run_rejected("pretrain", bad, tmp_path) == (
+            "model.max_positions must be at least 5 when pretrain.max_len "
+            "is unset, got 4")
+
 
 def command_argv(command, cfg, out, checkpoint=None):
     """argv running `command` on `cfg`, with every output under `out`;
@@ -1233,6 +1259,17 @@ class TestConfigErrors:
         bad = {**raw, "model": {**raw["model"], "n_segments": 2}}
         assert run_rejected("pretrain", bad, root) == \
             "unknown key model.n_segments"
+
+    @pytest.mark.parametrize("command,path", [
+        ("finetune", ("data",)), ("multitask", ("multitask", "tasks", 1))])
+    def test_domain_is_not_a_key(self, valid, command, path):
+        # a pre-training corpus is the datasets it is built from; nothing
+        # reads a dataset's domain
+        raw, root = valid
+        bad = edit(raw, path,
+                   lambda node, k: node[k].update({"domain": "topic"}))
+        assert run_rejected(command, bad, root) == \
+            f"unknown key {dotted(path + ('domain',))}"
 
     def test_max_len_over_max_positions(self, valid):
         raw, root = valid

@@ -211,14 +211,11 @@ class TestPerTaskRefine:
         assert before == {k: v.data.tobytes()
                           for k, v in mt.encoder.params.items()}
 
-    def test_zero_steps_noop(self, tiny_config, vocab):
-        recipe = tiny_recipe(train_steps=0)
-        mt, inputs = three_task_setup(tiny_config, vocab, tiny_recipe())
-        before = {k: v.data.copy() for k, v in mt.encoder.params.items()}
-        assert per_task_refine(mt, "a", inputs["a"], inputs["a"],
-                               recipe) is None
-        for k, v in mt.encoder.params.items():
-            np.testing.assert_array_equal(v.data, before[k])
+    def test_zero_steps_rejected_by_the_recipe(self):
+        # no recipe takes 0 steps, so a refinement always trains
+        with pytest.raises(ValueError,
+                           match="train_steps must be at least 1, got 0"):
+            tiny_recipe(train_steps=0)
 
     def test_touches_only_named_head(self, tiny_config, vocab):
         recipe = tiny_recipe(train_steps=6)

@@ -4,7 +4,7 @@ import pytest
 from bertfit.data import Dataset, Example
 from bertfit.model import EncoderConfig, init_model
 from bertfit.optim import StlrSchedule
-from bertfit.pretraining import (MaskingPolicy, PretrainScope, apply_masking,
+from bertfit.pretraining import (MaskingPolicy, apply_masking,
                                  assemble_corpus, build_nsp_pair,
                                  further_pretrain, held_out_mlm_loss,
                                  make_pretrain_example, read_corpus,
@@ -13,10 +13,10 @@ from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, encode
 
 
-def make_dataset(name, texts, domain):
+def make_dataset(name, texts):
     return Dataset(name=name,
                    examples=[Example(label=0, text=t) for t in texts],
-                   n_classes=2, domain=domain)
+                   n_classes=2)
 
 
 @pytest.fixture
@@ -24,48 +24,19 @@ def vocab():
     return Vocabulary(RESERVED + [c for c in "abcdefghij"])
 
 
-class TestScope:
-    def test_within_task_single_dataset(self):
-        PretrainScope("within-task", ["imdb"])
-        with pytest.raises(ValueError):
-            PretrainScope("within-task", ["imdb", "ag"])
-
-    def test_in_domain_rejects_mixed_labels(self):
-        with pytest.raises(ValueError, match="mixes"):
-            PretrainScope("in-domain", ["imdb", "ag"],
-                          domains={"imdb": "sentiment", "ag": "topic"})
-
-    def test_empty_scope_rejected(self):
-        with pytest.raises(ValueError):
-            PretrainScope("cross-domain", [])
-
-
 class TestAssembleCorpus:
     def test_within_task_only_own_documents(self):
-        datasets = {
-            "imdb": make_dataset("imdb", ["A good film. Truly great."],
-                                 "sentiment"),
-            "ag": make_dataset("ag", ["Stocks fell. Markets closed."],
-                               "topic"),
-        }
-        docs = assemble_corpus(PretrainScope("within-task", ["imdb"]),
-                               datasets)
+        imdb = make_dataset("imdb", ["A good film. Truly great."])
+        docs = assemble_corpus([imdb])
         assert len(docs) == 1
         assert docs[0][0].startswith("A good film")
 
     def test_overlap_removed_once_and_test_excluded(self):
         shared = "This exact review appears twice. It is shared."
         held_out = "Held out test document. Do not train on it."
-        datasets = {
-            "yelp_p": make_dataset("yelp_p", [shared, held_out], "sentiment"),
-            "yelp_f": make_dataset("yelp_f", [shared, "Unique doc. Yes."],
-                                   "sentiment"),
-        }
-        scope = PretrainScope("in-domain", ["yelp_p", "yelp_f"],
-                              domains={"yelp_p": "sentiment",
-                                       "yelp_f": "sentiment"})
-        docs = assemble_corpus(scope, datasets,
-                               dedup_pairs=[("yelp_p", "yelp_f")],
+        datasets = [make_dataset("yelp_p", [shared, held_out]),
+                    make_dataset("yelp_f", [shared, "Unique doc. Yes."])]
+        docs = assemble_corpus(datasets, dedup_pairs=[("yelp_p", "yelp_f")],
                                exclude_texts=[held_out])
         joined = [" ".join(d) for d in docs]
         assert sum("appears twice" in d for d in joined) == 1
@@ -75,24 +46,42 @@ class TestAssembleCorpus:
     def test_multiset_arithmetic(self):
         texts_a = [f"Document number {i}. More text." for i in range(5)]
         texts_b = texts_a[:2] + ["Fresh one. Done."]
-        datasets = {
-            "a": make_dataset("a", texts_a, "topic"),
-            "b": make_dataset("b", texts_b, "topic"),
-        }
         docs = assemble_corpus(
-            PretrainScope("cross-domain", ["a", "b"]), datasets,
+            [make_dataset("a", texts_a), make_dataset("b", texts_b)],
             dedup_pairs=[("a", "b")])
         assert len(docs) == 5 + 3 - 2
 
+    def test_documents_in_list_order(self):
+        a = make_dataset("a", ["First of a. Yes.", "Second of a. Yes."])
+        b = make_dataset("b", ["Only b. Yes."])
+        firsts = lambda docs: [d[0] for d in docs]
+        assert firsts(assemble_corpus([b, a])) == \
+            ["Only b.", "First of a.", "Second of a."]
+        assert firsts(assemble_corpus([a, b])) == \
+            ["First of a.", "Second of a.", "Only b."]
+
+    def test_dedup_pairs_match_dataset_names(self):
+        shared = "Seen in both. Twice."
+        a, b, c = (make_dataset(n, [shared]) for n in "abc")
+        # a pair dedups only the datasets it names, by `Dataset.name`
+        assert len(assemble_corpus([a, b, c], dedup_pairs=[("a", "b")])) == 2
+        assert len(assemble_corpus([a, b, c], dedup_pairs=[("x", "y")])) == 3
+        assert len(assemble_corpus([a, b, c])) == 3
+
     def test_idempotent_byte_identical(self, tmp_path):
-        datasets = {"a": make_dataset(
-            "a", ["One sentence. Two sentences."], "topic")}
-        scope = PretrainScope("within-task", ["a"])
+        datasets = [make_dataset("a", ["One sentence. Two sentences."])]
         p1, p2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
-        write_corpus(assemble_corpus(scope, datasets), p1)
-        write_corpus(assemble_corpus(scope, datasets), p2)
+        write_corpus(assemble_corpus(datasets), p1)
+        write_corpus(assemble_corpus(datasets), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert read_corpus(p1) == [["One sentence.", "Two sentences."]]
+
+
+class TestReadCorpus:
+    def test_whitespace_line_ends_a_document(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("One.\nTwo.\n \t\nThree.\n", encoding="utf-8")
+        assert read_corpus(p) == [["One.", "Two."], ["Three."]]
 
 
 class TestNspPairs:

@@ -31,9 +31,9 @@ no output. So an activation no rule reads (a linear output that only
 dropout reads, a dropout output, the MLM logits) is freed as soon as the
 forward pass drops it, and `backward` frees each record's rule, with
 what it holds, once the rule has run. Dropout's rule holds a boolean
-mask. The
-transformer block runs on three fused ops with hand-written backward
-rules, which hold less than the chain of single ops they replace:
+mask. The transformer block runs on four fused ops with hand-written
+backward rules, which hold less than the chain of single ops they
+replace:
 
 - ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
   one 2-d GEMM forward and one per weight and input gradient, the bias
@@ -45,13 +45,19 @@ rules, which hold less than the chain of single ops they replace:
   self-attention, and the single-query pooling of a document's fractions
   (`longtext.combine`);
 - ``add_layer_norm(x, h, ...)`` is the residual add and its layer norm,
-  without keeping the sum.
+  without keeping the sum;
+- ``ffn(x, w1, b1, w2, b2)`` is linear, gelu, linear, and keeps only x
+  and the (rows, F) pre-activation u: its backward rebuilds gelu's tanh
+  term t and gelu(u) from u, one tanh pass for two fewer F-wide arrays
+  kept per block. Its elementwise passes run over row chunks that stay
+  in cache, which pays for that pass.
 
 Each computes the same expressions, on operands of the same layout and in
 the same order, as the chain of single ops it replaces, so it gives the
 same bits. ``softmax``, ``dropout`` and ``attention_core`` share one
 softmax forward (`_softmax`), one softmax backward (`_softmax_grad`) and
-one dropout-mask builder (`_dropout_mask`).
+one dropout-mask builder (`_dropout_mask`); ``gelu`` and ``ffn`` share
+gelu's kernels (`_gelu_tanh`, `_gelu_value`, `_gelu_slope`).
 
 Freed memory stays in the process: on glibc, importing this module sets
 the mmap threshold to 32 MB (the largest glibc takes on 64-bit; a set
@@ -78,6 +84,10 @@ LN_EPS = 1e-5                   # layer norm's variance floor
 # sqrt(2/pi), for the tanh gelu approximation
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
+
+# bytes per row chunk of `ffn`'s elementwise passes, so that a chunk and
+# its temporaries stay in a core's L2 cache
+_FFN_CHUNK = 128 << 10
 
 if platform.libc_ver()[0] == "glibc":     # see the module docstring
     _libc = ctypes.CDLL(None)
@@ -525,39 +535,119 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
+def _gelu_tanh(x, out=None):
+    """gelu's t = tanh(C (x + A x^3)) of array `x`, built in place, in that
+    operation order, in `out` or a new array."""
+    t = np.multiply(x, x, out=out)
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
+def _gelu_value(x, t, out=None):
+    """gelu(x) = 0.5 x (1 + t) from its tanh term `t`, in `out` or a new
+    array."""
+    out = np.multiply(x, 0.5, out=out)
+    out *= t + 1.0
+    return out
+
+
+def _gelu_slope(x, t, out=None):
+    """gelu's derivative 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2) at
+    `x` from its tanh term `t`, built in place in that operation order,
+    in `out` (which may be `t`) or a new array."""
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    dt *= du
+    np.multiply(x, 0.5, out=du)
+    du *= dt                        # 0.5 x dt
+    out = np.add(t, 1.0, out=dt if out is None else out)
+    out *= 0.5
+    out += du
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximate gelu.
 
-    0.5 x (1 + t), t = tanh(C (x + A x^3)); the backward pass is
-    g (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2)). Both are built in
-    place in that operation order, so only `t` is kept for the backward.
+    0.5 x (1 + t), t = tanh(C (x + A x^3)); the backward pass is g times
+    gelu's slope (`_gelu_slope`). Only `t` is kept for the backward.
     """
     xd = x.data
-    t = xd * xd
-    t *= xd
-    t *= _GELU_A
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out_data = xd * 0.5
-    out_data *= t + 1.0
+    t = _gelu_tanh(xd)
+    out_data = _gelu_value(xd, t)
     sx = x.node or x
 
     def bwd(g):
-        du = xd * xd
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        dt = t * t
-        np.subtract(1.0, dt, out=dt)
-        dt *= du
-        np.multiply(xd, 0.5, out=du)
-        du *= dt                    # 0.5 x dt
-        np.add(t, 1.0, out=dt)
-        dt *= 0.5
-        dt += du
-        dt *= g
-        _accum(sx, dt)
+        gx = _gelu_slope(xd, t)
+        gx *= g
+        _accum(sx, gx)
+
+    return _make(out_data, bwd)
+
+
+def _row_chunks(a):
+    """Slices of the rows of 2-d `a`, each about `_FFN_CHUNK` bytes."""
+    step = max(1, _FFN_CHUNK // (a.shape[-1] * a.itemsize))
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 for an (..., K) activation, (K, F) and
+    (F, N) weights and (F,) and (N,) biases: linear, gelu, linear as one
+    op, with the leading axes folded into rows as `linear` folds them.
+
+    The rule keeps x and the (rows, F) pre-activation u alone; backward
+    rebuilds gelu's t, gelu(u) and gelu's slope from u. Each GEMM runs on
+    every row at once, as in the chain, and gelu's elementwise passes run
+    chunk by chunk over u's rows (`_row_chunks`), so that a chunk's
+    temporaries stay in cache; they are gelu's expressions in gelu's
+    order, so every bit is the chain's. Besides u, forward and backward
+    each hold at most two F-wide arrays and one chunk's temporaries.
+    """
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    K, F = w1d.shape
+    N = w2d.shape[-1]
+    if xd.shape[-1] != K or b1.data.shape != (F,) \
+            or w2d.shape != (F, N) or b2.data.shape != (N,):
+        raise ShapeMismatchError(
+            f"ffn shapes disagree: {x.shape} x {w1.shape} + {b1.shape}, "
+            f"then x {w2.shape} + {b2.shape}")
+    lead = xd.shape[:-1]
+    u = np.matmul(xd.reshape(-1, K), w1d)
+    u += b1.data
+    h = np.empty_like(u)                # gelu(u)
+    for c in _row_chunks(u):
+        _gelu_value(u[c], _gelu_tanh(u[c]), out=h[c])
+    out_data = np.matmul(h, w2d)
+    out_data += b2.data
+    out_data = out_data.reshape(lead + (N,))
+    sx, sw1, sb1 = x.node or x, w1.node or w1, b1.node or b1
+    sw2, sb2 = w2.node or w2, b2.node or b2
+
+    def bwd(g):
+        _accum(sb2, _unbroadcast(g, sb2.shape))
+        g2 = g.reshape(-1, N)
+        h = np.empty_like(u)            # gelu(u)
+        d = np.empty_like(u)            # gelu's slope at u
+        for c in _row_chunks(u):
+            t = _gelu_tanh(u[c], out=d[c])
+            _gelu_value(u[c], t, out=h[c])
+            _gelu_slope(u[c], t, out=t)
+        _accum(sw2, np.matmul(h.T, g2))
+        gu = np.matmul(g2, w2d.T, out=h)
+        gu *= d                         # the gradient of u
+        del d
+        _accum(sb1, _unbroadcast(gu.reshape(lead + (F,)), sb1.shape))
+        _accum(sx, np.matmul(gu, w1d.T).reshape(sx.shape))
+        _accum(sw1, np.matmul(xd.reshape(-1, K).T, gu))
 
     return _make(out_data, bwd)
 

@@ -65,7 +65,7 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None):
 def load_checkpoint(path):
     """Return (meta dict, dict name -> numpy array). CheckpointError names
     `path`, and the tensor where one applies, for a missing file, an
-    unreadable header or a short payload."""
+    unreadable header, a short payload or bytes after the last tensor."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -94,6 +94,10 @@ def load_checkpoint(path):
                     f"{have} of {want} bytes")
             out[name] = np.frombuffer(fh.read(want), dtype=dt) \
                 .reshape(shape).copy()
+        extra = size - fh.tell()
+        if extra:
+            raise CheckpointError(f"{path}: {extra} bytes after the last "
+                                  f"checkpoint tensor")
     return meta, out
 
 

@@ -34,7 +34,9 @@ def _usage_error(command, message):
 def _check_outputs(args):
     """Raise InputError naming the first output the command could not
     write, before it reads anything: a file path that is a directory or
-    whose directory does not exist, or an `--out-dir` that is a file."""
+    whose directory does not exist, one file named by two output flags,
+    or an `--out-dir` that is a file."""
+    flags = {}                      # real path -> the flag that named it
     for dest in args.outputs:
         path = getattr(args, dest)
         folder = os.path.dirname(path or "")
@@ -42,6 +44,11 @@ def _check_outputs(args):
             raise InputError(f"{path}: no directory {folder}")
         if path and os.path.isdir(path):
             raise InputError(f"{path}: is a directory")
+        if path:
+            flag = "--" + dest.replace("_", "-")
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise InputError(f"{path}: named by both {other} and {flag}")
     out_dir = getattr(args, "out_dir", None)
     if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise InputError(f"{out_dir}: not a directory")
@@ -234,7 +241,7 @@ def cmd_grid(args):
         raise ConfigError("missing key data.test, which --lr-sweep scores")
     train, val, test = _train_val_test(exp, exp.data)
     g = exp.grid or GridSection()
-    out_tsv = args.out or "grid_report.tsv"
+    out_tsv = args.out
     cells = run_grid(exp.model, exp.recipe, vocab, train, val, test,
                      lrs=g.lrs, xis=g.decay_factors, out_tsv=out_tsv,
                      init_checkpoint=exp.init_checkpoint)
@@ -289,7 +296,7 @@ def build_parser():
 
     g = sub.add_parser("grid", help="lr x decay-factor grid / lr sweep")
     g.add_argument("--config", required=True)
-    g.add_argument("--out", default=None)
+    g.add_argument("--out", default="grid_report.tsv")
     g.add_argument("--lr-sweep", default=None,
                    help="also run the lr sweep, writing curves here")
     g.set_defaults(fn=cmd_grid, outputs=("out", "lr_sweep"))

@@ -188,12 +188,12 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     `read=(layer, positions)` computes only what a head reads there: the
     blocks above `layer` do not run, so the result has layer + 1 entries,
     and the last is (B, R, H) even at layer 0, row r of sequence b being
-    position positions[b, r] of a (B, R) int array. In that top block keys and
-    values still cover all S positions; the queries, attention rows,
-    output projection, norms and FFN run on the R rows. Its dropout masks
-    (`rng.RowDraws`) hold what full-size masks hold at those rows and
-    leave the stream where those would, so the dropout stream is the full
-    encoder's.
+    position positions[b, r] of a (B, R) int array. In that top block keys
+    and values still cover all S positions; the queries, attention rows,
+    output projection, norms and FFN (one `ad.ffn` op) run on the R rows.
+    Its dropout masks (`rng.RowDraws`) hold what full-size masks hold at
+    those rows and leave the stream where those would, so the dropout
+    stream is the full encoder's.
     """
     cfg = model.config
     p = model.params
@@ -237,9 +237,8 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
         x = ad.add_layer_norm(xq, ad.dropout(attn_out, p_drop, r),
                               p[b + "attn_ln_g"], p[b + "attn_ln_b"])
-        h = ad.gelu(ad.linear(x, p[b + "ffn_w1"], p[b + "ffn_b1"]))
-        h = ad.dropout(ad.linear(h, p[b + "ffn_w2"], p[b + "ffn_b2"]),
-                       p_drop, r)
+        h = ad.dropout(ad.ffn(x, p[b + "ffn_w1"], p[b + "ffn_b1"],
+                              p[b + "ffn_w2"], p[b + "ffn_b2"]), p_drop, r)
         x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
     if read is not None and top == 0:

@@ -406,6 +406,10 @@ def unfused_add_layer_norm(x, h, gamma, beta):
     return ad.layer_norm(ad.add(x, h), gamma, beta)
 
 
+def unfused_ffn(x, w1, b1, w2, b2):
+    return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+
+
 _MASK = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]])
 _MASK_BIAS = (1.0 - _MASK[:, None, None, :]) * -1e9      # float64
 
@@ -440,6 +444,12 @@ _FUSED_CASES = {
         [(2, 6, 12)] * 3),
     "add_layer_norm": (ad.add_layer_norm, unfused_add_layer_norm,
                        [(2, 3, 8), (2, 3, 8), (8,), (8,)]),
+    "ffn-2d": (ad.ffn, unfused_ffn, [(4, 5), (5, 8), (8,), (8, 3), (3,)]),
+    "ffn-3d": (ad.ffn, unfused_ffn,
+               [(2, 3, 5), (5, 8), (8,), (8, 3), (3,)]),
+    # F so wide that the 80 rows run in several row chunks, the last short
+    "ffn-row-chunks": (ad.ffn, unfused_ffn,
+                       [(2, 40, 4), (4, 1100), (1100,), (1100, 3), (3,)]),
 }
 
 
@@ -456,8 +466,8 @@ def _run(op, shapes, dtype):
 
 @pytest.mark.parametrize("name", sorted(_FUSED_CASES))
 class TestFusedOps:
-    """linear, attention_core and add_layer_norm give the bits of the chains
-    of single ops they replace."""
+    """linear, attention_core, add_layer_norm and ffn give the bits of the
+    chains of single ops they replace."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_as_unfused(self, name, dtype):
@@ -482,6 +492,32 @@ class TestFusedOps:
             return loss, tape
 
         assert ad.grad_check(f, xs, h=1e-5) < 1e-6
+
+
+class TestFfn:
+    def test_rule_keeps_x_and_u_alone(self):
+        # neither gelu's t nor gelu(u): backward rebuilds both from u
+        x, w1, b1, w2, b2 = (Tensor(_rand(s, i)) for i, s in enumerate(
+            [(2, 3, 5), (5, 16), (16,), (16, 4), (4,)]))
+        with Tape() as tape:
+            ad.ffn(x, w1, b1, w2, b2)
+        params = {id(t.data) for t in (w1, b1, w2, b2)}
+        held = [o for o in _held(tape.records[0].backward_fn)
+                if isinstance(o, np.ndarray) and id(o) not in params]
+        wide = [o for o in held if o.shape[-1] == 16]
+        assert len(wide) == 1 and len(held) == 2
+        assert any(o is x.data for o in held)
+        u = np.matmul(x.data.reshape(-1, 5), w1.data)
+        u += b1.data
+        assert _bits(wide[0]) == _bits(u)
+
+    def test_shape_mismatch_names_every_shape(self):
+        x, w1, b1, w2, b2 = (Tensor(np.zeros(s)) for s in
+                             [(2, 5), (5, 8), (8,), (7, 3), (3,)])
+        with pytest.raises(ShapeMismatchError,
+                           match=r"\(2, 5\) x \(5, 8\) \+ \(8,\), "
+                                 r"then x \(7, 3\) \+ \(3,\)"):
+            ad.ffn(x, w1, b1, w2, b2)
 
 
 class TestAttentionCore:
@@ -797,7 +833,7 @@ def _every_op(x, w, b, gamma, beta):
     a = ad.attention_core(h, u, h, 2, np.zeros((2, 1, 1, 4)), 0.25, rng)
     n = ad.add_layer_norm(a, h, gamma, beta)
     n = ad.layer_norm(ad.dropout(n, 0.2, rng), gamma, beta)
-    m = ad.mul(ad.square(n), u)
+    m = ad.mul(ad.square(n), ad.ffn(u, w, b, w, beta))
     t = ad.transpose(ad.reshape(m, (8, 6)), (1, 0))         # (6, 8) view
     rows = ad.softmax(ad.embedding(h, np.array([0, 5, 7, 2, 3, 1, 0, 6])))
     s = ad.matmul(t, ad.mul(rows, ad.reshape(u, (8, 6))))
@@ -832,7 +868,7 @@ class TestSinks:
                 return _op(*args, **kw)
             monkeypatch.setattr(ad, name, spy)
         _every_op(*_every_op_leaves())
-        assert ran == set(_OPS) and len(_OPS) == 19
+        assert ran == set(_OPS) and len(_OPS) == 20
 
     def test_every_op_float64_grad_check(self):
         xs = _every_op_leaves()
@@ -849,7 +885,7 @@ class TestSinks:
         # sinks), never an op's output Tensor
         with Tape() as tape:
             _every_op(*_every_op_leaves())
-        assert len(tape.records) >= 19
+        assert len(tape.records) >= 20
         for rec in tape.records:
             assert all(o.node is None for o in _held(rec.backward_fn)
                        if isinstance(o, Tensor))

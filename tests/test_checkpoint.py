@@ -129,6 +129,13 @@ class TestUnreadable:
                 f"{have} of {want} bytes$")):
             load_checkpoint(path)
 
+    def test_trailing_bytes_counted(self, saved):
+        path, raw = saved
+        path.write_bytes(raw + b"\x00" * 21)
+        with pytest.raises(CheckpointError, match=(
+                f"^{path}: 21 bytes after the last checkpoint tensor$")):
+            load_checkpoint(path)
+
 
 class TestAtomicSave:
     def test_overwrite_leaves_only_the_file(self, tmp_path):

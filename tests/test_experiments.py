@@ -394,6 +394,33 @@ class TestCli:
         assert not list(folder.iterdir())
         assert err == f"{command}: {folder}: is a directory\n"
 
+    @pytest.mark.parametrize("command,first,second", [
+        ("finetune", "--metrics-out", "--checkpoint-out"),
+        ("grid", "--out", "--lr-sweep")])
+    def test_one_file_named_by_two_outputs_rejected(
+            self, tmp_path, capsys, monkeypatch, command, first, second):
+        # a relative and an absolute path to one file: the later write
+        # would replace the earlier one
+        monkeypatch.chdir(tmp_path)
+        same = tmp_path / "same"
+        argv = command_argv(command, tmp_path / "absent", tmp_path)
+        argv[argv.index(first) + 1] = "same"
+        argv[argv.index(second) + 1] = str(same)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and not list(tmp_path.iterdir())
+        assert err == f"{command}: {same}: named by both {first} and {second}\n"
+
+    def test_lr_sweep_onto_the_default_grid_report_rejected(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["grid", "--config", str(tmp_path / "absent"),
+                     "--lr-sweep", "grid_report.tsv"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and not list(tmp_path.iterdir())
+        assert err == ("grid: grid_report.tsv: named by both --out and "
+                       "--lr-sweep\n")
+
     def test_pretrain_out_dir_that_is_a_file_rejected(self, tmp_path, capsys):
         target = tmp_path / "file"
         target.write_text("kept\n")

@@ -14,7 +14,7 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
 from bertfit.optim import Adam, group_parameters, train_step
 from bertfit.rng import Rng
 from conftest import attention_probs
-from test_autodiff import (unfused_add_layer_norm, unfused_attention,
+from test_autodiff import (_held, unfused_add_layer_norm, unfused_attention,
                            unfused_linear)
 
 
@@ -390,7 +390,7 @@ class TestFusedBlock:
                             dtype=dtype)
         return init_model(cfg, Rng(0))
 
-    def test_at_most_12_ops_per_block_and_none_attention_sized(
+    def test_at_most_10_ops_per_block_and_none_attention_sized(
             self, toy_batch):
         ids, segs, mask, _ = toy_batch
         n_records = []
@@ -402,7 +402,7 @@ class TestFusedBlock:
             B, S = ids.shape
             attn_shape = (B, model.config.n_heads, S, S)
             assert all(r.shape != attn_shape for r in tape.records)
-        assert n_records[1] - n_records[0] <= 12
+        assert n_records[1] - n_records[0] <= 10
 
     @pytest.mark.parametrize("dtype", ["f4", "f8"])
     def test_bitwise_as_unfused(self, toy_batch, dtype):
@@ -475,6 +475,46 @@ class TestBackwardMemory:
         # above.
         _, _, _, forward, peak = self._step()
         assert peak - forward < 0.4 * forward
+
+
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestMemoryLedger:
+    """The distinct base arrays that the tape's rules hold after a forward
+    pass with dropout, parameters aside: the FFN's share is one (rows, F)
+    array per block, rows being the rows that block runs."""
+
+    F = 40                          # no other held array is this wide
+
+    def _ledger(self, read=None):
+        cfg = EncoderConfig(n_layers=2, hidden=12, n_heads=2, ffn=self.F,
+                            vocab_size=30, max_positions=16, dropout=0.1)
+        model = init_model(cfg, Rng(0))
+        ids = np.random.default_rng(0).integers(4, 30, size=(3, 7))
+        with Tape() as tape:
+            encode_batch(model, ids, np.zeros_like(ids), np.ones_like(ids),
+                         read=read, rng=Rng(1))
+        params = {id(_base(p.data)) for p in model.parameters()}
+        held = {id(b): b for rec in tape.records
+                for o in _held(rec.backward_fn) if isinstance(o, np.ndarray)
+                for b in [_base(o)] if id(b) not in params}
+        return list(held.values())
+
+    @pytest.mark.parametrize("read_rows", [None, 2])
+    def test_ffn_keeps_one_f_wide_array_per_block(self, read_rows):
+        read, rows = None, [21, 21]
+        if read_rows is not None:    # the top block runs 3 x 2 rows
+            read, rows = (2, np.zeros((3, read_rows), int)), [21, 6]
+        held = self._ledger(read)
+        wide = [a for a in held if a.shape[-1] == self.F]
+        assert sorted(a.shape for a in wide) == \
+            sorted((r, self.F) for r in rows)
+        assert sum(a.nbytes for a in wide) == sum(rows) * self.F * 4
+        assert sum(a.nbytes for a in held) > sum(a.nbytes for a in wide)
 
 
 class TestTapeKeepsWhatBackwardReads:

@@ -30,31 +30,37 @@ the sinks of its inputs, never an op's output Tensor, and the tape holds
 no output. So an activation no rule reads (a linear output that only
 dropout reads, a dropout output, the MLM logits) is freed as soon as the
 forward pass drops it, and `backward` frees each record's rule, with
-what it holds, once the rule has run. Dropout's rule holds a boolean
-mask. The transformer block runs on four fused ops with hand-written
-backward rules, which hold less than the chain of single ops they
-replace:
+what it holds, once the rule has run. Every kept dropout mask,
+``dropout``'s and attention's, is bit-packed along its last axis (one
+uint8 per 8 elements), and ``cross_entropy`` keeps one (N, C) array, its
+log-probabilities. The transformer block runs on four fused ops with
+hand-written backward rules, which hold less than the chain of single
+ops they replace:
 
 - ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
   one 2-d GEMM forward and one per weight and input gradient, the bias
   added in place;
 - ``attention_core(q, k, v, ...)`` covers head split, scores, scale, mask
-  bias, softmax, dropout and context, and keeps only the probabilities
-  and a boolean dropout mask of the (B, heads, R, S) attention size, for
-  R query rows over S keys. It is every attention there is: the encoder's
+  bias, softmax, dropout and context, and keeps no float array of the
+  (B, heads, R, S) attention size, for R query rows over S keys: besides
+  q, k and v it keeps softmax's row max and row sum and the packed
+  dropout mask, and its backward rebuilds the probabilities one batch
+  slice at a time. It is every attention there is: the encoder's
   self-attention, and the single-query pooling of a document's fractions
   (`longtext.combine`);
 - ``add_layer_norm(x, h, ...)`` is the residual add and its layer norm,
   without keeping the sum;
 - ``ffn(x, w1, b1, w2, b2)`` is linear, gelu, linear, and keeps only x
   and the (rows, F) pre-activation u: its backward rebuilds gelu's tanh
-  term t and gelu(u) from u, one tanh pass for two fewer F-wide arrays
-  kept per block. Its elementwise passes run over row chunks that stay
-  in cache, which pays for that pass.
+  term t, gelu(u) and gelu's slope from u, two tanh passes for two fewer
+  F-wide arrays kept per block and one held in backward. Its elementwise
+  passes run over row chunks that stay in cache, which pays for those
+  passes.
 
 Each computes the same expressions, on operands of the same layout and in
 the same order, as the chain of single ops it replaces, so it gives the
-same bits. ``softmax``, ``dropout`` and ``attention_core`` share one
+same bits; so does each rebuilt array and each pass over row chunks or
+batch slices. ``softmax``, ``dropout`` and ``attention_core`` share one
 softmax forward (`_softmax`), one softmax backward (`_softmax_grad`) and
 one dropout-mask builder (`_dropout_mask`); ``gelu`` and ``ffn`` share
 gelu's kernels (`_gelu_tanh`, `_gelu_value`, `_gelu_slope`).
@@ -85,9 +91,10 @@ LN_EPS = 1e-5                   # layer norm's variance floor
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
 
-# bytes per row chunk of `ffn`'s elementwise passes, so that a chunk and
-# its temporaries stay in a core's L2 cache
-_FFN_CHUNK = 128 << 10
+# bytes per row chunk (`_row_chunks`) of the elementwise passes of `ffn`
+# and `cross_entropy` and of `attention_core`'s backward batch slices, so
+# that a chunk and its temporaries stay in a core's L2 cache
+_CHUNK_BYTES = 128 << 10
 
 if platform.libc_ver()[0] == "glibc":     # see the module docstring
     _libc = ctypes.CDLL(None)
@@ -376,15 +383,24 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
     Per head, probs = softmax(q k^T / sqrt(H / n_heads) + mask_bias) with
     `mask_bias` (broadcast to (B, n_heads, R, S), e.g. -1e9 at padded keys)
     cast to q's dtype, then inverted dropout at rate `p` drawn from `rng`;
-    the context probs @ v is merged back to (B, R, H). Scores, scale, mask
-    and softmax are built in place in one (B, n_heads, R, S) buffer; the
-    backward rule keeps it and the boolean dropout mask, and rebuilds the
-    dropped-out probabilities from them. R is S for self-attention over
-    every position, or fewer rows when only those are read.
+    the context probs @ v is merged back to (B, R, H). R is S for
+    self-attention over every position, or fewer rows when only those are
+    read.
+
+    Scores, scale, mask and softmax are built in place in one
+    (B, n_heads, R, S) buffer, which the forward frees once the context is
+    formed. The backward rule keeps q, k, v, the cast bias, softmax's row
+    max and row sum (two (B, n_heads, R, 1) arrays) and the bit-packed
+    dropout mask. It rebuilds the probabilities one batch slice of about
+    `_CHUNK_BYTES` at a time with the forward's own expressions, in the
+    forward's order (matmul, scale, bias, minus the max, exp, over the
+    sum), so backward holds one slice's (R, S) arrays and every bit is the
+    forward's.
 
     Returns the context Tensor (one tape record).
     """
     B, R, H = q.shape
+    S = k.shape[1]
     hd = H // n_heads
 
     def heads(a):                   # (B, n, H) -> (B, A, n, hd) view
@@ -398,31 +414,43 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
     c = float(1.0 / np.sqrt(hd))
     probs = np.matmul(qh, np.swapaxes(kh, -1, -2))
     probs *= c
-    probs += np.asarray(mask_bias, dtype=probs.dtype)
-    _softmax(probs, out=probs)
+    bias = np.asarray(mask_bias, dtype=probs.dtype)
+    probs += bias
+    _, mx, total = _softmax(probs, out=probs)
     drop = _dropout_mask(probs.shape, p, rng, probs.dtype) if p > 0.0 \
         else None
-
-    def dropped():                  # probs with inverted dropout applied
-        return probs if drop is None else drop(probs)
-
-    out_data = np.matmul(dropped(), vh).transpose(0, 2, 1, 3).reshape(B, R, H)
+    if drop is not None:
+        drop()(probs, out=probs)
+    out_data = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(B, R, H)
     sq, sk, sv = q.node or q, k.node or k, v.node or v
 
     def bwd(g):
         gctx = np.ascontiguousarray(heads(g))
-        d = dropped()
-        gv = np.matmul(np.swapaxes(d, -1, -2), gctx)
-        del d
-        gs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
-        if drop is not None:
-            drop(gs, out=gs)
-        gp = _softmax_grad(gs, probs)
-        del gs
-        gp *= c
-        _accum(sq, merged(np.matmul(gp, kh), (0, 2, 1, 3)))
-        _accum(sk, merged(np.matmul(np.swapaxes(qh, -1, -2), gp), (0, 3, 1, 2)))
-        _accum(sv, merged(gv, (0, 2, 1, 3)))
+        gqh = np.empty_like(gctx)                       # (B, n, R, hd)
+        gkh = np.empty((B, n_heads, hd, S), gctx.dtype)
+        gvh = np.empty((B, n_heads, S, hd), gctx.dtype)
+        full_bias = np.broadcast_to(bias, (B, n_heads, R, S))
+        for b in _row_chunks(B, n_heads * R * S * gctx.itemsize):
+            probs = np.matmul(qh[b], np.swapaxes(kh[b], -1, -2))
+            probs *= c
+            probs += full_bias[b]
+            probs -= mx[b]
+            np.exp(probs, out=probs)
+            probs /= total[b]
+            gs = np.matmul(gctx[b], np.swapaxes(vh[b], -1, -2))
+            if drop is not None:
+                mask = drop(b)             # this slice's, unpacked once
+                mask(gs, out=gs)
+            gp = _softmax_grad(gs, probs)
+            if drop is not None:
+                mask(probs, out=probs)                  # the dropped probs
+            np.matmul(np.swapaxes(probs, -1, -2), gctx[b], out=gvh[b])
+            gp *= c
+            np.matmul(gp, kh[b], out=gqh[b])
+            np.matmul(np.swapaxes(qh[b], -1, -2), gp, out=gkh[b])
+        _accum(sq, merged(gqh, (0, 2, 1, 3)))
+        _accum(sk, merged(gkh, (0, 3, 1, 2)))
+        _accum(sv, merged(gvh, (0, 2, 1, 3)))
 
     return _make(out_data, bwd)
 
@@ -504,14 +532,17 @@ def tmax(a: Tensor, axis) -> Tensor:
 
 def _softmax(s, out=None):
     """Softmax of array `s` over its last axis, into `out` (which may be
-    `s` itself) or a new array; NumericalError if a row holds a NaN."""
+    `s` itself) or a new array; NumericalError if a row holds a NaN.
+    Returns the softmax with its row max and the row sum of exp(s - max)
+    it was divided by, both keeping the last axis as 1."""
     mx = s.max(axis=-1, keepdims=True)
     if np.isnan(mx).any():          # max propagates a NaN anywhere in a row
         raise NumericalError("softmax input contains NaN")
     out = np.subtract(s, mx, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    total = out.sum(axis=-1, keepdims=True)
+    out /= total
+    return out, mx, total
 
 
 def _softmax_grad(g, probs):
@@ -526,7 +557,7 @@ def _softmax_grad(g, probs):
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    out_data = _softmax(x.data)
+    out_data, _, _ = _softmax(x.data)
     sx = x.node or x
 
     def bwd(g):
@@ -593,10 +624,11 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
-def _row_chunks(a):
-    """Slices of the rows of 2-d `a`, each about `_FFN_CHUNK` bytes."""
-    step = max(1, _FFN_CHUNK // (a.shape[-1] * a.itemsize))
-    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
+def _row_chunks(n, row_bytes):
+    """Slices of `n` rows of `row_bytes` bytes each, each slice about
+    `_CHUNK_BYTES` bytes and at least one row; the last may be short."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -605,12 +637,14 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     op, with the leading axes folded into rows as `linear` folds them.
 
     The rule keeps x and the (rows, F) pre-activation u alone; backward
-    rebuilds gelu's t, gelu(u) and gelu's slope from u. Each GEMM runs on
-    every row at once, as in the chain, and gelu's elementwise passes run
-    chunk by chunk over u's rows (`_row_chunks`), so that a chunk's
-    temporaries stay in cache; they are gelu's expressions in gelu's
-    order, so every bit is the chain's. Besides u, forward and backward
-    each hold at most two F-wide arrays and one chunk's temporaries.
+    rebuilds gelu's t, gelu(u) and gelu's slope from u, the slope after
+    the w2 GEMM, chunk by chunk. Each GEMM runs on every row at once, as
+    in the chain, and gelu's elementwise passes run chunk by chunk over
+    u's rows (`_row_chunks`), so that a chunk's temporaries stay in cache;
+    they are gelu's expressions in gelu's order, so every bit is the
+    chain's. Besides u, forward holds at most two F-wide arrays and
+    backward one (gelu(u), then the gradient of u written over it), each
+    with one chunk's temporaries.
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     K, F = w1d.shape
@@ -623,8 +657,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     lead = xd.shape[:-1]
     u = np.matmul(xd.reshape(-1, K), w1d)
     u += b1.data
+    chunks = _row_chunks(len(u), F * u.itemsize)
     h = np.empty_like(u)                # gelu(u)
-    for c in _row_chunks(u):
+    for c in chunks:
         _gelu_value(u[c], _gelu_tanh(u[c]), out=h[c])
     out_data = np.matmul(h, w2d)
     out_data += b2.data
@@ -636,15 +671,12 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         _accum(sb2, _unbroadcast(g, sb2.shape))
         g2 = g.reshape(-1, N)
         h = np.empty_like(u)            # gelu(u)
-        d = np.empty_like(u)            # gelu's slope at u
-        for c in _row_chunks(u):
-            t = _gelu_tanh(u[c], out=d[c])
-            _gelu_value(u[c], t, out=h[c])
-            _gelu_slope(u[c], t, out=t)
+        for c in chunks:
+            _gelu_value(u[c], _gelu_tanh(u[c]), out=h[c])
         _accum(sw2, np.matmul(h.T, g2))
         gu = np.matmul(g2, w2d.T, out=h)
-        gu *= d                         # the gradient of u
-        del d
+        for c in chunks:                # times gelu's slope at u
+            gu[c] *= _gelu_slope(u[c], _gelu_tanh(u[c]))
         _accum(sb1, _unbroadcast(gu.reshape(lead + (F,)), sb1.shape))
         _accum(sx, np.matmul(gu, w1d.T).reshape(sx.shape))
         _accum(sw1, np.matmul(xd.reshape(-1, K).T, gu))
@@ -718,33 +750,44 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor,
 
 def _dropout_mask(shape, p: float, rng, dtype):
     """Inverted dropout at rate p > 0 for arrays of `shape`: draws the
-    boolean `kept = rng.uniform(shape) >= p` and returns
-    `apply(a, out=None)`, which builds (a * kept) * (f(1) / f(1 - p)), f
-    being `dtype`, into `out` or a new array. A bool factor is exactly 1
-    or 0."""
-    kept = rng.uniform(shape) >= p
+    boolean `kept = rng.uniform(shape) >= p` and keeps it bit-packed
+    along its last axis (`np.packbits`, one uint8 per 8 elements).
+
+    Returns `unpack(rows=slice(None))`, which unpacks the mask at a slice
+    `rows` of the leading axis, once, and returns `apply(a, out=None)`
+    for that slice: (a * kept) * (f(1) / f(1 - p)), f being `dtype`, into
+    `out` or a new array. The unpacked bytes are the booleans drawn, and
+    a bool factor is exactly 1 or 0, so the bits are those of the
+    unpacked mask."""
+    packed = np.packbits(rng.uniform(shape) >= p, axis=-1)
+    width = shape[-1]
     keep_scale = dtype.type(1) / dtype.type(1 - p)
 
-    def apply(a, out=None):
-        out = np.multiply(a, kept, out=out)
-        out *= keep_scale
-        return out
+    def unpack(rows=slice(None)):
+        kept = np.unpackbits(packed[rows], axis=-1, count=width).view(bool)
 
-    return apply
+        def apply(a, out=None):
+            out = np.multiply(a, kept, out=out)
+            out *= keep_scale
+            return out
+
+        return apply
+
+    return unpack
 
 
 def dropout(x: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout; identity when p == 0. Keeps only the boolean
-    draw (see `_dropout_mask`)."""
+    """Inverted dropout; identity when p == 0. Keeps only the draw,
+    bit-packed (see `_dropout_mask`)."""
     if p <= 0.0:
         return x
     drop = _dropout_mask(x.shape, p, rng, x.dtype)
     sx = x.node or x
 
     def bwd(g):
-        _accum(sx, drop(g))
+        _accum(sx, drop()(g))
 
-    return _make(drop(x.data), bwd)
+    return _make(drop()(x.data), bwd)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
@@ -778,23 +821,33 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy over the rows of `logits`.
 
     logits: (N, C); labels: (N,) ints. Fused log-softmax keeps the backward
-    rule exact; the rule keeps only the log-probabilities.
+    rule exact; the rule keeps only the log-probabilities, and backward
+    turns them into the probabilities in place.
+
+    Besides the logits, one (N, C) array is built: z = logits - max, made
+    the log-probabilities z - log(sum(exp(z))) in place. exp(z) is summed
+    over row chunks (`_row_chunks`), so it is never whole; a row's sum
+    does not depend on the rows beside it, so the bits are the unchunked
+    expression's.
     """
     labels = np.asarray(labels)
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
     n = logits.data.shape[0]
     if n == 0:
         raise ValueError("cross_entropy: no rows")
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.empty((n, 1), logp.dtype)
+    for c in _row_chunks(n, logp.shape[-1] * logp.itemsize):
+        np.exp(logp[c]).sum(axis=-1, keepdims=True, out=lse[c])
+    np.log(lse, out=lse)
+    logp -= lse
     rows = np.arange(n)
     nll = -logp[rows, labels].sum() / n
     out_data = np.asarray(nll, dtype=logits.dtype)
     inv_n = logits.dtype.type(1) / n
     sl = logits.node or logits
 
-    def bwd(g):
-        p = np.exp(logp)
+    def bwd(g):                     # the rule runs once
+        p = np.exp(logp, out=logp)
         p[rows, labels] -= 1.0
         np.multiply(g, p, out=p)
         p *= inv_n

@@ -1,3 +1,4 @@
+import sys
 import weakref
 
 import numpy as np
@@ -29,20 +30,20 @@ def toy_batch():
 
 
 def attention_probs(monkeypatch):
-    """A list that gets a weak reference to the pre-dropout probabilities
-    of each `attention_core` call: the (B, heads, R, S) buffer its backward
-    rule keeps, so alive while a tape holds that rule."""
-    make = ad._make
-    refs = []
+    """Two lists that get, for each `attention_core` forward, a copy of its
+    pre-dropout probabilities (B, heads, R, S) and a weak reference to the
+    buffer that held them, read as `_softmax` returns them there."""
+    softmax, core = ad._softmax, ad.attention_core.__code__
+    copies, refs = [], []
 
-    def spy(out_data, backward_fn):
-        if backward_fn.__qualname__.startswith("attention_core."):
-            cells = dict(zip(backward_fn.__code__.co_freevars,
-                             backward_fn.__closure__))
-            refs.append(weakref.ref(cells["probs"].cell_contents))
-        return make(out_data, backward_fn)
-    monkeypatch.setattr(ad, "_make", spy)
-    return refs
+    def spy(s, out=None):
+        res = softmax(s, out=out)
+        if sys._getframe(1).f_code is core:
+            copies.append(res[0].copy())
+            refs.append(weakref.ref(res[0]))
+        return res
+    monkeypatch.setattr(ad, "_softmax", spy)
+    return copies, refs
 
 
 def spy_gradients(tape):

@@ -420,6 +420,16 @@ def _attention_case(attention, p, mask_bias=_MASK_BIAS):
     return op
 
 
+# B=9 sequences of S=60 keys (not a multiple of 8, so a packed mask row
+# ends in a partial byte), 0 to 8 of them padded; one batch element's two
+# (60, 60) heads take 28.8 KB in float32, so the backward rebuilds the
+# probabilities in slices of 4, 4, 1 (float32) or 2, 2, 2, 2, 1 (float64)
+# batch elements: see TestAttentionCore.test_batch_slices_case_is_sliced
+_SLICE_SHAPE = (9, 60, 12)
+_SLICE_MASK_BIAS = (np.arange(60) >= 60 - np.arange(9)[:, None])[
+    :, None, None, :] * -1e9
+
+
 def _transposed_weight(linear):
     return lambda x, wt, b: linear(x, ad.transpose(wt, (1, 0)), b)
 
@@ -442,6 +452,10 @@ _FUSED_CASES = {
         _attention_case(ad.attention_core, 0.15, _rand((2, 1, 6, 6), 7)),
         _attention_case(unfused_attention, 0.15, _rand((2, 1, 6, 6), 7)),
         [(2, 6, 12)] * 3),
+    "attention-batch-slices": (
+        _attention_case(ad.attention_core, 0.15, _SLICE_MASK_BIAS),
+        _attention_case(unfused_attention, 0.15, _SLICE_MASK_BIAS),
+        [_SLICE_SHAPE] * 3),
     "add_layer_norm": (ad.add_layer_norm, unfused_add_layer_norm,
                        [(2, 3, 8), (2, 3, 8), (8,), (8,)]),
     "ffn-2d": (ad.ffn, unfused_ffn, [(4, 5), (5, 8), (8,), (8, 3), (3,)]),
@@ -522,14 +536,21 @@ class TestFfn:
 
 class TestAttentionCore:
     def test_probabilities_are_the_pre_dropout_softmax(self, monkeypatch):
-        refs = attention_probs(monkeypatch)
+        copies, _ = attention_probs(monkeypatch)
         q, k, v = (Tensor(_rand((2, 6, 12), i), np.float64) for i in range(3))
         with Tape() as tape:
             ad.attention_core(q, k, v, 2, _MASK_BIAS, 0.5, Rng(3))
-        probs = refs[0]()
+        probs, = copies
         assert probs.shape == (2, 2, 6, 6) and len(tape.records) == 1
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
         assert probs[0, :, :, 4:].max() == 0.0          # padded keys
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_slices_case_is_sliced(self, dtype):
+        B, S, _ = _SLICE_SHAPE
+        sizes = [len(range(B)[b]) for b in
+                 ad._row_chunks(B, 2 * S * S * np.dtype(dtype).itemsize)]
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0] and sum(sizes) == B
 
     def test_float64_mask_bias_keeps_float32(self):
         y, grads = _run(_attention_case(ad.attention_core, 0.15),
@@ -560,6 +581,34 @@ class TestAttentionCore:
         with pytest.raises(DivergedError, match="NaN"):
             train_step(opt, loss_fn, {0: 1e-2})
         assert w.grad is None and opt.t == 0
+
+
+class TestDropout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_the_drawn_mask_times_the_scale(self, dtype):
+        # the last axis, 13, packs into two bytes, the second partial
+        x = Tensor(_rand((3, 5, 13), 4), dtype)
+        g = _rand(x.shape, 5).astype(dtype)
+        p, scale = 0.3, dtype(1) / dtype(1 - 0.3)
+        kept = Rng(6).uniform(x.shape) >= p
+        with Tape() as tape:
+            y = ad.dropout(x, p, Rng(6))
+            loss = ad.tsum(ad.mul(y, Tensor(g, dtype)))
+        ad.backward(tape, loss)
+        assert y.dtype == dtype and x.grad.dtype == dtype
+        assert _bits(y.data) == _bits(x.data * kept * scale)
+        assert _bits(x.grad) == _bits(g * kept * scale)
+
+    def test_rule_keeps_the_mask_bit_packed(self):
+        x = Tensor(_rand((3, 5, 13), 4))
+        with Tape() as tape:
+            ad.dropout(x, 0.3, Rng(6))
+        held = [o for o in _held(tape.records[0].backward_fn)
+                if isinstance(o, np.ndarray)]
+        assert [(o.dtype, o.shape) for o in held] == [(np.uint8, (3, 5, 2))]
+        assert np.array_equal(
+            np.unpackbits(held[0], axis=-1, count=13).view(bool),
+            Rng(6).uniform(x.shape) >= 0.3)
 
 
 _ROWS = np.array([[0, 3], [5, 0]])      # the query rows read, R=2 of S=6
@@ -798,6 +847,25 @@ class TestTapeMisc:
         logits = Tensor(np.zeros((4, 5)), np.float64)
         loss = ad.cross_entropy(logits, np.array([0, 1, 2, 3]))
         assert float(loss.data) == pytest.approx(np.log(5.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_over_row_chunks_as_unchunked(self, dtype):
+        # 23 rows of 3000 classes: 3 row chunks in float32, 5 in float64
+        n, C = 23, 3000
+        assert len(ad._row_chunks(n, C * np.dtype(dtype).itemsize)) >= 3
+        x = Tensor(_rand((n, C), 7) * 4.0, dtype)
+        labels = np.arange(n) * 131 % C
+        with Tape() as tape:
+            loss = ad.cross_entropy(x, labels)
+        ad.backward(tape, loss)
+        z = x.data - x.data.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        nll = -logp[np.arange(n), labels].sum() / n
+        p = np.exp(logp)
+        p[np.arange(n), labels] -= 1.0
+        assert loss.dtype == dtype and x.grad.dtype == dtype
+        assert _bits(loss.data) == _bits(np.asarray(nll, dtype))
+        assert _bits(x.grad) == _bits(np.ones((), dtype) * p * (dtype(1) / n))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cross_entropy_grad_bitwise_as_before(self, dtype):

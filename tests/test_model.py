@@ -77,11 +77,11 @@ class TestEncode:
     def test_attention_rows_sum_to_one(self, toy_model, toy_batch,
                                        monkeypatch):
         ids, segs, mask, _ = toy_batch
-        refs = attention_probs(monkeypatch)
-        with Tape() as tape:        # holds each block's probabilities
+        copies, _ = attention_probs(monkeypatch)
+        with Tape():
             encode_batch(toy_model, ids, segs, mask)
-        assert len(refs) == 2
-        probs = refs[0]()         # (B, A, S, S)
+        assert len(copies) == 2
+        probs = copies[0]         # (B, A, S, S)
         sums = probs.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         # no weight on padded keys
@@ -92,12 +92,11 @@ class TestEncode:
         ids, segs, mask, _ = toy_batch
         toy_config.dropout = 0.3
         model = init_model(toy_config, Rng(0))
-        refs = attention_probs(monkeypatch)
-        with Tape() as tape:        # holds each block's probabilities
+        copies, _ = attention_probs(monkeypatch)
+        with Tape():
             encode_batch(model, ids, segs, mask, rng=Rng(1))
-        assert len(refs) == 2
-        for ref in refs:
-            probs = ref()
+        assert len(copies) == 2
+        for probs in copies:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
             assert probs[0, :, :, 4:].max() < 1e-8
 
@@ -108,7 +107,7 @@ class TestEncode:
         toy_config.n_layers = 3
         model = init_model(toy_config, Rng(0))
         ids, segs, mask, _ = toy_batch
-        refs, alive = attention_probs(monkeypatch), []
+        (_, refs), alive = attention_probs(monkeypatch), []
         core = ad.attention_core
 
         def spy(*args):
@@ -149,7 +148,7 @@ class TestReadRows:
                  for i, s, m, lab in zip(ids, segs, mask, labels)]
         recipe = TrainingRecipe(
             layer_selection=LayerSelection("single", layer=2))
-        shapes, probs = [], attention_probs(monkeypatch)
+        shapes, (probs, _) = [], attention_probs(monkeypatch)
         core = ad.attention_core
 
         def spy(q, k, v, *rest):
@@ -161,7 +160,7 @@ class TestReadRows:
         with Tape() as tape:
             logits = batch_logits(model, head, batch, recipe, None)
             loss = ad.cross_entropy(logits, labels)
-        assert [r().shape for r in probs] == [(2, 2, 6, 6), (2, 2, 1, 6)]
+        assert [a.shape for a in probs] == [(2, 2, 6, 6), (2, 2, 1, 6)]
         # after the top block's [CLS] gather, only its keys and values
         # span all 6 positions (read before backward consumes the tape)
         start = next(i for i, r in enumerate(tape.records)
@@ -468,9 +467,10 @@ class TestBackwardMemory:
         assert all((p.grad == 0.0).all() for p in unreached.parameters())
 
     def test_backward_peak_over_forward_is_bounded(self):
-        # Measured: backward's traced peak sits ~14% of the forward level
+        # Measured: backward's traced peak sits ~37% of the forward level
         # above it (parameter gradients plus the few intermediate ones
-        # still live, less the records already freed); keeping every
+        # still live, and one batch slice of rebuilt attention
+        # probabilities, less the records already freed); keeping every
         # intermediate gradient until the tape is dropped put it ~69%
         # above.
         _, _, _, forward, peak = self._step()
@@ -516,6 +516,26 @@ class TestMemoryLedger:
         assert sum(a.nbytes for a in wide) == sum(rows) * self.F * 4
         assert sum(a.nbytes for a in held) > sum(a.nbytes for a in wide)
 
+    def test_attention_keeps_packed_masks_and_row_statistics(self):
+        # B=3, 2 heads, S=7, H=12: no float array of the (B, heads, S, S)
+        # attention shape; each block's attention keeps its softmax's row
+        # max and row sum, and every dropout mask (the embedding's, and
+        # two per block of width H; one per block's attention of width S)
+        # is packed to ceil(W / 8) bytes along its last axis: 2 for H, 1
+        # for S
+        B, n, S = 3, 2, 7
+        held = self._ledger()
+        floats = [a for a in held if a.dtype.kind == "f"]
+        assert not [a for a in floats if a.shape == (B, n, S, S)]
+        masks = [a for a in held if a.dtype == np.uint8]
+        assert sorted(a.shape for a in masks) == \
+            sorted([(B, S, 2)] * 5 + [(B, n, S, 1)] * 2)
+        assert sum(a.nbytes for a in masks) == 5 * B * S * 2 + 2 * B * n * S
+        stats = [a for a in floats if a.shape == (B, n, S, 1)]
+        assert len(stats) == 4
+        assert sum(a.nbytes for a in stats) == 4 * B * n * S * 4
+        assert not [a for a in held if a.dtype == bool]
+
 
 class TestTapeKeepsWhatBackwardReads:
     """A rule holds only the arrays it reads, so an output no rule reads
@@ -549,7 +569,7 @@ class TestTapeKeepsWhatBackwardReads:
         dropped = self._spy(monkeypatch, "dropout")
         sums = self._spy(monkeypatch, "add", lambda a, b: a.data.ndim == 3)
         logits = self._spy(monkeypatch, "cross_entropy", arg=0)
-        probs = attention_probs(monkeypatch)
+        copies, probs = attention_probs(monkeypatch)
         with Tape() as tape:
             outs = encode_batch(model, ids, segs, mask, rng=Rng(1))
             loss = ad.add(
@@ -560,11 +580,15 @@ class TestTapeKeepsWhatBackwardReads:
             (2, 5, 1, 2)
         # the dropped embedding output is the held outs[0]; the logits
         # passed first are the MLM head's
-        for refs in (wo, dropped[1:], sums, logits[:1]):
+        # so are the attention probabilities, which backward rebuilds: no
+        # rule holds a float array of their (B, heads, S, S) shape
+        for refs in (wo, dropped[1:], sums, logits[:1], probs):
             assert all(r() is None for r in refs)
-        assert all(r() is not None for r in probs)      # the tape is live
+        assert [a.shape for a in copies] == [(2, 2, 6, 6)] * 2
+        assert not [o for rec in tape.records for o in _held(rec.backward_fn)
+                    if isinstance(o, np.ndarray) and o.shape == (2, 2, 6, 6)
+                    and o.dtype.kind == "f"]
         ad.backward(tape, loss)
-        assert all(r() is None for r in probs)
 
     def test_held_step_outputs_keep_no_attention_probs(self, toy_batch,
                                                        monkeypatch):
@@ -573,7 +597,7 @@ class TestTapeKeepsWhatBackwardReads:
         ids, segs, mask, labels = toy_batch
         model = self._model()
         opt = Adam(group_parameters(model))
-        probs = attention_probs(monkeypatch)
+        _, probs = attention_probs(monkeypatch)
 
         def loss_fn():
             logits = nsp_logits(model, encode_batch(model, ids, segs, mask,

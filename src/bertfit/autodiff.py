@@ -35,35 +35,42 @@ what it holds, once the rule has run. Every kept dropout mask,
 uint8 per 8 elements), and ``cross_entropy`` keeps one (N, C) array, its
 log-probabilities. The transformer block runs on four fused ops with
 hand-written backward rules, which hold less than the chain of single
-ops they replace:
+ops they replace; where an array is one GEMM away from an input the rule
+keeps anyway, backward rebuilds it:
 
 - ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
   one 2-d GEMM forward and one per weight and input gradient, the bias
   added in place;
-- ``attention_core(q, k, v, ...)`` covers head split, scores, scale, mask
-  bias, softmax, dropout and context, and keeps no float array of the
-  (B, heads, R, S) attention size, for R query rows over S keys: besides
-  q, k and v it keeps softmax's row max and row sum and the packed
-  dropout mask, and its backward rebuilds the probabilities one batch
-  slice at a time. It is every attention there is: the encoder's
-  self-attention, and the single-query pooling of a document's fractions
+- ``self_attention(xq, x, wq, bq, wk, bk, wv, bv, ...)`` is the q, k and
+  v projections and the attention core (head split, scores, scale, mask
+  bias, softmax, dropout and context) as one record. It keeps xq and x,
+  no q, k or v, and no float array of the (B, heads, R, S) attention
+  size, for R query rows over S keys: only softmax's row max and row sum
+  and the packed dropout mask. Its backward rebuilds q, k and v with the
+  forward's GEMMs, then the probabilities one batch slice at a time.
+  ``attention_core(q, k, v, ...)`` is the same core on given projections,
+  keeping them: the single-query pooling of a document's fractions
   (`longtext.combine`);
 - ``add_layer_norm(x, h, ...)`` is the residual add and its layer norm,
   without keeping the sum;
-- ``ffn(x, w1, b1, w2, b2)`` is linear, gelu, linear, and keeps only x
-  and the (rows, F) pre-activation u: its backward rebuilds gelu's tanh
-  term t, gelu(u) and gelu's slope from u, two tanh passes for two fewer
-  F-wide arrays kept per block and one held in backward. Its elementwise
-  passes run over row chunks that stay in cache, which pays for those
-  passes.
+- ``ffn(x, w1, b1, w2, b2)`` is linear, gelu, linear, and keeps only x:
+  its backward rebuilds the (rows, F) pre-activation u with the forward's
+  GEMM, then gelu's tanh term t, gelu(u) and gelu's slope from u. Its
+  elementwise passes run over row chunks that stay in cache, which pays
+  for those passes.
 
-Each computes the same expressions, on operands of the same layout and in
-the same order, as the chain of single ops it replaces, so it gives the
-same bits; so does each rebuilt array and each pass over row chunks or
-batch slices. ``softmax``, ``dropout`` and ``attention_core`` share one
-softmax forward (`_softmax`), one softmax backward (`_softmax_grad`) and
-one dropout-mask builder (`_dropout_mask`); ``gelu`` and ``ffn`` share
-gelu's kernels (`_gelu_tanh`, `_gelu_value`, `_gelu_slope`).
+A rule that rebuilds from a parameter reads the parameter's array again
+in backward, as ``linear`` reads its weight, so a parameter must not
+change between forward and backward. Each op computes the same
+expressions, on operands of the same layout and in the same order, as the
+chain of single ops it replaces, so it gives the same bits; so does each
+rebuilt array and each pass over row chunks or batch slices.
+``softmax``, ``dropout``, ``attention_core`` and ``self_attention`` share
+one softmax forward (`_softmax`), one softmax backward (`_softmax_grad`)
+and one dropout kernel (`_dropout`); the two attention ops share one
+forward and backward (`_attention`), and ``linear``, ``ffn`` and
+``self_attention`` one projection (`_project`); ``gelu`` and ``ffn``
+share gelu's kernels (`_gelu_tanh`, `_gelu_value`, `_gelu_slope`).
 
 Freed memory stays in the process: on glibc, importing this module sets
 the mmap threshold to 32 MB (the largest glibc takes on 64-bit; a set
@@ -92,7 +99,7 @@ _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
 
 # bytes per row chunk (`_row_chunks`) of the elementwise passes of `ffn`
-# and `cross_entropy` and of `attention_core`'s backward batch slices, so
+# and `cross_entropy` and of attention's backward batch slices, so
 # that a chunk and its temporaries stay in a core's L2 cache
 _CHUNK_BYTES = 128 << 10
 
@@ -352,52 +359,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
+def _project(xd, wd, bd):
+    """xd @ wd + bd for an (..., K) array, a (K, N) weight and an (N,)
+    bias: the leading axes fold into rows, so it is one 2-d GEMM, the bias
+    added in place."""
+    K, N = wd.shape
+    out = np.matmul(xd.reshape(-1, K), wd)
+    out += bd
+    return out.reshape(xd.shape[:-1] + (N,))
+
+
+def _project_grads(g, xd, wd, sx, sw, sb):
+    """`_project`'s backward for the output gradient `g`: the bias sum into
+    sink `sb`, then the input gradient GEMM into `sx`, then the weight
+    gradient GEMM into `sw`."""
+    K, N = wd.shape
+    _accum(sb, _unbroadcast(g, sb.shape))
+    g2 = g.reshape(-1, N)
+    _accum(sx, np.matmul(g2, wd.T).reshape(sx.shape))
+    _accum(sw, np.matmul(xd.reshape(-1, K).T, g2))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for an (..., K) activation, a (K, N) weight and an (N,)
     bias: the leading axes fold into rows, so the forward pass and each
-    weight and input gradient is one 2-d GEMM."""
+    weight and input gradient is one 2-d GEMM. The rule keeps x and reads
+    w again in backward."""
     xd, wd = x.data, w.data
     K, N = wd.shape
     if xd.shape[-1] != K or b.data.shape != (N,):
         raise ShapeMismatchError(
             f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
-    out_data = np.matmul(xd.reshape(-1, K), wd)
-    out_data += b.data
-    out_data = out_data.reshape(xd.shape[:-1] + (N,))
+    out_data = _project(xd, wd, b.data)
     sx, sw, sb = x.node or x, w.node or w, b.node or b
 
     def bwd(g):
-        _accum(sb, _unbroadcast(g, sb.shape))
-        g2 = g.reshape(-1, N)
-        _accum(sx, np.matmul(g2, wd.T).reshape(sx.shape))
-        _accum(sw, np.matmul(xd.reshape(-1, K).T, g2))
+        _project_grads(g, xd, wd, sx, sw, sb)
 
     return _make(out_data, bwd)
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
-                   p: float, rng):
-    """Multi-head scaled dot-product attention of (B, R, H) query
-    projections over (B, S, H) key and value projections.
+def _attention(q, k, v, n_heads, mask_bias, p, rng):
+    """Multi-head scaled dot-product attention of (B, R, H) query arrays
+    over (B, S, H) key and value arrays: the forward of `attention_core`
+    and `self_attention`.
 
     Per head, probs = softmax(q k^T / sqrt(H / n_heads) + mask_bias) with
     `mask_bias` (broadcast to (B, n_heads, R, S), e.g. -1e9 at padded keys)
     cast to q's dtype, then inverted dropout at rate `p` drawn from `rng`;
-    the context probs @ v is merged back to (B, R, H). R is S for
-    self-attention over every position, or fewer rows when only those are
-    read.
+    the context probs @ v is merged back to (B, R, H). Scores, scale, mask
+    and softmax are built in place in one (B, n_heads, R, S) buffer, freed
+    on return.
 
-    Scores, scale, mask and softmax are built in place in one
-    (B, n_heads, R, S) buffer, which the forward frees once the context is
-    formed. The backward rule keeps q, k, v, the cast bias, softmax's row
-    max and row sum (two (B, n_heads, R, 1) arrays) and the bit-packed
-    dropout mask. It rebuilds the probabilities one batch slice of about
-    `_CHUNK_BYTES` at a time with the forward's own expressions, in the
-    forward's order (matmul, scale, bias, minus the max, exp, over the
-    sum), so backward holds one slice's (R, S) arrays and every bit is the
-    forward's.
-
-    Returns the context Tensor (one tape record).
+    Returns the context and `grads(g, q, k, v)`, the backward for the
+    context gradient `g`. It holds the cast bias, softmax's row max and row
+    sum (two (B, n_heads, R, 1) arrays) and the bit-packed dropout mask, and
+    takes q, k and v again as arguments, so it keeps none of them. It
+    rebuilds the probabilities one batch slice of about `_CHUNK_BYTES` at a
+    time with the forward's own expressions, in the forward's order
+    (matmul, scale, bias, minus the max, exp, over the sum), so every bit is
+    the forward's, and returns the gradients of q, k and v, each shaped
+    like its array.
     """
     B, R, H = q.shape
     S = k.shape[1]
@@ -410,21 +432,19 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
         gh = np.ascontiguousarray(gh.transpose(axes))
         return gh.reshape(B, gh.shape[1], H)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     c = float(1.0 / np.sqrt(hd))
-    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    probs = np.matmul(heads(q), np.swapaxes(heads(k), -1, -2))
     probs *= c
     bias = np.asarray(mask_bias, dtype=probs.dtype)
     probs += bias
     _, mx, total = _softmax(probs, out=probs)
-    drop = _dropout_mask(probs.shape, p, rng, probs.dtype) if p > 0.0 \
-        else None
-    if drop is not None:
-        drop()(probs, out=probs)
-    out_data = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(B, R, H)
-    sq, sk, sv = q.node or q, k.node or k, v.node or v
+    drop = None
+    if p > 0.0:
+        _, drop = _dropout(probs, p, rng, out=probs)
+    out = np.matmul(probs, heads(v)).transpose(0, 2, 1, 3).reshape(B, R, H)
 
-    def bwd(g):
+    def grads(g, q, k, v):
+        qh, kh, vh = heads(q), heads(k), heads(v)
         gctx = np.ascontiguousarray(heads(g))
         gqh = np.empty_like(gctx)                       # (B, n, R, hd)
         gkh = np.empty((B, n_heads, hd, S), gctx.dtype)
@@ -448,9 +468,76 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
             gp *= c
             np.matmul(gp, kh[b], out=gqh[b])
             np.matmul(np.swapaxes(qh[b], -1, -2), gp, out=gkh[b])
-        _accum(sq, merged(gqh, (0, 2, 1, 3)))
-        _accum(sk, merged(gkh, (0, 3, 1, 2)))
-        _accum(sv, merged(gvh, (0, 2, 1, 3)))
+        return (merged(gqh, (0, 2, 1, 3)), merged(gkh, (0, 3, 1, 2)),
+                merged(gvh, (0, 2, 1, 3)))
+
+    return out, grads
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
+                   p: float, rng):
+    """Multi-head scaled dot-product attention of (B, R, H) query
+    projections over (B, S, H) key and value projections (`_attention`):
+    the single-query pooling of a document's fractions
+    (`longtext.combine`). R is S for attention over every position, or
+    fewer rows when only those are read.
+
+    The rule keeps q, k and v and what `_attention`'s backward holds: no
+    float array of the (B, n_heads, R, S) attention size.
+
+    Returns the context Tensor (one tape record).
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    out_data, grads = _attention(qd, kd, vd, n_heads, mask_bias, p, rng)
+    sinks = (q.node or q, k.node or k, v.node or v)
+
+    def bwd(g):
+        for s, gx in zip(sinks, grads(g, qd, kd, vd)):
+            _accum(s, gx)
+
+    return _make(out_data, bwd)
+
+
+def self_attention(xq: Tensor, x: Tensor, wq: Tensor, bq: Tensor,
+                   wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
+                   n_heads: int, mask_bias, p: float, rng):
+    """The encoder's self-attention: the query projection xq @ wq + bq of
+    the (B, R, K) rows `xq`, the key and value projections of the (B, S, K)
+    activation `x`, and `_attention` over them, as one tape record. In a
+    full block xq is x; in the top block of a read it is the rows read.
+
+    The rule keeps xq and x, the parameter arrays, and what `_attention`'s
+    backward holds; no q, k or v. Backward rebuilds q, k and v with the
+    forward's three GEMMs and bias adds, so they have the forward's bits,
+    and it reads the parameter arrays again, as `linear` reads its weight:
+    a parameter must not change between forward and backward. After the
+    attention backward it hands the gradients on as three `linear` rules
+    would in the tape's order: v's, then k's, then q's, each its bias sum,
+    then the input gradient, then the weight gradient.
+
+    Returns the (B, R, N) context Tensor.
+    """
+    K, N = wq.shape
+    if xq.shape[-1] != K or x.shape[-1] != K \
+            or wk.shape != (K, N) or wv.shape != (K, N) \
+            or not bq.shape == bk.shape == bv.shape == (N,):
+        raise ShapeMismatchError(
+            f"self_attention shapes disagree: {xq.shape} and {x.shape} x "
+            f"{wq.shape}/{wk.shape}/{wv.shape} + "
+            f"{bq.shape}/{bk.shape}/{bv.shape}")
+    xqd, xd = xq.data, x.data
+    projections = ((xqd, wq.data, bq.data), (xd, wk.data, bk.data),
+                   (xd, wv.data, bv.data))
+    out_data, grads = _attention(*(_project(*a) for a in projections),
+                                 n_heads, mask_bias, p, rng)
+    sinks = tuple(tuple(t.node or t for t in ts)
+                  for ts in ((xq, wq, bq), (x, wk, bk), (x, wv, bv)))
+
+    def bwd(g):
+        gqkv = grads(g, *(_project(*a) for a in projections))
+        for gy, (a, w, _), s in zip(gqkv[::-1], projections[::-1],
+                                    sinks[::-1]):
+            _project_grads(gy, a, w, *s)
 
     return _make(out_data, bwd)
 
@@ -636,47 +723,47 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     (F, N) weights and (F,) and (N,) biases: linear, gelu, linear as one
     op, with the leading axes folded into rows as `linear` folds them.
 
-    The rule keeps x and the (rows, F) pre-activation u alone; backward
-    rebuilds gelu's t, gelu(u) and gelu's slope from u, the slope after
-    the w2 GEMM, chunk by chunk. Each GEMM runs on every row at once, as
-    in the chain, and gelu's elementwise passes run chunk by chunk over
-    u's rows (`_row_chunks`), so that a chunk's temporaries stay in cache;
-    they are gelu's expressions in gelu's order, so every bit is the
-    chain's. Besides u, forward holds at most two F-wide arrays and
-    backward one (gelu(u), then the gradient of u written over it), each
-    with one chunk's temporaries.
+    The rule keeps x alone. The forward makes the (rows, F) pre-activation
+    u into gelu(u) in place, so it holds one F-wide array. Backward first
+    rebuilds u with the forward's GEMM and bias add, so u has the forward's
+    bits, and forms the gradient of gelu(u) with the w2 GEMM; then, chunk
+    by chunk, it builds gelu's tanh term t once, multiplies that gradient
+    by gelu's slope and makes u into gelu(u) in place, for the w2 weight
+    gradient. So it holds two F-wide arrays. Backward reads the parameter arrays again, as `linear` reads
+    its weight: a parameter must not change between forward and backward.
+    Each GEMM runs on every row at once, as in the chain, and gelu's
+    elementwise passes run chunk by chunk over u's rows (`_row_chunks`), so
+    that a chunk's temporaries stay in cache; they are gelu's expressions
+    in gelu's order, so every bit is the chain's.
     """
-    xd, w1d, w2d = x.data, w1.data, w2.data
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
     K, F = w1d.shape
     N = w2d.shape[-1]
-    if xd.shape[-1] != K or b1.data.shape != (F,) \
+    if xd.shape[-1] != K or b1d.shape != (F,) \
             or w2d.shape != (F, N) or b2.data.shape != (N,):
         raise ShapeMismatchError(
             f"ffn shapes disagree: {x.shape} x {w1.shape} + {b1.shape}, "
             f"then x {w2.shape} + {b2.shape}")
     lead = xd.shape[:-1]
-    u = np.matmul(xd.reshape(-1, K), w1d)
-    u += b1.data
-    chunks = _row_chunks(len(u), F * u.itemsize)
-    h = np.empty_like(u)                # gelu(u)
+    h = _project(xd.reshape(-1, K), w1d, b1d)       # u, made gelu(u)
+    chunks = _row_chunks(len(h), F * h.itemsize)
     for c in chunks:
-        _gelu_value(u[c], _gelu_tanh(u[c]), out=h[c])
-    out_data = np.matmul(h, w2d)
-    out_data += b2.data
-    out_data = out_data.reshape(lead + (N,))
+        _gelu_value(h[c], _gelu_tanh(h[c]), out=h[c])
+    out_data = _project(h, w2d, b2.data).reshape(lead + (N,))
     sx, sw1, sb1 = x.node or x, w1.node or w1, b1.node or b1
     sw2, sb2 = w2.node or w2, b2.node or b2
 
     def bwd(g):
         _accum(sb2, _unbroadcast(g, sb2.shape))
         g2 = g.reshape(-1, N)
-        h = np.empty_like(u)            # gelu(u)
-        for c in chunks:
-            _gelu_value(u[c], _gelu_tanh(u[c]), out=h[c])
+        h = _project(xd.reshape(-1, K), w1d, b1d)   # u, made gelu(u)
+        gu = np.matmul(g2, w2d.T)
+        for c in chunks:                # one tanh term per chunk for both
+            t = _gelu_tanh(h[c])
+            gu[c] *= _gelu_slope(h[c], t)
+            _gelu_value(h[c], t, out=h[c])
         _accum(sw2, np.matmul(h.T, g2))
-        gu = np.matmul(g2, w2d.T, out=h)
-        for c in chunks:                # times gelu's slope at u
-            gu[c] *= _gelu_slope(u[c], _gelu_tanh(u[c]))
+        del h
         _accum(sb1, _unbroadcast(gu.reshape(lead + (F,)), sb1.shape))
         _accum(sx, np.matmul(gu, w1d.T).reshape(sx.shape))
         _accum(sw1, np.matmul(xd.reshape(-1, K).T, gu))
@@ -748,46 +835,51 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor,
     return _make(out_data, bwd)
 
 
-def _dropout_mask(shape, p: float, rng, dtype):
-    """Inverted dropout at rate p > 0 for arrays of `shape`: draws the
-    boolean `kept = rng.uniform(shape) >= p` and keeps it bit-packed
-    along its last axis (`np.packbits`, one uint8 per 8 elements).
+def _keep(a, kept, scale, out=None):
+    """(a * kept) * scale, into `out` or a new array. A bool factor is
+    exactly 1 or 0."""
+    out = np.multiply(a, kept, out=out)
+    out *= scale
+    return out
 
-    Returns `unpack(rows=slice(None))`, which unpacks the mask at a slice
-    `rows` of the leading axis, once, and returns `apply(a, out=None)`
-    for that slice: (a * kept) * (f(1) / f(1 - p)), f being `dtype`, into
-    `out` or a new array. The unpacked bytes are the booleans drawn, and
-    a bool factor is exactly 1 or 0, so the bits are those of the
-    unpacked mask."""
-    packed = np.packbits(rng.uniform(shape) >= p, axis=-1)
-    width = shape[-1]
-    keep_scale = dtype.type(1) / dtype.type(1 - p)
+
+def _dropout(a, p: float, rng, out=None):
+    """Inverted dropout at rate p > 0 of array `a`: draws the boolean
+    `kept = rng.uniform(a.shape) >= p`, applies it as drawn,
+    (a * kept) * (f(1) / f(1 - p)), f being a's dtype, into `out` or a new
+    array, and keeps it bit-packed along its last axis (`np.packbits`, one
+    uint8 per 8 elements).
+
+    Returns the output and `unpack(rows=slice(None))`, which unpacks the
+    mask at a slice `rows` of the leading axis, once, and returns
+    `apply(b, out=None)`, the same product for that slice. The unpacked
+    bytes are the booleans drawn, so backward's bits are those of the drawn
+    mask."""
+    kept = rng.uniform(a.shape) >= p
+    scale = a.dtype.type(1) / a.dtype.type(1 - p)
+    out = _keep(a, kept, scale, out)
+    packed = np.packbits(kept, axis=-1)
+    width = a.shape[-1]
 
     def unpack(rows=slice(None)):
-        kept = np.unpackbits(packed[rows], axis=-1, count=width).view(bool)
+        mask = np.unpackbits(packed[rows], axis=-1, count=width).view(bool)
+        return lambda b, out=None: _keep(b, mask, scale, out)
 
-        def apply(a, out=None):
-            out = np.multiply(a, kept, out=out)
-            out *= keep_scale
-            return out
-
-        return apply
-
-    return unpack
+    return out, unpack
 
 
 def dropout(x: Tensor, p: float, rng) -> Tensor:
     """Inverted dropout; identity when p == 0. Keeps only the draw,
-    bit-packed (see `_dropout_mask`)."""
+    bit-packed (see `_dropout`)."""
     if p <= 0.0:
         return x
-    drop = _dropout_mask(x.shape, p, rng, x.dtype)
+    out_data, drop = _dropout(x.data, p, rng)
     sx = x.node or x
 
     def bwd(g):
         _accum(sx, drop()(g))
 
-    return _make(drop()(x.data), bwd)
+    return _make(out_data, bwd)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:

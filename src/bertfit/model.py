@@ -191,6 +191,7 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     position positions[b, r] of a (B, R) int array. In that top block keys
     and values still cover all S positions; the queries, attention rows,
     output projection, norms and FFN (one `ad.ffn` op) run on the R rows.
+    A position outside [0, S) raises ValueError.
     Its dropout masks (`rng.RowDraws`) hold what full-size masks hold at
     those rows and leave the stream where those would, so the dropout
     stream is the full encoder's.
@@ -221,6 +222,10 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
             raise ValueError(
                 f"read layer {top} out of range [0, {cfg.n_layers}]")
         positions = np.asarray(positions)
+        outside = positions[(positions < 0) | (positions >= S)]
+        if outside.size:
+            raise ValueError(
+                f"read position {outside[0]} out of range [0, {S})")
         flat = positions + S * np.arange(B)[:, None]      # into the B*S rows
         row_rng = rng if rng is None else RowDraws(rng, positions, S)
 
@@ -231,9 +236,9 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
         xq, r = x, rng
         if read is not None and i == top - 1:
             xq, r = ad.embedding(x, flat), row_rng
-        q = ad.linear(xq, p[b + "wq"], p[b + "bq"])
-        k, v = (ad.linear(x, p[b + "w" + n], p[b + "b" + n]) for n in "kv")
-        ctx = ad.attention_core(q, k, v, cfg.n_heads, mask_bias, p_drop, r)
+        ctx = ad.self_attention(
+            xq, x, *(p[b + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
+            cfg.n_heads, mask_bias, p_drop, r)
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
         x = ad.add_layer_norm(xq, ad.dropout(attn_out, p_drop, r),
                               p[b + "attn_ln_g"], p[b + "attn_ln_b"])

@@ -177,10 +177,13 @@ def train_step(opt: Adam, loss_fn, rates: dict[int, float]):
 
     `loss_fn()` runs the forward pass and returns a tuple whose first item
     is the scalar loss; the tuple is returned. A non-finite loss, softmax
-    input or gradient raises DivergedError, with nothing updated. `backward`
+    input or gradient raises DivergedError, with no parameter updated. The
+    previous step's gradients are released before the forward pass, so it
+    does not hold them. `backward`
     consumes the tape, freeing each op's saved activations once its rule
     has run, so a returned Tensor keeps none of the step's graph.
     """
+    opt.zero_grad()
     try:
         with ad.Tape() as tape:
             out = loss_fn()
@@ -188,7 +191,6 @@ def train_step(opt: Adam, loss_fn, rates: dict[int, float]):
         if not np.isfinite(loss.data):
             raise DivergedError(
                 f"non-finite loss {float(loss.data)} at step {opt.t + 1}")
-        opt.zero_grad()
         ad.backward(tape, loss)
         opt.step(rates)
     except ad.NumericalError as e:

@@ -30,10 +30,11 @@ def toy_batch():
 
 
 def attention_probs(monkeypatch):
-    """Two lists that get, for each `attention_core` forward, a copy of its
+    """Two lists that get, for each attention forward (`_attention`, which
+    `attention_core` and `self_attention` share), a copy of its
     pre-dropout probabilities (B, heads, R, S) and a weak reference to the
     buffer that held them, read as `_softmax` returns them there."""
-    softmax, core = ad._softmax, ad.attention_core.__code__
+    softmax, core = ad._softmax, ad._attention.__code__
     copies, refs = [], []
 
     def spy(s, out=None):

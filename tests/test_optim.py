@@ -296,6 +296,19 @@ class TestTrainStep:
         train_step(opt, loss_fn, {0: 1e-2})
         assert arrays[0]() is None
 
+    def test_previous_gradient_released_before_the_forward(self):
+        w, opt, x = self._setup()
+        refs, alive = [], []
+
+        def loss_fn():
+            alive.append([r() is not None for r in refs])
+            return (ad.tsum(ad.matmul(x, w)),)
+
+        train_step(opt, loss_fn, {0: 1e-2})
+        refs.append(weakref.ref(w.grad))
+        train_step(opt, loss_fn, {0: 1e-2})
+        assert alive == [[], [False]] and w.grad is not None
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_loss_leaves_parameters(self, bad):
         w, opt, x = self._setup()

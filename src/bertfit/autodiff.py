@@ -30,13 +30,14 @@ the sinks of its inputs, never an op's output Tensor, and the tape holds
 no output. So an activation no rule reads (a linear output that only
 dropout reads, a dropout output, the MLM logits) is freed as soon as the
 forward pass drops it, and `backward` frees each record's rule, with
-what it holds, once the rule has run. Every kept dropout mask,
-``dropout``'s and attention's, is bit-packed along its last axis (one
-uint8 per 8 elements), and ``cross_entropy`` keeps one (N, C) array, its
-log-probabilities. The transformer block runs on four fused ops with
-hand-written backward rules, which hold less than the chain of single
-ops they replace; where an array is one GEMM away from an input the rule
-keeps anyway, backward rebuilds it:
+what it holds, once the rule has run. Every dropout mask, ``dropout``'s
+and attention's, is drawn by its `rng` argument (`rng.Rng.keep_mask`)
+and kept bit-packed along its last axis (one uint8 per 8 elements);
+``cross_entropy`` keeps one (N, C) array, its log-probabilities. The
+transformer block runs on four fused ops with hand-written backward
+rules, which hold less than the chain of single ops they replace; where
+an array is one GEMM away from an input the rule keeps anyway, backward
+rebuilds it:
 
 - ``linear(x, w, b)`` folds an n-d activation's leading axes into rows:
   one 2-d GEMM forward and one per weight and input gradient, the bias
@@ -406,7 +407,7 @@ def _attention(q, k, v, n_heads, mask_bias, p, rng):
 
     Per head, probs = softmax(q k^T / sqrt(H / n_heads) + mask_bias) with
     `mask_bias` (broadcast to (B, n_heads, R, S), e.g. -1e9 at padded keys)
-    cast to q's dtype, then inverted dropout at rate `p` drawn from `rng`;
+    cast to q's dtype, then inverted dropout at rate `p` drawn by `rng`;
     the context probs @ v is merged back to (B, R, H). Scores, scale, mask
     and softmax are built in place in one (B, n_heads, R, S) buffer, freed
     on return.
@@ -438,9 +439,7 @@ def _attention(q, k, v, n_heads, mask_bias, p, rng):
     bias = np.asarray(mask_bias, dtype=probs.dtype)
     probs += bias
     _, mx, total = _softmax(probs, out=probs)
-    drop = None
-    if p > 0.0:
-        _, drop = _dropout(probs, p, rng, out=probs)
+    drop = _dropout(probs, p, rng, out=probs)[1] if p > 0.0 else None
     out = np.matmul(probs, heads(v)).transpose(0, 2, 1, 3).reshape(B, R, H)
 
     def grads(g, q, k, v):
@@ -845,17 +844,17 @@ def _keep(a, kept, scale, out=None):
 
 def _dropout(a, p: float, rng, out=None):
     """Inverted dropout at rate p > 0 of array `a`: draws the boolean
-    `kept = rng.uniform(a.shape) >= p`, applies it as drawn,
-    (a * kept) * (f(1) / f(1 - p)), f being a's dtype, into `out` or a new
-    array, and keeps it bit-packed along its last axis (`np.packbits`, one
-    uint8 per 8 elements).
+    `kept = rng.keep_mask(a.shape, p)` (`rng.Rng.keep_mask`), applies it
+    as drawn, (a * kept) * (f(1) / f(1 - p)), f being a's dtype, into
+    `out` or a new array, and keeps it bit-packed along its last axis
+    (`np.packbits`, one uint8 per 8 elements).
 
     Returns the output and `unpack(rows=slice(None))`, which unpacks the
     mask at a slice `rows` of the leading axis, once, and returns
     `apply(b, out=None)`, the same product for that slice. The unpacked
     bytes are the booleans drawn, so backward's bits are those of the drawn
     mask."""
-    kept = rng.uniform(a.shape) >= p
+    kept = rng.keep_mask(a.shape, p)
     scale = a.dtype.type(1) / a.dtype.type(1 - p)
     out = _keep(a, kept, scale, out)
     packed = np.packbits(kept, axis=-1)

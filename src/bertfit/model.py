@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rng import Rng, RowDraws
+from .rng import Rng
 
 
 @dataclass
@@ -182,8 +182,10 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
 
     token_ids / segment_ids / attention_mask: (B, S) int arrays.
     Index 0 of the result is the embedding output, index l the output of
-    block l; every entry has shape (B, S, H). Dropout runs, drawing from
-    `rng`, if and only if `rng` is given.
+    block l; every entry has shape (B, S, H). Dropout runs if and only if
+    `rng` is given, site i drawing its masks keyed `rng.at(i)`: site 0 is
+    the embedding's, and block i's are 3i + 1 to 3i + 3 (the attention
+    probabilities, attention output and FFN output), whatever runs.
 
     `read=(layer, positions)` computes only what a head reads there: the
     blocks above `layer` do not run, so the result has layer + 1 entries,
@@ -191,10 +193,8 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     position positions[b, r] of a (B, R) int array. In that top block keys
     and values still cover all S positions; the queries, attention rows,
     output projection, norms and FFN (one `ad.ffn` op) run on the R rows.
-    A position outside [0, S) raises ValueError.
-    Its dropout masks (`rng.RowDraws`) hold what full-size masks hold at
-    those rows and leave the stream where those would, so the dropout
-    stream is the full encoder's.
+    A position outside [0, S) raises ValueError. Its dropout masks are
+    the rows at `positions` of the full block's (`Rng.keep_mask`).
     """
     cfg = model.config
     p = model.params
@@ -207,13 +207,16 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
             f"sequence length {S} exceeds max positions {cfg.max_positions}")
     p_drop = cfg.dropout if rng is not None else 0.0
 
+    def site(i, rows=False):        # dropout site i's masks, if any
+        return rng and rng.at(i, rows=(positions, S) if rows else None)
+
     # position rows [0, S), broadcast over the batch; add's backward sums
     # the batch in order, so the gradient has a row scatter's bits
     x = ad.add_layer_norm(ad.add(ad.embedding(p["emb.tok"], ids),
                                  ad.embedding(p["emb.pos"], np.arange(S))),
                           ad.embedding(p["emb.seg"], segs),
                           p["emb.ln_g"], p["emb.ln_b"])
-    x = ad.dropout(x, p_drop, rng)
+    x = ad.dropout(x, p_drop, site(0))
 
     top = cfg.n_layers
     if read is not None:
@@ -227,23 +230,23 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
             raise ValueError(
                 f"read position {outside[0]} out of range [0, {S})")
         flat = positions + S * np.arange(B)[:, None]      # into the B*S rows
-        row_rng = rng if rng is None else RowDraws(rng, positions, S)
 
     mask_bias = (1.0 - mask[:, None, None, :]) * -1e9   # -1e9 at [PAD] keys
     outputs = [x]
     for i in range(top):
         b = f"block{i}."
-        xq, r = x, rng
-        if read is not None and i == top - 1:
-            xq, r = ad.embedding(x, flat), row_rng
+        rows = read is not None and i == top - 1
+        xq = ad.embedding(x, flat) if rows else x
         ctx = ad.self_attention(
             xq, x, *(p[b + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
-            cfg.n_heads, mask_bias, p_drop, r)
+            cfg.n_heads, mask_bias, p_drop, site(3 * i + 1, rows))
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
-        x = ad.add_layer_norm(xq, ad.dropout(attn_out, p_drop, r),
-                              p[b + "attn_ln_g"], p[b + "attn_ln_b"])
+        x = ad.add_layer_norm(
+            xq, ad.dropout(attn_out, p_drop, site(3 * i + 2, rows)),
+            p[b + "attn_ln_g"], p[b + "attn_ln_b"])
         h = ad.dropout(ad.ffn(x, p[b + "ffn_w1"], p[b + "ffn_b1"],
-                              p[b + "ffn_w2"], p[b + "ffn_b2"]), p_drop, r)
+                              p[b + "ffn_w2"], p[b + "ffn_b2"]),
+                       p_drop, site(3 * i + 3, rows))
         x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
     if read is not None and top == 0:

@@ -194,7 +194,7 @@ def make_pretrain_example(doc_index: int, docs, vocab: Vocabulary,
 
 def pretrain_batch_loss(model: EncoderModel, examples, rng: Rng | None = None):
     """Summed MLM (masked positions only) + NSP cross-entropy, with dropout
-    drawn from `rng` if given.
+    keyed by `rng` if given (see `encode_batch`).
 
     Only the masked positions go through the MLM head, as BERT's
     reference pre-training code does: the mean loss over them is the

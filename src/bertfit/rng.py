@@ -4,10 +4,13 @@ All stochastic choices in the toolkit (initialization, dropout, masking,
 sampling) flow through :class:`Rng`, a thin wrapper around numpy's PCG64
 bit generator. PCG64 is a fixed, documented algorithm whose stream depends
 only on the seed, so the same seed produces bitwise-identical results on
-every platform.
+every platform. `at` keys a sub-stream by a `np.random.SeedSequence`
+spawn key; each dropout mask has its own, keyed (seed, step, site).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,17 +18,45 @@ import numpy as np
 class Rng:
     """Seeded PCG64 stream with cheap derived sub-streams."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, key=(), rows=None):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
+        self.key = tuple(key)
+        self.rows = rows                    # see keep_mask
+        self.gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(self.seed, spawn_key=self.key)))
 
     def derive(self, index: int) -> "Rng":
-        """Independent stream for item `index` (seed XOR index).
-
-        Used for per-document example construction so that parallel order
-        cannot change the output.
-        """
+        """Independent stream for item `index` (seed XOR index), so that
+        per-document example construction does not depend on order. Only
+        the indices of one parent are independent: `derive(a).derive(b)` is
+        `derive(b).derive(a)`, and `derive(100).derive(0)` is
+        `derive(101).derive(1)`; key nested streams with `at`."""
         return Rng(self.seed ^ (int(index) + 0x9E3779B97F4A7C15))
+
+    def at(self, *key: int, rows=None) -> "Rng":
+        """The stream keyed by this one's key and then `key` (`at(3, 5)` is
+        `at(3).at(5)`, and independent of `at(5, 3)`), with `rows`."""
+        return Rng(self.seed, self.key + key, rows)
+
+    def keep_mask(self, shape, p: float):
+        """Dropout's boolean keep mask of `shape` at rate p: each row (the
+        last axis) takes the next raw 64-bit words of the stream, in C
+        order, as little-endian 32-bit halves, and keeps an element iff its
+        half is at least floor(p * 2**32), with probability within 2**-32 of
+        1 - p. An op on R of the S rows of each of B items sets `rows` to
+        (positions, S), `positions` a (B, R) int array: its (B, ..., R, W)
+        mask is rows positions[b] of item b of the (B, ..., S, W) one."""
+        *lead, width = shape
+        if self.rows is not None:
+            positions, lead[-1] = self.rows
+        n = (width + 1) // 2                # words per row
+        words = self.gen.bit_generator.random_raw(math.prod(lead) * n)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        kept = halves.reshape(*lead, 2 * n)[..., :width] >= int(p * 2**32)
+        if self.rows is None:
+            return kept
+        idx = np.expand_dims(positions, (*range(1, len(shape) - 2), -1))
+        return np.take_along_axis(kept, idx, axis=-2)
 
     # -- convenience passthroughs ------------------------------------------
 
@@ -45,36 +76,3 @@ class Rng:
         for i in range(len(seq) - 1, 0, -1):
             j = int(self.gen.integers(0, i + 1))
             seq[i], seq[j] = seq[j], seq[i]
-
-
-class RowDraws:
-    """An Rng for an op that runs on R of the S rows of each item.
-
-    `uniform` of an (..., R, W) shape returns the values that `rng.uniform`
-    of the full (..., S, W) shape holds at the rows `positions`, a (B, R)
-    int array of row indices into the S rows of each of the B leading
-    items, and leaves `rng` where that full draw would. It draws only rows
-    [0, positions.max()] of each leading item and skips the rest of the
-    item's S rows with `bit_generator.advance`, one step per float64.
-    `advance` also drops a buffered 32-bit half of the generator, so this
-    is exact only for a stream that draws nothing but doubles, as the
-    dropout stream a training loop passes to `model.encode_batch` does.
-    """
-
-    def __init__(self, rng: Rng, positions, n_rows: int):
-        self.rng = rng
-        self.positions = positions
-        self.n_rows = n_rows
-
-    def uniform(self, shape):
-        *lead, _, width = shape
-        top = int(self.positions.max()) + 1
-        gen = self.rng.gen
-        skip = (self.n_rows - top) * width
-        draw = np.empty((*lead, top, width))
-        for item in draw.reshape(-1, top, width):
-            gen.random(out=item)
-            gen.bit_generator.advance(skip)
-        B, R = self.positions.shape
-        idx = self.positions.reshape((B,) + (1,) * (len(shape) - 3) + (R, 1))
-        return np.take_along_axis(draw, idx, axis=-2)

@@ -98,7 +98,7 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
     """Class logits for a batch of prepared inputs (either route); the
     recipe's combiner kind must be `combiner`'s (None when flat). One
     encoder call computes only the [CLS] rows the head reads, with dropout
-    drawn from `rng` if given: flat, up to the top selected layer;
+    keyed by `rng` if given: flat, up to the top selected layer;
     hierarchical, at layer L for every fraction, pooled per document."""
     kind = combiner.kind if combiner else None
     if kind != recipe.combiner_kind:
@@ -225,16 +225,15 @@ def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
 def train_steps(opt: Adam, rates_at, steps: int, rng: Rng, next_batch,
                 loss_of):
     """The one training loop: steps 1..`steps`, each a `train_step` of
-    `loss_of(batch := next_batch(step), dropout)` at `rates_at(step)`, with
-    dropout drawn from `rng.derive(0xD0)`. Yields (step, batch, out, rates)
-    once each step applies. A step that diverges changes nothing, `opt.t`
-    included, and ends the run: the run diverged if `opt.t < steps`."""
-    dropout = rng.derive(0xD0)
+    `loss_of(batch := next_batch(step), rng.at(step))` at `rates_at(step)`,
+    so step t's dropout is keyed (seed, t, site). Yields (step, batch, out,
+    rates) once each step applies. A step that diverges changes nothing,
+    `opt.t` included, and ends the run: it diverged if `opt.t < steps`."""
     for step in range(1, steps + 1):
         batch = next_batch(step)
         rates = rates_at(step)
         try:
-            out = train_step(opt, lambda: loss_of(batch, dropout), rates)
+            out = train_step(opt, lambda: loss_of(batch, rng.at(step)), rates)
         except DivergedError:
             return
         yield step, batch, out, rates

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bertfit import autodiff as ad
 from bertfit.autodiff import ShapeMismatchError, Tape, Tensor
-from bertfit.rng import Rng, RowDraws
+from bertfit.rng import Rng
 from conftest import attention_probs, spy_gradients
 
 
@@ -149,7 +149,7 @@ def _old_softmax_grad(x, g):
 
 
 def _old_keep(x):  # at p = 0.15, f4(1 / (1 - p)) != f4(1) / f4(1 - p)
-    return (Rng(11).uniform(x.shape) >= 0.15).astype(x.dtype) / (1.0 - 0.15)
+    return Rng(11).keep_mask(x.shape, 0.15).astype(x.dtype) / (1.0 - 0.15)
 
 
 # each: (op, and the forward and backward expressions it had before it was
@@ -663,7 +663,7 @@ class TestDropout:
         x = Tensor(_rand((3, 5, 13), 4), dtype)
         g = _rand(x.shape, 5).astype(dtype)
         p, scale = 0.3, dtype(1) / dtype(1 - 0.3)
-        kept = Rng(6).uniform(x.shape) >= p
+        kept = Rng(6).keep_mask(x.shape, p)
         with Tape() as tape:
             y = ad.dropout(x, p, Rng(6))
             loss = ad.tsum(ad.mul(y, Tensor(g, dtype)))
@@ -681,7 +681,7 @@ class TestDropout:
         assert [(o.dtype, o.shape) for o in held] == [(np.uint8, (3, 5, 2))]
         assert np.array_equal(
             np.unpackbits(held[0], axis=-1, count=13).view(bool),
-            Rng(6).uniform(x.shape) >= 0.3)
+            Rng(6).keep_mask(x.shape, 0.3))
 
 
 _ROWS = np.array([[0, 3], [5, 0]])      # the query rows read, R=2 of S=6
@@ -703,8 +703,8 @@ def _at_rows(t):
 
 class TestAttentionRows:
     """attention_core on R < S query rows gives the full-row op's output
-    and gradients at those rows, dropout included: RowDraws gives the
-    masks' values at those rows from the same seed."""
+    and gradients at those rows, dropout included: a stream with `rows`
+    gives the full mask's rows."""
 
     def _pair(self, dtype, p):
         """(output, q/k/v grads) of the full op read at _ROWS, and of the
@@ -721,7 +721,7 @@ class TestAttentionRows:
             return y.data, [x.grad for x in xs]
 
         y, (gq, gk, gv) = run((q, k, v), Rng(11), _at_rows)
-        rows = run((_rows_of(q), k, v), RowDraws(Rng(11), _ROWS, 6),
+        rows = run((_rows_of(q), k, v), Rng(11, rows=(_ROWS, 6)),
                    lambda y: y)
         return (y, [_rows_of(gq), gk, gv]), rows
 
@@ -745,7 +745,7 @@ class TestAttentionRows:
         def f():
             with Tape() as tape:
                 y = ad.attention_core(*xs, 2, _MASK_BIAS, p,
-                                      RowDraws(Rng(11), _ROWS, 6))
+                                      Rng(11, rows=(_ROWS, 6)))
                 w = Tensor(_rand(y.shape, 29), np.float64)
                 loss = ad.tsum(ad.mul(ad.gelu(y), w))
             return loss, tape
@@ -885,8 +885,8 @@ class TestRng:
         assert sorted(items) == list(range(20))
 
 
-# (B, R) rows read of S=7: [CLS] only; scattered with duplicates, below the
-# last row (the draw skips); and on the last row (no skip)
+# (B, R) rows read of S=7: [CLS] only; scattered with duplicates; and the
+# last row
 _READ_ROWS = {
     "cls-only": np.zeros((2, 1), int),
     "scattered-duplicates": np.array([[2, 0, 2], [1, 1, 4]]),
@@ -895,14 +895,17 @@ _READ_ROWS = {
 
 
 class TestRowDraws:
+    """A stream with `rows` gives the full mask's rows, and leaves the
+    stream where the full mask does."""
+
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["hidden", "heads"])
     @pytest.mark.parametrize("case", sorted(_READ_ROWS))
     def test_rows_of_the_full_draw(self, case, lead):
         positions = _READ_ROWS[case]
         (B, R), S, W = positions.shape, 7, 5
-        full, rows = Rng(11), Rng(11)
-        want = full.uniform((B, *lead, S, W))
-        got = RowDraws(rows, positions, S).uniform((B, *lead, R, W))
+        full, rows = Rng(11), Rng(11, rows=(positions, S))
+        want = full.keep_mask((B, *lead, S, W), 0.3)
+        got = rows.keep_mask((B, *lead, R, W), 0.3)
         idx = positions.reshape((B,) + (1,) * len(lead) + (R, 1))
         assert np.array_equal(got, np.take_along_axis(want, idx, axis=-2))
         assert rows.gen.bit_generator.state == full.gen.bit_generator.state

@@ -368,8 +368,8 @@ class TestGradCheckFullModel:
 
 
 def _unfused_encode(model, ids, segs, mask, rng):
-    """encode_batch with dropout drawn from `rng`, on the chain of single
-    ops it replaced."""
+    """encode_batch with dropout keyed by `rng`, on the chain of single
+    ops it replaced: site 0 the embedding's, 3i + 1 to 3i + 3 block i's."""
     cfg, p = model.config, model.params
     pd = cfg.dropout
     B, S = ids.shape
@@ -378,20 +378,22 @@ def _unfused_encode(model, ids, segs, mask, rng):
         ad.add(ad.embedding(p["emb.tok"], ids),
                ad.embedding(p["emb.pos"], pos)),
         ad.embedding(p["emb.seg"], segs), p["emb.ln_g"], p["emb.ln_b"])
-    x = ad.dropout(x, pd, rng)
+    x = ad.dropout(x, pd, rng.at(0))
     mask_bias = (1.0 - mask[:, None, None, :]) * -1e9
     outputs = [x]
     for i in range(cfg.n_layers):
         b = f"block{i}."
         q, k, v = (unfused_linear(x, p[b + "w" + n], p[b + "b" + n])
                    for n in "qkv")
-        ctx = unfused_attention(q, k, v, cfg.n_heads, mask_bias, pd, rng)
-        a = ad.dropout(unfused_linear(ctx, p[b + "wo"], p[b + "bo"]), pd, rng)
+        ctx = unfused_attention(q, k, v, cfg.n_heads, mask_bias, pd,
+                                rng.at(3 * i + 1))
+        a = ad.dropout(unfused_linear(ctx, p[b + "wo"], p[b + "bo"]), pd,
+                       rng.at(3 * i + 2))
         x = unfused_add_layer_norm(x, a, p[b + "attn_ln_g"],
                                    p[b + "attn_ln_b"])
         h = ad.gelu(unfused_linear(x, p[b + "ffn_w1"], p[b + "ffn_b1"]))
         h = ad.dropout(unfused_linear(h, p[b + "ffn_w2"], p[b + "ffn_b2"]),
-                       pd, rng)
+                       pd, rng.at(3 * i + 3))
         x = unfused_add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
     return outputs

@@ -6,13 +6,15 @@ import ast
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bertfit
 from bertfit import training
 from bertfit.config import TrainingRecipe
 from bertfit.longtext import FractionCombiner
-from bertfit.model import ClassifierHead, EncoderConfig, init_model
+from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
+                           init_model)
 from bertfit.multitask import (MultiTaskModel, _pick_task, hash_name,
                                multitask_finetune)
 from bertfit.optim import (Adam, DivergedError, StlrSchedule,
@@ -81,21 +83,19 @@ def _pretrain_run(vocab):
 
 def _former_finetune(model, head, train_inputs, recipe, combiner):
     rng = Rng(recipe.seed)
-    dropout_rng = rng.derive(0xD0)
     cursor = BatchCursor(train_inputs, rng.derive(0x0E))
     opt, rates_at = recipe_optimizer(model, [head, combiner], recipe)
     for step in range(1, recipe.train_steps + 1):
         batch = cursor.next(recipe.batch_size)
         rates = rates_at(step)
         train_step(opt, lambda: batch_loss(
-            model, head, batch, recipe, combiner, dropout_rng), rates)
+            model, head, batch, recipe, combiner, rng.at(step)), rates)
 
 
 def _former_multitask(mt, task_inputs, recipe):
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
-    dropout_rng = rng.derive(0xD0)
     task_rng = rng.derive(0x7A)
     cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
                for n in names}
@@ -108,7 +108,7 @@ def _former_multitask(mt, task_inputs, recipe):
         batch = cursors[task].next(recipe.batch_size)
         train_step(opt, lambda: batch_loss(
             mt.encoder, mt.heads[task], batch, recipe, mt.combiner,
-            dropout_rng), rates_at(step))
+            rng.at(step)), rates_at(step))
     return counts
 
 
@@ -117,7 +117,6 @@ def _former_pretrain(model, docs, vocab, steps, schedule, rng, batch_size,
     policy = MaskingPolicy()
     groups = group_parameters(model)
     opt = Adam(groups)
-    dropout_rng = rng.derive(0xD0)
     sampler = rng.derive(0x5A)
     example_rng_base = rng.derive(0xE6)
     counter = 0
@@ -132,7 +131,7 @@ def _former_pretrain(model, docs, vocab, steps, schedule, rng, batch_size,
         lr = schedule.rate(step)
         rates = {g.depth: lr for g in groups}
         train_step(opt, lambda: pretrain_batch_loss(model, batch,
-                                                    dropout_rng), rates)
+                                                    rng.at(step)), rates)
 
 
 def _state(*modules):
@@ -143,7 +142,8 @@ def _state(*modules):
 @pytest.mark.parametrize("name", RECIPES)
 def test_each_recipe_equals_its_former_loop(vocab, name):
     """Every parameter has the bits of the loop the recipe wrote out
-    before it stepped through `train_steps`, dropout stream included."""
+    before it stepped through `train_steps`, each step's dropout keyed by
+    the recipe's stream and the step."""
     runs = []
     for new in (True, False):
         if name.startswith("finetune"):
@@ -171,6 +171,35 @@ def test_each_recipe_equals_its_former_loop(vocab, name):
                 _former_pretrain(*args, batch_size=3, max_len=16)
             runs.append(_state(model))
     assert runs[0] == runs[1]
+
+
+def test_a_shallower_read_drops_what_the_full_depth_drops(vocab,
+                                                          monkeypatch):
+    """At step 2, a run that reads block 0 (`single` layer 1) drops what a
+    full-depth run drops in the embedding and in block 0, though its step 1
+    ran one block fewer. At rate 0 both runs keep their initial weights,
+    so the embedding output and block 0's [CLS] rows agree."""
+    seen = []
+    encode = training.encode_batch
+
+    def spy(*args, **kwargs):
+        outs = encode(*args, **kwargs)
+        seen.append([o.data for o in outs[:2]])
+        return outs
+
+    monkeypatch.setattr(training, "encode_batch", spy)
+    config = replace(_config(vocab), n_layers=2, dtype="f8")
+    for layer in (2, 1):
+        recipe = replace(_recipe(), base_lr=0.0, train_steps=2,
+                         layer_selection=LayerSelection("single", layer))
+        head = ClassifierHead.init(16, 2, Rng(2), dtype=np.float64)
+        finetune(init_model(config, Rng(1)), head, _inputs(vocab, recipe, 0),
+                 None, recipe)
+    full, read = seen[1], seen[3]               # step 2 of each run
+    assert full[1].shape[1] == 16 and read[1].shape[1] == 1
+    np.testing.assert_array_equal(read[0], full[0])
+    np.testing.assert_allclose(read[1], full[1][:, :1], rtol=1e-12,
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["finetune", "multitask", "pretrain"])
@@ -229,9 +258,9 @@ SITES = {
     and _call_name(n) == "train_step",
     "catches DivergedError": lambda n: isinstance(n, ast.ExceptHandler)
     and n.type is not None and "DivergedError" in ast.unparse(n.type),
-    "derives the dropout stream 0xD0": lambda n: isinstance(n, ast.Call)
-    and _call_name(n) == "derive" and len(n.args) == 1
-    and isinstance(n.args[0], ast.Constant) and n.args[0].value == 0xD0,
+    "keys the dropout by step": lambda n: isinstance(n, ast.Call)
+    and _call_name(n) == "at" and len(n.args) == 1
+    and isinstance(n.args[0], ast.Name) and n.args[0].id == "step",
 }
 
 
@@ -249,8 +278,8 @@ def _sites(match, modules="*"):
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_only_the_one_loop_steps(site):
     """A training loop calls `train_step`, ends the run on DivergedError
-    and derives the dropout stream; only `training.train_steps` does, so
-    a recipe cannot grow a loop of its own."""
+    and keys each step's dropout; only `training.train_steps` does, so a
+    recipe cannot grow a loop of its own."""
     assert _sites(SITES[site]) == ["training.train_steps"]
 
 

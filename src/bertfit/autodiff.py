@@ -317,29 +317,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    out_data = da * db
-    sa, sb = a.node or a, b.node or b
-
-    def bwd(g):
-        _accum(sa, _unbroadcast(g * db, sa.shape))
-        _accum(sb, _unbroadcast(g * da, sb.shape))
-
-    return _make(out_data, bwd)
-
-
-def square(a: Tensor) -> Tensor:
-    da = a.data
-    out_data = da * da
-    sa = a.node or a
-
-    def bwd(g):
-        _accum(sa, 2.0 * da * g)
-
-    return _make(out_data, bwd)
-
-
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

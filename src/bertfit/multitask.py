@@ -74,8 +74,8 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
     task_rng = rng.derive(0x7A)
-    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
-               for n in names}
+    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E).at(i))
+               for i, n in enumerate(names)}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
 
@@ -105,10 +105,3 @@ def per_task_refine(mt: MultiTaskModel, task: str, train_inputs,
     return finetune(mt.encoder, mt.heads[task], train_inputs, val_inputs,
                     refine_recipe, combiner=mt.combiner)
 
-
-def hash_name(name: str) -> int:
-    """Stable small hash (builtin hash is salted per process)."""
-    h = 0
-    for ch in name:
-        h = (h * 131 + ord(ch)) & 0xFFFFFFFF
-    return h

@@ -288,7 +288,7 @@ def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
     while len(examples) < n_examples:
         di = i % len(docs)
         ex = make_pretrain_example(di, docs, vocab, policy, max_len,
-                                   rng.derive(i))
+                                   rng.at(i))
         if ex.mlm_positions:
             examples.append(ex)
         i += 1

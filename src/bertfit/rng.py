@@ -6,6 +6,15 @@ bit generator. PCG64 is a fixed, documented algorithm whose stream depends
 only on the seed, so the same seed produces bitwise-identical results on
 every platform. `at` keys a sub-stream by a `np.random.SeedSequence`
 spawn key; each dropout mask has its own, keyed (seed, step, site).
+
+The key rule: under a training loop's `rng`, the keys (t, ...) belong to
+step t's dropout (`rng.at(t).at(site)`), so a recipe keys none of its own
+sub-streams there. A recipe's sub-stream nests as
+`rng.derive(purpose).at(index)`: multi-task's cursor of task i is
+`derive(0x0E).at(i)`, and held-out example i is `at(i)` of the stream the
+caller passes. Further pre-training's example n is still
+`derive(0xE6).derive(n)`, one `derive` below a single parent; keying it
+by `at(n)` would move every pre-training bit.
 """
 
 from __future__ import annotations
@@ -65,8 +74,8 @@ class Rng:
         x = self.gen.normal(0.0, std, size=shape)
         return np.clip(x, -2.0 * std, 2.0 * std).astype(dtype)
 
-    def uniform(self, shape=None):
-        return self.gen.random(size=shape)
+    def uniform(self):
+        return self.gen.random()
 
     def randint(self, low, high=None):
         return int(self.gen.integers(low, high))

@@ -251,10 +251,6 @@ class TokenizedSequence:
     def __len__(self):
         return len(self.token_ids)
 
-    @property
-    def n_real(self):
-        return sum(self.attention_mask)
-
 
 def encode(seg_a, seg_b, max_len: int, vocab: Vocabulary,
            label=None) -> TokenizedSequence:

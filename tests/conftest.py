@@ -29,6 +29,24 @@ def toy_batch():
     return ids, segs, mask, labels
 
 
+def weighted_sum(y, w):
+    """The scalar loss sum(y * w), for `w` an array that broadcasts to y's
+    shape, as one `linear` of y's flattened values. Its backward hands y
+    the array w exactly, but a -0.0 in w arrives as +0.0 (the GEMM adds
+    1.0 * w to a zero)."""
+    n = y.data.size
+    w = np.broadcast_to(np.asarray(w, y.dtype), y.shape).reshape(n, 1)
+    b = ad.Tensor(np.zeros(1, y.dtype))
+    return ad.reshape(ad.linear(ad.reshape(y, (1, n)), ad.Tensor(w), b), ())
+
+
+def first_words(rng):
+    """The first raw 64-bit words of the stream `rng` started as, which
+    tell two streams apart."""
+    return tuple(Rng(rng.seed, rng.key).gen.bit_generator.random_raw(4)
+                 .tolist())
+
+
 def attention_probs(monkeypatch):
     """Two lists that get, for each attention forward (`_attention`, which
     `attention_core` and `self_attention` share), a copy of its

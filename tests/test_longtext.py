@@ -9,6 +9,7 @@ from bertfit.longtext import (ChunkedDocument, FractionCombiner,
                               TruncationStrategy, chunk, combine, truncate)
 from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary
+from conftest import weighted_sum
 
 
 @pytest.fixture
@@ -68,7 +69,8 @@ class TestChunk:
     def test_1021_three_fractions(self, vocab):
         doc = chunk(["x"] * 1021, vocab)
         assert doc.k == 3
-        assert doc.fractions[-1].n_real == 3   # [CLS] + 1 token + [SEP]
+        # [CLS] + 1 token + [SEP]
+        assert sum(doc.fractions[-1].attention_mask) == 3
 
     def test_short_single_fraction(self, vocab):
         assert chunk(["x"] * 10, vocab).k == 1
@@ -83,7 +85,7 @@ class TestChunk:
     def test_empty_input(self, vocab):
         doc = chunk([], vocab)
         assert doc.k == 1
-        assert doc.fractions[0].n_real == 2    # just [CLS] [SEP]
+        assert sum(doc.fractions[0].attention_mask) == 2  # [CLS] [SEP]
 
     def test_flatten_reproduces_stream(self, vocab):
         tokens = ["x", "y"] * 600
@@ -168,11 +170,12 @@ class TestCombine:
         comb = FractionCombiner.init("attn", hidden=6, rng=rng,
                                      dtype=np.float64)
         params = [v] + comb.parameters()
+        w = rng.gen.normal(size=6)
 
         def f():
             with ad.Tape() as tape:
                 out = combine(v, comb)
-                loss = ad.tsum(ad.square(out))
+                loss = weighted_sum(ad.gelu(out), w)
             return loss, tape
 
         assert ad.grad_check(f, params, h=1e-4) < 1e-6
@@ -194,7 +197,7 @@ class TestCombine:
             params = [x] + comb.parameters()
             with ad.Tape() as tape:
                 out = pool(x, comb)
-                loss = ad.tsum(ad.mul(out, Tensor(w, dtype)))
+                loss = weighted_sum(out, w)
             ad.backward(tape, loss, parameters=params)
             grads = [p.grad for p in params]
             for p in params:

@@ -6,12 +6,13 @@ from bertfit.data import Dataset, Example
 from bertfit.longtext import FractionCombiner
 from bertfit.model import EncoderConfig, init_model
 from bertfit import multitask
-from bertfit.multitask import (MultiTaskModel, _pick_task, hash_name,
+from bertfit.multitask import (MultiTaskModel, _pick_task,
                                multitask_finetune, per_task_refine)
 from bertfit.rng import Rng
 from bertfit.tokenizer import build_vocab
 from bertfit.toytask import FILLERS, marker_vocab_corpus
 from bertfit.training import prepare_inputs
+from conftest import first_words
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +82,28 @@ class TestMixing:
                    for _ in range(4000))
         assert abs(hits / 4000 - 0.75) < 0.03
 
-    def test_hash_name_stable(self):
-        assert hash_name("imdb") == hash_name("imdb")
-        assert hash_name("imdb") != hash_name("yelp")
+    def test_cursor_streams_are_not_dropout_streams(self, tiny_config,
+                                                    vocab, monkeypatch):
+        """Each task's batch cursor draws from a stream of its own: not
+        another task's, and not the dropout stream `rng.at(t).at(s)` of
+        any step t of the run and any site s up to 3L + 3 (the encoder's
+        sites are 0 to 3L)."""
+        recipe = tiny_recipe()
+        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
+        cursor, rngs = multitask.BatchCursor, []
+
+        def spy(items, rng):
+            rngs.append(rng)
+            return cursor(items, rng)
+        monkeypatch.setattr(multitask, "BatchCursor", spy)
+        multitask_finetune(mt, inputs, recipe)
+        rng, sites = Rng(recipe.seed), 3 * tiny_config.n_layers + 4
+        dropout = {first_words(rng.at(t).at(s))
+                   for t in range(recipe.train_steps + 1)
+                   for s in range(sites)}
+        cursors = {first_words(r) for r in rngs}
+        assert len(rngs) == len(cursors) == 3
+        assert not cursors & dropout
 
 
 class TestMultitaskFinetune:

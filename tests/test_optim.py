@@ -11,6 +11,7 @@ from bertfit.optim import (Adam, DivergedError, LayerwiseLrSchedule,
                            ParameterGroup, StlrSchedule, build_optimizer,
                            effective_rate, group_parameters, train_step)
 from bertfit.rng import Rng
+from conftest import weighted_sum
 
 
 class TestGrouping:
@@ -161,10 +162,9 @@ class TestAdam:
         def run(shared):
             pa = Tensor(np.array([1.0, -2.0]), np.float64, name="a")
             pb = Tensor(np.array([0.5, 3.0]), np.float64, name="b")
-            c = Tensor(np.array([3.0, 4.0]), np.float64)
             opt = Adam([ParameterGroup(0, [pa, pb])], clip_norm=0.5)
             with ad.Tape() as tape:
-                loss = ad.tsum(ad.mul(ad.add(pa, pb), c))
+                loss = weighted_sum(ad.add(pa, pb), np.array([3.0, 4.0]))
             ad.backward(tape, loss, parameters=[pa, pb])
             assert pa.grad is pb.grad       # add hands both one array
             if not shared:
@@ -274,10 +274,11 @@ class TestTrainStep:
         opt2 = Adam([ParameterGroup(depth=0, params=[w2])])
         for _ in range(3):
             out = train_step(
-                opt, lambda: (ad.tsum(ad.matmul(x, w)), "aux"), {0: 1e-2})
+                opt, lambda: (weighted_sum(ad.matmul(x, w), 1.0), "aux"),
+                {0: 1e-2})
             assert out[1] == "aux"
             with ad.Tape() as tape:
-                loss = ad.tsum(ad.matmul(x, w2))
+                loss = weighted_sum(ad.matmul(x, w2), 1.0)
             opt2.zero_grad()
             ad.backward(tape, loss, parameters=[w2])
             opt2.step({0: 1e-2})
@@ -291,7 +292,7 @@ class TestTrainStep:
         def loss_fn():      # Tensor has no weakref slot; its data stands in
             h = ad.matmul(x, w)
             arrays.append(weakref.ref(h.data))
-            return (ad.tsum(h),)
+            return (weighted_sum(h, 1.0),)
 
         train_step(opt, loss_fn, {0: 1e-2})
         assert arrays[0]() is None
@@ -302,7 +303,7 @@ class TestTrainStep:
 
         def loss_fn():
             alive.append([r() is not None for r in refs])
-            return (ad.tsum(ad.matmul(x, w)),)
+            return (weighted_sum(ad.matmul(x, w), 1.0),)
 
         train_step(opt, loss_fn, {0: 1e-2})
         refs.append(weakref.ref(w.grad))
@@ -314,9 +315,8 @@ class TestTrainStep:
         w, opt, x = self._setup()
         before = w.data.copy()
         with pytest.raises(DivergedError, match="step 1"):
-            train_step(opt, lambda: (ad.mul(ad.tsum(ad.matmul(x, w)),
-                                            Tensor(bad, x.dtype)),),
-                       {0: 1e-2})
+            train_step(opt, lambda: (weighted_sum(ad.matmul(x, w),
+                                                  [bad, 1.0]),), {0: 1e-2})
         assert np.array_equal(w.data, before)
         assert w.grad is None and opt.t == 0
 
@@ -342,8 +342,8 @@ class TestTrainStep:
         opt = Adam([ParameterGroup(0, [w]), ParameterGroup(1, [u])],
                    clip_norm=clip_norm)
         rates = {0: 1e-2, 1: 1e-2}
-        train_step(opt, lambda: (ad.tsum(ad.matmul(ad.matmul(x, w), u)),),
-                   rates)
+        train_step(opt, lambda: (weighted_sum(ad.matmul(ad.matmul(x, w), u),
+                                              1.0),), rates)
 
         def state():
             return [opt.t] + [a.tobytes() for p in (w, u)
@@ -361,8 +361,8 @@ class TestTrainStep:
         w, opt, x = self._setup()
         x.data[0, 0] = np.nan
         with pytest.raises(DivergedError, match="NaN"):
-            train_step(opt, lambda: (ad.tsum(ad.softmax(ad.matmul(x, w))),),
-                       {0: 1e-2})
+            train_step(opt, lambda: (weighted_sum(
+                ad.softmax(ad.matmul(x, w)), 1.0),), {0: 1e-2})
 
     @pytest.mark.parametrize("clip_norm", [None, 0.5])
     def test_tensor_the_loss_misses_is_left_as_it_was(self, clip_norm):
@@ -374,8 +374,8 @@ class TestTrainStep:
         opt = Adam([ParameterGroup(0, [w]), ParameterGroup(1, [u])],
                    clip_norm=clip_norm)
         rates = {0: 1e-2, 1: 1e-2}
-        train_step(opt, lambda: (ad.tsum(ad.matmul(ad.matmul(x, w), u)),),
-                   rates)
+        train_step(opt, lambda: (weighted_sum(ad.matmul(ad.matmul(x, w), u),
+                                              1.0),), rates)
         kept = [a.tobytes() for a in (u.data, opt.m[id(u)], opt.v[id(u)])]
         assert opt.m[id(u)].any()
         w_alone = Tensor(w.data.copy(), name="w")
@@ -383,7 +383,8 @@ class TestTrainStep:
         ref.t, ref.m[id(w_alone)], ref.v[id(w_alone)] = \
             opt.t, opt.m[id(w)].copy(), opt.v[id(w)].copy()
         for o, p in ((opt, w), (ref, w_alone)):
-            train_step(o, lambda: (ad.tsum(ad.matmul(x, p)),), rates)
+            train_step(o, lambda: (weighted_sum(ad.matmul(x, p), 1.0),),
+                       rates)
         assert u.grad is None
         assert [a.tobytes() for a in (u.data, opt.m[id(u)],
                                       opt.v[id(u)])] == kept

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bertfit import pretraining as pre
 from bertfit.data import Dataset, Example
 from bertfit.model import EncoderConfig, init_model
 from bertfit.optim import StlrSchedule
@@ -11,6 +12,7 @@ from bertfit.pretraining import (MaskingPolicy, apply_masking,
                                  trim_pair, write_corpus)
 from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, encode
+from conftest import first_words, weighted_sum
 
 
 def make_dataset(name, texts):
@@ -140,7 +142,8 @@ class TestMasking:
         seq = self._long_seq(vocab)
         for trial in range(1000):
             ex = apply_masking(seq, policy, Rng(trial), vocab)
-            total += seq.n_real - 3     # content tokens, minus specials
+            # content tokens, minus specials
+            total += sum(seq.attention_mask) - 3
             corrupted += len(ex.mlm_positions)
             for pos, lab in zip(ex.mlm_positions, ex.mlm_labels):
                 now = ex.seq.token_ids[pos]
@@ -262,8 +265,7 @@ class TestGatheredMlmLoss:
         mlm = terms[0]
         for t in terms[1:]:
             mlm = ad.add(mlm, t)
-        return ad.add(ad.mul(mlm, ad.Tensor(1.0 / len(terms), mlm.dtype)),
-                      nsp)
+        return ad.add(weighted_sum(mlm, 1.0 / len(terms)), nsp)
 
     def _assert_matches_full(self, vocab, mask_probs, mode="eval",
                              n_layers=1, per_tensor=True):
@@ -332,6 +334,28 @@ class TestFurtherPretrain:
                                            n_examples=32, max_len=16)
         expected = np.log(len(vocab)) + np.log(2.0)
         assert abs(loss - expected) / expected < 0.05
+
+    def test_held_out_batches_share_no_example_stream(self, monkeypatch):
+        """Batches scored with `Rng(s).derive(100)` and `derive(101)`, as
+        the benchmark scores consecutive held-out batches, build no
+        example from the same stream (nested `derive`s would: example 1
+        of the one is example 0 of the other)."""
+        docs, vocab, cfg = self._setup()
+        model = init_model(cfg, Rng(0))
+        build, streams = pre.make_pretrain_example, []
+
+        def spy(*args):
+            streams.append(first_words(args[-1]))
+            return build(*args)
+        monkeypatch.setattr(pre, "make_pretrain_example", spy)
+        batches = []
+        for j in (100, 101):
+            held_out_mlm_loss(model, docs, vocab, Rng(3).derive(j),
+                              n_examples=4, max_len=16)
+            batches.append(set(streams))
+            streams.clear()
+        assert len(batches[0]) >= 4 and len(batches[1]) >= 4
+        assert not batches[0] & batches[1]
 
     def test_loss_decreases(self):
         docs, vocab, cfg = self._setup()

@@ -242,7 +242,7 @@ class TestEncode:
 
     def test_capacity_510(self, small_vocab):
         seq = encode(["x"] * 509, None, 512, small_vocab)
-        assert seq.n_real == 511
+        assert sum(seq.attention_mask) == 511
         assert len(seq) == 512
 
     def test_overflow_rejected(self, small_vocab):
@@ -264,7 +264,7 @@ class TestEncode:
         max_len = 16
         seq = encode(["x"] * na, ["y"] * nb if nb else None, max_len, vocab)
         assert len(seq) == max_len
-        assert seq.n_real <= max_len
+        assert sum(seq.attention_mask) <= max_len
 
 
 class TestSegmentSentences:

@@ -15,8 +15,7 @@ from bertfit.config import TrainingRecipe
 from bertfit.longtext import FractionCombiner
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            init_model)
-from bertfit.multitask import (MultiTaskModel, _pick_task, hash_name,
-                               multitask_finetune)
+from bertfit.multitask import MultiTaskModel, _pick_task, multitask_finetune
 from bertfit.optim import (Adam, DivergedError, StlrSchedule,
                            group_parameters, train_step)
 from bertfit.pretraining import (MaskingPolicy, further_pretrain,
@@ -97,8 +96,8 @@ def _former_multitask(mt, task_inputs, recipe):
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
     task_rng = rng.derive(0x7A)
-    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E ^ hash_name(n)))
-               for n in names}
+    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E).at(i))
+               for i, n in enumerate(names)}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
     counts = {n: 0 for n in names}

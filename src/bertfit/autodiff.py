@@ -8,19 +8,18 @@ keeps its tensor input's dtype; constant operands are cast to it.
 
 Gradient contract: each gradient collects in a sink. A recorded output's
 sink is its tape record (``Tensor.node``), which holds the gradient, the
-backward rule and the output's shape, dtype and strides, but not its
-data; a leaf -- a parameter, or another tensor no op produced -- is its
-own sink. So after :func:`backward` only leaves hold a gradient, and a
-record's gradient lives only until its rule has run. A gradient may be a
+backward rule and the output's shape and dtype, but not its data; a leaf
+-- a parameter, or another tensor no op produced -- is its own sink. So
+after :func:`backward` only leaves hold a gradient, and a record's
+gradient lives only until its rule has run. Every gradient is
+C-contiguous, whatever the layout of its output. A gradient may be a
 borrowed array -- the very array an op's backward rule passed on, which
 can be shared with other sinks' gradients (``add`` hands one array to
 both inputs; ``reshape``, ``transpose`` and ``_unbroadcast`` pass views
 of theirs). So no backward rule or optimizer writes into a gradient it
 was handed: `_accum` adds a later contribution in place only into an
 array it allocated for that record, and replaces any other gradient -- a
-borrowed one, or a leaf's, which outlives backward -- with a new sum. A
-first gradient keeps the layout (strides) of the output; one in another
-layout is copied into it.
+borrowed one, or a leaf's, which outlives backward -- with a new sum.
 
 Only the operations the encoder needs are provided; broadcasting is
 limited to trailing-dimension bias adds and batched matmul.
@@ -150,12 +149,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def strides(self):
-        return self.data.strides
-
     def _new_grad(self):
-        return np.empty_like(self.data)
+        return np.empty(self.shape, self.dtype)
 
     def zero_grad(self):
         self.grad = None
@@ -167,26 +162,19 @@ class Tensor:
 class _Record:
     """The gradient sink of one recorded output: its gradient, the rule
     that passes that gradient on to the sinks of the op's inputs, and the
-    output's shape, dtype and strides. A non-contiguous output keeps its
-    view (`like`) to allocate gradients in its layout; every other output's
-    data is not kept."""
+    output's shape and dtype; the output's data is not kept."""
 
-    __slots__ = ("grad", "_owned", "backward_fn", "shape", "dtype",
-                 "strides", "like")
+    __slots__ = ("grad", "_owned", "backward_fn", "shape", "dtype")
 
     def __init__(self, data, backward_fn):
         self.grad = self._owned = None
         self.backward_fn = backward_fn
         self.shape = data.shape
         self.dtype = data.dtype
-        self.strides = data.strides
-        self.like = None if data.flags.c_contiguous else data
 
     def _new_grad(self):
-        """An empty array in the output's layout, owned by this record."""
-        g = np.empty(self.shape, self.dtype) if self.like is None \
-            else np.empty_like(self.like)
-        self._owned = g
+        """An empty C-contiguous array, owned by this record."""
+        g = self._owned = np.empty(self.shape, self.dtype)
         return g
 
 
@@ -226,18 +214,19 @@ class Tape:
 def _accum(sink, g):
     """Add `g` into the gradient of `sink`, a record or a leaf Tensor.
 
-    The first gradient is `g` itself when it has the sink's strides and
-    dtype (`g` may be a view shared with other sinks' gradients);
-    otherwise it is copied into that layout, since a gradient's strides
-    decide the summation path of every later matmul and sum over it. A
-    later `g` is added in place into an array `_accum` allocated for this
-    record (checked by identity), and otherwise into a new one, so a
-    borrowed gradient, a leaf's or one set from outside is never written
-    into. Elementwise addition gives the same bits either way.
+    Every gradient is C-contiguous: the first gradient is `g` itself when
+    it is C-contiguous and has the sink's dtype (`g` may be a view shared
+    with other sinks' gradients); otherwise it is copied into a new
+    C-contiguous array, since a gradient's layout decides the summation
+    path of every later matmul and sum over it. A later `g` is added in
+    place into an array `_accum` allocated for this record (checked by
+    identity), and otherwise into a new one, so a borrowed gradient, a
+    leaf's or one set from outside is never written into. Elementwise
+    addition gives the same bits either way.
     """
     grad = sink.grad
     if grad is None:
-        if g.strides == sink.strides and g.dtype == sink.dtype:
+        if g.flags.c_contiguous and g.dtype == sink.dtype:
             sink.grad = g
         else:
             sink.grad = grad = sink._new_grad()
@@ -705,8 +694,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     bits, and forms the gradient of gelu(u) with the w2 GEMM; then, chunk
     by chunk, it builds gelu's tanh term t once, multiplies that gradient
     by gelu's slope and makes u into gelu(u) in place, for the w2 weight
-    gradient. So it holds two F-wide arrays. Backward reads the parameter arrays again, as `linear` reads
-    its weight: a parameter must not change between forward and backward.
+    gradient. So it holds two F-wide arrays. Backward reads the parameter
+    arrays again, as `linear` reads its weight: a parameter must not change
+    between forward and backward.
     Each GEMM runs on every row at once, as in the chain, and gelu's
     elementwise passes run chunk by chunk over u's rows (`_row_chunks`), so
     that a chunk's temporaries stay in cache; they are gelu's expressions

@@ -279,10 +279,11 @@ def select_features(outputs, sel: LayerSelection) -> Tensor:
     cls_vecs = [cls_states(outputs[l]) for l in idx]   # (B, H) each
     if len(cls_vecs) == 1:
         return cls_vecs[0]
+    joined = ad.concat(cls_vecs, axis=-1)               # (B, n H)
     if sel.combiner == "concat":
-        return ad.concat(cls_vecs, axis=-1)
-    stacked = ad.concat(
-        [ad.reshape(v, (v.shape[0], 1, v.shape[1])) for v in cls_vecs], axis=1)
+        return joined
+    B, H = cls_vecs[0].shape
+    stacked = ad.reshape(joined, (B, len(cls_vecs), H))
     if sel.combiner == "mean":
         return ad.tmean(stacked, axis=1)
     return ad.tmax(stacked, axis=1)

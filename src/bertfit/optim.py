@@ -11,6 +11,7 @@ that got no gradient. A step that diverges changes nothing.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +53,17 @@ class StlrSchedule:
     peak_lr: float = 2e-5
     warmup_proportion: float = 0.1
 
+    def __post_init__(self):
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
+        if not 0.0 < self.warmup_proportion < 1.0:
+            raise ValueError("warmup proportion must be in (0, 1)")
+
     def rate(self, step: int) -> float:
         """Piecewise-linear: 0 -> peak over the warm-up, peak -> 0 after."""
         total, warmup = self.total_steps, self.warmup_proportion
-        if total < 1:
-            raise ValueError("total_steps must be >= 1")
-        if not 0.0 < warmup < 1.0:
-            raise ValueError("warmup proportion must be in (0, 1)")
         cut = warmup * total
         if step > total:
-            import warnings
             warnings.warn(f"step {step} past total_steps {total}; rate 0")
             return 0.0
         if step <= cut:

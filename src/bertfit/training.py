@@ -119,10 +119,10 @@ def batch_logits(model: EncoderModel, head: ClassifierHead, batch,
     offset = 0
     for doc in batch:
         rows = np.arange(offset, offset + doc.k)
-        f = combine(ad.embedding(outs[-1], rows), combiner)
-        feats.append(ad.reshape(f, (1, f.shape[0])))
+        feats.append(combine(ad.embedding(outs[-1], rows), combiner))
         offset += doc.k
-    return class_logits(ad.concat(feats, axis=0), head)
+    feats = ad.concat(feats, axis=0)                    # (D H,)
+    return class_logits(ad.reshape(feats, (len(batch), -1)), head)
 
 
 def batch_loss(model: EncoderModel, head: ClassifierHead, batch,
@@ -246,9 +246,11 @@ def finetune(model: EncoderModel, head: ClassifierHead,
              eval_hook=None):
     """Train with STLR + layer-wise rates; keep the best validation model.
 
-    `train_inputs` etc. come from :func:`prepare_inputs`. Returns a
-    FinetuneResult whose model, head and combiner hold the best-validation
-    parameters.
+    `train_inputs` etc. come from :func:`prepare_inputs`. Validation
+    round e of E = `recipe.epochs` ends at step ceil(e T / E) of T =
+    `recipe.train_steps`, a step ending at most one round: E rounds when
+    T >= E, one per step otherwise. Returns a FinetuneResult whose model,
+    head and combiner hold the best-validation parameters.
     """
     rng = Rng(recipe.seed)
     cursor = BatchCursor(train_inputs, rng.derive(0x0E))
@@ -256,7 +258,9 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     opt, rates_at = recipe_optimizer(model, heads, recipe)
     named = named_tensors(model, heads)
     top = model.config.n_layers + 1
-    steps_per_epoch = max(1, recipe.train_steps // recipe.epochs)
+    T, E = recipe.train_steps, recipe.epochs
+    ends = dict.fromkeys(-(-e * T // E) for e in range(1, E + 1))
+    round_at = {step: n for n, step in enumerate(ends, 1)}
 
     best = {"error": float("inf"), "epoch": -1, "params": None}
     history = []
@@ -269,10 +273,8 @@ def finetune(model: EncoderModel, head: ClassifierHead,
             wrong = logits.data.argmax(axis=-1) != labels
             metrics.add(step, "train", loss.data, 100.0 * wrong.mean(),
                         rates[top])
-        end_of_epoch = step % steps_per_epoch == 0 or \
-            step == recipe.train_steps
-        if end_of_epoch and val_inputs:
-            epoch = step // steps_per_epoch
+        epoch = round_at.get(step)
+        if epoch and val_inputs:
             val_err, val_loss = evaluate(model, head, val_inputs, recipe,
                                          combiner)
             history.append({"epoch": epoch, "step": step,

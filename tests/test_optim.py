@@ -65,6 +65,16 @@ class TestStlr:
         with pytest.warns(UserWarning):
             assert sched.rate(101) == 0.0
 
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_no_steps_rejected_where_built(self, total):
+        with pytest.raises(ValueError, match="total_steps must be >= 1"):
+            StlrSchedule(total_steps=total)
+
+    @pytest.mark.parametrize("warmup", [0.0, 1.0, -0.1, 1.5])
+    def test_warmup_outside_unit_interval_rejected_where_built(self, warmup):
+        with pytest.raises(ValueError, match=r"warmup proportion"):
+            StlrSchedule(total_steps=100, warmup_proportion=warmup)
+
 
 class TestEffectiveRate:
     @pytest.mark.parametrize("xi", [0.85, 0.90, 0.95, 1.00])

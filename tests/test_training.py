@@ -234,6 +234,24 @@ class TestFinetune:
         for p in comb.parameters():
             assert p.data.tobytes() == seen[1][p.name].tobytes()
 
+    @pytest.mark.parametrize("steps, epochs, rounds", [
+        (10, 4, [(1, 3), (2, 5), (3, 8), (4, 10)]),
+        (7, 2, [(1, 4), (2, 7)]),
+        (9, 3, [(1, 3), (2, 6), (3, 9)]),
+        (2, 4, [(1, 1), (2, 2)]),
+    ])
+    def test_validation_rounds_end_at_ceil_of_their_share(
+            self, tiny_config, small_task, vocab, monkeypatch, steps, epochs,
+            rounds):
+        # round e of E ends at step ceil(e T / E), each step at most once
+        train, val, _ = small_task
+        recipe = tiny_recipe(train_steps=steps, epochs=epochs)
+        monkeypatch.setattr(training, "evaluate", lambda *args: (50.0, 1.0))
+        model, head = fresh_pair(tiny_config)
+        res = finetune(model, head, prepare_inputs(train, vocab, recipe),
+                       prepare_inputs(val, vocab, recipe), recipe)
+        assert [(h["epoch"], h["step"]) for h in res.history] == rounds
+
     def test_tie_keeps_earliest_epoch(self, tiny_config, small_task, vocab):
         train, val, _ = small_task
         recipe = tiny_recipe(train_steps=30, epochs=3, base_lr=0.0)

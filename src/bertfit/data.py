@@ -107,9 +107,8 @@ def _stratified_indices(examples, rng: Rng):
     by_class = defaultdict(list)
     for i, ex in enumerate(examples):
         by_class[ex.label].append(i)
-    for idxs in by_class.values():
-        rng.shuffle(idxs)
-    return by_class
+    return {label: rng.gen.permutation(idxs).tolist()
+            for label, idxs in by_class.items()}
 
 
 def split_validation(dataset: Dataset, fraction: float, seed: int):

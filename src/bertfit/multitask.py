@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from .config import TrainingRecipe
 from .longtext import FractionCombiner
 from .model import ClassifierHead, EncoderModel
-from .rng import Rng
-from .training import (BatchCursor, batch_loss, finetune, recipe_optimizer,
+from .rng import CURSOR, TASK, Rng
+from .training import (batch_at, batch_loss, finetune, recipe_optimizer,
                        train_steps)
 
 
@@ -28,10 +28,11 @@ class MultiTaskModel:
     @classmethod
     def init(cls, encoder: EncoderModel, tasks: dict[str, int],
              feature_width: int, rng: Rng):
-        """`tasks` maps task name -> class count."""
+        """`tasks` maps task name -> class count; head i of the sorted
+        names draws from `rng.at(i)`."""
         heads = {
             name: ClassifierHead.init(feature_width, n_classes,
-                                      rng.derive(i),
+                                      rng.at(i),
                                       dtype=encoder.config.np_dtype,
                                       name=f"task.{name}")
             for i, (name, n_classes) in enumerate(sorted(tasks.items()))}
@@ -73,19 +74,18 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
-    task_rng = rng.derive(0x7A)
-    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E).at(i))
-               for i, n in enumerate(names)}
+    cursors = {n: rng.at(0, CURSOR, i) for i, n in enumerate(names)}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
+    counts = {n: 0 for n in names}     # steps applied, so picks before t
 
     def next_batch(step):
-        task = _pick_task(names, sizes, task_rng)
-        return task, cursors[task].next(recipe.batch_size)
+        task = _pick_task(names, sizes, rng.at(0, TASK, step))
+        return task, batch_at(task_inputs[task], cursors[task],
+                              recipe.batch_size, counts[task] + 1)
 
     # only the shared encoder and combiner and the sampled task's head
     # receive gradients; the other heads stay bitwise-unchanged this step
-    counts = {n: 0 for n in names}
     for step, (task, _), _, _ in train_steps(
             opt, rates_at, recipe.train_steps, rng, next_batch,
             lambda tb, dropout: batch_loss(mt.encoder, mt.heads[tb[0]], tb[1],

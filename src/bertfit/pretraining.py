@@ -19,7 +19,7 @@ from .data import Dataset, InputError, open_input
 from .model import (EncoderModel, encode_batch, mlm_logits, nsp_logits,
                     stack_inputs)
 from .optim import StlrSchedule, build_optimizer
-from .rng import Rng
+from .rng import EXAMPLE, Rng
 from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
 from .training import train_steps
 
@@ -249,18 +249,16 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
         raise ValueError("corpus is empty")
     policy = policy or MaskingPolicy()
     opt, rates_at = build_optimizer(model, (), schedule)
-    sampler = rng.derive(0x5A)
-    example_rng_base = rng.derive(0xE6)
 
-    def next_batch(step):
-        return [make_pretrain_example(
-            sampler.randint(len(docs)), docs, vocab, policy, max_len,
-            example_rng_base.derive((step - 1) * batch_size + i))
-            for i in range(batch_size)]
+    def example(step, i):       # its document is its stream's first draw
+        ex_rng = rng.at(0, EXAMPLE, step, i)
+        return make_pretrain_example(ex_rng.randint(len(docs)), docs, vocab,
+                                     policy, max_len, ex_rng)
 
     checkpoints, history = [], []
     for step, _, (loss, mlm_l, nsp_l), rates in train_steps(
-            opt, rates_at, steps, rng, next_batch,
+            opt, rates_at, steps, rng,
+            lambda step: [example(step, i) for i in range(batch_size)],
             lambda batch, dropout: pretrain_batch_loss(model, batch, dropout)):
         if step % log_every == 0 or step == 1 or step == steps:
             history.append(

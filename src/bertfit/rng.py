@@ -5,16 +5,15 @@ sampling) flow through :class:`Rng`, a thin wrapper around numpy's PCG64
 bit generator. PCG64 is a fixed, documented algorithm whose stream depends
 only on the seed, so the same seed produces bitwise-identical results on
 every platform. `at` keys a sub-stream by a `np.random.SeedSequence`
-spawn key; each dropout mask has its own, keyed (seed, step, site).
+spawn key, so every batch and mask of a run is a function of its seed
+and its key.
 
-The key rule: under a training loop's `rng`, the keys (t, ...) belong to
-step t's dropout (`rng.at(t).at(site)`), so a recipe keys none of its own
-sub-streams there. A recipe's sub-stream nests as
-`rng.derive(purpose).at(index)`: multi-task's cursor of task i is
-`derive(0x0E).at(i)`, and held-out example i is `at(i)` of the stream the
-caller passes. Further pre-training's example n is still
-`derive(0xE6).derive(n)`, one `derive` below a single parent; keying it
-by `at(n)` would move every pre-training bit.
+The key rule: under a training loop's `rng`, step t's dropout at site s
+is keyed (t, s), t >= 1; every other stream of the loop is keyed 0, a
+step that never runs, then its purpose: pass e of the batch order
+(0, CURSOR, e), and of multi-task's task i (0, CURSOR, i, e); the task of
+step t (0, TASK, t); pre-training example i of step t (0, EXAMPLE, t, i).
+So no two of a run's streams share a key.
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# purposes of a training loop's streams keyed (0, purpose, ...)
+CURSOR, TASK, EXAMPLE = 1, 2, 3
 
 
 class Rng:
@@ -79,9 +81,3 @@ class Rng:
 
     def randint(self, low, high=None):
         return int(self.gen.integers(low, high))
-
-    def shuffle(self, seq):
-        """In-place Fisher-Yates shuffle of a list."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = int(self.gen.integers(0, i + 1))
-            seq[i], seq[j] = seq[j], seq[i]

@@ -25,7 +25,7 @@ from .model import (ClassifierHead, EncoderConfig, EncoderModel,
                     select_features, stack_inputs)
 from .optim import (Adam, DivergedError, StlrSchedule, build_optimizer,
                     train_step)
-from .rng import Rng
+from .rng import CURSOR, Rng
 from .tokenizer import Vocabulary, encode, tokenize
 
 
@@ -135,28 +135,15 @@ def batch_loss(model: EncoderModel, head: ClassifierHead, batch,
     return ad.cross_entropy(logits, labels), logits, labels
 
 
-class BatchCursor:
-    """Batches of `n` items drawn through reshuffled passes over `items`.
-
-    Each pass reshuffles the index order in place with `rng`; a batch that
-    runs past the end of a pass continues into the next one.
-    """
-
-    def __init__(self, items, rng: Rng):
-        self.items = items
-        self.rng = rng
-        self.order = list(range(len(items)))
-        self.pos = len(self.order)      # forces a shuffle on first use
-
-    def next(self, n: int) -> list:
-        batch = []
-        while len(batch) < n:
-            if self.pos >= len(self.order):
-                self.rng.shuffle(self.order)
-                self.pos = 0
-            batch.append(self.items[self.order[self.pos]])
-            self.pos += 1
-        return batch
+def batch_at(items, rng: Rng, size: int, n: int) -> list:
+    """Batch n (from 1) of `size` items of consecutive passes over `items`,
+    pass e ordered by `rng.at(e).gen.permutation(len(items))`; a batch
+    that runs past the end of a pass continues into the next one."""
+    start, N = (n - 1) * size, len(items)
+    passes = range(start // N, (start + size - 1) // N + 1)
+    order = np.concatenate([rng.at(e).gen.permutation(N) for e in passes])
+    offset = start - passes[0] * N
+    return [items[i] for i in order[offset:offset + size]]
 
 
 def build_encoder(model_config: EncoderConfig, recipe: TrainingRecipe,
@@ -253,7 +240,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     head and combiner hold the best-validation parameters.
     """
     rng = Rng(recipe.seed)
-    cursor = BatchCursor(train_inputs, rng.derive(0x0E))
+    cursor = rng.at(0, CURSOR)
     heads = [head, combiner]
     opt, rates_at = recipe_optimizer(model, heads, recipe)
     named = named_tensors(model, heads)
@@ -266,7 +253,8 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     history = []
     for step, _, (loss, logits, labels), rates in train_steps(
             opt, rates_at, recipe.train_steps, rng,
-            lambda _: cursor.next(recipe.batch_size),
+            lambda step: batch_at(train_inputs, cursor, recipe.batch_size,
+                                  step),
             lambda batch, dropout: batch_loss(model, head, batch, recipe,
                                               combiner, dropout)):
         if metrics and step % 10 == 0:

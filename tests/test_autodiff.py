@@ -3,8 +3,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bertfit import autodiff as ad
 from bertfit.autodiff import ShapeMismatchError, Tape, Tensor
@@ -885,13 +883,6 @@ class TestRng:
         a, b = Rng(7).derive(0), Rng(7).derive(1)
         assert [a.uniform() for _ in range(10)] != \
             [b.uniform() for _ in range(10)]
-
-    @given(st.integers(min_value=0, max_value=2**63 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_shuffle_is_permutation(self, seed):
-        items = list(range(20))
-        Rng(seed).shuffle(items)
-        assert sorted(items) == list(range(20))
 
 
 # (B, R) rows read of S=7: [CLS] only; scattered with duplicates; and the

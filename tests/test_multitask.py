@@ -12,7 +12,6 @@ from bertfit.rng import Rng
 from bertfit.tokenizer import build_vocab
 from bertfit.toytask import FILLERS, marker_vocab_corpus
 from bertfit.training import prepare_inputs
-from conftest import first_words
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +40,8 @@ def word_dataset(name, n, n_classes, seed):
         label = i % n_classes
         words = [FILLERS[label]] * 3 + \
             [FILLERS[rng.randint(len(FILLERS))] for _ in range(3)]
-        rng.shuffle(words)
-        exs.append(Example(label=label, text=" ".join(words)))
+        exs.append(Example(label=label,
+                           text=" ".join(rng.gen.permutation(words))))
     return Dataset(name=name, examples=exs, n_classes=n_classes)
 
 
@@ -72,6 +71,19 @@ class TestModelInit:
                                  Rng(1))
         assert mt.encoder is enc
 
+    @pytest.mark.parametrize("seed", [0, 7, 41])
+    def test_no_head_draws_the_runs_own_stream(self, tiny_config, seed):
+        """`bertfit multitask` draws the heads under `Rng(seed).derive(2)`;
+        keyed by `at(i)`, no head repeats the first draws of `Rng(seed)`,
+        the stream a `--seed` run splits its data with (a nested
+        `derive(2)` would give sorted task 2 that very stream)."""
+        enc = init_model(tiny_config, Rng(0))
+        mt = MultiTaskModel.init(enc, {"a": 2, "b": 2, "c": 2},
+                                 tiny_config.hidden, Rng(seed).derive(2))
+        raw = Rng(seed).truncated_normal((tiny_config.hidden, 2))
+        for name, head in mt.heads.items():
+            assert not np.array_equal(head.W.data, raw), name
+
 
 class TestMixing:
     def test_proportional_fraction(self):
@@ -81,29 +93,6 @@ class TestMixing:
         hits = sum(_pick_task(names, sizes, rng) == "big"
                    for _ in range(4000))
         assert abs(hits / 4000 - 0.75) < 0.03
-
-    def test_cursor_streams_are_not_dropout_streams(self, tiny_config,
-                                                    vocab, monkeypatch):
-        """Each task's batch cursor draws from a stream of its own: not
-        another task's, and not the dropout stream `rng.at(t).at(s)` of
-        any step t of the run and any site s up to 3L + 3 (the encoder's
-        sites are 0 to 3L)."""
-        recipe = tiny_recipe()
-        mt, inputs = three_task_setup(tiny_config, vocab, recipe)
-        cursor, rngs = multitask.BatchCursor, []
-
-        def spy(items, rng):
-            rngs.append(rng)
-            return cursor(items, rng)
-        monkeypatch.setattr(multitask, "BatchCursor", spy)
-        multitask_finetune(mt, inputs, recipe)
-        rng, sites = Rng(recipe.seed), 3 * tiny_config.n_layers + 4
-        dropout = {first_words(rng.at(t).at(s))
-                   for t in range(recipe.train_steps + 1)
-                   for s in range(sites)}
-        cursors = {first_words(r) for r in rngs}
-        assert len(rngs) == len(cursors) == 3
-        assert not cursors & dropout
 
 
 class TestMultitaskFinetune:

@@ -357,6 +357,26 @@ class TestFurtherPretrain:
         assert len(batches[0]) >= 4 and len(batches[1]) >= 4
         assert not batches[0] & batches[1]
 
+    @pytest.mark.parametrize("seed", [0, 7, 41])
+    def test_no_example_draws_the_initial_weights_stream(self, seed,
+                                                         monkeypatch):
+        """`bertfit pretrain` and acceptance test 8 draw the weights from
+        `Rng(s).derive(1)` and loop on `Rng(s).derive(2)`: no example
+        stream of a 300-step run of batch 1 starts as the weights' stream
+        (keyed by nested `derive`s, example 229 did)."""
+        docs, vocab, cfg = self._setup()
+        build, streams = pre.make_pretrain_example, []
+
+        def spy(*args):
+            streams.append(first_words(args[-1]))
+            return build(*args)
+        monkeypatch.setattr(pre, "make_pretrain_example", spy)
+        further_pretrain(init_model(cfg, Rng(0)), docs, vocab, 300,
+                         StlrSchedule(total_steps=300, peak_lr=1e-3),
+                         Rng(seed).derive(2), batch_size=1, max_len=16)
+        assert len(set(streams)) == 300
+        assert first_words(Rng(seed).derive(1)) not in streams
+
     def test_loss_decreases(self):
         docs, vocab, cfg = self._setup()
         model = init_model(cfg, Rng(0))

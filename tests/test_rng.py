@@ -1,6 +1,7 @@
-"""Keyed dropout masks (`rng.Rng.keep_mask`): a mask is a function of its
-stream's seed and key, its shape and its rate, and its bits are pinned.
-These tests use numpy's SeedSequence and PCG64 alone, no BLAS."""
+"""Keyed streams: a dropout mask (`rng.Rng.keep_mask`) is a function of
+its stream's seed and key, its shape and its rate, and its bits are
+pinned; a training loop's streams have keys of their own. These tests use
+numpy's SeedSequence and PCG64 alone, no BLAS."""
 
 import hashlib
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bertfit.rng import Rng
+from bertfit.rng import CURSOR, EXAMPLE, TASK, Rng
+from conftest import first_words
 
 # name: (seed, step, site, shape, p, read positions of S=7 rows or None,
 # md5 of the mask's bool bytes)
@@ -94,3 +96,22 @@ def test_read_rows_are_the_full_mask_rows(data):
         (B, *lead, R, W), 0.25)
     for b in range(B):
         assert np.array_equal(rows[b], full[b][..., positions[b], :])
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       *(st.integers(1, n) for n in (30, 4, 4, 8, 4)))
+@settings(max_examples=20, deadline=None)
+def test_a_loops_streams_are_pairwise_distinct(seed, T, L, tasks, B, E):
+    """The key rule: under a loop's `rng`, step t >= 1 keys its dropout
+    (t, site) for the sites 0 to 3L + 3 (the encoder's are 0 to 3L), and
+    every other stream is keyed 0 and then its purpose: E passes of the
+    batch order and of each task's, the task of each step, and each
+    pre-training example. No two of them share a key or a stream."""
+    keys = [(0, CURSOR, e) for e in range(E)]
+    keys += [(0, CURSOR, i, e) for i in range(tasks) for e in range(E)]
+    for t in range(1, T + 1):
+        keys += [(0, TASK, t), *((0, EXAMPLE, t, i) for i in range(B)),
+                 *((t, site) for site in range(3 * L + 4))]
+    assert len(set(keys)) == len(keys)
+    rng = Rng(seed)
+    assert len({first_words(rng.at(*key)) for key in keys}) == len(keys)

@@ -4,6 +4,7 @@ that step through it: `finetune`, `multitask_finetune` and
 
 import ast
 from dataclasses import replace
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,16 @@ from bertfit import training
 from bertfit.config import TrainingRecipe
 from bertfit.longtext import FractionCombiner
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
-                           init_model)
+                           init_model, named_tensors)
 from bertfit.multitask import MultiTaskModel, _pick_task, multitask_finetune
 from bertfit.optim import (Adam, DivergedError, StlrSchedule,
                            group_parameters, train_step)
 from bertfit.pretraining import (MaskingPolicy, further_pretrain,
                                  make_pretrain_example, pretrain_batch_loss)
-from bertfit.rng import Rng
+from bertfit.rng import CURSOR, EXAMPLE, TASK, Rng
 from bertfit.tokenizer import build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
-from bertfit.training import (BatchCursor, MetricsLog, batch_loss, finetune,
+from bertfit.training import (MetricsLog, batch_at, batch_loss, finetune,
                               prepare_inputs, recipe_optimizer)
 
 RECIPES = ["finetune-head_only", "finetune-hier_attn", "multitask",
@@ -70,11 +71,12 @@ def _multitask_run(vocab):
                 "b": _inputs(vocab, recipe, 2)}, recipe
 
 
-def _pretrain_run(vocab):
-    """(model, docs, schedule) of a small further pre-training run."""
+def _pretrain_run(vocab, **config):
+    """(model, docs, schedule) of a small further pre-training run, the
+    model's `config` fields set over `_config`'s."""
     docs = [[ex.text for ex in make_marker_task(3, 1, seed=i)[0].examples]
             for i in range(3)]
-    return (init_model(_config(vocab), Rng(1)), docs,
+    return (init_model(replace(_config(vocab), **config), Rng(1)), docs,
             StlrSchedule(total_steps=4, peak_lr=1e-3))
 
 
@@ -82,10 +84,10 @@ def _pretrain_run(vocab):
 
 def _former_finetune(model, head, train_inputs, recipe, combiner):
     rng = Rng(recipe.seed)
-    cursor = BatchCursor(train_inputs, rng.derive(0x0E))
     opt, rates_at = recipe_optimizer(model, [head, combiner], recipe)
     for step in range(1, recipe.train_steps + 1):
-        batch = cursor.next(recipe.batch_size)
+        batch = batch_at(train_inputs, rng.at(0, CURSOR), recipe.batch_size,
+                         step)
         rates = rates_at(step)
         train_step(opt, lambda: batch_loss(
             model, head, batch, recipe, combiner, rng.at(step)), rates)
@@ -95,16 +97,15 @@ def _former_multitask(mt, task_inputs, recipe):
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
     rng = Rng(recipe.seed)
-    task_rng = rng.derive(0x7A)
-    cursors = {n: BatchCursor(task_inputs[n], rng.derive(0x0E).at(i))
-               for i, n in enumerate(names)}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
     counts = {n: 0 for n in names}
     for step in range(1, recipe.train_steps + 1):
-        task = _pick_task(names, sizes, task_rng)
+        task = _pick_task(names, sizes, rng.at(0, TASK, step))
         counts[task] += 1
-        batch = cursors[task].next(recipe.batch_size)
+        cursor = rng.at(0, CURSOR, names.index(task))
+        batch = batch_at(task_inputs[task], cursor, recipe.batch_size,
+                         counts[task])
         train_step(opt, lambda: batch_loss(
             mt.encoder, mt.heads[task], batch, recipe, mt.combiner,
             rng.at(step)), rates_at(step))
@@ -116,17 +117,13 @@ def _former_pretrain(model, docs, vocab, steps, schedule, rng, batch_size,
     policy = MaskingPolicy()
     groups = group_parameters(model)
     opt = Adam(groups)
-    sampler = rng.derive(0x5A)
-    example_rng_base = rng.derive(0xE6)
-    counter = 0
     for step in range(1, steps + 1):
         batch = []
-        for _ in range(batch_size):
-            di = sampler.randint(len(docs))
-            batch.append(make_pretrain_example(
-                di, docs, vocab, policy, max_len,
-                example_rng_base.derive(counter)))
-            counter += 1
+        for i in range(batch_size):
+            ex_rng = rng.at(0, EXAMPLE, step, i)
+            di = ex_rng.randint(len(docs))
+            batch.append(make_pretrain_example(di, docs, vocab, policy,
+                                               max_len, ex_rng))
         lr = schedule.rate(step)
         rates = {g.depth: lr for g in groups}
         train_step(opt, lambda: pretrain_batch_loss(model, batch,
@@ -141,8 +138,8 @@ def _state(*modules):
 @pytest.mark.parametrize("name", RECIPES)
 def test_each_recipe_equals_its_former_loop(vocab, name):
     """Every parameter has the bits of the loop the recipe wrote out
-    before it stepped through `train_steps`, each step's dropout keyed by
-    the recipe's stream and the step."""
+    before it stepped through `train_steps`, each step's dropout and batch
+    keyed by the recipe's stream and the step."""
     runs = []
     for new in (True, False):
         if name.startswith("finetune"):
@@ -242,6 +239,53 @@ def test_a_run_that_diverges_at_step_3_records_nothing_from_it(
         assert [h["step"] for h in res.history] == [1, 2]
         assert [s for s, _ in res.checkpoints] == [1, 2]
     assert len(calls) == 3
+
+
+# -- every parameter learns ---------------------------------------------------
+
+# parameters whose gradient is 0 by design, each with why
+EXPECTED_ZERO = {
+    "block*.bk": "the key bias adds q . bk to every score of a query row, "
+                 "which softmax cancels",
+}
+
+
+def _one_step_gradients(vocab, name):
+    """{name: largest |gradient|} of every tensor one float64 step of
+    `name` trains and its loss reaches by design: fine-tuning's loss
+    reads no MLM or NSP head (`head.*`)."""
+    config = {"n_layers": 2, "dtype": "f8"}
+    if name == "pretrain":
+        model, docs, schedule = _pretrain_run(vocab, **config)
+        further_pretrain(model, docs, vocab, 1, schedule, Rng(7),
+                         batch_size=3, max_len=16)
+        named = named_tensors(model)
+    else:
+        recipe = replace(_recipe(name.split("-")[1]), train_steps=1)
+        model, head, combiner = training.build_run(
+            replace(_config(vocab), **config), recipe, vocab, 2)
+        finetune(model, head, _inputs(vocab, recipe, 0), None, recipe,
+                 combiner)
+        named = {k: p for k, p in named_tensors(model, [head, combiner])
+                 .items() if not k.startswith("head.")}
+    return {k: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+            for k, p in named.items()}
+
+
+@pytest.mark.parametrize("name", ["finetune-head_only", "finetune-hier_attn",
+                                  "pretrain"])
+def test_every_parameter_the_loss_reaches_learns(vocab, name):
+    """Each tensor's gradient exceeds 1e-6 of the step's largest, except
+    those on EXPECTED_ZERO; an entry that matches no tensor, or a tensor
+    that does learn, is stale."""
+    grads = _one_step_gradients(vocab, name)
+    top = max(grads.values())
+    still = {k for k, g in grads.items() if g <= 1e-6 * top}
+    listed = {k for k in grads if any(fnmatch(k, pattern)
+                                      for pattern in EXPECTED_ZERO)}
+    assert still == listed
+    assert all(any(fnmatch(k, pattern) for k in grads)
+               for pattern in EXPECTED_ZERO)
 
 
 # -- structure: one loop ------------------------------------------------------

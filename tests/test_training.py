@@ -15,14 +15,14 @@ from bertfit.longtext import ChunkedDocument, FractionCombiner, combine
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            class_logits, cls_states, encode_batch, init_model,
                            named_tensors, select_features, stack_inputs)
-from bertfit.rng import Rng
+from bertfit.rng import CURSOR, Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.optim import train_step
 from bertfit.toytask import (FILLERS, MARKERS, make_marker_example,
                              make_marker_task, marker_benchmark,
                              marker_vocab_corpus)
-from bertfit.training import (BatchCursor, MetricsLog, MetricsRecord,
-                              build_run, evaluate, finetune, prepare_inputs)
+from bertfit.training import (MetricsLog, MetricsRecord, build_run,
+                              evaluate, finetune, prepare_inputs)
 
 
 @pytest.fixture(scope="module")
@@ -112,33 +112,28 @@ class TestPrepareInputs:
         assert all(d.k >= 1 for d in out)
 
 
-class TestBatchCursor:
+class TestBatchAt:
     def test_every_pass_is_a_permutation(self):
         items = list("abcdefg")
-        cursor = BatchCursor(items, Rng(4))
-        drawn = [x for _ in range(7) for x in cursor.next(3)]   # 3 passes
+        drawn = [x for n in range(1, 8)                 # 3 passes
+                 for x in training.batch_at(items, Rng(4), 3, n)]
         for k in range(3):
             assert sorted(drawn[7 * k:7 * (k + 1)]) == items
         assert drawn[:7] != drawn[7:14]
+        assert drawn[7:14] == [items[i] for i in
+                               Rng(4).at(1).gen.permutation(7)]
 
-    def test_same_order_as_inline_shuffle_loop(self):
+    def test_calls_out_of_order_return_the_same_batches(self):
         items = list(range(10))
-        rng = Rng(11)
-        order, pos, expected = list(range(10)), 10, []
-        for _ in range(9):
-            batch = []
-            while len(batch) < 4:
-                if pos >= len(order):
-                    rng.shuffle(order)
-                    pos = 0
-                batch.append(items[order[pos]])
-                pos += 1
-            expected.append(batch)
-        cursor = BatchCursor(items, Rng(11))
-        assert [cursor.next(4) for _ in range(9)] == expected
+        batches = [training.batch_at(items, Rng(11), 4, n)
+                   for n in range(1, 10)]
+        for n in (9, 3, 5, 1, 5):
+            assert training.batch_at(items, Rng(11), 4, n) == batches[n - 1]
 
     def test_batch_larger_than_items_wraps(self):
-        assert sorted(BatchCursor([1, 2], Rng(0)).next(4)) == [1, 1, 2, 2]
+        batch = training.batch_at([1, 2], Rng(0), 5, 1)
+        assert sorted(batch[:4]) == [1, 1, 2, 2] and len(batch) == 5
+        assert batch[4] == training.batch_at([1, 2], Rng(0), 1, 5)[0]
 
 
 class TestEvaluate:
@@ -494,10 +489,10 @@ def test_freed_activation_memory_stays_in_the_process(vocab):
     dropout_rng = rng.derive(3)
     head = ClassifierHead.init(config.hidden, 2, rng.derive(2))
     opt, rates_at = training.recipe_optimizer(model, [head], recipe)
-    cursor = BatchCursor(train_in, rng.derive(4))
 
     def step(i):
-        batch = cursor.next(recipe.batch_size)
+        batch = training.batch_at(train_in, rng.at(0, CURSOR),
+                                  recipe.batch_size, i)
         train_step(opt, lambda: training.batch_loss(
             model, head, batch, recipe, None, dropout_rng), rates_at(i))
 

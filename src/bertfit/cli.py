@@ -20,7 +20,7 @@ from .data import (FORMATS, InputError, load_dataset, open_input,
                    split_validation, subsample)
 from .model import named_tensors
 from .optim import StlrSchedule
-from .rng import Rng
+from .rng import HEAD, PRETRAIN, Rng
 from .tokenizer import RESERVED, Vocabulary, build_vocab
 
 
@@ -162,7 +162,7 @@ def cmd_pretrain(args):
     os.makedirs(out_dir, exist_ok=True)
     res = further_pretrain(
         model, docs, vocab, pt.steps, schedule,
-        Rng(exp.recipe.seed).derive(2), batch_size=pt.batch_size,
+        Rng(exp.recipe.seed).at(0, PRETRAIN), batch_size=pt.batch_size,
         max_len=pt.max_len,
         policy=MaskingPolicy(mask_prob=pt.mask_prob),
         checkpoint_every=pt.checkpoint_every, checkpoint_dir=out_dir)
@@ -191,7 +191,7 @@ def cmd_multitask(args):
         task_test[t.name] = (prepare_inputs(test, vocab, recipe) if test
                              else None)
         sizes[t.name] = train.n_classes
-    mt = MultiTaskModel.init(model, sizes, width, Rng(recipe.seed).derive(2))
+    mt = MultiTaskModel.init(model, sizes, width, Rng(recipe.seed).at(0, HEAD))
     mt.combiner = combiner
     res = multitask_finetune(mt, task_inputs, recipe)
     print(f"multitask: steps per task {res.steps_per_task}"

@@ -9,12 +9,14 @@ base rate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .config import TrainingRecipe
 from .longtext import FractionCombiner
 from .model import ClassifierHead, EncoderModel
-from .rng import CURSOR, TASK, Rng
+from .rng import CURSOR, MULTITASK, TASK, Rng
 from .training import (batch_at, batch_loss, finetune, recipe_optimizer,
                        train_steps)
 
@@ -47,14 +49,9 @@ class MultiTaskResult:
 
 def _pick_task(names, sizes, rng: Rng):
     """A task name drawn with probability proportional to its size."""
-    total = sum(sizes[n] for n in names)
-    r = rng.uniform() * total
-    acc = 0.0
-    for n in names:
-        acc += sizes[n]
-        if r < acc:
-            return n
-    return names[-1]
+    ends = list(accumulate(sizes[n] for n in names))
+    # uniform() < 1, so the draw stays below ends[-1] and the index in range
+    return names[bisect_right(ends, rng.uniform() * ends[-1])]
 
 
 def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
@@ -63,8 +60,8 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
     """Joint fine-tuning over >= 2 tasks, one task per batch.
 
     `task_inputs` maps task name -> prepared train inputs (see
-    training.prepare_inputs). Layer-wise decay applies exactly as in
-    single-task fine-tuning; task mixing draws from `recipe.seed`.
+    training.prepare_inputs). Layer-wise decay applies as in `finetune`;
+    the loop is keyed (0, MULTITASK), apart from `per_task_refine`'s.
     """
     if len(task_inputs) < 2:
         raise ValueError("multi-task fine-tuning needs at least two tasks")
@@ -73,7 +70,7 @@ def multitask_finetune(mt: MultiTaskModel, task_inputs: dict[str, list],
             raise ValueError(f"task {name!r} has an empty dataset")
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
-    rng = Rng(recipe.seed)
+    rng = Rng(recipe.seed).at(0, MULTITASK)
     cursors = {n: rng.at(0, CURSOR, i) for i, n in enumerate(names)}
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)

@@ -1,19 +1,25 @@
-"""Deterministic random number generation.
+"""Deterministic random number generation: every draw of the toolkit is
+from an :class:`Rng`, a PCG64 stream (a fixed algorithm, so the same bits
+on every platform) of a seed and a `np.random.SeedSequence` spawn key.
 
-All stochastic choices in the toolkit (initialization, dropout, masking,
-sampling) flow through :class:`Rng`, a thin wrapper around numpy's PCG64
-bit generator. PCG64 is a fixed, documented algorithm whose stream depends
-only on the seed, so the same seed produces bitwise-identical results on
-every platform. `at` keys a sub-stream by a `np.random.SeedSequence`
-spawn key, so every batch and mask of a run is a function of its seed
-and its key.
+The key table. A command draws its run under `Rng(recipe.seed)`, each
+stream keyed 0 (a step that never runs) and then its purpose, except that
+step t >= 1 of a loop keys its dropout at site s (t, s) under the loop's
+key; so no two of a command's streams share a key:
 
-The key rule: under a training loop's `rng`, step t's dropout at site s
-is keyed (t, s), t >= 1; every other stream of the loop is keyed 0, a
-step that never runs, then its purpose: pass e of the batch order
-(0, CURSOR, e), and of multi-task's task i (0, CURSOR, i, e); the task of
-step t (0, TASK, t); pre-training example i of step t (0, EXAMPLE, t, i).
-So no two of a run's streams share a key.
+    (0, INIT)               initial weights, every command
+    (0, COMBINER)           a `hier_*` recipe's fraction combiner
+    (0, HEAD)               the head of finetune, eval and grid
+    (0, HEAD, i)            multitask's task i head, of the sorted names
+    () + (t, s)             finetune's loop (per-task refinement's too)
+       + (0, CURSOR, e)       pass e of its batch order
+    (0, MULTITASK) + (t, s) multitask's loop
+       + (0, TASK, t)         the task of step t
+       + (0, CURSOR, i, e)    pass e of task i's batch order
+    (0, PRETRAIN) + (t, s)  pretrain's loop
+       + (0, EXAMPLE, t, i)   example i of step t
+
+The splits draw from the unkeyed `Rng(seed)` of the experiment's `seed`.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import math
 
 import numpy as np
 
-# purposes of a training loop's streams keyed (0, purpose, ...)
-CURSOR, TASK, EXAMPLE = 1, 2, 3
+# purposes: a loop's streams keyed (0, purpose, ...), then a command's
+CURSOR, TASK, EXAMPLE, INIT, HEAD, COMBINER, MULTITASK, PRETRAIN = range(1, 9)
 
 
 class Rng:
@@ -37,11 +43,9 @@ class Rng:
             np.random.SeedSequence(self.seed, spawn_key=self.key)))
 
     def derive(self, index: int) -> "Rng":
-        """Independent stream for item `index` (seed XOR index), so that
-        per-document example construction does not depend on order. Only
-        the indices of one parent are independent: `derive(a).derive(b)` is
-        `derive(b).derive(a)`, and `derive(100).derive(0)` is
-        `derive(101).derive(1)`; key nested streams with `at`."""
+        """The stream of seed XOR index, kept for acceptance tests 6 and 8
+        and perfbench; nested indices collide (a then b is b then a, 100
+        then 0 is 101 then 1), so the package keys its streams with `at`."""
         return Rng(self.seed ^ (int(index) + 0x9E3779B97F4A7C15))
 
     def at(self, *key: int, rows=None) -> "Rng":
@@ -68,8 +72,6 @@ class Rng:
             return kept
         idx = np.expand_dims(positions, (*range(1, len(shape) - 2), -1))
         return np.take_along_axis(kept, idx, axis=-2)
-
-    # -- convenience passthroughs ------------------------------------------
 
     def truncated_normal(self, shape, std=0.02, dtype=np.float32):
         """Normal(0, std) clipped at two standard deviations."""

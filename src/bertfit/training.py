@@ -25,7 +25,7 @@ from .model import (ClassifierHead, EncoderConfig, EncoderModel,
                     select_features, stack_inputs)
 from .optim import (Adam, DivergedError, StlrSchedule, build_optimizer,
                     train_step)
-from .rng import CURSOR, Rng
+from .rng import COMBINER, CURSOR, HEAD, INIT, Rng
 from .tokenizer import Vocabulary, encode, tokenize
 
 
@@ -148,17 +148,17 @@ def batch_at(items, rng: Rng, size: int, n: int) -> list:
 
 def build_encoder(model_config: EncoderConfig, recipe: TrainingRecipe,
                   vocab: Vocabulary, init_checkpoint=None):
-    """(model, feature width, combiner) every run starts from, seeded from
-    `Rng(recipe.seed)`: the model from `derive(1)`, then `init_checkpoint`
+    """(model, feature width, combiner) every run starts from, keyed under
+    `Rng(recipe.seed)`: the model from (0, INIT), then `init_checkpoint`
     installed into it if set; a `hier_*` recipe's combiner from
-    `derive(3)`, pooling top [CLS] vectors (width H), else None."""
+    (0, COMBINER), pooling top [CLS] vectors (width H), else None."""
     rng = Rng(recipe.seed)
     H, kind = model_config.hidden, recipe.combiner_kind
     width = H if kind else recipe.layer_selection.feature_width(
         H, model_config.n_layers)
-    combiner = FractionCombiner.init(
-        kind, H, rng.derive(3), dtype=model_config.np_dtype) if kind else None
-    model = init_model(model_config, rng.derive(1))
+    combiner = kind and FractionCombiner.init(
+        kind, H, rng.at(0, COMBINER), dtype=model_config.np_dtype)
+    model = init_model(model_config, rng.at(0, INIT))
     if init_checkpoint:
         install(init_checkpoint, named_tensors(model), model_config, vocab)
     return model, width, combiner
@@ -167,10 +167,11 @@ def build_encoder(model_config: EncoderConfig, recipe: TrainingRecipe,
 def build_run(model_config: EncoderConfig, recipe: TrainingRecipe,
               vocab: Vocabulary, n_classes: int, init_checkpoint=None):
     """(model, head, combiner) a classifier run starts from:
-    :func:`build_encoder` plus a head from `Rng(recipe.seed).derive(2)`."""
+    :func:`build_encoder` plus a head from `Rng(recipe.seed).at(0, HEAD)`."""
     model, width, combiner = build_encoder(model_config, recipe, vocab,
                                            init_checkpoint)
-    head = ClassifierHead.init(width, n_classes, Rng(recipe.seed).derive(2),
+    head = ClassifierHead.init(width, n_classes,
+                               Rng(recipe.seed).at(0, HEAD),
                                dtype=model_config.np_dtype)
     return model, head, combiner
 

@@ -1,11 +1,13 @@
 """The pinned bits of three short training runs, and the script that
-writes them: `PYTHONPATH=src python tests/pin_bits.py` rewrites
-`tests/bits.json`, which `tests/test_bits.py` checks.
+writes them: `PYTHONPATH=src python tests/pin_bits.py` prints what moved
+against `tests/bits.json` and rewrites it; `tests/test_bits.py` checks it.
 
 Each run takes a few steps at tiny sizes with dropout on: `finetune`
 flat, `finetune` `hier_attn` and `further_pretrain`. The file holds, per
 run, the md5 of its float32 loss trail (each step's loss, in order) and of
-its final float32 parameters, and its float64 loss trail. Float32 bits
+its final float32 parameters, and its float64 loss trail. The fine-tuning
+runs step at rate 1e-2, large enough that a change of gelu's coefficient
+in the fifth digit moves their float64 trails well past `RTOL`. Float32 bits
 hold only where numpy, its BLAS and the CPU's SIMD features are the ones
 the file records (`environment()`); elsewhere the test compares the
 float64 trail at `RTOL`. A change that moves these bits on purpose
@@ -84,7 +86,7 @@ def run(name: str, dtype: str):
         else:
             long_text = name.split("-")[1]
             recipe = TrainingRecipe(
-                long_text=long_text, base_lr=1e-3, train_steps=STEPS,
+                long_text=long_text, base_lr=1e-2, train_steps=STEPS,
                 batch_size=4, epochs=2, seed=5,
                 max_len=16 if long_text == "head_only" else 6)
             model, head, combiner = training.build_run(config, recipe,
@@ -106,10 +108,23 @@ def float32_bits(name: str) -> dict:
 
 
 def main():
+    old = json.loads(PATH.read_text(encoding="utf-8"))["runs"] \
+        if PATH.exists() else {}
     bits = {"environment": environment(), "runs": {
         name: {**float32_bits(name),
                "float64_losses": [float(x) for x in run(name, "f8")[0]]}
         for name in RUNS}}
+    for name, new in bits["runs"].items():
+        if name not in old:
+            print(f"{name}: new")
+            continue
+        was = old[name]
+        move = max(abs(a - b) / abs(b) for a, b in
+                   zip(new["float64_losses"], was["float64_losses"]))
+        print(f"{name}: losses_md5 {was['losses_md5']} -> "
+              f"{new['losses_md5']}, params_md5 {was['params_md5']} -> "
+              f"{new['params_md5']}, float64 trail moved {move:.2g} "
+              "relative at most")
     PATH.write_text(json.dumps(bits, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {PATH}")
 

@@ -24,7 +24,7 @@ from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
 from bertfit.data import Example, split_validation
 from bertfit.model import EncoderConfig, init_model, named_tensors
 from bertfit.optim import DivergedError
-from bertfit.rng import Rng
+from bertfit.rng import INIT, Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 
@@ -655,7 +655,7 @@ class TestCli:
     def test_pretrain_starts_from_seeded_init(self, workspace, tmp_path,
                                               monkeypatch, long_text):
         # pre-training starts from the encoder every run starts from,
-        # init_model from Rng(recipe.seed).derive(1), whatever the route
+        # init_model from Rng(recipe.seed).at(0, INIT), whatever the route
         root, raw = workspace
         starts = spy_starts(monkeypatch, "pretrain")
         cfg = write_config(root, raw, name=f"pt_init_{long_text}.json",
@@ -667,7 +667,7 @@ class TestCli:
         assert main(["pretrain", "--config", cfg,
                      "--out-dir", str(tmp_path)]) == 0
         want = init_model(ExperimentConfig.from_dict(raw).model,
-                          Rng(5).derive(1))
+                          Rng(5).at(0, INIT))
         assert starts == [{n: p.data.tobytes()
                            for n, p in named_tensors(want).items()}]
 

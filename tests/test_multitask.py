@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from bertfit.model import EncoderConfig, init_model
 from bertfit import multitask
 from bertfit.multitask import (MultiTaskModel, _pick_task,
                                multitask_finetune, per_task_refine)
-from bertfit.rng import Rng
+from bertfit.rng import HEAD, Rng
 from bertfit.tokenizer import build_vocab
 from bertfit.toytask import FILLERS, marker_vocab_corpus
 from bertfit.training import prepare_inputs
@@ -73,13 +75,12 @@ class TestModelInit:
 
     @pytest.mark.parametrize("seed", [0, 7, 41])
     def test_no_head_draws_the_runs_own_stream(self, tiny_config, seed):
-        """`bertfit multitask` draws the heads under `Rng(seed).derive(2)`;
+        """`bertfit multitask` draws the heads under `Rng(seed).at(0, HEAD)`;
         keyed by `at(i)`, no head repeats the first draws of `Rng(seed)`,
-        the stream a `--seed` run splits its data with (a nested
-        `derive(2)` would give sorted task 2 that very stream)."""
+        the stream a `--seed` run splits its data with."""
         enc = init_model(tiny_config, Rng(0))
         mt = MultiTaskModel.init(enc, {"a": 2, "b": 2, "c": 2},
-                                 tiny_config.hidden, Rng(seed).derive(2))
+                                 tiny_config.hidden, Rng(seed).at(0, HEAD))
         raw = Rng(seed).truncated_normal((tiny_config.hidden, 2))
         for name, head in mt.heads.items():
             assert not np.array_equal(head.W.data, raw), name
@@ -225,6 +226,33 @@ class TestPerTaskRefine:
         with pytest.raises(ValueError,
                            match="train_steps must be at least 1, got 0"):
             tiny_recipe(train_steps=0)
+
+    def test_replays_no_multitask_dropout_mask(self, tiny_config, vocab,
+                                               monkeypatch):
+        """Refinement runs `finetune` at the multi-task recipe's seed; no
+        mask it draws may be one the multi-task loop drew, as (key, shape,
+        bits), so each phase's dropout is its own."""
+        config = replace(tiny_config, dropout=0.1)
+        recipe = tiny_recipe(train_steps=6)
+        mt = MultiTaskModel.init(init_model(config, Rng(0)),
+                                 {"a": 2, "b": 2}, config.hidden, Rng(1))
+        inputs = {name: prepare_inputs(word_dataset(name, 24, 2, seed=i),
+                                       vocab, recipe)
+                  for i, name in enumerate("ab")}
+        drawn, keep_mask = [], Rng.keep_mask
+
+        def spy(rng, shape, p):
+            kept = keep_mask(rng, shape, p)
+            drawn.append((rng.seed, rng.key, kept.shape, kept.tobytes()))
+            return kept
+
+        monkeypatch.setattr(Rng, "keep_mask", spy)
+        multitask_finetune(mt, inputs, recipe)
+        joint = set(drawn)
+        drawn.clear()
+        per_task_refine(mt, "a", inputs["a"], inputs["a"], recipe)
+        assert len(drawn) == 6 * 4          # 6 steps, 4 sites of 1 block
+        assert not joint.intersection(drawn)
 
     def test_touches_only_named_head(self, tiny_config, vocab):
         recipe = tiny_recipe(train_steps=6)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bertfit.rng import CURSOR, EXAMPLE, TASK, Rng
+from bertfit.rng import (COMBINER, CURSOR, EXAMPLE, HEAD, INIT,
+                        MULTITASK, PRETRAIN, TASK, Rng)
 from conftest import first_words
 
 # name: (seed, step, site, shape, p, read positions of S=7 rows or None,
@@ -102,16 +103,29 @@ def test_read_rows_are_the_full_mask_rows(data):
        *(st.integers(1, n) for n in (30, 4, 4, 8, 4)))
 @settings(max_examples=20, deadline=None)
 def test_a_loops_streams_are_pairwise_distinct(seed, T, L, tasks, B, E):
-    """The key rule: under a loop's `rng`, step t >= 1 keys its dropout
-    (t, site) for the sites 0 to 3L + 3 (the encoder's are 0 to 3L), and
-    every other stream is keyed 0 and then its purpose: E passes of the
-    batch order and of each task's, the task of each step, and each
-    pre-training example. No two of them share a key or a stream."""
-    keys = [(0, CURSOR, e) for e in range(E)]
-    keys += [(0, CURSOR, i, e) for i in range(tasks) for e in range(E)]
-    for t in range(1, T + 1):
-        keys += [(0, TASK, t), *((0, EXAMPLE, t, i) for i in range(B)),
-                 *((t, site) for site in range(3 * L + 4))]
+    """The key table, for every command at once: under `Rng(seed)`, the
+    unkeyed stream (the splits', when `seed` is also `recipe.seed`), the
+    initial weights, the head, each multitask head and the combiner, and
+    three loops of T steps each: finetune's at the root, multitask's under
+    (0, MULTITASK) and pretrain's under (0, PRETRAIN). In a loop, step
+    t >= 1 keys its dropout (t, site) for the sites 0 to 3L + 3 (the
+    encoder's are 0 to 3L), and every other stream is keyed 0 and then its
+    purpose: E passes of the batch order and of each task's, the task of
+    each step, and each pre-training example. No two of them share a key
+    or a stream."""
+    steps = range(1, T + 1)
+
+    def loop(root, *streams):
+        dropout = ((t, site) for t in steps for site in range(3 * L + 4))
+        return [root + key for key in (*streams, *dropout)]
+
+    keys = [(), (0, INIT), (0, HEAD), (0, COMBINER),
+            *((0, HEAD, i) for i in range(tasks))]
+    keys += loop((), *((0, CURSOR, e) for e in range(E)))
+    keys += loop((0, MULTITASK), *((0, TASK, t) for t in steps),
+                 *((0, CURSOR, i, e) for i in range(tasks) for e in range(E)))
+    keys += loop((0, PRETRAIN),
+                 *((0, EXAMPLE, t, i) for t in steps for i in range(B)))
     assert len(set(keys)) == len(keys)
     rng = Rng(seed)
     assert len({first_words(rng.at(*key)) for key in keys}) == len(keys)

@@ -28,6 +28,8 @@ ACCEPTANCE_API = {
     "toytask.make_marker_task": "the marker-order task of tests 7, 9, 10",
     "toytask.marker_vocab_corpus": "that task's vocabulary, tests 6-10",
     "toytask.marker_benchmark": "test_7's model config and recipe",
+    "rng.Rng.derive":
+        "tests 6 and 8 build their models and loops from derive streams",
 }
 BENCHMARK_HELD = {
     "model.encode": "traced as glue: instrument.GLUE",

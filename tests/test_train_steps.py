@@ -21,7 +21,7 @@ from bertfit.optim import (Adam, DivergedError, StlrSchedule,
                            group_parameters, train_step)
 from bertfit.pretraining import (MaskingPolicy, further_pretrain,
                                  make_pretrain_example, pretrain_batch_loss)
-from bertfit.rng import CURSOR, EXAMPLE, TASK, Rng
+from bertfit.rng import CURSOR, EXAMPLE, MULTITASK, TASK, Rng
 from bertfit.tokenizer import build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 from bertfit.training import (MetricsLog, batch_at, batch_loss, finetune,
@@ -96,7 +96,7 @@ def _former_finetune(model, head, train_inputs, recipe, combiner):
 def _former_multitask(mt, task_inputs, recipe):
     names = sorted(task_inputs)
     sizes = {n: len(task_inputs[n]) for n in names}
-    rng = Rng(recipe.seed)
+    rng = Rng(recipe.seed).at(0, MULTITASK)
     opt, rates_at = recipe_optimizer(
         mt.encoder, [*mt.heads.values(), mt.combiner], recipe)
     counts = {n: 0 for n in names}

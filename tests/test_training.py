@@ -15,7 +15,7 @@ from bertfit.longtext import ChunkedDocument, FractionCombiner, combine
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            class_logits, cls_states, encode_batch, init_model,
                            named_tensors, select_features, stack_inputs)
-from bertfit.rng import CURSOR, Rng
+from bertfit.rng import COMBINER, CURSOR, HEAD, INIT, Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.optim import train_step
 from bertfit.toytask import (FILLERS, MARKERS, make_marker_example,
@@ -348,7 +348,7 @@ class TestFinetune:
     ("hier_attn", LayerSelection("all", -1, "concat"))])
 def test_build_model_matches_inline_construction(vocab, long_text,
                                                  selection):
-    """`build_run` seeds model, head and combiner as inline calls do."""
+    """`build_run` keys model, head and combiner as inline calls do."""
     cfg = EncoderConfig(n_layers=2, hidden=16, n_heads=2,
                         vocab_size=len(vocab), max_positions=16, dropout=0.0)
     recipe = tiny_recipe(long_text=long_text, layer_selection=selection)
@@ -356,9 +356,10 @@ def test_build_model_matches_inline_construction(vocab, long_text,
     rng = Rng(7)
     hier = long_text.startswith("hier_")
     width = cfg.hidden if hier else selection.feature_width(cfg.hidden, 2)
-    inline = (init_model(cfg, rng.derive(1)),
-              ClassifierHead.init(width, 3, rng.derive(2), dtype=np.float32),
-              FractionCombiner.init("attn", cfg.hidden, rng.derive(3))
+    inline = (init_model(cfg, rng.at(0, INIT)),
+              ClassifierHead.init(width, 3, rng.at(0, HEAD),
+                                  dtype=np.float32),
+              FractionCombiner.init("attn", cfg.hidden, rng.at(0, COMBINER))
               if hier else None)
     assert (built[2] is None) == (not hier)
     a, b = named_tensors(built[0], built[1:]), named_tensors(inline[0],

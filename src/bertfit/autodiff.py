@@ -444,8 +444,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask_bias,
     """Multi-head scaled dot-product attention of (B, R, H) query
     projections over (B, S, H) key and value projections (`_attention`):
     the single-query pooling of a document's fractions
-    (`longtext.combine`). R is S for attention over every position, or
-    fewer rows when only those are read.
+    (`longtext.combine`), whose R is 1.
 
     The rule keeps q, k and v and what `_attention`'s backward holds: no
     float array of the (B, n_heads, R, S) attention size.
@@ -618,10 +617,10 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out_data, bwd)
 
 
-def _gelu_tanh(x, out=None):
-    """gelu's t = tanh(C (x + A x^3)) of array `x`, built in place, in that
-    operation order, in `out` or a new array."""
-    t = np.multiply(x, x, out=out)
+def _gelu_tanh(x):
+    """gelu's t = tanh(C (x + A x^3)) of array `x`, built in place in a new
+    array, in that operation order."""
+    t = x * x
     t *= x
     t *= _GELU_A
     t += x
@@ -638,10 +637,10 @@ def _gelu_value(x, t, out=None):
     return out
 
 
-def _gelu_slope(x, t, out=None):
+def _gelu_slope(x, t):
     """gelu's derivative 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2) at
-    `x` from its tanh term `t`, built in place in that operation order,
-    in `out` (which may be `t`) or a new array."""
+    `x` from its tanh term `t`, built in place in a new array, in that
+    operation order."""
     du = x * x
     du *= 3.0 * _GELU_A
     du += 1.0
@@ -651,7 +650,7 @@ def _gelu_slope(x, t, out=None):
     dt *= du
     np.multiply(x, 0.5, out=du)
     du *= dt                        # 0.5 x dt
-    out = np.add(t, 1.0, out=dt if out is None else out)
+    out = np.add(t, 1.0, out=dt)
     out *= 0.5
     out += du
     return out

@@ -126,7 +126,8 @@ def install(path, named: dict, config, vocab, combiner_kind=None):
     """Install checkpoint `path` into the `named` tensors of a model built
     from EncoderConfig `config` and `vocab`. Where the meta records them,
     the config (but dropout), vocab_hash and, if `named` holds the
-    classifier, combiner kind must match, else CheckpointError."""
+    classifier, combiner kind must match, and each tensor installed must
+    be finite, else CheckpointError."""
     meta, arrays = load_checkpoint(path)
     saved = meta.get("config", {})
     for key, ours in config.to_dict().items():
@@ -143,6 +144,10 @@ def install(path, named: dict, config, vocab, combiner_kind=None):
         raise CheckpointError(f"{path}: checkpoint combiner "
                               f"{meta['combiner']!r} does not match the "
                               f"config's {combiner_kind!r}")
+    for name in named:
+        if name in arrays and not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: checkpoint tensor {name!r} holds "
+                                  f"a NaN or inf")
     try:
         load_into(named, arrays)
     except ValueError as e:

@@ -8,9 +8,10 @@ get joined with a space.
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .rng import Rng
 
@@ -103,12 +104,18 @@ def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
                    n_classes=n_classes, split=split)
 
 
-def _stratified_indices(examples, rng: Rng):
+def _stratified(dataset: Dataset, seed: int, count) -> list[int]:
+    """Ascending indices of a seeded stratified pick: each class's indices
+    are permuted by `Rng(seed)`, classes in order of first appearance, and
+    the first `count(label, size)` of each are taken, in label order."""
+    rng = Rng(seed)
     by_class = defaultdict(list)
-    for i, ex in enumerate(examples):
+    for i, ex in enumerate(dataset.examples):
         by_class[ex.label].append(i)
-    return {label: rng.gen.permutation(idxs).tolist()
-            for label, idxs in by_class.items()}
+    perms = {label: rng.gen.permutation(idxs).tolist()
+             for label, idxs in by_class.items()}
+    return sorted(i for label in sorted(perms)
+                  for i in perms[label][:count(label, len(perms[label]))])
 
 
 def split_validation(dataset: Dataset, fraction: float, seed: int):
@@ -116,22 +123,19 @@ def split_validation(dataset: Dataset, fraction: float, seed: int):
     Every class keeps at least one example in each split."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    by_class = _stratified_indices(dataset.examples, Rng(seed))
-    val_idx = set()
-    for label in sorted(by_class):
-        idxs = by_class[label]
-        if len(idxs) < 2:
+
+    def n_val(label, size):
+        if size < 2:
             raise ValueError(
-                f"class {label} has {len(idxs)} example(s); cannot split")
-        n_val = min(max(1, round(fraction * len(idxs))), len(idxs) - 1)
-        val_idx.update(idxs[:n_val])
+                f"class {label} has {size} example(s); cannot split")
+        return min(max(1, round(fraction * size)), size - 1)
+
+    val_idx = set(_stratified(dataset, seed, n_val))
     train, val = [], []
     for i, ex in enumerate(dataset.examples):
         (val if i in val_idx else train).append(ex)
-    mk = lambda exs, split: Dataset(
-        name=dataset.name, examples=exs, n_classes=dataset.n_classes,
-        split=split)
-    return mk(train, "train"), mk(val, "validation")
+    return (replace(dataset, examples=train, split="train"),
+            replace(dataset, examples=val, split="validation"))
 
 
 def subsample(dataset: Dataset, proportion: float, seed: int) -> Dataset:
@@ -140,19 +144,14 @@ def subsample(dataset: Dataset, proportion: float, seed: int) -> Dataset:
         raise ValueError("proportion must be in (0, 1]")
     if proportion == 1.0:
         return dataset
-    by_class = _stratified_indices(dataset.examples, Rng(seed))
-    keep = []
-    for label in sorted(by_class):
-        idxs = by_class[label]
-        n = round(proportion * len(idxs))
+
+    def n_keep(label, size):
+        n = round(proportion * size)
         if n == 0:
-            import warnings
             warnings.warn(
                 f"proportion {proportion} rounds to 0 in class {label}; "
                 "keeping 1 example")
-            n = 1
-        keep.extend(idxs[:n])
-    keep.sort()
-    return Dataset(name=dataset.name,
-                   examples=[dataset.examples[i] for i in keep],
-                   n_classes=dataset.n_classes, split=dataset.split)
+        return max(n, 1)
+
+    keep = _stratified(dataset, seed, n_keep)
+    return replace(dataset, examples=[dataset.examples[i] for i in keep])

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .rng import Rng
+from .tokenizer import encode
 
 STRATEGIES = ("head_only", "tail_only", "head_tail",
               "hier_mean", "hier_max", "hier_attn")
@@ -62,7 +63,6 @@ def chunk(tokens: list, vocab, capacity: int = 510,
           label=None) -> ChunkedDocument:
     """Split into ceil(L/capacity) contiguous fractions, each wrapped with
     [CLS]/[SEP] and padded to capacity+2."""
-    from .tokenizer import encode
     n = len(tokens)
     k = max(1, -(-n // capacity))
     max_len = capacity + 2

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import save_model
 from .data import Dataset, InputError, open_input
 from .model import (EncoderModel, encode_batch, mlm_logits, nsp_logits,
                     stack_inputs)
 from .optim import StlrSchedule, build_optimizer
 from .rng import EXAMPLE, Rng
-from .tokenizer import TokenizedSequence, Vocabulary, segment_sentences, tokenize
+from .tokenizer import (TokenizedSequence, Vocabulary, encode,
+                        segment_sentences, tokenize)
 from .training import train_steps
 
 
@@ -180,7 +182,6 @@ def apply_masking(seq: TokenizedSequence, policy: MaskingPolicy, rng: Rng,
 def make_pretrain_example(doc_index: int, docs, vocab: Vocabulary,
                           policy: MaskingPolicy, max_len: int,
                           rng: Rng) -> PretrainExample:
-    from .tokenizer import encode
     if max_len < 5:     # [CLS] A [SEP] B [SEP], one token or more each
         raise ValueError(f"max_len {max_len} leaves a segment empty: a "
                          f"pair needs at least 5")
@@ -244,7 +245,6 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
     layer-wise decay, so every depth trains at `schedule.rate(step)`. A
     step that hits a non-finite value ends the run with `diverged` set.
     """
-    from .checkpoint import save_model
     if len(docs) < 1:
         raise ValueError("corpus is empty")
     policy = policy or MaskingPolicy()

@@ -9,21 +9,23 @@ position becomes [UNK].
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import re
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .data import open_input
+from .data import InputError, open_input
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 RESERVED = [PAD, UNK, CLS, SEP, MASK]
 
 _PUNCT_RE = re.compile(r"([^\w\s]|_)", re.UNICODE)
-_CHINESE_SEPS = "。？！"
-# split after . ! ? when followed by whitespace + uppercase (or end of text)
-_EN_SENT_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
+# where a sentence ends: English after . ! ? followed by whitespace and an
+# uppercase letter, Chinese after each full-width 。？！
+_SENTENCE_BREAK = {"english": re.compile(r"(?<=[.!?])\s+(?=[A-Z])"),
+                   "chinese": re.compile(r"(?<=[。？！])")}
 
 
 class Vocabulary:
@@ -32,6 +34,8 @@ class Vocabulary:
     `pieces` memoizes the WordPiece split of every word `tokenize` has
     seen; it grows with the number of distinct words tokenized.
     """
+
+    pad_id, unk_id, cls_id, sep_id, mask_id = range(len(RESERVED))
 
     def __init__(self, tokens):
         self.id_to_token = list(tokens)
@@ -50,26 +54,9 @@ class Vocabulary:
         return token in self.token_to_id
 
     def id(self, token):
-        return self.token_to_id.get(token, self.token_to_id[UNK])
-
-    @property
-    def pad_id(self):
-        return 0
-
-    @property
-    def cls_id(self):
-        return self.token_to_id[CLS]
-
-    @property
-    def sep_id(self):
-        return self.token_to_id[SEP]
-
-    @property
-    def mask_id(self):
-        return self.token_to_id[MASK]
+        return self.token_to_id.get(token, self.unk_id)
 
     def content_hash(self):
-        import hashlib
         h = hashlib.sha256("\n".join(self.id_to_token).encode("utf-8"))
         return h.hexdigest()
 
@@ -80,8 +67,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """The vocabulary `save` wrote; InputError names `path` if it cannot
+        be read or breaks the constructor's rules."""
         with open_input(path, "vocabulary", encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        try:
+            return cls(tokens)
+        except ValueError as e:
+            raise InputError(f"{path}: {e}") from None
 
 
 def pre_split(text: str) -> list[str]:
@@ -285,21 +278,7 @@ def segment_sentences(document: str, language: str = "english") -> list[str]:
     letter (or end of text). Chinese: split after the full-width separators
     。？！. Empty sentences are dropped.
     """
-    document = document.strip()
-    if not document:
-        return []
-    if language == "chinese":
-        parts = []
-        buf = []
-        for ch in document:
-            buf.append(ch)
-            if ch in _CHINESE_SEPS:
-                parts.append("".join(buf).strip())
-                buf = []
-        if buf:
-            parts.append("".join(buf).strip())
-    elif language == "english":
-        parts = [p.strip() for p in _EN_SENT_RE.split(document)]
-    else:
+    if language not in _SENTENCE_BREAK:
         raise ValueError(f"unknown language {language!r}")
+    parts = map(str.strip, _SENTENCE_BREAK[language].split(document))
     return [p for p in parts if p]

@@ -8,7 +8,9 @@ embeddings, attention, and the classifier end to end.
 
 from __future__ import annotations
 
+from .config import TrainingRecipe
 from .data import Dataset, Example
+from .model import EncoderConfig
 from .rng import Rng
 
 FILLERS = ["red", "blue", "green", "gold", "stone", "river", "cloud",
@@ -59,15 +61,13 @@ def marker_vocab_corpus():
 def marker_benchmark(vocab_size: int):
     """Known-good encoder config + recipe for the marker-order task.
 
-    Reaches <=5% test error in 1200 steps (a few minutes on one CPU core)
-    with 3000 training documents. Its `head_only` truncation at `max_len`
-    32 keeps neither marker in about 7.6% of documents (78 of the 1024
-    test documents of `make_marker_task(2000, 1024, seed=972)`, 79 at seed
-    7), whose labels no model can read: a floor of about 3.8% error under
-    the 5% gate.
+    Reaches <=5% test error in 1200 steps (about 24 s on one CPU core)
+    with 1800 training documents (2000 before the validation split). Its
+    `head_only` truncation at `max_len` 32 keeps neither marker in about
+    7.6% of documents (78 of the 1024 test documents of
+    `make_marker_task(2000, 1024, seed=972)`, 79 at seed 7), whose labels
+    no model can read: a floor of about 3.8% error under the 5% gate.
     """
-    from .config import TrainingRecipe
-    from .model import EncoderConfig
     config = EncoderConfig(n_layers=2, hidden=64, n_heads=4,
                            vocab_size=vocab_size, max_positions=32,
                            dropout=0.1)

@@ -237,6 +237,21 @@ class TestInstall:
                 "'mean'")):
             install(path, self._named(src, head), src.config, vocab, "mean")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, vocab, bad):
+        src, _ = self._model(1)
+        dst, _ = self._model(5)
+        named = self._named(src)
+        named["block0.wq"].data[1, 2] = bad
+        path = tmp_path / "m.ckpt"
+        save_model(path, named, src.config, vocab, 0)
+        before = {n: p.data for n, p in self._named(dst).items()}
+        with pytest.raises(CheckpointError, match=(
+                f"^{path}: checkpoint tensor 'block0.wq' holds a NaN or "
+                f"inf$")):
+            install(path, self._named(dst), dst.config, vocab, None)
+        assert all(p.data is before[n] for n, p in self._named(dst).items())
+
     def test_tensor_mismatch_named(self, tmp_path, vocab):
         src, _ = self._model(1)
         path = tmp_path / "m.ckpt"

@@ -61,6 +61,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="outside"):
             load_dataset(p, n_classes=4)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([["1", "ok"], ["one", "text"]], ":2: label 'one' is not an integer"),
+        ([["1", "ok"], ["2", " \t "]], ":2: empty text"),
+        ([], ": no examples")])
+    def test_bad_rows_and_empty_file_named(self, tmp_path, rows, message):
+        p = tmp_path / "d.csv"
+        write_csv(p, rows)
+        with pytest.raises(DatasetFormatError, match=f"^{p}{message}$"):
+            load_dataset(p)
+
 
 def balanced_dataset(n=100, n_classes=2):
     return Dataset(name="toy",
@@ -104,6 +114,26 @@ class TestSplitValidation:
                                          Example(0, "c")], n_classes=2)
         with pytest.raises(ValueError, match="class 1"):
             split_validation(ds, 0.5, 0)
+
+
+# an uneven 3-class dataset whose labels first appear as 2, 0, 1
+UNEVEN = Dataset(name="uneven", n_classes=3, examples=[
+    Example(label, str(i)) for i, label in enumerate(
+        [2, 0, 2, 1, 0, 2, 2, 0, 1, 2, 0, 0, 2, 1, 2, 0, 2, 1, 0, 2])])
+
+
+@pytest.mark.parametrize("seed, val, sub", [
+    (0, [5, 7, 9, 10, 12, 17], [1, 5, 7, 9, 10, 12, 13, 14, 17, 18]),
+    (1, [0, 2, 4, 8, 16, 18], [0, 2, 3, 4, 7, 8, 9, 10, 16, 18])])
+def test_split_and_subsample_draw_the_pinned_indices(seed, val, sub):
+    """Each class is permuted by `Rng(seed)` in order of first appearance
+    and its first picks taken: these indices pin those draws."""
+    def indices(ds):
+        return [int(ex.text) for ex in ds.examples]
+    train_ds, val_ds = split_validation(UNEVEN, 0.3, seed)
+    assert indices(val_ds) == val
+    assert indices(train_ds) == sorted(set(range(len(UNEVEN))) - set(val))
+    assert indices(subsample(UNEVEN, 0.5, seed)) == sub
 
 
 class TestSubsample:

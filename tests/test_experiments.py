@@ -227,6 +227,21 @@ class TestGridHarness:
         assert cells[0].diverged
         assert "diverged" in out.read_text()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lr_sweep_records_divergence(self, tiny_model_config, vocab,
+                                         splits, tmp_path):
+        train, val, test = splits
+        out = tmp_path / "sweep.jsonl"
+        curves = run_lr_sweep(tiny_model_config, tiny_recipe(), vocab,
+                              train, val, test, lrs=(5e-4, 1e30),
+                              out_jsonl=out)
+        assert not curves[5e-4]["diverged"] and curves[1e30]["diverged"]
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["lr"] for r in records] == \
+            [5e-4] * 2 + [1e30] * (len(curves[1e30]["epochs"]) + 1)
+        assert records[-1] == {"lr": 1e30, "diverged": True}
+        assert not any(r.get("diverged") for r in records[:-1])
+
     def test_empty_axes_rejected(self, tiny_model_config, vocab, splits):
         train, val, test = splits
         with pytest.raises(ValueError, match="non-empty"):
@@ -556,6 +571,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("finetune: ") and "'block0.wq'" in err
         assert not metrics.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_checkpoint_rejected(self, workspace, tmp_path,
+                                            capsys, bad):
+        root, raw = workspace
+        ckpt = tmp_path / "nan.ckpt"
+        assert main(["finetune", "--config", write_config(root, raw),
+                     "--checkpoint-out", str(ckpt)]) == 0
+        meta, tensors = load_checkpoint(ckpt)
+        tensors["emb.tok"][3, 1] = bad
+        save_checkpoint(ckpt, tensors, meta=meta)
+        cfg = write_config(root, raw, name="nan_init.json",
+                           init_checkpoint=str(ckpt))
+        metrics = tmp_path / "m.jsonl"
+        for argv in (["eval", "--config", write_config(root, raw),
+                      "--checkpoint", str(ckpt)],
+                     ["finetune", "--config", cfg,
+                      "--metrics-out", str(metrics)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"{argv[0]}: {ckpt}: checkpoint tensor 'emb.tok' holds a "
+                f"NaN or inf\n")
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("tokens, reason", [
+        (["a", "b"], "reserved token [PAD] must have id 0"),
+        (RESERVED + ["alpha", "alpha"], "duplicate tokens in vocabulary")])
+    def test_malformed_vocabulary_rejected(self, workspace, tmp_path, capsys,
+                                           tokens, reason):
+        root, raw = workspace
+        path = tmp_path / "bad_vocab.txt"
+        path.write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+        cfg = write_config(root, raw, name="bad_vocab.json", vocab=str(path))
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"finetune: {path}: {reason}\n"
 
     def test_init_checkpoint_checks_vocab_hash(self, workspace, tmp_path,
                                                capsys):

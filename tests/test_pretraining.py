@@ -85,6 +85,13 @@ class TestReadCorpus:
         p.write_text("One.\nTwo.\n \t\nThree.\n", encoding="utf-8")
         assert read_corpus(p) == [["One.", "Two."], ["Three."]]
 
+    def test_written_documents_round_trip(self, tmp_path):
+        docs = [["One.", "Two."], ["Three."]]
+        p = tmp_path / "c.txt"
+        write_corpus(docs, p)
+        assert p.read_text(encoding="utf-8") == "One.\nTwo.\n\nThree.\n"
+        assert read_corpus(p) == docs
+
 
 class TestNspPairs:
     DOCS = [[f"d{d}s{s}" for s in range(4)] for d in range(6)]
@@ -105,6 +112,18 @@ class TestNspPairs:
         docs = [["only."], ["another.", "one."]]
         _, _, is_next = build_nsp_pair(0, docs, Rng(2))
         assert is_next is False
+
+    def test_one_document_corpus_pairs_within_it(self):
+        assert build_nsp_pair(0, [["only."]], Rng(0)) == \
+            ("only.", "only.", False)
+        doc = ["s0", "s1", "s2"]
+        rng = Rng(4)
+        pairs = [build_nsp_pair(0, [doc], rng) for _ in range(50)]
+        assert {is_next for _, _, is_next in pairs} == {True, False}
+        for a, b, is_next in pairs:
+            assert a in doc[:-1] and b in doc
+            if is_next:
+                assert doc.index(b) == doc.index(a) + 1
 
     def test_random_segment_from_other_document(self):
         rng = Rng(3)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bertfit
+from bertfit.data import InputError
 from bertfit.tokenizer import (CLS, PAD, RESERVED, SEP, UNK, Vocabulary,
                                build_vocab, encode, pre_split,
                                segment_sentences, tokenize)
@@ -123,6 +124,19 @@ class TestBuildVocab:
         vocab = build_vocab(["abc"], 20)
         assert vocab.pad_id == 0
         assert vocab.id_to_token[:5] == RESERVED
+        ids = [vocab.pad_id, vocab.unk_id, vocab.cls_id, vocab.sep_id,
+               vocab.mask_id]
+        assert ids == [vocab.id(tok) for tok in RESERVED] == [0, 1, 2, 3, 4]
+        assert vocab.id("never seen") == vocab.unk_id
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["a", "b"], "reserved token \\[PAD\\] must have id 0"),
+        (RESERVED + ["a", "a"], "duplicate tokens in vocabulary")])
+    def test_malformed_file_named(self, tmp_path, tokens, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{path}: {message}$"):
+            Vocabulary.load(path)
 
 
 # content hashes of oracle_build_vocab(zipf_corpus(), n): running the
@@ -282,6 +296,16 @@ class TestSegmentSentences:
     def test_empty_dropped(self):
         assert segment_sentences("", "english") == []
         assert segment_sentences("。。", "chinese") == ["。", "。"]
+
+    def test_chinese_last_sentence_without_separator(self):
+        assert segment_sentences(" 你好！ 再见 ", "chinese") == \
+            ["你好！", "再见"]
+        assert segment_sentences("没有句号", "chinese") == ["没有句号"]
+
+    @pytest.mark.parametrize("document", ["", "A. B."])
+    def test_unknown_language_rejected(self, document):
+        with pytest.raises(ValueError, match="unknown language 'french'"):
+            segment_sentences(document, "french")
 
     def test_lowercase_continuation_not_split(self):
         doc = "He said hi. then left. Then came back."

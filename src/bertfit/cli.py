@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -206,9 +207,13 @@ def cmd_multitask(args):
             load_into(shared, {k: a.copy() for k, a in start.items()})
             ref = per_task_refine(mt, name, task_inputs[name], task_val[name],
                                   replace(recipe, train_steps=steps))
-            # `finetune` scored it on the very parameters it restored
-            print(f"  {name}: val error {ref.best_val_error:.2f}%"
-                  + (" (refinement diverged)" if ref.diverged else ""))
+            # `finetune` scored it on the very parameters it restored; a
+            # refinement that diverged before its first round has no score
+            if math.isfinite(ref.best_val_error):
+                print(f"  {name}: val error {ref.best_val_error:.2f}%"
+                      + (" (refinement diverged)" if ref.diverged else ""))
+            else:
+                print(f"  {name}: refinement diverged")
             splits = splits[1:]
         for split, inputs in splits:
             if inputs is not None:

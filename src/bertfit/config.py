@@ -9,6 +9,8 @@ from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, \
     is_dataclass
 
+import numpy as np
+
 from .data import FORMATS, load_dataset
 from .longtext import STRATEGIES, TruncationStrategy
 from .model import EncoderConfig, LayerSelection
@@ -26,6 +28,16 @@ def _require(ok: bool, key, value, rule):
     """Reject `value` of `key` unless `ok`; `rule` says what it must be."""
     if not ok:
         raise ValueError(f"{key} must be {rule}, got {value}")
+
+
+# the largest rate a float32 update can hold: above it (or at inf) the
+# update overflows to inf, and 0 x inf makes NaN of untouched rows
+_MAX_RATE = float(np.finfo(np.float32).max)
+
+
+def _rate_fits(key, value):
+    _require(value <= _MAX_RATE, key, value,
+             f"at most float32's largest value {_MAX_RATE!r}")
 
 
 def _at_least_1(key, value):
@@ -58,6 +70,7 @@ class TrainingRecipe:
         _require(self.max_len >= 3, "max_len", self.max_len, "at least 3")
         # rate 0 is a run that leaves the model as it is
         _require(self.base_lr >= 0, "base_lr", self.base_lr, "at least 0")
+        _rate_fits("base_lr", self.base_lr)
         _require(0.0 < self.decay_factor <= 1.0, "decay_factor",
                  self.decay_factor, "in (0, 1]")
         _require(0.0 < self.warmup_proportion < 1.0, "warmup_proportion",
@@ -128,6 +141,7 @@ class PretrainSection:
         _require(0.0 < self.mask_prob <= 1.0, "mask_prob", self.mask_prob,
                  "in (0, 1]")
         _require(self.lr > 0, "lr", self.lr, "above 0")
+        _rate_fits("lr", self.lr)
         _require(0.0 < self.warmup_proportion < 1.0, "warmup_proportion",
                  self.warmup_proportion, "in (0, 1)")
         _require(self.checkpoint_every is None or self.checkpoint_every >= 1,
@@ -164,6 +178,7 @@ class GridSection:
             _require(len(values) > 0, key, values, "non-empty")
             for i, v in enumerate(values):
                 _require(0 < v <= top, f"{key}[{i}]", v, rule)
+                _rate_fits(f"{key}[{i}]", v)    # a decay factor always does
 
 
 # a plain value's JSON types and how a message names them; a bool is not

@@ -8,6 +8,8 @@ embeddings, attention, and the classifier end to end.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import TrainingRecipe
 from .data import Dataset, Example
 from .model import EncoderConfig
@@ -19,36 +21,74 @@ FILLERS = ["red", "blue", "green", "gold", "stone", "river", "cloud",
 MARKERS = ("alpha", "beta")
 
 
-def make_marker_example(rng: Rng) -> Example:
-    """One document of 8 to 24 words; the markers are kept at least 6 words
-    apart. The order is unambiguous in the full text, but a truncation can
-    drop both markers (see `marker_benchmark`), leaving a coin flip."""
-    while True:
-        n = rng.randint(8, 25)
-        # one call draws the same values as n scalar randint calls
-        words = [FILLERS[k] for k in rng.gen.integers(len(FILLERS), size=n)]
-        i = rng.randint(n)
-        j = rng.randint(n - 1)
-        if j >= i:
-            j += 1
-        if abs(i - j) < 6:
-            continue
-        words[i] = MARKERS[0]
-        words[j] = MARKERS[1]
-        return Example(label=0 if i < j else 1, text=" ".join(words))
+# outputs fetched at a time: as Python ints, about 0.2 MB held
+_BLOCK = 4096
+
+
+class _Draws:
+    """A cursor over a stream's 32-bit outputs, a block from `fetch()` at
+    a time, that maps them to integers as `Generator.integers` does."""
+
+    def __init__(self, fetch):
+        self.fetch = fetch
+        self.buf, self.pos = [], 0
+
+    def take(self, k: int) -> list:
+        """The next k outputs."""
+        if self.pos + k > len(self.buf):
+            self.buf, self.pos = self.buf[self.pos:] + self.fetch(), 0
+        self.pos += k
+        return self.buf[self.pos - k:self.pos]
+
+    def below(self, n: int) -> int:
+        """An integer in [0, n): v = (x * n) >> 32 of the next output x,
+        drawn again while (x * n) mod 2**32 < 2**32 mod n."""
+        while True:
+            if self.pos == len(self.buf):
+                self.buf, self.pos = self.fetch(), 0
+            m = self.buf[self.pos] * n
+            self.pos += 1
+            if m & 0xFFFFFFFF >= (1 << 32) % n:
+                return m >> 32
 
 
 def make_marker_task(n_train: int, n_test: int, seed: int = 0):
-    """Balanced train/test datasets for the marker-order task."""
-    rng = Rng(seed)
+    """Balanced train/test datasets for the marker-order task.
+
+    Each try at a document draws its length n in [8, 24], its n filler
+    words, the position i of "alpha" below n and then j below n - 1 for
+    "beta", moved one past i if j >= i. A try is dropped if the markers are
+    fewer than 6 words apart, or if its label (which marker comes first)
+    is not the one that keeps the classes balanced. The order is
+    unambiguous in the full text, but a truncation can drop both markers
+    (see `marker_benchmark`), leaving a coin flip.
+
+    Every integer below m is drawn by the rule that `Generator.integers`
+    applies to ranges under 2**32 (Lemire's multiply-shift): (x * m) >> 32
+    of the next 32-bit output x of `Rng(seed)`'s stream, drawn again while
+    (x * m) mod 2**32 < 2**32 mod m. So the documents are those of one
+    `Generator.integers` call per draw, from outputs fetched in blocks.
+    """
+    gen = Rng(seed).gen
+    draws = _Draws(lambda: gen.integers(0, 2**32, size=_BLOCK,
+                                        dtype=np.uint32).tolist())
+    n_fillers = len(FILLERS)
+
     def build(n, split):
         examples = []
         while len(examples) < n:
-            ex = make_marker_example(rng)
+            size = 8 + draws.below(17)
+            # 2**32 is a multiple of the 16 fillers: no output drawn again
+            fillers = draws.take(size)
+            i = draws.below(size)
+            j = draws.below(size - 1)
+            j += j >= i
             # keep the classes balanced by construction
-            want = len(examples) % 2
-            if ex.label == want:
-                examples.append(ex)
+            if abs(i - j) < 6 or int(i > j) != len(examples) % 2:
+                continue
+            words = [FILLERS[(x * n_fillers) >> 32] for x in fillers]
+            words[i], words[j] = MARKERS
+            examples.append(Example(label=int(i > j), text=" ".join(words)))
         return Dataset(name="marker-order", examples=examples, n_classes=2,
                        split=split)
     return build(n_train, "train"), build(n_test, "test")

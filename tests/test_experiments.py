@@ -928,6 +928,32 @@ class TestCli:
             ["  a", "  b"]
         assert all(l.endswith("% (refinement diverged)") for l in lines[1:])
 
+    def test_multitask_refinement_diverged_before_scoring(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # a refinement that diverges before its first validation round has
+        # no error rate: the command says so instead of printing "inf%"
+        root, raw = workspace
+        refine = multitask.per_task_refine
+
+        def spy_refine(*args):
+            res = refine(*args)
+            if args[1] == "a":
+                return replace(res, best_val_error=math.inf, best_epoch=-1,
+                               history=[], diverged=True)
+            return replace(res, diverged=True)
+        monkeypatch.setattr(multitask, "per_task_refine", spy_refine)
+        tasks = [{k: v for k, v in t.items() if k != "test"}
+                 for t in two_tasks(raw)["tasks"]]
+        cfg = write_config(tmp_path, raw,
+                           multitask={"tasks": tasks, "refine_steps": 2})
+        capsys.readouterr()
+        assert main(["multitask", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "inf" not in "".join(lines)
+        assert lines[1] == "  a: refinement diverged"
+        assert re.fullmatch(r"  b: val error \d+\.\d\d% "
+                            r"\(refinement diverged\)", lines[2])
+
     def test_grid_command(self, workspace, tmp_path, capsys):
         root, raw = workspace
         cfg = write_config(root, raw, name="grid.json",
@@ -1423,6 +1449,13 @@ class TestConfigErrors:
         assert run_rejected("finetune", {**raw, key: value}, root) == \
             f"{key} {message}"
 
+    # each rate, under a command; above float32's largest value the float32
+    # update is inf
+    RATES = [("multitask", ("recipe", "base_lr")),
+             ("pretrain", ("pretrain", "lr")),
+             ("grid", ("grid", "lrs", 0)),
+             ("grid", ("grid", "sweep_lrs", 1))]
+
     @pytest.mark.parametrize("command,path,value,message", [
         ("finetune", ("recipe", "layer_selection", "strategy"), "top2",
          "recipe.layer_selection.strategy: unknown strategy 'top2'"),
@@ -1497,12 +1530,24 @@ class TestConfigErrors:
         *((c, ("recipe", "max_len"), 32,
            "recipe.max_len 32 exceeds model.max_positions 16")
           for c in ("multitask", "eval", "grid")),
+        *((c, path, v, f"{dotted(path)} must be at most float32's largest "
+                       f"value 3.4028234663852886e+38, got {v}")
+          for c, path in RATES for v in (math.inf, 1e39)),
     ], ids=lambda v: key_id(v) if isinstance(v, tuple) else None)
     def test_value_out_of_range_named(self, valid, command, path, value,
                                       message):
         raw, root = valid
         bad = edit(raw, path, lambda node, key: node.__setitem__(key, value))
         assert run_rejected(command, bad, root) == message
+
+    @pytest.mark.parametrize("path", [p for _, p in RATES], ids=key_id)
+    def test_rate_float32_holds_accepted(self, valid, path):
+        raw, _ = valid
+        ok = edit(raw, path, lambda node, key: node.__setitem__(key, 3.4e38))
+        node = ExperimentConfig.from_dict(ok).to_dict()
+        for key in path:
+            node = node[key]
+        assert node == 3.4e38
 
     def test_float_takes_json_integer(self, valid):
         raw, _ = valid

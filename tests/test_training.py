@@ -18,9 +18,8 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
 from bertfit.rng import COMBINER, CURSOR, HEAD, INIT, Rng
 from bertfit.tokenizer import TokenizedSequence, build_vocab
 from bertfit.optim import train_step
-from bertfit.toytask import (FILLERS, MARKERS, make_marker_example,
-                             make_marker_task, marker_benchmark,
-                             marker_vocab_corpus)
+from bertfit.toytask import (FILLERS, MARKERS, _Draws, make_marker_task,
+                             marker_benchmark, marker_vocab_corpus)
 from bertfit.training import (MetricsLog, MetricsRecord, build_run,
                               evaluate, finetune, prepare_inputs)
 
@@ -76,10 +75,12 @@ class TestMarkerTask:
         b, _ = make_marker_task(20, 5, seed=7)
         assert [e.text for e in a.examples] == [e.text for e in b.examples]
 
-    def test_fillers_as_scalar_draws(self):
-        """Drawing a document's filler indices in one call gives the
-        documents that one scalar draw per word gave."""
-        def scalar_example(rng):
+    @staticmethod
+    def scalar_task(n_train, n_test, seed):
+        """The task from one scalar `Generator.integers` call per draw."""
+        rng = Rng(seed)
+
+        def example():
             while True:
                 n = rng.randint(8, 25)
                 words = [FILLERS[rng.randint(len(FILLERS))] for _ in range(n)]
@@ -90,10 +91,41 @@ class TestMarkerTask:
                     words[i], words[j] = MARKERS
                     return 0 if i < j else 1, " ".join(words)
 
-        a, b = Rng(11), Rng(11)
-        for _ in range(300):
-            ex = make_marker_example(a)
-            assert (ex.label, ex.text) == scalar_example(b)
+        def build(n):
+            out = []
+            while len(out) < n:
+                label, text = example()
+                if label == len(out) % 2:
+                    out.append((label, text))
+            return out
+        return build(n_train), build(n_test)
+
+    @pytest.mark.parametrize("n_train,n_test,seeds", [
+        (60, 20, range(50)),
+        (2000, 500, [1]),       # acceptance test 7's task
+        (2000, 1024, [7]),      # the benchmark's task
+    ], ids=["small", "acceptance", "benchmark"])
+    def test_documents_as_scalar_draws(self, n_train, n_test, seeds):
+        """The block-fetched draws give the documents, in order, of one
+        scalar draw per integer."""
+        for seed in seeds:
+            got = [[(ex.label, ex.text) for ex in split.examples]
+                   for split in make_marker_task(n_train, n_test, seed)]
+            assert got == list(self.scalar_task(n_train, n_test, seed))
+
+    def test_bounded_draw_as_generator_integers(self):
+        for n in range(2, 26):
+            gen = Rng(5).gen
+            draws = _Draws(lambda: gen.integers(0, 2**32, size=999,
+                                                dtype=np.uint32).tolist())
+            assert [draws.below(n) for _ in range(10_000)] == \
+                Rng(5).gen.integers(n, size=10_000).tolist()
+
+    def test_bounded_draw_draws_again_below_the_threshold(self):
+        # 0 * 17 mod 2**32 = 0 is below 2**32 mod 17 = 1: x = 0 is drawn
+        # again, which real data does with probability below 2**-27
+        h = 0xDEADBEEF
+        assert _Draws(lambda: [0, h]).below(17) == (h * 17) >> 32
 
 
 class TestPrepareInputs:

@@ -114,10 +114,6 @@ class NumericalError(ValueError):
     """Non-finite values where finite ones are required (e.g. NaN logits)."""
 
 
-class ShapeMismatchError(ValueError):
-    pass
-
-
 class Tensor:
     """n-d array participating in a recorded computation graph.
 
@@ -311,7 +307,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     da, db = a.data, b.data
     if da.shape[-1] != db.shape[-2 if db.ndim > 1 else 0]:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out_data = np.matmul(da, db)
     sa, sb = a.node or a, b.node or b
@@ -355,7 +351,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     K, N = wd.shape
     if xd.shape[-1] != K or b.data.shape != (N,):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
     out_data = _project(xd, wd, b.data)
     sx, sw, sb = x.node or x, w.node or w, b.node or b
@@ -485,7 +481,7 @@ def self_attention(xq: Tensor, x: Tensor, wq: Tensor, bq: Tensor,
     if xq.shape[-1] != K or x.shape[-1] != K \
             or wk.shape != (K, N) or wv.shape != (K, N) \
             or not bq.shape == bk.shape == bv.shape == (N,):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"self_attention shapes disagree: {xq.shape} and {x.shape} x "
             f"{wq.shape}/{wk.shape}/{wv.shape} + "
             f"{bq.shape}/{bk.shape}/{bv.shape}")
@@ -706,7 +702,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     N = w2d.shape[-1]
     if xd.shape[-1] != K or b1d.shape != (F,) \
             or w2d.shape != (F, N) or b2.data.shape != (N,):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"ffn shapes disagree: {x.shape} x {w1.shape} + {b1.shape}, "
             f"then x {w2.shape} + {b2.shape}")
     lead = xd.shape[:-1]
@@ -743,7 +739,7 @@ def _normalize(xd, gamma: Tensor, beta: Tensor):
     and beta gradients and returns the gradient of `xd`.
     """
     if gamma.shape != (xd.shape[-1],) or beta.shape != (xd.shape[-1],):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not "
             f"match feature width {xd.shape[-1]}")
     mu = xd.mean(axis=-1, keepdims=True)
@@ -787,7 +783,7 @@ def add_layer_norm(x: Tensor, h: Tensor, gamma: Tensor,
     """layer_norm(x + h): a residual add and its norm as one op, which
     does not keep the sum."""
     if x.shape != h.shape:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"add_layer_norm shapes disagree: {x.shape} + {h.shape}")
     out_data, norm_bwd = _normalize(x.data + h.data, gamma, beta)
     sx, sh = x.node or x, h.node or h

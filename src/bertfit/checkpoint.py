@@ -23,13 +23,9 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
-from .data import InputError
+from .data import InputError, open_input
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
-
-
-class CheckpointError(InputError):
-    """A checkpoint that cannot be read or does not fit; names the path."""
 
 
 def save_checkpoint(path, tensors: dict, meta: dict | None = None):
@@ -63,15 +59,10 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Return (meta dict, dict name -> numpy array). CheckpointError names
+    """Return (meta dict, dict name -> numpy array). InputError names
     `path`, and the tensor where one applies, for a missing file, an
     unreadable header, a short payload or bytes after the last tensor."""
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise CheckpointError(f"{path}: cannot open checkpoint: "
-                              f"{e.strerror}") from None
-    with fh:
+    with open_input(path, "checkpoint", "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         try:
             (hlen,) = struct.unpack("<Q", fh.read(8))
@@ -83,21 +74,21 @@ def load_checkpoint(path):
                         np.dtype(_DTYPES[e["dtype"]]))
                        for e in header["tensors"]]
         except (struct.error, ValueError, KeyError, TypeError):
-            raise CheckpointError(f"{path}: unreadable checkpoint header") \
+            raise InputError(f"{path}: unreadable checkpoint header") \
                 from None
         out = {}
         for name, shape, dt in entries:
             want, have = math.prod(shape) * dt.itemsize, size - fh.tell()
             if have < want:
-                raise CheckpointError(
+                raise InputError(
                     f"{path}: checkpoint tensor {name!r} is cut short: "
                     f"{have} of {want} bytes")
             out[name] = np.frombuffer(fh.read(want), dtype=dt) \
                 .reshape(shape).copy()
         extra = size - fh.tell()
         if extra:
-            raise CheckpointError(f"{path}: {extra} bytes after the last "
-                                  f"checkpoint tensor")
+            raise InputError(f"{path}: {extra} bytes after the last "
+                             f"checkpoint tensor")
     return meta, out
 
 
@@ -127,28 +118,28 @@ def install(path, named: dict, config, vocab, combiner_kind=None):
     from EncoderConfig `config` and `vocab`. Where the meta records them,
     the config (but dropout), vocab_hash and, if `named` holds the
     classifier, combiner kind must match, and each tensor installed must
-    be finite, else CheckpointError."""
+    be finite, else InputError."""
     meta, arrays = load_checkpoint(path)
     saved = meta.get("config", {})
     for key, ours in config.to_dict().items():
         if key != "dropout" and saved.get(key, ours) != ours:
-            raise CheckpointError(f"{path}: checkpoint config {key} "
-                                  f"{saved[key]!r} does not match the "
-                                  f"model's {ours!r}")
+            raise InputError(f"{path}: checkpoint config {key} "
+                             f"{saved[key]!r} does not match the "
+                             f"model's {ours!r}")
     if meta.get("vocab_hash", vocab.content_hash()) != vocab.content_hash():
-        raise CheckpointError(f"{path}: checkpoint vocab_hash "
-                              f"{meta['vocab_hash']} does not match the "
-                              f"vocabulary's {vocab.content_hash()}")
+        raise InputError(f"{path}: checkpoint vocab_hash "
+                         f"{meta['vocab_hash']} does not match the "
+                         f"vocabulary's {vocab.content_hash()}")
     if "classifier.W" in named and \
             meta.get("combiner", combiner_kind) != combiner_kind:
-        raise CheckpointError(f"{path}: checkpoint combiner "
-                              f"{meta['combiner']!r} does not match the "
-                              f"config's {combiner_kind!r}")
+        raise InputError(f"{path}: checkpoint combiner "
+                         f"{meta['combiner']!r} does not match the "
+                         f"config's {combiner_kind!r}")
     for name in named:
         if name in arrays and not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"{path}: checkpoint tensor {name!r} holds "
-                                  f"a NaN or inf")
+            raise InputError(f"{path}: checkpoint tensor {name!r} holds "
+                             f"a NaN or inf")
     try:
         load_into(named, arrays)
     except ValueError as e:
-        raise CheckpointError(f"{path}: {e}") from None
+        raise InputError(f"{path}: {e}") from None

@@ -179,7 +179,7 @@ def cmd_pretrain(args):
 def cmd_multitask(args):
     from .multitask import (MultiTaskModel, multitask_finetune,
                             per_task_refine)
-    from .training import build_encoder, evaluate, prepare_inputs
+    from .training import build_encoder, finite_evaluate, prepare_inputs
     exp, vocab = _setup(args, "multitask")
     recipe = exp.recipe
     model, width, combiner = build_encoder(exp.model, recipe, vocab,
@@ -216,10 +216,14 @@ def cmd_multitask(args):
                 print(f"  {name}: refinement diverged")
             splits = splits[1:]
         for split, inputs in splits:
-            if inputs is not None:
-                err, loss = evaluate(mt.encoder, mt.heads[name], inputs,
-                                     recipe, mt.combiner)
-                print(f"  {name}: {split} error {err:.2f}%")
+            if inputs is None:
+                continue
+            score = finite_evaluate(mt.encoder, mt.heads[name], inputs,
+                                    recipe, mt.combiner)
+            if score is None:   # weights that overflow have no error rate
+                print(f"  {name}: diverged")
+                break
+            print(f"  {name}: {split} error {score[0]:.2f}%")
     return 0
 
 

@@ -40,10 +40,6 @@ class InputError(ValueError):
     """An input file that cannot be read or does not fit; names the path."""
 
 
-class DatasetFormatError(InputError):
-    pass
-
-
 @contextmanager
 def open_input(path, what, *args, **kw):
     """`with open(path, *args, **kw)` to read; InputError names `path` and
@@ -65,7 +61,8 @@ def open_input(path, what, *args, **kw):
 def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
                  n_classes: int | None = None,
                  split: str = "train") -> Dataset:
-    """Load a labeled CSV; labels shift from 1-based to 0-based."""
+    """Load a labeled CSV; labels shift from 1-based to 0-based. InputError
+    names `path`, and the line of a row that does not fit."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     want = 2 if fmt == "csv-label-text" else 3
@@ -76,28 +73,28 @@ def load_dataset(path, fmt: str = "csv-label-text", name: str = "",
             if not row:
                 continue
             if len(row) != want:
-                raise DatasetFormatError(
+                raise InputError(
                     f"{path}:{lineno}: expected {want} fields, got {len(row)}")
             try:
                 label = int(row[0]) - 1
             except ValueError:
-                raise DatasetFormatError(
+                raise InputError(
                     f"{path}:{lineno}: label {row[0]!r} is not an integer")
             if label < 0:
-                raise DatasetFormatError(
+                raise InputError(
                     f"{path}:{lineno}: label must be >= 1 (1-based)")
             text = row[1] if want == 2 else (row[1] + " " + row[2]).strip()
             text = text.strip()
             if not text:
-                raise DatasetFormatError(f"{path}:{lineno}: empty text")
+                raise InputError(f"{path}:{lineno}: empty text")
             max_label = max(max_label, label)
             examples.append(Example(label=label, text=text))
     if not examples:
-        raise DatasetFormatError(f"{path}: no examples")
+        raise InputError(f"{path}: no examples")
     if n_classes is None:
         n_classes = max_label + 1
     elif max_label >= n_classes:
-        raise DatasetFormatError(
+        raise InputError(
             f"{path}: label {max_label + 1} outside declared {n_classes} "
             "classes")
     return Dataset(name=name or str(path), examples=examples,

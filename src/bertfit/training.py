@@ -3,13 +3,15 @@
 Training follows the paper-style recipe: slanted triangular schedule with
 layer-wise decreasing rates, best-model selection on the validation split
 across up to `epochs` evaluation rounds (ties go to the earliest), and
-JSON-lines metrics. Divergence (NaN loss/gradient) ends the run with a
-`diverged` flag instead of crashing.
+JSON-lines metrics. Divergence (NaN loss/gradient, or a scoring that
+meets a non-finite value) ends the run with a `diverged` flag instead of
+crashing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -210,6 +212,17 @@ def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
     return 100.0 * n_wrong / len(inputs), loss_sum / len(inputs)
 
 
+def finite_evaluate(model: EncoderModel, head: ClassifierHead, inputs,
+                    recipe: TrainingRecipe, combiner=None):
+    """`evaluate`'s (error, loss), or None where the scoring meets a
+    non-finite value: a NumericalError or a non-finite loss."""
+    try:
+        err, loss = evaluate(model, head, inputs, recipe, combiner)
+    except ad.NumericalError:
+        return None
+    return (err, loss) if math.isfinite(loss) else None
+
+
 def train_steps(opt: Adam, rates_at, steps: int, rng: Rng, next_batch,
                 loss_of):
     """The one training loop: steps 1..`steps`, each a `train_step` of
@@ -237,8 +250,10 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     `train_inputs` etc. come from :func:`prepare_inputs`. Validation
     round e of E = `recipe.epochs` ends at step ceil(e T / E) of T =
     `recipe.train_steps`, a step ending at most one round: E rounds when
-    T >= E, one per step otherwise. Returns a FinetuneResult whose model,
-    head and combiner hold the best-validation parameters.
+    T >= E, one per step otherwise. A round or the closing test scoring
+    that meets a non-finite value (see :func:`finite_evaluate`) is not
+    kept and ends the run as diverged. Returns a FinetuneResult whose
+    model, head and combiner hold the best-validation parameters.
     """
     rng = Rng(recipe.seed)
     cursor = rng.at(0, CURSOR)
@@ -252,6 +267,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
 
     best = {"error": float("inf"), "epoch": -1, "params": None}
     history = []
+    diverged = False
     for step, _, (loss, logits, labels), rates in train_steps(
             opt, rates_at, recipe.train_steps, rng,
             lambda step: batch_at(train_inputs, cursor, recipe.batch_size,
@@ -264,8 +280,11 @@ def finetune(model: EncoderModel, head: ClassifierHead,
                         rates[top])
         epoch = round_at.get(step)
         if epoch and val_inputs:
-            val_err, val_loss = evaluate(model, head, val_inputs, recipe,
-                                         combiner)
+            score = finite_evaluate(model, head, val_inputs, recipe, combiner)
+            if score is None:
+                diverged = True
+                break
+            val_err, val_loss = score
             history.append({"epoch": epoch, "step": step,
                             "val_error": val_err, "val_loss": val_loss})
             if metrics:
@@ -276,15 +295,19 @@ def finetune(model: EncoderModel, head: ClassifierHead,
             if val_err < best["error"]:   # strict <: ties keep the earliest
                 best.update(error=val_err, epoch=epoch, params={
                     k: p.data.copy() for k, p in named.items()})
-    diverged = opt.t < recipe.train_steps
+    diverged = diverged or opt.t < recipe.train_steps
     if best["params"] is not None:
         load_into(named, best["params"])
     test_error = None
     if test_inputs is not None and not diverged:
-        test_error, test_loss = evaluate(model, head, test_inputs, recipe,
-                                         combiner)
-        if metrics:
-            metrics.add(recipe.train_steps, "test", test_loss, test_error, 0.0)
+        score = finite_evaluate(model, head, test_inputs, recipe, combiner)
+        if score is None:
+            diverged = True
+        else:
+            test_error, test_loss = score
+            if metrics:
+                metrics.add(recipe.train_steps, "test", test_loss,
+                            test_error, 0.0)
     return FinetuneResult(
         best_val_error=best["error"], best_epoch=best["epoch"],
         test_error=test_error, diverged=diverged, history=history,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bertfit.checkpoint import (CheckpointError, install, load_checkpoint,
-                                load_into, save_checkpoint, save_model)
+from bertfit.checkpoint import (install, load_checkpoint, load_into,
+                                save_checkpoint, save_model)
+from bertfit.data import InputError
 from bertfit.model import ClassifierHead, EncoderConfig, init_model
 from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary
@@ -101,21 +102,21 @@ class TestUnreadable:
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "none.ckpt"
-        with pytest.raises(CheckpointError, match=f"^{path}: cannot open"):
+        with pytest.raises(InputError, match=f"^{path}: cannot open"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [0, 4, 8, 20])
     def test_header_cut_short(self, saved, cut):
         path, raw = saved
         path.write_bytes(raw[:cut])
-        with pytest.raises(CheckpointError,
+        with pytest.raises(InputError,
                            match=f"^{path}: unreadable checkpoint header$"):
             load_checkpoint(path)
 
     def test_header_not_json(self, saved):
         path, raw = saved
         path.write_bytes(raw[:8] + b"\xff" * (len(raw) - 8))
-        with pytest.raises(CheckpointError, match="unreadable"):
+        with pytest.raises(InputError, match="unreadable"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut,name,have,want", [
@@ -124,7 +125,7 @@ class TestUnreadable:
                                             want):
         path, raw = saved
         path.write_bytes(raw[:-cut])
-        with pytest.raises(CheckpointError, match=(
+        with pytest.raises(InputError, match=(
                 f"^{path}: checkpoint tensor '{name}' is cut short: "
                 f"{have} of {want} bytes$")):
             load_checkpoint(path)
@@ -132,7 +133,7 @@ class TestUnreadable:
     def test_trailing_bytes_counted(self, saved):
         path, raw = saved
         path.write_bytes(raw + b"\x00" * 21)
-        with pytest.raises(CheckpointError, match=(
+        with pytest.raises(InputError, match=(
                 f"^{path}: 21 bytes after the last checkpoint tensor$")):
             load_checkpoint(path)
 
@@ -212,7 +213,7 @@ class TestInstall:
         if message is None:
             install(path, self._named(dst), dst.config, vocab, None)
             return
-        with pytest.raises(CheckpointError, match=f"^{path}: {message}$"):
+        with pytest.raises(InputError, match=f"^{path}: {message}$"):
             install(path, self._named(dst), dst.config, vocab, None)
         assert all(p.data is before[n] for n, p in self._named(dst).items())
 
@@ -221,7 +222,7 @@ class TestInstall:
         other = Vocabulary(RESERVED + ["y", "x"])
         path = tmp_path / "m.ckpt"
         save_model(path, self._named(src), src.config, vocab, 0)
-        with pytest.raises(CheckpointError, match=(
+        with pytest.raises(InputError, match=(
                 f"vocab_hash {vocab.content_hash()} does not match the "
                 f"vocabulary's {other.content_hash()}")):
             install(path, self._named(src), src.config, other, None)
@@ -232,7 +233,7 @@ class TestInstall:
         save_model(path, self._named(src, head), src.config, vocab, 0,
                    combiner="attn")
         install(path, self._named(src), src.config, vocab, None)
-        with pytest.raises(CheckpointError, match=(
+        with pytest.raises(InputError, match=(
                 "checkpoint combiner 'attn' does not match the config's "
                 "'mean'")):
             install(path, self._named(src, head), src.config, vocab, "mean")
@@ -246,7 +247,7 @@ class TestInstall:
         path = tmp_path / "m.ckpt"
         save_model(path, named, src.config, vocab, 0)
         before = {n: p.data for n, p in self._named(dst).items()}
-        with pytest.raises(CheckpointError, match=(
+        with pytest.raises(InputError, match=(
                 f"^{path}: checkpoint tensor 'block0.wq' holds a NaN or "
                 f"inf$")):
             install(path, self._named(dst), dst.config, vocab, None)
@@ -258,6 +259,6 @@ class TestInstall:
         named = self._named(src)
         del named["block0.wq"]
         save_checkpoint(path, named)
-        with pytest.raises(CheckpointError,
+        with pytest.raises(InputError,
                            match=f"^{path}: checkpoint tensor 'block0.wq'"):
             install(path, self._named(src), src.config, vocab, None)

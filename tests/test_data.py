@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from bertfit.data import (Dataset, DatasetFormatError, Example, load_dataset,
+from bertfit.data import (Dataset, Example, InputError, load_dataset,
                           split_validation, subsample)
 
 
@@ -52,13 +52,13 @@ class TestLoadDataset:
     def test_malformed_row_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text('"1","ok"\n"2"\n', encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match=":2:"):
+        with pytest.raises(InputError, match=":2:"):
             load_dataset(p)
 
     def test_unseen_label_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, [["7", "text"]])
-        with pytest.raises(DatasetFormatError, match="outside"):
+        with pytest.raises(InputError, match="outside"):
             load_dataset(p, n_classes=4)
 
     @pytest.mark.parametrize("rows, message", [
@@ -68,7 +68,7 @@ class TestLoadDataset:
     def test_bad_rows_and_empty_file_named(self, tmp_path, rows, message):
         p = tmp_path / "d.csv"
         write_csv(p, rows)
-        with pytest.raises(DatasetFormatError, match=f"^{p}{message}$"):
+        with pytest.raises(InputError, match=f"^{p}{message}$"):
             load_dataset(p)
 
 

@@ -228,6 +228,20 @@ class TestGridHarness:
         assert "diverged" in out.read_text()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cell_diverged_at_a_round_recorded(self, tiny_model_config,
+                                               vocab, splits, tmp_path):
+        # a round every step: the round at the step whose update blew the
+        # weights up meets a NaN, and the cell records it
+        train, val, test = splits
+        out = tmp_path / "grid.tsv"
+        cells = run_grid(tiny_model_config, tiny_recipe(epochs=10), vocab,
+                         train, val, test, lrs=(1e30,), xis=(1.0,),
+                         out_tsv=out)
+        assert cells == [GridCell(1e30, 1.0, None, None, True)]
+        assert out.read_text().splitlines()[1] == \
+            "1e+30\t1\tdiverged\tdiverged"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lr_sweep_records_divergence(self, tiny_model_config, vocab,
                                          splits, tmp_path):
         train, val, test = splits
@@ -735,6 +749,35 @@ class TestCli:
         assert main(["pretrain", "--config", cfg,
                      "--out-dir", str(tmp_path)]) == 0
         assert "diverged" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finetune_divergence_at_a_round_reported(self, workspace,
+                                                     tmp_path, capsys):
+        # a round every step, so a round meets the blown-up weights
+        root, raw = workspace
+        cfg = write_config(tmp_path, raw,
+                           recipe={**raw["recipe"], "base_lr": 1e30,
+                                   "epochs": raw["recipe"]["train_steps"]})
+        assert main(["finetune", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "finetune [marker]: diverged\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("refine, scores", [
+        ({}, ["  a: diverged", "  b: diverged"]),
+        ({"refine_steps": 2}, ["  a: refinement diverged",
+                               "  b: refinement diverged",
+                               "  b: diverged"])])      # b's test file
+    def test_multitask_divergence_reported(self, workspace, tmp_path,
+                                           capsys, refine, scores):
+        root, raw = workspace
+        cfg = write_config(tmp_path, raw,
+                           recipe={**raw["recipe"], "base_lr": 1e30},
+                           multitask={**two_tasks(raw), **refine})
+        capsys.readouterr()
+        assert main(["multitask", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" (diverged)")
+        assert lines[1:] == scores
 
     def test_pretrain_zero_steps_rejected(self, workspace, tmp_path, capsys):
         root, raw = workspace

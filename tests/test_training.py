@@ -331,6 +331,37 @@ class TestFinetune:
         assert res.diverged
         assert res.test_error is None
 
+    @pytest.mark.parametrize("fail_at", [2, 3])     # last round, test
+    @pytest.mark.parametrize("failure", ["raise", "nan loss"])
+    def test_scoring_non_finite_ends_run_diverged(
+            self, tiny_config, small_task, vocab, monkeypatch, fail_at,
+            failure):
+        # a scoring that meets weights that overflow after every step has
+        # applied: the run is diverged, and that scoring neither kept nor
+        # logged
+        recipe = tiny_recipe(train_steps=4, epochs=2)
+        model, head = fresh_pair(tiny_config)
+        ti, vi, te = (prepare_inputs(d, vocab, recipe) for d in small_task)
+        score, calls = training.evaluate, []
+
+        def overflowing(*args, **kw):
+            calls.append(1)
+            if len(calls) < fail_at:
+                return score(*args, **kw)
+            if failure == "raise":
+                raise ad.NumericalError("softmax input contains NaN")
+            return 50.0, float("nan")
+        monkeypatch.setattr(training, "evaluate", overflowing)
+        metrics = MetricsLog()
+        res = finetune(model, head, ti, vi, recipe, test_inputs=te,
+                       metrics=metrics)
+        assert res.diverged and res.test_error is None
+        assert len(calls) == fail_at
+        kept = [2, 4][:fail_at - 1]
+        assert [h["step"] for h in res.history] == kept
+        assert [r.step for r in metrics.records] == kept
+        assert {r.split for r in metrics.records} == {"validation"}
+
     def test_hierarchical_combiner_route(self, tiny_config, small_task,
                                          vocab):
         train, val, _ = small_task

@@ -137,14 +137,16 @@ def cmd_finetune(args):
                    if test else None,
                    metrics=metrics)
     metrics.close()
-    if args.checkpoint_out:
-        save_model(args.checkpoint_out,
-                   named_tensors(model, [head, combiner]), exp.model, vocab,
-                   recipe.train_steps, combiner=recipe.combiner_kind)
     status = "diverged" if res.diverged else (
         f"best val error {res.best_val_error:.2f}%"
         + (f", test error {res.test_error:.2f}%"
            if res.test_error is not None else ""))
+    if args.checkpoint_out and res.diverged and res.best_epoch < 0:
+        status += ", no checkpoint written"
+    elif args.checkpoint_out:
+        save_model(args.checkpoint_out,
+                   named_tensors(model, [head, combiner]), exp.model, vocab,
+                   recipe.train_steps, combiner=recipe.combiner_kind)
     print(f"finetune [{train.name}]: {status}")
     return 0
 
@@ -179,7 +181,7 @@ def cmd_pretrain(args):
 def cmd_multitask(args):
     from .multitask import (MultiTaskModel, multitask_finetune,
                             per_task_refine)
-    from .training import build_encoder, finite_evaluate, prepare_inputs
+    from .training import build_encoder, evaluate, prepare_inputs
     exp, vocab = _setup(args, "multitask")
     recipe = exp.recipe
     model, width, combiner = build_encoder(exp.model, recipe, vocab,
@@ -218,8 +220,8 @@ def cmd_multitask(args):
         for split, inputs in splits:
             if inputs is None:
                 continue
-            score = finite_evaluate(mt.encoder, mt.heads[name], inputs,
-                                    recipe, mt.combiner)
+            score = evaluate(mt.encoder, mt.heads[name], inputs, recipe,
+                             mt.combiner)
             if score is None:   # weights that overflow have no error rate
                 print(f"  {name}: diverged")
                 break
@@ -237,9 +239,12 @@ def cmd_eval(args):
             exp.model, vocab, exp.recipe.combiner_kind)
     target = test or ds
     inputs = prepare_inputs(target, vocab, exp.recipe)
-    err, loss = evaluate(model, head, inputs, exp.recipe, combiner)
-    print(f"eval [{target.name} {target.split}]: error {err:.2f}%, "
-          f"loss {loss:.4f}")
+    score = evaluate(model, head, inputs, exp.recipe, combiner)
+    if score is None:
+        return _usage_error("eval", f"{args.checkpoint}: scoring {target.name}"
+                            f" {target.split} met a non-finite value")
+    print(f"eval [{target.name} {target.split}]: error {score[0]:.2f}%, "
+          f"loss {score[1]:.4f}")
     return 0
 
 

@@ -2,10 +2,11 @@
 
 `run_grid` trains one seeded run per (base_lr, decay_factor) cell and
 emits a TSV report; `run_lr_sweep` produces per-epoch train/test learning
-curves for a list of learning rates. Diverged runs (NaN loss) are recorded
-as "diverged", never raised. Both take every long-text recipe, `hier_*`
-included. Each cell starts as `finetune` does, from `training.build_run`:
-the cell at the config's rate and decay factor is the `finetune` run.
+curves for a list of learning rates. Diverged runs (a non-finite loss or
+score) are recorded as "diverged", never raised. Both take every long-text
+recipe, `hier_*` included. Each cell starts as `finetune` does, from
+`training.build_run`: the cell at the config's rate and decay factor is
+the `finetune` run.
 """
 
 from __future__ import annotations
@@ -87,21 +88,22 @@ def run_lr_sweep(model_config: EncoderConfig, recipe: TrainingRecipe, vocab,
     curves = {}
     for lr in lrs:
         cell_recipe = replace(recipe, base_lr=lr)
-        series = []
+        series, cut = [], []    # epochs from the curve's first overflow on
 
         def hook(epoch, step, model, head, combiner):
-            tr_err, tr_loss = evaluate(model, head, train_inputs,
-                                       cell_recipe, combiner)
-            te_err, te_loss = evaluate(model, head, test_inputs, cell_recipe,
-                                       combiner)
+            train, test = (evaluate(model, head, inputs, cell_recipe, combiner)
+                           for inputs in (train_inputs, test_inputs))
+            if train is None or test is None or cut:
+                cut.append(epoch)
+                return
             series.append({"lr": lr, "epoch": epoch, "step": step,
-                           "train_error": tr_err, "test_error": te_err,
-                           "train_loss": tr_loss, "test_loss": te_loss})
+                           "train_error": train[0], "test_error": test[0],
+                           "train_loss": train[1], "test_loss": test[1]})
 
         res = _run_cell(model_config, cell_recipe, vocab, train_ds.n_classes,
                         train_inputs, val_inputs, test_inputs,
                         init_checkpoint, eval_hook=hook)
-        curves[lr] = {"diverged": res.diverged, "epochs": series}
+        curves[lr] = {"diverged": res.diverged or bool(cut), "epochs": series}
     if out_jsonl:
         with open(out_jsonl, "w", encoding="utf-8") as fh:
             for lr in lrs:

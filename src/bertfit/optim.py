@@ -6,7 +6,8 @@ and task classifiers at L+1. `build_optimizer` trains group l at
 `StlrSchedule.rate(step) * xi^(L+1-l)`: adjacent depths differ by exactly
 xi, and xi=1 (pre-training) is plain Adam. `train_step`, the step of
 `training.train_steps`, trains what its loss reaches: Adam skips a tensor
-that got no gradient. A step that diverges changes nothing.
+that got no gradient. A step that diverges raises `ad.NumericalError`
+and changes nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from . import autodiff as ad
 from .model import depth_of, named_tensors
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's moment decays and epsilon
-
-
-class DivergedError(RuntimeError):
-    """A training step produced a non-finite loss, activation or gradient."""
 
 
 @dataclass
@@ -103,13 +100,13 @@ class Adam:
 
     def step(self, rates: dict[int, float]):
         """Apply one update; `rates` maps group depth -> learning rate. A
-        NaN or inf gradient raises DivergedError before anything moves:
+        NaN or inf gradient raises NumericalError before anything moves:
         no parameter, moment or `t` changes."""
         for g in self.groups:
             for p in g.params:
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     kind = "NaN" if np.isnan(p.grad).any() else "inf"
-                    raise DivergedError(
+                    raise ad.NumericalError(
                         f"{kind} gradient in parameter {p.name or id(p)}")
         if self.clip_norm is not None:
             self._clip()
@@ -179,22 +176,19 @@ def train_step(opt: Adam, loss_fn, rates: dict[int, float]):
 
     `loss_fn()` runs the forward pass and returns a tuple whose first item
     is the scalar loss; the tuple is returned. A non-finite loss, softmax
-    input or gradient raises DivergedError, with no parameter updated. The
-    previous step's gradients are released before the forward pass, so it
-    does not hold them. `backward`
-    consumes the tape, freeing each op's saved activations once its rule
-    has run, so a returned Tensor keeps none of the step's graph.
+    input or gradient raises `ad.NumericalError`, with no parameter
+    updated. The previous step's gradients are released before the forward
+    pass, so it does not hold them. `backward` consumes the tape, freeing
+    each op's saved activations once its rule has run, so a returned
+    Tensor keeps none of the step's graph.
     """
     opt.zero_grad()
-    try:
-        with ad.Tape() as tape:
-            out = loss_fn()
-        loss = out[0]
-        if not np.isfinite(loss.data):
-            raise DivergedError(
-                f"non-finite loss {float(loss.data)} at step {opt.t + 1}")
-        ad.backward(tape, loss)
-        opt.step(rates)
-    except ad.NumericalError as e:
-        raise DivergedError(str(e)) from e
+    with ad.Tape() as tape:
+        out = loss_fn()
+    loss = out[0]
+    if not np.isfinite(loss.data):
+        raise ad.NumericalError(
+            f"non-finite loss {float(loss.data)} at step {opt.t + 1}")
+    ad.backward(tape, loss)
+    opt.step(rates)
     return out

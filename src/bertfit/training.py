@@ -5,7 +5,8 @@ layer-wise decreasing rates, best-model selection on the validation split
 across up to `epochs` evaluation rounds (ties go to the earliest), and
 JSON-lines metrics. Divergence (NaN loss/gradient, or a scoring that
 meets a non-finite value) ends the run with a `diverged` flag instead of
-crashing.
+crashing: `ad.NumericalError` is caught only by `train_steps` and
+`evaluate`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .longtext import FractionCombiner, chunk, combine, truncate
 from .model import (ClassifierHead, EncoderConfig, EncoderModel,
                     class_logits, encode_batch, init_model, named_tensors,
                     select_features, stack_inputs)
-from .optim import (Adam, DivergedError, StlrSchedule, build_optimizer,
-                    train_step)
+from .optim import Adam, StlrSchedule, build_optimizer, train_step
 from .rng import COMBINER, CURSOR, HEAD, INIT, Rng
 from .tokenizer import Vocabulary, encode, tokenize
 
@@ -199,28 +199,26 @@ class FinetuneResult:
     combiner: FractionCombiner | None
 
 
+@np.errstate(over="ignore", invalid="ignore")   # None reports overflow
 def evaluate(model: EncoderModel, head: ClassifierHead, inputs,
              recipe: TrainingRecipe, combiner=None, batch_size=64):
-    """Error rate (%) and mean loss with dropout off, recording no tape."""
+    """(error rate %, mean loss) with dropout off, recording no tape; None
+    where the scoring meets a non-finite value: a batch raises
+    `ad.NumericalError`, or the mean loss is not finite."""
     n_wrong, loss_sum = 0, 0.0
-    for i in range(0, len(inputs), batch_size):
-        batch = inputs[i:i + batch_size]
-        loss, logits, labels = batch_loss(model, head, batch, recipe,
-                                          combiner)
-        n_wrong += int((logits.data.argmax(axis=-1) != labels).sum())
-        loss_sum += float(loss.data) * len(batch)
-    return 100.0 * n_wrong / len(inputs), loss_sum / len(inputs)
-
-
-def finite_evaluate(model: EncoderModel, head: ClassifierHead, inputs,
-                    recipe: TrainingRecipe, combiner=None):
-    """`evaluate`'s (error, loss), or None where the scoring meets a
-    non-finite value: a NumericalError or a non-finite loss."""
     try:
-        err, loss = evaluate(model, head, inputs, recipe, combiner)
+        for i in range(0, len(inputs), batch_size):
+            batch = inputs[i:i + batch_size]
+            loss, logits, labels = batch_loss(model, head, batch, recipe,
+                                              combiner)
+            n_wrong += int((logits.data.argmax(axis=-1) != labels).sum())
+            loss_sum += float(loss.data) * len(batch)
     except ad.NumericalError:
         return None
-    return (err, loss) if math.isfinite(loss) else None
+    loss = loss_sum / len(inputs)
+    if not math.isfinite(loss):
+        return None
+    return 100.0 * n_wrong / len(inputs), loss
 
 
 def train_steps(opt: Adam, rates_at, steps: int, rng: Rng, next_batch,
@@ -235,7 +233,7 @@ def train_steps(opt: Adam, rates_at, steps: int, rng: Rng, next_batch,
         rates = rates_at(step)
         try:
             out = train_step(opt, lambda: loss_of(batch, rng.at(step)), rates)
-        except DivergedError:
+        except ad.NumericalError:
             return
         yield step, batch, out, rates
 
@@ -251,8 +249,8 @@ def finetune(model: EncoderModel, head: ClassifierHead,
     round e of E = `recipe.epochs` ends at step ceil(e T / E) of T =
     `recipe.train_steps`, a step ending at most one round: E rounds when
     T >= E, one per step otherwise. A round or the closing test scoring
-    that meets a non-finite value (see :func:`finite_evaluate`) is not
-    kept and ends the run as diverged. Returns a FinetuneResult whose
+    that meets a non-finite value (`evaluate` returns None) is not kept
+    and ends the run as diverged. Returns a FinetuneResult whose
     model, head and combiner hold the best-validation parameters.
     """
     rng = Rng(recipe.seed)
@@ -280,7 +278,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
                         rates[top])
         epoch = round_at.get(step)
         if epoch and val_inputs:
-            score = finite_evaluate(model, head, val_inputs, recipe, combiner)
+            score = evaluate(model, head, val_inputs, recipe, combiner)
             if score is None:
                 diverged = True
                 break
@@ -300,7 +298,7 @@ def finetune(model: EncoderModel, head: ClassifierHead,
         load_into(named, best["params"])
     test_error = None
     if test_inputs is not None and not diverged:
-        score = finite_evaluate(model, head, test_inputs, recipe, combiner)
+        score = evaluate(model, head, test_inputs, recipe, combiner)
         if score is None:
             diverged = True
         else:

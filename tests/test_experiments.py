@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from bertfit import multitask, training
+from bertfit import autodiff as ad
+from bertfit import grid, multitask, training
 from bertfit.checkpoint import load_checkpoint, save_checkpoint
 from bertfit.cli import main
 from bertfit.config import (DataSection, ExperimentConfig, GridSection,
@@ -23,7 +24,6 @@ from bertfit.grid import (FIGURE2_LRS, TABLE4_LRS, TABLE4_XIS, GridCell,
                           run_grid, run_lr_sweep, write_grid_tsv)
 from bertfit.data import Example, split_validation
 from bertfit.model import EncoderConfig, init_model, named_tensors
-from bertfit.optim import DivergedError
 from bertfit.rng import INIT, Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
@@ -87,6 +87,13 @@ def write_config(root, raw, name="config.json", **extra):
     path = root / name
     path.write_text(json.dumps(raw, indent=2), encoding="utf-8")
     return str(path)
+
+
+def scale_checkpoint(path, factor):
+    """Rewrite the checkpoint at `path` with every tensor times `factor`."""
+    meta, tensors = load_checkpoint(path)
+    save_checkpoint(path, {k: a * a.dtype.type(factor)
+                           for k, a in tensors.items()}, meta=meta)
 
 
 def full_config(model_config, root):
@@ -255,6 +262,23 @@ class TestGridHarness:
             [5e-4] * 2 + [1e30] * (len(curves[1e30]["epochs"]) + 1)
         assert records[-1] == {"lr": 1e30, "diverged": True}
         assert not any(r.get("diverged") for r in records[:-1])
+
+    def test_lr_sweep_curve_ends_at_a_scoring_that_overflows(
+            self, tiny_model_config, vocab, splits, monkeypatch):
+        # the curve's scoring at round 2 overflows where validation did
+        # not: the curve keeps round 1 and is marked diverged
+        train, val, test = splits
+        score, calls = grid.evaluate, []
+
+        def overflowing(*args, **kw):
+            calls.append(0)
+            return None if len(calls) == 3 else score(*args, **kw)
+        monkeypatch.setattr(grid, "evaluate", overflowing)
+        curves = run_lr_sweep(tiny_model_config, tiny_recipe(epochs=3),
+                              vocab, train, val, test, lrs=(5e-4,))
+        assert curves[5e-4]["diverged"]
+        assert [r["epoch"] for r in curves[5e-4]["epochs"]] == [1]
+        assert len(calls) == 6
 
     def test_empty_axes_rejected(self, tiny_model_config, vocab, splits):
         train, val, test = splits
@@ -611,6 +635,61 @@ class TestCli:
                 f"NaN or inf\n")
         assert not metrics.exists()
 
+    def test_eval_of_weights_that_overflow_exits_2(self, workspace, tmp_path,
+                                                   capsys):
+        # every value is finite, so `install` takes the file; scoring it
+        # overflows, which `eval` reports in one line and no warning
+        root, raw = workspace
+        cfg = write_config(root, raw)
+        ckpt = tmp_path / "big.ckpt"
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        scale_checkpoint(ckpt, 1e30)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"eval: {ckpt}: scoring marker test met "
+                                     "a non-finite value\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # training's
+    @settings(derandomize=True, max_examples=24, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lr=st.sampled_from([5e-4, 1.0, 1e30,
+                               float(np.finfo(np.float32).max)]),
+           every_step=st.booleans(),
+           corruption=st.sampled_from([None, "truncate", "scale"]))
+    def test_finetune_then_eval_never_raises(self, workspace, tmp_path,
+                                             capsys, lr, every_step,
+                                             corruption):
+        """At any rate, `finetune` exits 0, writing a checkpoint unless it
+        diverged before a round was kept; that checkpoint, cut short or
+        scaled by 1e30, or neither, `eval` scores or rejects with exit 2
+        and one stderr line naming it."""
+        root, raw = workspace
+        recipe = raw["recipe"]
+        cfg = write_config(tmp_path, raw, recipe={
+            **recipe, "base_lr": lr,
+            "epochs": recipe["train_steps"] if every_step else 1})
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.unlink(missing_ok=True)
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        if capsys.readouterr().out.endswith(", no checkpoint written\n"):
+            assert not ckpt.exists()
+            return
+        if corruption == "truncate":
+            ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        elif corruption == "scale":
+            scale_checkpoint(ckpt, 1e30)
+        code = main(["eval", "--config", cfg, "--checkpoint", str(ckpt)])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith(f"eval: {ckpt}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("tokens, reason", [
         (["a", "b"], "reserved token [PAD] must have id 0"),
         (RESERVED + ["alpha", "alpha"], "duplicate tokens in vocabulary")])
@@ -760,6 +839,44 @@ class TestCli:
                                    "epochs": raw["recipe"]["train_steps"]})
         assert main(["finetune", "--config", cfg]) == 0
         assert capsys.readouterr().out == "finetune [marker]: diverged\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("epochs", [2, 10])
+    def test_finetune_diverged_before_a_round_writes_no_checkpoint(
+            self, workspace, tmp_path, capsys, epochs):
+        root, raw = workspace
+        cfg = write_config(tmp_path, raw, recipe={**raw["recipe"],
+                                                  "base_lr": 1e30,
+                                                  "epochs": epochs})
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        assert capsys.readouterr().out == \
+            "finetune [marker]: diverged, no checkpoint written\n"
+        assert not ckpt.exists()
+
+    def test_finetune_diverged_after_a_round_saves_it(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # a round every step and step 3 diverges: rounds 1 and 2 were kept,
+        # and the checkpoint holds the better one, which `eval` scores
+        root, raw = workspace
+        step, calls = training.train_step, []
+
+        def diverging_step(*args):
+            calls.append(0)
+            if len(calls) == 3:
+                raise ad.NumericalError("forced")
+            return step(*args)
+        monkeypatch.setattr(training, "train_step", diverging_step)
+        cfg = write_config(tmp_path, raw, recipe={**raw["recipe"],
+                                                  "epochs": 10})
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg,
+                     "--checkpoint-out", str(ckpt)]) == 0
+        assert capsys.readouterr().out == "finetune [marker]: diverged\n"
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("refine, scores", [
@@ -955,7 +1072,7 @@ class TestCli:
             if refining:
                 refining[-1] += 1
                 if refining[-1] == 2:
-                    raise DivergedError("forced")
+                    raise ad.NumericalError("forced")
             return step(*args)
         monkeypatch.setattr(multitask, "per_task_refine", spy_refine)
         monkeypatch.setattr(training, "train_step", diverging_step)

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import bertfit
+from bertfit import autodiff as ad
 from bertfit import training
 from bertfit.config import TrainingRecipe
 from bertfit.longtext import FractionCombiner
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            init_model, named_tensors)
 from bertfit.multitask import MultiTaskModel, _pick_task, multitask_finetune
-from bertfit.optim import (Adam, DivergedError, StlrSchedule,
-                           group_parameters, train_step)
+from bertfit.optim import Adam, StlrSchedule, group_parameters, train_step
 from bertfit.pretraining import (MaskingPolicy, further_pretrain,
                                  make_pretrain_example, pretrain_batch_loss)
 from bertfit.rng import CURSOR, EXAMPLE, MULTITASK, TASK, Rng
@@ -207,7 +207,7 @@ def test_a_run_that_diverges_at_step_3_records_nothing_from_it(
     def diverging_step(*args):
         calls.append(0)
         if len(calls) == 3:
-            raise DivergedError("forced")
+            raise ad.NumericalError("forced")
         return step(*args)
     monkeypatch.setattr(training, "train_step", diverging_step)
     if name == "finetune":
@@ -296,14 +296,19 @@ def _call_name(node):
         getattr(func, "id", None)
 
 
+LOOP = ["training.train_steps"]
+# site -> (every top-level name holding it, a matcher of its AST nodes)
 SITES = {
-    "calls train_step": lambda n: isinstance(n, ast.Call)
-    and _call_name(n) == "train_step",
-    "catches DivergedError": lambda n: isinstance(n, ast.ExceptHandler)
-    and n.type is not None and "DivergedError" in ast.unparse(n.type),
-    "keys the dropout by step": lambda n: isinstance(n, ast.Call)
-    and _call_name(n) == "at" and len(n.args) == 1
-    and isinstance(n.args[0], ast.Name) and n.args[0].id == "step",
+    "calls train_step": (LOOP, lambda n: isinstance(n, ast.Call)
+                         and _call_name(n) == "train_step"),
+    "catches NumericalError": (
+        ["training.evaluate", *LOOP],
+        lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
+        and "NumericalError" in ast.unparse(n.type)),
+    "keys the dropout by step": (
+        LOOP, lambda n: isinstance(n, ast.Call) and _call_name(n) == "at"
+        and len(n.args) == 1 and isinstance(n.args[0], ast.Name)
+        and n.args[0].id == "step"),
 }
 
 
@@ -320,10 +325,12 @@ def _sites(match, modules="*"):
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_only_the_one_loop_steps(site):
-    """A training loop calls `train_step`, ends the run on DivergedError
+    """A training loop calls `train_step`, ends the run on NumericalError
     and keys each step's dropout; only `training.train_steps` does, so a
-    recipe cannot grow a loop of its own."""
-    assert _sites(SITES[site]) == ["training.train_steps"]
+    recipe cannot grow a loop of its own. The one other catcher of a
+    non-finite value is the one scorer, `training.evaluate`."""
+    sites, match = SITES[site]
+    assert _sites(match) == sites
 
 
 @pytest.mark.parametrize("callee, modules, sites", [

@@ -185,6 +185,30 @@ class TestEvaluate:
         b = evaluate(model, head, inputs, tiny_recipe())
         assert a == b
 
+    @pytest.mark.parametrize("failure", ["raise", "nan loss"])
+    def test_non_finite_batch_scores_none(self, tiny_config, small_task,
+                                          vocab, monkeypatch, failure):
+        # the second of several batches raises NumericalError or has a NaN
+        # loss: the scoring has no error rate
+        train, _, _ = small_task
+        model, head = fresh_pair(tiny_config)
+        inputs = prepare_inputs(train, vocab, tiny_recipe())
+        loss_of, calls = training.batch_loss, []
+
+        def second_fails(*args):
+            calls.append(1)
+            loss, logits, labels = loss_of(*args)
+            if len(calls) != 2:
+                return loss, logits, labels
+            if failure == "raise":
+                raise ad.NumericalError("softmax input contains NaN")
+            return ad.Tensor(np.full_like(loss.data, np.nan)), logits, labels
+        monkeypatch.setattr(training, "batch_loss", second_fails)
+        assert evaluate(model, head, inputs, tiny_recipe(),
+                        batch_size=8) is None
+        n_batches = -(-len(inputs) // 8)
+        assert len(calls) == (2 if failure == "raise" else n_batches)
+
 
 class TestMetricsLog:
     def test_jsonl_file(self, tmp_path):
@@ -332,10 +356,8 @@ class TestFinetune:
         assert res.test_error is None
 
     @pytest.mark.parametrize("fail_at", [2, 3])     # last round, test
-    @pytest.mark.parametrize("failure", ["raise", "nan loss"])
     def test_scoring_non_finite_ends_run_diverged(
-            self, tiny_config, small_task, vocab, monkeypatch, fail_at,
-            failure):
+            self, tiny_config, small_task, vocab, monkeypatch, fail_at):
         # a scoring that meets weights that overflow after every step has
         # applied: the run is diverged, and that scoring neither kept nor
         # logged
@@ -346,11 +368,7 @@ class TestFinetune:
 
         def overflowing(*args, **kw):
             calls.append(1)
-            if len(calls) < fail_at:
-                return score(*args, **kw)
-            if failure == "raise":
-                raise ad.NumericalError("softmax input contains NaN")
-            return 50.0, float("nan")
+            return score(*args, **kw) if len(calls) < fail_at else None
         monkeypatch.setattr(training, "evaluate", overflowing)
         metrics = MetricsLog()
         res = finetune(model, head, ti, vi, recipe, test_inputs=te,

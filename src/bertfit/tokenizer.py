@@ -1,8 +1,10 @@
 """WordPiece-style tokenization at desk scale.
 
-The vocabulary is built by pair-frequency merges (BPE-style) with
-incremental pair statistics, and rendered as WordPiece entries: the first
-piece of a word is bare, every continuation piece carries a "##" prefix.
+The vocabulary is built by pair-frequency merges (BPE-style) that keep
+one ledger, the pair counts and the pair -> words index, and rendered as
+WordPiece entries: the first piece of a word is bare, every continuation
+piece carries a "##" prefix. A merged piece's forms need no count, since
+they can first appear only in the words its merge re-segments.
 Tokenization is greedy longest-match-first; a word with any unmatched
 position becomes [UNK].
 """
@@ -21,7 +23,7 @@ from .data import InputError, open_input
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 RESERVED = [PAD, UNK, CLS, SEP, MASK]
 
-_PUNCT_RE = re.compile(r"([^\w\s]|_)", re.UNICODE)
+_WORD_RE = re.compile(r"[^\W_]+|\S")
 # where a sentence ends: English after . ! ? followed by whitespace and an
 # uppercase letter, Chinese after each full-width 。？！
 _SENTENCE_BREAK = {"english": re.compile(r"(?<=[.!?])\s+(?=[A-Z])"),
@@ -78,16 +80,10 @@ class Vocabulary:
 
 
 def pre_split(text: str) -> list[str]:
-    """NFC-normalise and lowercase `text`, then split it on whitespace with
-    every punctuation character (and `_`) a word of its own."""
-    text = unicodedata.normalize("NFC", text).lower()
-    text = _PUNCT_RE.sub(r" \1 ", text)
-    return text.split()
-
-
-def _rendered(pieces):
-    """WordPiece forms of one segmented word: bare first, "##" after."""
-    return [p if j == 0 else "##" + p for j, p in enumerate(pieces)]
+    r"""NFC-normalise and lowercase `text`, then split it by the pattern
+    `[^\W_]+|\S`: each run of letters and digits is a word, and so is
+    every other non-space character (punctuation, `_`) alone."""
+    return _WORD_RE.findall(unicodedata.normalize("NFC", text).lower())
 
 
 def _merge(pieces, pair, merged):
@@ -104,21 +100,6 @@ def _merge(pieces, pair, merged):
     return tuple(out)
 
 
-def _apply(counts, delta):
-    """Add `delta` into `counts`, deleting the counts that reach zero;
-    return the keys whose count moved and is still non-zero."""
-    moved = []
-    for key, d in delta.items():
-        if d:
-            c = counts[key] + d
-            if c:
-                counts[key] = c
-                moved.append(key)
-            else:
-                del counts[key]
-    return moved
-
-
 def build_vocab(corpus, target_size: int) -> Vocabulary:
     """BPE-style merge loop over the corpus, rendered as WordPiece entries.
 
@@ -128,13 +109,16 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
     rendered WordPiece forms until the vocabulary reaches `target_size`
     or no pair is left. Deterministic for a fixed corpus and size.
 
-    The pair statistics are incremental (Sennrich et al. 2016, subword-nmt's
-    `learn_bpe.py`): pair counts and rendered-form counts persist across
-    merges, an index maps each pair to the words that may contain it, and a
-    merge re-segments only the indexed words, taking their old pairs and
-    forms out of the counts and putting their new ones in. The best pair
-    comes off a heap keyed on (-count, pair) whose stale entries are
-    skipped, so the result equals a full recount after every merge.
+    The merge loop is incremental (Sennrich et al. 2016, subword-nmt's
+    `learn_bpe.py`) and keeps one ledger: the pair counts, and an index
+    mapping each pair to the words that may contain it. A merge
+    re-segments only the indexed words, moving each one's frequency from
+    its old pairs to its new ones. The best pair comes off a heap keyed on
+    (-count, pair) whose stale entries are skipped, so the result equals a
+    full recount after every merge. Forms need no count: a merged piece's
+    forms can first appear only in the words its merge re-segments (bare
+    at position 0, "##" after), and a form already present elsewhere was
+    emitted when it first appeared.
     """
     if target_size < len(RESERVED):
         raise ValueError(
@@ -149,9 +133,7 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
     freqs = list(word_freq.values())
     pair_freq = Counter()
     where = defaultdict(set)      # pair -> ids of words that may contain it
-    forms = Counter()             # rendered form -> occurrences
     for i, pieces in enumerate(words):
-        forms.update(_rendered(pieces))
         for pair in zip(pieces, pieces[1:]):
             pair_freq[pair] += freqs[i]
             where[pair].add(i)
@@ -167,7 +149,8 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
                 seen.add(t)
                 vocab.append(t)
 
-    emit(forms)  # base character tokens, kept forever
+    # base character tokens, kept forever
+    emit({c if j == 0 else "##" + c for w in words for j, c in enumerate(w)})
     while len(vocab) < target_size:
         while heap and pair_freq.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)   # stale: the pair's count has moved
@@ -175,7 +158,7 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
             break
         best = heapq.heappop(heap)[1]
         merged = best[0] + best[1]
-        pair_delta, form_delta = Counter(), Counter()
+        moved, forms = set(), set()
         for i in where.pop(best):
             old = words[i]
             new = _merge(old, best, merged)
@@ -184,16 +167,20 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
             words[i] = new
             f = freqs[i]
             for pair in zip(old, old[1:]):
-                pair_delta[pair] -= f
+                pair_freq[pair] -= f
+                moved.add(pair)
             for pair in zip(new, new[1:]):
-                pair_delta[pair] += f
+                pair_freq[pair] += f
+                moved.add(pair)
                 where[pair].add(i)
-            form_delta.subtract(_rendered(old))
-            form_delta.update(_rendered(new))
-        for pair in _apply(pair_freq, pair_delta):
-            heapq.heappush(heap, (-pair_freq[pair], pair))
-        _apply(forms, form_delta)
-        emit({merged, "##" + merged} & forms.keys())
+            forms.update(merged if j == 0 else "##" + merged
+                         for j, p in enumerate(new) if p == merged)
+        for pair in moved:
+            if pair_freq[pair]:
+                heapq.heappush(heap, (-pair_freq[pair], pair))
+            else:
+                del pair_freq[pair]
+        emit(forms)
     return Vocabulary(vocab)
 
 
@@ -221,7 +208,7 @@ def _wordpiece(word: str, vocab: Vocabulary) -> tuple[str, ...]:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[str]:
-    """Greedy longest-match-first WordPiece split of each whitespace word."""
+    """Greedy longest-match-first WordPiece split of each `pre_split` word."""
     out = []
     cache = vocab.pieces
     for word in pre_split(text):
@@ -249,14 +236,14 @@ def encode(seg_a, seg_b, max_len: int, vocab: Vocabulary,
            label=None) -> TokenizedSequence:
     """Assemble the padded two-segment input; truncation is the caller's job."""
     n_special = 2 if seg_b is None else 3
-    content = len(seg_a) + (len(seg_b) if seg_b else 0)
+    content = len(seg_a) + (len(seg_b) if seg_b is not None else 0)
     if content + n_special > max_len:
         raise ValueError(
             f"segments ({content} tokens) overflow max_len {max_len} after "
             f"{n_special} specials; truncate first")
     ids = [vocab.cls_id] + [vocab.id(t) for t in seg_a] + [vocab.sep_id]
     segs = [0] * len(ids)
-    if seg_b:
+    if seg_b is not None:
         ids += [vocab.id(t) for t in seg_b] + [vocab.sep_id]
         segs += [1] * (len(seg_b) + 1)
     n_real = len(ids)

@@ -227,12 +227,16 @@ def train_steps(opt: Adam, rates_at, steps: int, rng: Rng, next_batch,
     `loss_of(batch := next_batch(step), rng.at(step))` at `rates_at(step)`,
     so step t's dropout is keyed (seed, t, site). Yields (step, batch, out,
     rates) once each step applies. A step that diverges changes nothing,
-    `opt.t` included, and ends the run: it diverged if `opt.t < steps`."""
+    `opt.t` included, and ends the run: it diverged if `opt.t < steps`.
+    Steps run with numpy's floating-point warnings off, since the loss,
+    gradient and softmax checks report the event."""
     for step in range(1, steps + 1):
         batch = next_batch(step)
         rates = rates_at(step)
         try:
-            out = train_step(opt, lambda: loss_of(batch, rng.at(step)), rates)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = train_step(opt, lambda: loss_of(batch, rng.at(step)),
+                                 rates)
         except ad.NumericalError:
             return
         yield step, batch, out, rates

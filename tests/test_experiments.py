@@ -223,7 +223,6 @@ class TestGridHarness:
         assert lines[0] == "base_lr\tdecay_factor\tval_error\ttest_error"
         assert len(lines) == 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_cell_recorded(self, tiny_model_config, vocab, splits,
                                     tmp_path):
         train, val, test = splits
@@ -234,7 +233,6 @@ class TestGridHarness:
         assert cells[0].diverged
         assert "diverged" in out.read_text()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cell_diverged_at_a_round_recorded(self, tiny_model_config,
                                                vocab, splits, tmp_path):
         # a round every step: the round at the step whose update blew the
@@ -248,7 +246,6 @@ class TestGridHarness:
         assert out.read_text().splitlines()[1] == \
             "1e+30\t1\tdiverged\tdiverged"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lr_sweep_records_divergence(self, tiny_model_config, vocab,
                                          splits, tmp_path):
         train, val, test = splits
@@ -651,7 +648,6 @@ class TestCli:
         assert out == "" and err == (f"eval: {ckpt}: scoring marker test met "
                                      "a non-finite value\n")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # training's
     @settings(derandomize=True, max_examples=24, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lr=st.sampled_from([5e-4, 1.0, 1e30,
@@ -818,7 +814,6 @@ class TestCli:
         assert starts == [{n: p.data.tobytes()
                            for n, p in named_tensors(want).items()}]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pretrain_divergence_reported(self, workspace, tmp_path, capsys):
         root, raw = workspace
         cfg = write_config(root, raw, name="pt_nan.json",
@@ -829,7 +824,6 @@ class TestCli:
                      "--out-dir", str(tmp_path)]) == 0
         assert "diverged" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finetune_divergence_at_a_round_reported(self, workspace,
                                                      tmp_path, capsys):
         # a round every step, so a round meets the blown-up weights
@@ -840,7 +834,6 @@ class TestCli:
         assert main(["finetune", "--config", cfg]) == 0
         assert capsys.readouterr().out == "finetune [marker]: diverged\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("epochs", [2, 10])
     def test_finetune_diverged_before_a_round_writes_no_checkpoint(
             self, workspace, tmp_path, capsys, epochs):
@@ -878,7 +871,6 @@ class TestCli:
         assert capsys.readouterr().out == "finetune [marker]: diverged\n"
         assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("refine, scores", [
         ({}, ["  a: diverged", "  b: diverged"]),
         ({"refine_steps": 2}, ["  a: refinement diverged",

@@ -418,7 +418,6 @@ class TestFurtherPretrain:
                                checkpoint_dir=str(tmp_path))
         assert [s for s, _ in res.checkpoints] == [10, 20, 30, 35]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_recorded_not_raised(self):
         docs, vocab, cfg = self._setup()
         model = init_model(cfg, Rng(0))

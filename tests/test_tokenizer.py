@@ -1,8 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -75,6 +77,19 @@ def oracle_build_vocab(corpus, target_size: int) -> Vocabulary:
     return Vocabulary(vocab)
 
 
+def oracle_pre_split(text: str) -> list[str]:
+    """The rule `pre_split` replaced: space out every punctuation character
+    and `_`, then split on whitespace."""
+    text = unicodedata.normalize("NFC", text).lower()
+    return re.sub(r"([^\w\s]|_)", r" \1 ", text).split()
+
+
+# every character str.split splits on
+SPLIT_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                + "".join(map(chr, range(0x2000, 0x200b)))
+                + "\u2028\u2029\u202f\u205f\u3000")
+
+
 def zipf_corpus(n_docs=100, n_words=600, seed=0):
     """~100 documents of 100-400 words drawn Zipf-style (exponent 0.8) from
     a lexicon of random 4-11 letter words."""
@@ -92,6 +107,13 @@ def zipf_corpus(n_docs=100, n_words=600, seed=0):
 corpora = st.sampled_from(["ab", "aab", "abc", "ab.,!", "ab中文", "aé"]).flatmap(
     lambda alphabet: st.lists(st.text(alphabet=alphabet + " ", max_size=40),
                               max_size=6))
+
+# longer documents over alphabets with repeats, so that one merge often
+# puts its piece both at the start of a word and inside one
+long_corpora = st.sampled_from(["aab ", "abcab ", "aabb. "]).flatmap(
+    lambda alphabet: st.lists(st.text(alphabet=alphabet, min_size=60,
+                                      max_size=300),
+                              min_size=1, max_size=4))
 
 
 @pytest.fixture
@@ -159,6 +181,13 @@ class TestIncrementalMerges:
         assert build_vocab(corpus, 10_000).id_to_token == \
             oracle_build_vocab(corpus, 10_000).id_to_token
 
+    @given(long_corpora, st.integers(min_value=5, max_value=80))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_equals_oracle_on_long_documents(self, corpus, size):
+        for n in (size, 10_000):
+            assert build_vocab(corpus, n).id_to_token == \
+                oracle_build_vocab(corpus, n).id_to_token
+
     def test_overlapping_runs(self):
         corpus = ["aaaa aaa aa a aaaaa", "abab aba bab", "。。 中中中"]
         for size in range(5, 40):
@@ -192,6 +221,18 @@ class TestIncrementalMerges:
                                  check=True)
             hashes.add(out.stdout.strip())
         assert len(hashes) == 1
+
+
+class TestPreSplit:
+    @given(st.text(alphabet=st.sampled_from(
+        list("aZé9_.,!-'\"(中文\u0301\u0307İ") + list(SPLIT_SPACES))))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_equals_whitespace_rule(self, text):
+        assert pre_split(text) == oracle_pre_split(text)
+
+    def test_words_and_punctuation(self):
+        assert pre_split("Hi_there, Ünïcode\u3000中文!") == \
+            ["hi", "_", "there", ",", "ünïcode", "中文", "!"]
 
 
 class TestTokenize:
@@ -262,6 +303,16 @@ class TestEncode:
     def test_overflow_rejected(self, small_vocab):
         with pytest.raises(ValueError, match="overflow"):
             encode(["x"] * 5, None, 6, small_vocab)
+
+    def test_empty_second_segment(self, small_vocab):
+        # an empty B is a segment: its [SEP] is built and counted
+        v = small_vocab
+        seq = encode(["x"], [], 5, v)
+        assert seq.token_ids == [v.cls_id, v.id("x"), v.sep_id, v.sep_id, 0]
+        assert seq.segment_ids == [0, 0, 0, 1, 0]
+        assert seq.attention_mask == [1, 1, 1, 1, 0]
+        with pytest.raises(ValueError, match="after 3 specials"):
+            encode(["x"] * 3, [], 5, v)
 
     def test_sep_count_matches_segments(self, small_vocab):
         sep = small_vocab.sep_id

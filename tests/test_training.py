@@ -1,6 +1,7 @@
 import json
 import platform
 import resource
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -343,7 +344,6 @@ class TestFinetune:
             losses.append(res.history[-1]["val_loss"])
         assert losses[0] != losses[1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_flag_not_exception(self, tiny_config, small_task,
                                            vocab):
         train, val, _ = small_task
@@ -354,6 +354,21 @@ class TestFinetune:
         res = finetune(model, head, ti, vi, recipe)
         assert res.diverged
         assert res.test_error is None
+
+    def test_diverging_run_warns_nothing(self, tiny_config, small_task,
+                                         vocab):
+        # 30 steps at a rate of 1e30: the checks end the run, and numpy's
+        # overflow in the steps before them reaches no warning
+        train, val, _ = small_task
+        recipe = tiny_recipe(base_lr=1e30)
+        model, head = fresh_pair(tiny_config)
+        metrics = MetricsLog()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = finetune(model, head, prepare_inputs(train, vocab, recipe),
+                           prepare_inputs(val, vocab, recipe), recipe,
+                           metrics=metrics)
+        assert res.diverged and res.history == [] and not metrics.records
 
     @pytest.mark.parametrize("fail_at", [2, 3])     # last round, test
     def test_scoring_non_finite_ends_run_diverged(

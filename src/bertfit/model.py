@@ -170,10 +170,14 @@ def init_model(config: EncoderConfig, rng: Rng) -> EncoderModel:
 
 def stack_inputs(seqs):
     """The (B, S) token, segment and mask arrays of B equal-length
-    sequences, as `encode_batch` takes them."""
-    return (np.array([s.token_ids for s in seqs]),
-            np.array([s.segment_ids for s in seqs]),
-            np.array([s.attention_mask for s in seqs]))
+    sequences, as `encode_batch` takes them, cut after the last column in
+    which any row holds a real token: S is the batch's longest row, so the
+    encoder's work scales with it rather than with the padded length. A
+    batch with a full row, or with no real token, keeps every column."""
+    mask = np.array([s.attention_mask for s in seqs])
+    S = mask.shape[1] - int(np.argmax(mask[:, ::-1].any(axis=0)))
+    return (np.array([s.token_ids for s in seqs])[:, :S],
+            np.array([s.segment_ids for s in seqs])[:, :S], mask[:, :S])
 
 
 def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
@@ -182,7 +186,12 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
 
     token_ids / segment_ids / attention_mask: (B, S) int arrays.
     Index 0 of the result is the embedding output, index l the output of
-    block l; every entry has shape (B, S, H). Dropout runs if and only if
+    block l; every entry has shape (B, S, H). A [PAD] key gets a -1e9
+    score bias, so its attention weight is exactly zero: trailing [PAD]
+    columns change no output at a real position beyond summation order,
+    and `stack_inputs` drops those that are [PAD] in every row. Dropout
+    masks are drawn for the shapes given, so a trimmed batch draws other
+    masks than its padded form. Dropout runs if and only if
     `rng` is given, site i drawing its masks keyed `rng.at(i)`: site 0 is
     the embedding's, and block i's are 3i + 1 to 3i + 3 (the attention
     probabilities, attention output and FFN output), whatever runs.
@@ -256,7 +265,8 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
 
 def encode(model: EncoderModel, seq):
     """Single-sequence wrapper without dropout; returns L+1 states of
-    shape (S, H)."""
+    shape (n, H), n being the sequence up to its last real token (the
+    [PAD] tail is trimmed by `stack_inputs`)."""
     outs = encode_batch(model, *stack_inputs([seq]))
     return [ad.reshape(o, o.shape[1:]) for o in outs]
 

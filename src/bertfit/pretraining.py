@@ -276,7 +276,14 @@ def further_pretrain(model: EncoderModel, docs, vocab: Vocabulary,
 def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
                       rng: Rng, n_examples: int = 64, max_len: int = 128):
     """Average MLM+NSP loss over freshly built examples under the default
-    `MaskingPolicy`, dropout off.
+    `MaskingPolicy`, dropout off: (loss, MLM loss, NSP loss).
+
+    The examples, sorted by real length, are scored as two batches cut
+    where the padded area (rows times each batch's longest row, see
+    `stack_inputs`) is least; one batch when no cut pads less. The MLM
+    means are weighted by each batch's masked count and the NSP means by
+    its row count, so the result is `pretrain_batch_loss` of all the
+    examples as one batch, up to summation order.
 
     Runs without a tape: nothing is recorded for a backward pass.
     """
@@ -292,5 +299,19 @@ def held_out_mlm_loss(model: EncoderModel, docs, vocab: Vocabulary,
         i += 1
         if i > 20 * n_examples:
             raise RuntimeError("could not build held-out examples")
-    loss, mlm_l, nsp_l = pretrain_batch_loss(model, examples)
-    return float(loss.data), mlm_l, nsp_l
+    examples.sort(key=lambda ex: sum(ex.seq.attention_mask))
+    lengths = [sum(ex.seq.attention_mask) for ex in examples]
+    n = len(examples)
+    # the first k rows at width lengths[k - 1], the rest at lengths[-1];
+    # of equal areas the largest k, so a cut that saves nothing is not made
+    k = min(range(1, n + 1), key=lambda k: (
+        k * lengths[k - 1] + (n - k) * lengths[-1], -k))
+    mlm = nsp = 0.0
+    for part in (examples[:k], examples[k:]):
+        if part:
+            _, mlm_l, nsp_l = pretrain_batch_loss(model, part)
+            mlm += mlm_l * sum(len(ex.mlm_positions) for ex in part)
+            nsp += nsp_l * len(part)
+    mlm /= sum(len(ex.mlm_positions) for ex in examples)
+    nsp /= n
+    return mlm + nsp, mlm, nsp

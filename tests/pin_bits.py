@@ -1,16 +1,18 @@
-"""The pinned bits of three short training runs, and the script that
+"""The pinned bits of four short training runs, and the script that
 writes them: `PYTHONPATH=src python tests/pin_bits.py` prints what moved
 against `tests/bits.json` and rewrites it; `tests/test_bits.py` checks it.
 
 Each run takes a few steps at tiny sizes with dropout on: `finetune`
-flat, `finetune` `hier_attn` and `further_pretrain`. The file holds, per
-run, the md5 of its float32 loss trail (each step's loss, in order) and of
-its final float32 parameters, and its float64 loss trail. The fine-tuning
-runs step at rate 1e-2, large enough that a change of gelu's coefficient
-in the fifth digit moves their float64 trails well past `RTOL`. Float32 bits
-hold only where numpy, its BLAS and the CPU's SIMD features are the ones
-the file records (`environment()`); elsewhere the test compares the
-float64 trail at `RTOL`. A change that moves these bits on purpose
+flat, `finetune` `hier_attn`, and `further_pretrain` twice: `pretrain` on
+pairs that fill `max_len`, `pretrain-short` on pairs of one-word sentences
+that end well short of it, so `stack_inputs` trims its batches. The
+file holds, per run, the md5 of its float32 loss trail (each step's loss,
+in order) and of its final float32 parameters, and its float64 loss
+trail. The fine-tuning runs step at rate 1e-2, large enough that a change
+of gelu's coefficient in the fifth digit moves their float64 trails well
+past `RTOL`. Float32 bits hold only where numpy, its BLAS and the CPU's
+SIMD features are the ones the file records (`environment()`); elsewhere
+the test compares the float64 trail at `RTOL`. A change that moves these bits on purpose
 rewrites the file and says which trail moved and why.
 """
 
@@ -32,7 +34,8 @@ from bertfit.tokenizer import build_vocab
 from bertfit.toytask import make_marker_task, marker_vocab_corpus
 
 PATH = Path(__file__).with_name("bits.json")
-RUNS = ("finetune-head_only", "finetune-hier_attn", "pretrain")
+RUNS = ("finetune-head_only", "finetune-hier_attn", "pretrain",
+        "pretrain-short")
 RTOL = 1e-11            # float64 trails across BLAS builds and CPUs
 STEPS = 6
 
@@ -76,9 +79,12 @@ def run(name: str, dtype: str):
         return out
     training.train_step = spy
     try:
-        if name == "pretrain":
+        if name.startswith("pretrain"):
             docs = [[ex.text for ex in make_marker_task(3, 1, seed=i)[0]
                      .examples] for i in range(3)]
+            if name == "pretrain-short":
+                docs = [[w for text in doc for w in text.split()]
+                        for doc in docs]
             model, heads = init_model(config, Rng(1)), ()
             further_pretrain(model, docs, vocab, STEPS,
                              StlrSchedule(total_steps=STEPS, peak_lr=1e-3),

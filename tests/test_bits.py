@@ -1,4 +1,4 @@
-"""Training arithmetic against stored bits: three short runs
+"""Training arithmetic against stored bits: four short runs
 (`tests/pin_bits.py`, which also rewrites `tests/bits.json`) give the
 loss trails and final parameters the file pins. A change of summation
 order, of a kernel or of a random stream shows here even where it keeps

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bertfit import autodiff as ad
 from bertfit.autodiff import Tape, Tensor
@@ -10,9 +12,10 @@ from bertfit.longtext import FractionCombiner
 from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
                            class_logits, classify, depth_of, encode_batch,
                            init_model, mlm_logits, named_tensors, nsp_logits,
-                           select_features)
+                           select_features, stack_inputs)
 from bertfit.optim import Adam, group_parameters, train_step
 from bertfit.rng import Rng
+from bertfit.tokenizer import TokenizedSequence
 from conftest import attention_probs, spy_gradients
 from test_autodiff import (_held, unfused_add_layer_norm, unfused_attention,
                            unfused_linear)
@@ -130,6 +133,72 @@ class TestEncode:
         outs = encode_batch(toy_model, ids, segs, mask)
         assert len(outs) == toy_model.config.n_layers + 1
         assert all(o.shape == (2, 6, 8) for o in outs)
+
+
+def _padded_seqs(lengths, S):
+    """Sequences of real lengths `lengths` (0 for none), padded to S."""
+    rows = []
+    for b, n in enumerate(lengths):
+        ids = [2 + (5 * b + j) % 27 for j in range(n)] + [0] * (S - n)
+        mask = [1] * n + [0] * (S - n)
+        rows.append(TokenizedSequence(ids, [int(j >= n // 2) for j in
+                                            range(S)], mask))
+    return rows
+
+
+def _untrimmed(seqs):
+    """`stack_inputs`' arrays without the cut: every padded column."""
+    return tuple(np.array([getattr(s, k) for s in seqs]) for k in
+                 ("token_ids", "segment_ids", "attention_mask"))
+
+
+class TestStackInputs:
+    @given(st.integers(1, 12).flatmap(lambda S: st.tuples(
+        st.just(S), st.lists(st.integers(0, S), min_size=1, max_size=6))))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_width_is_the_longest_row(self, case):
+        S, lengths = case
+        seqs = _padded_seqs(lengths, S)
+        full = _untrimmed(seqs)
+        got = stack_inputs(seqs)
+        width = max(lengths) or S       # no real token: nothing is cut
+        for g, f in zip(got, full, strict=True):
+            assert g.dtype == f.dtype
+            np.testing.assert_array_equal(g, f[:, :width])
+        assert not full[2][:, width:].any()     # no real token is cut
+        if S in lengths:
+            assert got[0].shape[1] == S
+
+    def _model(self):
+        cfg = EncoderConfig(n_layers=2, hidden=8, n_heads=2,
+                            vocab_size=30, max_positions=16, dropout=0.1,
+                            dtype="f8")
+        return init_model(cfg, Rng(0))
+
+    def test_trimmed_states_equal_the_padded(self):
+        model = self._model()
+        seqs = _padded_seqs([5, 3, 7, 1], 12)
+        trimmed, padded = stack_inputs(seqs), _untrimmed(seqs)
+        assert trimmed[0].shape == (4, 7)
+        got = encode_batch(model, *trimmed)
+        want = encode_batch(model, *padded)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (4, 7, 8)
+            np.testing.assert_allclose(g.data, w.data[:, :7], rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_trimmed_read_equals_the_padded(self, layer):
+        model = self._model()
+        seqs = _padded_seqs([5, 3, 7, 2], 12)
+        positions = np.array([[0, 4, 2], [0, 2, 2], [0, 6, 1], [0, 1, 0]])
+        got = encode_batch(model, *stack_inputs(seqs),
+                           read=(layer, positions))
+        want = encode_batch(model, *_untrimmed(seqs),
+                            read=(layer, positions))
+        assert got[-1].shape == want[-1].shape == (4, 3, 8)
+        np.testing.assert_allclose(got[-1].data, want[-1].data, rtol=0,
+                                   atol=1e-12)
 
 
 class TestReadRows:

@@ -263,13 +263,14 @@ class TestGatheredMlmLoss:
 
     def _full_logit_loss(self, model, examples, rng):
         """Masked mean over the rows of the full logits, row by row,
-        dropout drawn from `rng` if given."""
+        dropout drawn from `rng` if given. The inputs are stacked as
+        `pretrain_batch_loss` stacks them, so both encode the same
+        columns and draw the same dropout masks."""
         from bertfit import autodiff as ad
-        from bertfit.model import encode_batch, mlm_logits, nsp_logits
-        ids = np.array([ex.seq.token_ids for ex in examples])
-        outs = encode_batch(
-            model, ids, np.array([ex.seq.segment_ids for ex in examples]),
-            np.array([ex.seq.attention_mask for ex in examples]), rng=rng)
+        from bertfit.model import (encode_batch, mlm_logits, nsp_logits,
+                                   stack_inputs)
+        ids, segs, mask = stack_inputs([ex.seq for ex in examples])
+        outs = encode_batch(model, ids, segs, mask, rng=rng)
         B, S = ids.shape
         flat = mlm_logits(model, outs, np.arange(B * S))
         assert flat.shape == (B * S, model.config.vocab_size)
@@ -333,6 +334,51 @@ class TestGatheredMlmLoss:
             loss, mlm, nsp = pretrain_batch_loss(model, examples)
         assert mlm == 0.0
         assert float(loss.data) == nsp
+
+
+class TestHeldOutSplit:
+    """held_out_mlm_loss scores its examples, sorted by length, as two
+    batches; combined, they give the loss of one batch."""
+
+    DOCS = [["a b", "c d e f g h i j a b c", "d e"],
+            ["f g h i j", "a", "b c d e f g h"],
+            ["i j a b c d e f g h i j a", "b c"]]
+
+    def _examples(self, docs, vocab, rng, n, max_len):
+        """held_out_mlm_loss's examples, built as it builds them."""
+        examples, i = [], 0
+        while len(examples) < n:
+            ex = make_pretrain_example(i % len(docs), docs, vocab,
+                                       MaskingPolicy(), max_len, rng.at(i))
+            if ex.mlm_positions:
+                examples.append(ex)
+            i += 1
+        return examples
+
+    @pytest.mark.parametrize("n, max_len, batches", [
+        (1, 32, 1), (2, 32, 2), (16, 32, 2),
+        (16, 8, 1)], ids=["one", "two", "sixteen", "equal-lengths"])
+    def test_equals_one_batch(self, vocab, monkeypatch, n, max_len,
+                              batches):
+        cfg = EncoderConfig(n_layers=2, hidden=8, n_heads=2,
+                            vocab_size=len(vocab), max_positions=32,
+                            dropout=0.1, dtype="f8")
+        model = init_model(cfg, Rng(0))
+        examples = self._examples(self.DOCS, vocab, Rng(4), n, max_len)
+        lengths = {sum(ex.seq.attention_mask) for ex in examples}
+        assert (len(lengths) == 1) == (max_len == 8 or n == 1)
+        loss, mlm, nsp = pre.pretrain_batch_loss(model, examples)
+        want = (float(loss.data), mlm, nsp)
+        score, sizes = pre.pretrain_batch_loss, []
+
+        def spy(model, part):
+            sizes.append(len(part))
+            return score(model, part)
+        monkeypatch.setattr(pre, "pretrain_batch_loss", spy)
+        got = held_out_mlm_loss(model, self.DOCS, vocab, Rng(4),
+                                n_examples=n, max_len=max_len)
+        assert len(sizes) == batches and sum(sizes) == n
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestFurtherPretrain:

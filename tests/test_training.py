@@ -23,6 +23,7 @@ from bertfit.toytask import (FILLERS, MARKERS, _Draws, make_marker_task,
                              marker_benchmark, marker_vocab_corpus)
 from bertfit.training import (MetricsLog, MetricsRecord, build_run,
                               evaluate, finetune, prepare_inputs)
+from test_model import _untrimmed
 
 
 @pytest.fixture(scope="module")
@@ -626,6 +627,35 @@ def test_stack_inputs_equals_the_former_stackers():
         for w, h in zip(want, have, strict=True):
             assert h.dtype == w.dtype and h.shape == w.shape
             assert h.tobytes() == w.tobytes()
+
+
+def test_hier_logits_of_trimmed_fractions_equal_the_padded(monkeypatch):
+    """`batch_logits` on the `hier_attn` route, in float64: fractions
+    whose longest row ends short of their padded length give the logits
+    of the untrimmed arrays."""
+    recipe = tiny_recipe(long_text="hier_attn")
+    model = init_model(_READ_CFG, Rng(0))
+    head = ClassifierHead.init(8, 2, Rng(1), dtype=np.float64)
+    combiner = FractionCombiner.init("attn", 8, Rng(2), dtype=np.float64)
+    seqs = [TokenizedSequence(s.token_ids + [0, 0], s.segment_ids + [0, 0],
+                              s.attention_mask + [0, 0], s.label)
+            for s in _read_inputs()]
+    docs = [ChunkedDocument(seqs[:2], 8), ChunkedDocument(seqs[2:], 6)]
+    widths = []
+
+    def logits():
+        return training.batch_logits(model, head, docs, recipe,
+                                     combiner).data
+
+    def untrimmed(fractions):
+        widths.append(len(fractions[0]))
+        return _untrimmed(fractions)
+    got = logits()
+    assert stack_inputs(seqs)[0].shape == (4, 6)
+    monkeypatch.setattr(training, "stack_inputs", untrimmed)
+    want = logits()
+    assert widths == [8]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])

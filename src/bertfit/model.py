@@ -194,7 +194,9 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     masks than its padded form. Dropout runs if and only if
     `rng` is given, site i drawing its masks keyed `rng.at(i)`: site 0 is
     the embedding's, and block i's are 3i + 1 to 3i + 3 (the attention
-    probabilities, attention output and FFN output), whatever runs.
+    probabilities, attention output and FFN output). Each site draws at
+    the shape of the array it drops from, and the keys keep sites apart,
+    so blocks that do not run change no other site's mask.
 
     `read=(layer, positions)` computes only what a head reads there: the
     blocks above `layer` do not run, so the result has layer + 1 entries,
@@ -202,8 +204,9 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
     position positions[b, r] of a (B, R) int array. In that top block keys
     and values still cover all S positions; the queries, attention rows,
     output projection, norms and FFN (one `ad.ffn` op) run on the R rows.
-    A position outside [0, S) raises ValueError. Its dropout masks are
-    the rows at `positions` of the full block's (`Rng.keep_mask`).
+    A position outside [0, S) raises ValueError. That block's masks are
+    drawn at its R rows, so they depend on R and are not the full block's
+    masks at those rows.
     """
     cfg = model.config
     p = model.params
@@ -216,8 +219,8 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
             f"sequence length {S} exceeds max positions {cfg.max_positions}")
     p_drop = cfg.dropout if rng is not None else 0.0
 
-    def site(i, rows=False):        # dropout site i's masks, if any
-        return rng and rng.at(i, rows=(positions, S) if rows else None)
+    def site(i):                    # dropout site i's masks, if any
+        return rng and rng.at(i)
 
     # position rows [0, S), broadcast over the batch; add's backward sums
     # the batch in order, so the gradient has a row scatter's bits
@@ -248,14 +251,14 @@ def encode_batch(model: EncoderModel, token_ids, segment_ids, attention_mask,
         xq = ad.embedding(x, flat) if rows else x
         ctx = ad.self_attention(
             xq, x, *(p[b + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
-            cfg.n_heads, mask_bias, p_drop, site(3 * i + 1, rows))
+            cfg.n_heads, mask_bias, p_drop, site(3 * i + 1))
         attn_out = ad.linear(ctx, p[b + "wo"], p[b + "bo"])
         x = ad.add_layer_norm(
-            xq, ad.dropout(attn_out, p_drop, site(3 * i + 2, rows)),
+            xq, ad.dropout(attn_out, p_drop, site(3 * i + 2)),
             p[b + "attn_ln_g"], p[b + "attn_ln_b"])
         h = ad.dropout(ad.ffn(x, p[b + "ffn_w1"], p[b + "ffn_b1"],
                               p[b + "ffn_w2"], p[b + "ffn_b2"]),
-                       p_drop, site(3 * i + 3, rows))
+                       p_drop, site(3 * i + 3))
         x = ad.add_layer_norm(x, h, p[b + "ffn_ln_g"], p[b + "ffn_ln_b"])
         outputs.append(x)
     if read is not None and top == 0:

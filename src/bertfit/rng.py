@@ -35,10 +35,9 @@ CURSOR, TASK, EXAMPLE, INIT, HEAD, COMBINER, MULTITASK, PRETRAIN = range(1, 9)
 class Rng:
     """Seeded PCG64 stream with cheap derived sub-streams."""
 
-    def __init__(self, seed: int, key=(), rows=None):
+    def __init__(self, seed: int, key=()):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.key = tuple(key)
-        self.rows = rows                    # see keep_mask
         self.gen = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(self.seed, spawn_key=self.key)))
 
@@ -48,30 +47,24 @@ class Rng:
         then 0 is 101 then 1), so the package keys its streams with `at`."""
         return Rng(self.seed ^ (int(index) + 0x9E3779B97F4A7C15))
 
-    def at(self, *key: int, rows=None) -> "Rng":
+    def at(self, *key: int) -> "Rng":
         """The stream keyed by this one's key and then `key` (`at(3, 5)` is
-        `at(3).at(5)`, and independent of `at(5, 3)`), with `rows`."""
-        return Rng(self.seed, self.key + key, rows)
+        `at(3).at(5)`, and independent of `at(5, 3)`)."""
+        return Rng(self.seed, self.key + key)
 
     def keep_mask(self, shape, p: float):
         """Dropout's boolean keep mask of `shape` at rate p: each row (the
         last axis) takes the next raw 64-bit words of the stream, in C
         order, as little-endian 32-bit halves, and keeps an element iff its
         half is at least floor(p * 2**32), with probability within 2**-32 of
-        1 - p. An op on R of the S rows of each of B items sets `rows` to
-        (positions, S), `positions` a (B, R) int array: its (B, ..., R, W)
-        mask is rows positions[b] of item b of the (B, ..., S, W) one."""
+        1 - p. A dropout site draws at the shape of the array it multiplies
+        from a key of its own: an op on R of S rows draws R rows, so its
+        mask depends on R, and no other site's mask moves."""
         *lead, width = shape
-        if self.rows is not None:
-            positions, lead[-1] = self.rows
         n = (width + 1) // 2                # words per row
         words = self.gen.bit_generator.random_raw(math.prod(lead) * n)
         halves = words.astype("<u8", copy=False).view("<u4")
-        kept = halves.reshape(*lead, 2 * n)[..., :width] >= int(p * 2**32)
-        if self.rows is None:
-            return kept
-        idx = np.expand_dims(positions, (*range(1, len(shape) - 2), -1))
-        return np.take_along_axis(kept, idx, axis=-2)
+        return halves.reshape(*lead, 2 * n)[..., :width] >= int(p * 2**32)
 
     def truncated_normal(self, shape, std=0.02, dtype=np.float32):
         """Normal(0, std) clipped at two standard deviations."""

@@ -91,3 +91,37 @@ def tape_dtypes(tape, loss, parameters):
     dtypes.update(g.dtype for g in handed.values())
     dtypes.update(p.grad.dtype for p in parameters)
     return dtypes
+
+
+class ReadMasks(Rng):
+    """A full-width run's dropout stream that drops, at the rows a read
+    keeps, what the read drops. At a key in `keys`, a (B, ..., S, W) mask
+    holds at row positions[b, r] of item b row r of the mask `Rng(seed)`
+    draws there at the read's (B, ..., R, W) shape (the first r of a
+    repeated position); every other mask is `Rng(seed)`'s. So a full op
+    read at `positions` should equal the op on those rows alone."""
+
+    def __init__(self, seed, positions, keys, key=()):
+        super().__init__(seed, key)
+        self.positions, self.keys = np.asarray(positions), keys
+
+    def at(self, *key):
+        return ReadMasks(self.seed, self.positions, self.keys,
+                         self.key + key)
+
+    def keep_mask(self, shape, p):
+        kept = super().keep_mask(shape, p)
+        if self.key in self.keys:
+            B, R = self.positions.shape
+            read = Rng(self.seed, self.key).keep_mask(
+                (*shape[:-2], R, shape[-1]), p)
+            for b in range(B):
+                for r in reversed(range(R)):
+                    kept[b, ..., self.positions[b, r], :] = read[b, ..., r, :]
+        return kept
+
+
+def top_block_keys(layer):
+    """The dropout keys of the top block of a read at `layer` (block
+    layer - 1's sites, 3 layer - 2 to 3 layer); none at layer 0."""
+    return {(3 * layer - j,) for j in range(3)} if layer else set()

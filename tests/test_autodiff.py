@@ -7,7 +7,7 @@ import pytest
 from bertfit import autodiff as ad
 from bertfit.autodiff import Tape, Tensor
 from bertfit.rng import Rng
-from conftest import attention_probs, spy_gradients, weighted_sum
+from conftest import ReadMasks, attention_probs, spy_gradients, weighted_sum
 
 
 def _rand(shape, seed=0):
@@ -713,8 +713,8 @@ def _at_rows(t):
 
 class TestAttentionRows:
     """attention_core on R < S query rows gives the full-row op's output
-    and gradients at those rows, dropout included: a stream with `rows`
-    gives the full mask's rows."""
+    and gradients at those rows, dropout included once the full op drops
+    at those rows what the read op drops (`conftest.ReadMasks`)."""
 
     def _pair(self, dtype, p):
         """(output, q/k/v grads) of the full op read at _ROWS, and of the
@@ -730,9 +730,9 @@ class TestAttentionRows:
             ad.backward(tape, loss, parameters=xs)
             return y.data, [x.grad for x in xs]
 
-        y, (gq, gk, gv) = run((q, k, v), Rng(11), _at_rows)
-        rows = run((_rows_of(q), k, v), Rng(11, rows=(_ROWS, 6)),
-                   lambda y: y)
+        y, (gq, gk, gv) = run((q, k, v), ReadMasks(11, _ROWS, {()}),
+                              _at_rows)
+        rows = run((_rows_of(q), k, v), Rng(11), lambda y: y)
         return (y, [_rows_of(gq), gk, gv]), rows
 
     @pytest.mark.parametrize("p", [0.0, 0.15])
@@ -754,8 +754,7 @@ class TestAttentionRows:
 
         def f():
             with Tape() as tape:
-                y = ad.attention_core(*xs, 2, _MASK_BIAS, p,
-                                      Rng(11, rows=(_ROWS, 6)))
+                y = ad.attention_core(*xs, 2, _MASK_BIAS, p, Rng(11))
                 loss = weighted_sum(ad.gelu(y), _rand(y.shape, 29))
             return loss, tape
 
@@ -882,33 +881,6 @@ class TestRng:
         a, b = Rng(7).derive(0), Rng(7).derive(1)
         assert [a.uniform() for _ in range(10)] != \
             [b.uniform() for _ in range(10)]
-
-
-# (B, R) rows read of S=7: [CLS] only; scattered with duplicates; and the
-# last row
-_READ_ROWS = {
-    "cls-only": np.zeros((2, 1), int),
-    "scattered-duplicates": np.array([[2, 0, 2], [1, 1, 4]]),
-    "last-row": np.array([[0, 6], [3, 6]]),
-}
-
-
-class TestRowDraws:
-    """A stream with `rows` gives the full mask's rows, and leaves the
-    stream where the full mask does."""
-
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["hidden", "heads"])
-    @pytest.mark.parametrize("case", sorted(_READ_ROWS))
-    def test_rows_of_the_full_draw(self, case, lead):
-        positions = _READ_ROWS[case]
-        (B, R), S, W = positions.shape, 7, 5
-        full, rows = Rng(11), Rng(11, rows=(positions, S))
-        want = full.keep_mask((B, *lead, S, W), 0.3)
-        got = rows.keep_mask((B, *lead, R, W), 0.3)
-        idx = positions.reshape((B,) + (1,) * len(lead) + (R, 1))
-        assert np.array_equal(got, np.take_along_axis(want, idx, axis=-2))
-        assert rows.gen.bit_generator.state == full.gen.bit_generator.state
-        assert rows.uniform() == full.uniform()
 
 
 class TestTapeMisc:

@@ -16,7 +16,7 @@ from bertfit.model import (ClassifierHead, EncoderConfig, LayerSelection,
 from bertfit.optim import Adam, group_parameters, train_step
 from bertfit.rng import Rng
 from bertfit.tokenizer import TokenizedSequence
-from conftest import attention_probs, spy_gradients
+from conftest import attention_probs, spy_gradients, weighted_sum
 from test_autodiff import (_held, unfused_add_layer_norm, unfused_attention,
                            unfused_linear)
 
@@ -300,6 +300,69 @@ class TestReadRows:
         with pytest.raises(ValueError, match="read layer 3"):
             encode_batch(toy_model, ids, segs, mask,
                          read=(3, np.zeros((2, 1), dtype=int)))
+
+    @pytest.mark.parametrize("layer", range(4))
+    def test_a_read_of_every_row_is_the_full_encoder_with_dropout(
+            self, toy_config, toy_batch, layer):
+        # positions[b] = 0..S-1: the top block's masks are drawn at the
+        # full shape, so they are the full encoder's by construction. The
+        # gather's backward sums in another order, and a key bias's exact
+        # gradient is 0: every gradient is held to the largest one
+        ids, segs, mask, _ = toy_batch
+        toy_config.n_layers, toy_config.dropout = 3, 0.1
+        model = init_model(toy_config, Rng(0))
+        every = np.tile(np.arange(ids.shape[1]), (ids.shape[0], 1))
+        w = Rng(4).truncated_normal((2, 6, 8), 1.0, dtype=np.float64)
+
+        def run(read):
+            with Tape() as tape:
+                outs = encode_batch(model, ids, segs, mask, read=read,
+                                    rng=Rng(9))
+                loss = weighted_sum(outs[layer], w)
+            for t in model.parameters():
+                t.zero_grad()
+            ad.backward(tape, loss, parameters=model.parameters())
+            return ([o.data for o in outs[:layer + 1]],
+                    [t.grad for t in model.parameters()])
+
+        (outs, grads), (full, full_grads) = run((layer, every)), run(None)
+        for got, want in zip(outs, full):
+            np.testing.assert_array_equal(got, want)
+        largest = max(np.abs(g).max() for g in full_grads if g is not None)
+        for got, want in zip(grads, full_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.abs(got - want).max() <= 1e-12 * largest
+
+    @pytest.mark.parametrize("layer", [1, 3])
+    def test_the_top_block_draws_at_the_read_shape(
+            self, toy_config, toy_batch, layer, monkeypatch):
+        # each site draws once, in order, keyed by its index, at the shape
+        # of the array it drops from: the read's R = 3 rows in the top
+        # block, all S = 6 below it
+        ids, segs, mask, _ = toy_batch
+        toy_config.n_layers, toy_config.dropout = 3, 0.1
+        model = init_model(toy_config, Rng(0))
+        positions = np.array([[0, 3, 3], [5, 0, 1]])
+        drawn, keep_mask = [], Rng.keep_mask
+
+        def spy(rng, shape, p):
+            drawn.append((rng.key, keep_mask(rng, shape, p)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(Rng, "keep_mask", spy)
+        encode_batch(model, ids, segs, mask, read=(layer, positions),
+                     rng=Rng(9))
+        top = 3 * layer
+
+        def shape(i):
+            rows = 3 if i > top - 3 else 6
+            return (2, 2, rows, 6) if i % 3 == 1 else (2, rows, 8)
+
+        assert [key for key, _ in drawn] == [(i,) for i in range(top + 1)]
+        for (i,), kept in drawn:
+            want = keep_mask(Rng(9).at(i), shape(i), 0.1)
+            assert np.array_equal(kept, want), i
 
 
 class TestSelectFeatures:

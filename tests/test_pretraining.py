@@ -12,7 +12,7 @@ from bertfit.pretraining import (MaskingPolicy, apply_masking,
                                  trim_pair, write_corpus)
 from bertfit.rng import Rng
 from bertfit.tokenizer import RESERVED, Vocabulary, encode
-from conftest import first_words, weighted_sum
+from conftest import ReadMasks, first_words, top_block_keys, weighted_sum
 
 
 def make_dataset(name, texts):
@@ -265,7 +265,7 @@ class TestGatheredMlmLoss:
         """Masked mean over the rows of the full logits, row by row,
         dropout drawn from `rng` if given. The inputs are stacked as
         `pretrain_batch_loss` stacks them, so both encode the same
-        columns and draw the same dropout masks."""
+        columns and, below the top block, draw the same dropout masks."""
         from bertfit import autodiff as ad
         from bertfit.model import (encode_batch, mlm_logits, nsp_logits,
                                    stack_inputs)
@@ -295,13 +295,19 @@ class TestGatheredMlmLoss:
         if 0.0 in mask_probs:
             assert not examples[mask_probs.index(0.0)].mlm_positions
 
-        def stream():               # equal draws for both runs
-            return Rng(5) if mode == "train" else None
-
+        # the full encoder drops, at the rows the top block reads ([CLS],
+        # then the masked positions, padded with [CLS]), what they drop
+        R = 1 + max(len(ex.mlm_positions) for ex in examples)
+        positions = np.zeros((len(examples), R), int)
+        for bi, ex in enumerate(examples):
+            positions[bi, 1:1 + len(ex.mlm_positions)] = ex.mlm_positions
+        train = mode == "train"
         got, got_grads = self._losses_and_grads(
-            model, lambda: pretrain_batch_loss(model, examples, stream())[0])
+            model, lambda: pretrain_batch_loss(
+                model, examples, Rng(5) if train else None)[0])
         want, want_grads = self._losses_and_grads(
-            model, lambda: self._full_logit_loss(model, examples, stream()))
+            model, lambda: self._full_logit_loss(model, examples, ReadMasks(
+                5, positions, top_block_keys(n_layers)) if train else None))
         assert got == pytest.approx(want, rel=1e-12)
         largest = max(np.abs(g).max() for g in want_grads.values())
         for name, g in want_grads.items():
@@ -319,8 +325,8 @@ class TestGatheredMlmLoss:
                              ids=["all-masked", "one-unmasked", "none"])
     def test_two_blocks_with_dropout_match_full(self, vocab, mask_probs,
                                                 mode):
-        # dropout on: the masks of the read rows are the full encoder's.
-        # A key bias shifts a whole score row, so its gradient is zero up
+        # dropout on: the full encoder is given the read rows' masks (see
+        # _assert_matches_full). A key bias shifts a whole score row, so its gradient is zero up
         # to roundoff: every tensor is held to the largest gradient.
         self._assert_matches_full(vocab, mask_probs, mode, n_layers=2,
                                   per_tensor=False)

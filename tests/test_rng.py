@@ -14,24 +14,19 @@ from bertfit.rng import (COMBINER, CURSOR, EXAMPLE, HEAD, INIT,
                         MULTITASK, PRETRAIN, TASK, Rng)
 from conftest import first_words
 
-# name: (seed, step, site, shape, p, read positions of S=7 rows or None,
-# md5 of the mask's bool bytes)
+# name: (seed, step, site, shape, p, md5 of the mask's bool bytes)
 GOLDEN = {
-    "full-hidden": (7, 1, 0, (2, 5, 8), 0.1, None,
+    "full-hidden": (7, 1, 0, (2, 5, 8), 0.1,
                     "5c9d33dcaeb01b087b5744179c33c0f5"),
-    "full-attention": (7, 2, 4, (2, 2, 6, 6), 0.1, None,
+    "full-attention": (7, 2, 4, (2, 2, 6, 6), 0.1,
                        "c735b0065a09094ef931c26fc5361c07"),
-    # a duplicated position and the last row
-    "read-rows": (41, 3, 3, (2, 3, 9), 0.1, np.array([[0, 6, 6], [3, 3, 6]]),
-                  "30008ba3c2332851535aea07d4f83cf6"),
-    "odd-width": (41, 5, 2, (3, 4, 13), 0.5, None,
+    "odd-width": (41, 5, 2, (3, 4, 13), 0.5,
                   "e2543bc61f6e4b8ea659906873e64920"),
 }
 
 
-def _mask(seed, step, site, shape, p, rows=None):
-    rows = None if rows is None else (rows, 7)
-    return Rng(seed).at(step, site, rows=rows).keep_mask(shape, p)
+def _mask(seed, step, site, shape, p):
+    return Rng(seed).at(step, site).keep_mask(shape, p)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -80,23 +75,6 @@ def test_keep_rate_is_one_minus_p(p):
     kept = sum(int(_mask(5, step, 1, shape, p).sum()) for step in range(8))
     n = 8 * np.prod(shape)
     assert abs(kept - n * (1 - p)) < 4 * np.sqrt(n * p * (1 - p))
-
-
-@given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_read_rows_are_the_full_mask_rows(data):
-    B, S, W = (data.draw(st.integers(1, n)) for n in (3, 9, 11))
-    lead = data.draw(st.sampled_from([(), (2,)]))
-    R = data.draw(st.integers(1, 4))
-    positions = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, S - 1), min_size=R, max_size=R),
-        min_size=B, max_size=B)))
-    seed = data.draw(st.integers(0, 2**32))
-    full = Rng(seed).at(2, 7).keep_mask((B, *lead, S, W), 0.25)
-    rows = Rng(seed).at(2, 7, rows=(positions, S)).keep_mask(
-        (B, *lead, R, W), 0.25)
-    for b in range(B):
-        assert np.array_equal(rows[b], full[b][..., positions[b], :])
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1),

@@ -172,9 +172,10 @@ def test_each_recipe_equals_its_former_loop(vocab, name):
 def test_a_shallower_read_drops_what_the_full_depth_drops(vocab,
                                                           monkeypatch):
     """At step 2, a run that reads block 0 (`single` layer 1) drops what a
-    full-depth run drops in the embedding and in block 0, though its step 1
-    ran one block fewer. At rate 0 both runs keep their initial weights,
-    so the embedding output and block 0's [CLS] rows agree."""
+    full-depth run drops in the embedding, though its step 1 ran one block
+    fewer. At rate 0 both runs keep their initial weights, so the
+    embedding outputs agree. (Block 0, the read's top block, draws its
+    masks at the [CLS] rows alone.)"""
     seen = []
     encode = training.encode_batch
 
@@ -194,8 +195,6 @@ def test_a_shallower_read_drops_what_the_full_depth_drops(vocab,
     full, read = seen[1], seen[3]               # step 2 of each run
     assert full[1].shape[1] == 16 and read[1].shape[1] == 1
     np.testing.assert_array_equal(read[0], full[0])
-    np.testing.assert_allclose(read[1], full[1][:, :1], rtol=1e-12,
-                               atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["finetune", "multitask", "pretrain"])

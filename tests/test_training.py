@@ -23,6 +23,7 @@ from bertfit.toytask import (FILLERS, MARKERS, _Draws, make_marker_task,
                              marker_benchmark, marker_vocab_corpus)
 from bertfit.training import (MetricsLog, MetricsRecord, build_run,
                               evaluate, finetune, prepare_inputs)
+from conftest import ReadMasks, top_block_keys
 from test_model import _untrimmed
 
 
@@ -508,8 +509,13 @@ def _stream(mode):
     return Rng(5) if mode == "train" else None
 
 
-def _full_encoder(model, seqs, mode):
-    outs = encode_batch(model, *stack_inputs(seqs), rng=_stream(mode))
+def _full_encoder(model, seqs, mode, layer):
+    """Every state of the full encoder. In "train" mode its block
+    layer - 1 drops at the [CLS] rows what a [CLS] read at `layer` drops
+    there, and every other site draws `_stream`'s masks."""
+    rng = ReadMasks(5, np.zeros((len(seqs), 1), int), top_block_keys(layer)) \
+        if mode == "train" else None
+    outs = encode_batch(model, *stack_inputs(seqs), rng=rng)
     assert len(outs) == model.config.n_layers + 1
     return outs
 
@@ -534,8 +540,9 @@ def test_flat_route_equals_the_full_encoder(strategy, layer, combiner, mode):
 
     got = run(lambda: training.batch_logits(model, head, seqs, recipe, None,
                                             _stream(mode)))
+    layer = sel.layer_indices(5)[-1]
     want = run(lambda: class_logits(
-        select_features(_full_encoder(model, seqs, mode), sel), head))
+        select_features(_full_encoder(model, seqs, mode, layer), sel), head))
     _assert_same_run(got, want)
 
 
@@ -552,7 +559,7 @@ def test_hier_route_equals_the_full_encoder(kind, mode):
     labels = np.array([0, 1])
 
     def full():
-        outs = _full_encoder(model, seqs, mode)
+        outs = _full_encoder(model, seqs, mode, 5)
         cls = cls_states(outs[-1])
         pooled = [combine(ad.embedding(cls, [0]), combiner),
                   combine(ad.embedding(cls, [1, 2, 3]), combiner)]
